@@ -1,8 +1,8 @@
 """Shared numerical routines.
 
-Binomial coefficients (exact where they fit, log-domain beyond), compensated
-alternating binomial sums with a cancellation diagnostic, adaptive quadrature
-on (0, inf), and bracketed bisection for strictly decreasing functions.
+Binomial coefficients (exact where they fit, log-domain beyond), adaptive
+quadrature on (0, inf), and bracketed bisection for strictly decreasing
+functions.
 
 Everything here is a pure function; nothing holds state between calls.
 """
@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
-from scipy.integrate import quad
-
 __all__ = [
     "NumericsError",
     "EvaluationError",
@@ -24,10 +22,8 @@ __all__ = [
     "QuadratureSettings",
     "RootSettings",
     "Binomial",
-    "AlternatingSum",
     "QuadratureResult",
     "binom",
-    "alternating_binomial_sum",
     "integrate_semi_infinite",
     "solve_monotone_decreasing",
 ]
@@ -117,18 +113,6 @@ class Binomial(NamedTuple):
         return math.log(self.value) if self.exact else float(self.value)
 
 
-class AlternatingSum(NamedTuple):
-    """Result of a compensated alternating sum plus a cancellation diagnostic.
-
-    cancellation is the ratio of the largest term magnitude encountered to the
-    magnitude of the result; it is always at least 1 and grows as alternating
-    terms cancel.
-    """
-
-    value: float
-    cancellation: float
-
-
 class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
@@ -145,42 +129,6 @@ def binom(n: int, r: int) -> Binomial:
         return Binomial(math.comb(n, r), True)
     logc = math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
     return Binomial(logc, False)
-
-
-def alternating_binomial_sum(k: int, term: Callable[[int], float]) -> AlternatingSum:
-    """Sum of (-1)^i C(k-1, i) term(i) for i in 0..k-1, Neumaier-compensated.
-
-    The compensation removes summation round-off; the returned cancellation
-    ratio quantifies how much accuracy the *terms* themselves may have lost,
-    since an alternating sum cannot recover digits the terms never carried.
-    """
-    if k < 1:
-        raise ValueError(f"k must be at least 1, got {k}")
-    total = 0.0
-    comp = 0.0
-    peak = 0.0
-    for i in range(k):
-        raw = term(i)
-        if not math.isfinite(raw):
-            raise EvaluationError(f"term({i}) is not finite: {raw!r}")
-        t = math.comb(k - 1, i) * raw
-        if not math.isfinite(t):
-            raise EvaluationError(f"scaled term at i={i} overflowed: {t!r}")
-        if i & 1:
-            t = -t
-        peak = max(peak, abs(t))
-        s = total + t
-        if abs(total) >= abs(t):
-            comp += (total - s) + t
-        else:
-            comp += (t - s) + total
-        total = s
-    value = total + comp
-    if value == 0.0:
-        cancellation = math.inf if peak > 0.0 else 1.0
-    else:
-        cancellation = max(peak / abs(value), 1.0)
-    return AlternatingSum(value, cancellation)
 
 
 def _to_unit_interval(breakpoints: Sequence[float]) -> list[float]:
@@ -204,6 +152,8 @@ def integrate_semi_infinite(
     Raises QuadratureError, carrying the best estimate, if the requested
     tolerance cannot be certified.
     """
+    # imported here so that importing the package does not load scipy
+    from scipy.integrate import quad
 
     def transformed(u: float) -> float:
         if u <= 0.0 or u >= 1.0:

@@ -125,7 +125,8 @@ class TestBayesOsThreshold:
     def test_threshold_inverts_pfa(self):
         from bayescfar.predictive import OsPredictive, os_pfa
 
-        for n, k, p, t in [(8, 5, 0.05, 1.0), (16, 12, 0.01, 0.3), (3, 2, 0.4, 7.0)]:
+        for n, k, p, t in [(8, 5, 0.05, 1.0), (16, 12, 0.01, 0.3), (3, 2, 0.4, 7.0),
+                           (256, 200, 1e-6, 3.0)]:
             spec = DetectorSpec(Family.BAYES_OS, n, p, k=k)
             tau = bayes_os_threshold(spec, t)
             assert math.isclose(os_pfa(tau, OsPredictive(n, k, t)), p, rel_tol=1e-9)

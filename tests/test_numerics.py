@@ -1,25 +1,22 @@
 """Foundation routine tests.
 
 Expected values are frozen from independent evaluations: Pascal-triangle
-recursion for binomial coefficients, exact rational arithmetic for the
-alternating sums, and hand-done Gamma integrals for the quadrature cases.
+recursion for binomial coefficients and hand-done Gamma integrals for the
+quadrature cases.
 """
 
 import math
-from fractions import Fraction
+import subprocess
+import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from bayescfar.numerics import (
-    EvaluationError,
     QuadratureError,
     QuadratureSettings,
     RootFindingError,
     RootSettings,
     TargetUnreachableError,
-    alternating_binomial_sum,
     binom,
     integrate_semi_infinite,
     solve_monotone_decreasing,
@@ -72,69 +69,6 @@ class TestBinom:
             binom(-1, 0)
         with pytest.raises(ValueError):
             binom(3, -1)
-
-
-class TestAlternatingBinomialSum:
-    def test_single_term_passthrough(self):
-        out = alternating_binomial_sum(1, lambda i: 3.7)
-        assert out.value == 3.7
-        assert out.cancellation == 1.0
-
-    def test_two_terms_by_hand(self):
-        out = alternating_binomial_sum(2, lambda i: 1.0 / (1 + i))
-        assert out.value == 0.5
-
-    def test_reciprocal_sum_exact_rational(self):
-        # k=5, N=8: sum_i (-1)^i C(4,i)/(4+i) telescopes to 1/280,
-        # and 5*C(8,5)/280 = 1
-        exact = sum(
-            Fraction((-1) ** i * math.comb(4, i), 4 + i) for i in range(5)
-        )
-        assert exact == Fraction(1, 280)
-        out = alternating_binomial_sum(5, lambda i: 1.0 / (4 + i))
-        assert math.isclose(out.value, 1.0 / 280.0, rel_tol=1e-14)
-        assert 5 * math.comb(8, 5) * exact == 1
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        k=st.integers(min_value=1, max_value=6),
-        num=st.integers(min_value=1, max_value=50),
-        den=st.integers(min_value=1, max_value=50),
-    )
-    def test_matches_exact_rationals_for_small_k(self, k, num, den):
-        # oracle: exact rational sum of the rounded signed float terms, so
-        # this isolates the summation itself from term rounding
-        x = num / den
-
-        def term(i):
-            return 1.0 / (x + i)
-
-        out = alternating_binomial_sum(k, term)
-        exact = sum(
-            Fraction((-1.0) ** i * (math.comb(k - 1, i) * term(i)))
-            for i in range(k)
-        )
-        assert math.isclose(out.value, float(exact), rel_tol=5e-16, abs_tol=1e-300)
-
-    def test_cancellation_at_least_one(self):
-        for k in (1, 2, 7, 19, 31):
-            out = alternating_binomial_sum(k, lambda i: 1.0 / (1.0 + 0.5 * i))
-            assert out.cancellation >= 1.0
-
-    def test_cancellation_grows_when_terms_cancel(self):
-        # terms nearly constant: the sum is nearly zero for k > 1
-        out = alternating_binomial_sum(12, lambda i: 1.0 / (1e6 + i))
-        assert out.cancellation > 1e6
-
-    def test_non_finite_term_rejected(self):
-        with pytest.raises(EvaluationError):
-            alternating_binomial_sum(3, lambda i: math.inf if i == 1 else 1.0)
-        with pytest.raises(EvaluationError):
-            alternating_binomial_sum(2, lambda i: math.nan)
-
-    def test_k_below_one_rejected(self):
-        with pytest.raises(ValueError):
-            alternating_binomial_sum(0, lambda i: 1.0)
 
 
 class TestIntegrateSemiInfinite:
@@ -192,6 +126,15 @@ class TestIntegrateSemiInfinite:
             QuadratureSettings(absolute_tolerance=-1.0)
         with pytest.raises(ValueError):
             QuadratureSettings(max_subdivisions=0)
+
+    def test_package_import_leaves_scipy_unloaded(self):
+        # scipy is loaded by the first quadrature, not by importing the package
+        code = "import sys, bayescfar; print('scipy' in sys.modules)"
+        out = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+        )
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip() == "False"
 
 
 def os_pfa_product_form(m: float, n: int, k: int) -> float:

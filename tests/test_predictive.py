@@ -1,9 +1,10 @@
 """Predictive density and false-alarm curve tests.
 
-The independent oracle for the order-statistic false-alarm curve is the
-product form prod_{j=n-k+1}^{n} j/(j+m) with m = tau/t, obtained by writing
-the alternating sum as a Beta-function ratio and multiplying out. Expected
-values below are frozen from exact rational evaluations of that product.
+The library evaluates the order-statistic false-alarm curve as the product
+prod_{j=n-k+1}^{n} j/(j+m) with m = tau/t. Its oracles share no code with
+that path: exact rational evaluations of the same product, the alternating
+binomial series it multiplies out from, evaluated here in exact rationals,
+and the quadrature route os_pfa_quadrature.
 """
 
 import math
@@ -37,6 +38,16 @@ def product_form_exact(m: Fraction, n: int, k: int) -> Fraction:
     for j in range(n - k + 1, n + 1):
         out *= Fraction(j, 1) / (j + m)
     return out
+
+
+def alternating_series_exact(m: Fraction, n: int, k: int, power: int) -> Fraction:
+    # k C(n,k) sum_i (-1)^i C(k-1,i) (m + n-k+1+i)^(-power) at unit t: the
+    # Pfa for power 1, t times the predictive density for power 2
+    total = sum(
+        Fraction((-1) ** i * math.comb(k - 1, i)) / (m + n - k + 1 + i) ** power
+        for i in range(k)
+    )
+    return k * math.comb(n, k) * total
 
 
 def log_gamma_pdf(x: float, shape: float, rate: float) -> float:
@@ -200,6 +211,51 @@ class TestOsPfa:
     def test_rejects_negative_threshold(self):
         with pytest.raises(ValueError):
             os_pfa(-1.0, OsPredictive(2, 1, 1.0))
+
+
+class TestOsProductEdges:
+    def test_matches_exact_alternating_series(self):
+        rng = random.Random(2718)
+        worst = 0.0
+        for _ in range(300):
+            n = rng.randint(1, 64)
+            k = rng.randint(1, n)
+            t = 10.0 ** rng.uniform(-3, 3)
+            z = rng.uniform(0.0, 10.0) * t
+            osd = OsPredictive(n, k, t)
+            m = Fraction(z) / Fraction(t)
+            pfa = float(alternating_series_exact(m, n, k, 1))
+            density = float(alternating_series_exact(m, n, k, 2) / Fraction(t))
+            worst = max(
+                worst,
+                abs(os_pfa(z, osd) - pfa) / pfa,
+                abs(os_predictive_density(z, osd) - density) / density,
+            )
+        assert worst < 1e-12
+
+    def test_large_windows_match_quadrature(self):
+        for n, k, t in [(256, 200, 2.5), (200, 1, 0.04), (300, 150, 70.0)]:
+            osd = OsPredictive(n, k, t)
+            for m in (0.5, 5.0, 30.0):
+                want = os_pfa_quadrature(m * t, osd)
+                assert math.isclose(os_pfa(m * t, osd), want, rel_tol=1e-8), (n, k, m)
+
+    def test_infinite_threshold_is_zero(self):
+        for n, k in [(1, 1), (16, 12), (256, 200)]:
+            osd = OsPredictive(n, k, 1.5)
+            assert os_pfa(math.inf, osd) == 0.0
+            assert os_predictive_density(math.inf, osd) == 0.0
+
+    def test_underflow_stays_bounded_and_nonincreasing(self):
+        # Pfa ~ (150/m)^200 underflows near m = 5e3, through the subnormals
+        osd = OsPredictive(256, 200, 1.0)
+        vals = [os_pfa(1.01**i, osd) for i in range(1400)]
+        assert all(0.0 <= v <= 1.0 for v in vals)
+        assert all(a >= b for a, b in zip(vals, vals[1:]))
+        assert 0.0 < min(v for v in vals if v > 0.0) < 2.3e-308
+        assert vals[-1] == 0.0
+        densities = [os_predictive_density(1.01**i, osd) for i in range(1400)]
+        assert all(math.isfinite(d) and d >= 0.0 for d in densities)
 
 
 class TestOsPfaQuadrature:
