@@ -16,14 +16,15 @@ from __future__ import annotations
 import argparse
 import configparser
 import json
+import math
 import os
 import sys
 from typing import Callable, Sequence
 
 from .clutter_models import ExponentialClutter, ParetoClutter
-from .detectors import DetectorSpec, Family, bayes_os_threshold, threshold_multiplier
+from .detectors import FAMILIES, DetectorSpec, Family, bayes_os_threshold, threshold_multiplier
 from .numerics import NumericsError
-from .predictive import OsPredictive, os_pfa, os_predictive_density
+from .predictive import OsPredictive, os_predictive_density
 from .simulate import (
     ConfigurationError,
     Scenario,
@@ -168,6 +169,7 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     _require(args, "t")
     if not (args.t > 0):
         raise UsageError(f"--t must be positive, got {args.t}")
+    # bayes_os_threshold keeps the rounding of the k = 1 form t*n*(1/pfa - 1)
     if spec.family is Family.BAYES_OS:
         tau = bayes_os_threshold(spec, args.t)
     else:
@@ -185,28 +187,16 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pfa_curve(spec: DetectorSpec, t: float) -> Callable[[float], float]:
-    if spec.family is Family.BAYES_OS:
-        os_data = OsPredictive(spec.n, spec.k, t)
-        return lambda tau: os_pfa(tau, os_data)
-    if spec.family is Family.MIN_CFAR:
-        os_data = OsPredictive(spec.n, 1, t)
-        return lambda tau: os_pfa(tau, os_data)
-    if spec.family is Family.CA_CFAR:
-        return lambda tau: (1.0 + tau / t) ** -spec.n
-    raise UsageError("custom_g has no closed Pfa curve")
-
-
 def cmd_pfa(args: argparse.Namespace) -> int:
     spec = _curve_spec(args)
     _require(args, "t", "tau_grid")
     if not (args.t > 0):
         raise UsageError(f"--t must be positive, got {args.t}")
-    curve = _pfa_curve(spec, args.t)
+    curve = FAMILIES[spec.family].pfa
     grid = _parse_grid(args.tau_grid)
     print("tau,pfa")
     for tau in grid:
-        print(f"{_format_number(tau)},{_format_number(curve(tau))}")
+        print(f"{_format_number(tau)},{_format_number(curve(tau, args.t, spec))}")
     return 0
 
 
@@ -297,8 +287,10 @@ def _read_profile(path: str, skip_header: bool) -> list[float]:
                 value = float(text)
             except ValueError as exc:
                 raise UsageError(f"line {lineno}: not a number: {text!r}") from exc
-            if not (value >= 0):
-                raise UsageError(f"line {lineno}: profile values must be nonnegative, got {text}")
+            if not (value >= 0) or not math.isfinite(value):
+                raise UsageError(
+                    f"line {lineno}: profile values must be finite and nonnegative, got {text}"
+                )
             values.append(value)
     return values
 

@@ -25,6 +25,7 @@ __all__ = [
     "ClutterModel",
     "CrpWindow",
     "OsStatistic",
+    "intensity_from_uniform",
     "sample",
     "kth_order_statistic",
     "os_density",
@@ -127,23 +128,25 @@ class OsStatistic:
             raise ValueError(f"order statistic value must be nonnegative, got {self.value_t}")
 
 
-def sample(model: ClutterModel, count: int, rng_stream: np.random.Generator) -> list[float]:
-    """Draw count i.i.d. intensities from model via inverse CDF.
+def intensity_from_uniform(model: ClutterModel, u: np.ndarray) -> np.ndarray:
+    """Inverse-CDF transform of uniforms on (0, 1] to intensities of model.
 
-    Exponential uses -ln(U)/lambda and Pareto Type II uses beta*(U^(-1/alpha) - 1),
-    with U uniform on (0, 1]. The (0, 1] convention keeps ln and the negative
-    power finite; U = 1 maps to the distribution's lower endpoint 0.
+    Exponential uses -ln(U)/lambda and Pareto Type II uses beta*(U^(-1/alpha) - 1).
+    The (0, 1] convention keeps ln and the negative power finite; U = 1 maps
+    to the distribution's lower endpoint 0.
     """
+    if isinstance(model, ExponentialClutter):
+        return -np.log(u) / model.rate_lambda
+    if isinstance(model, ParetoClutter):
+        return model.scale_beta * (u ** (-1.0 / model.shape_alpha) - 1.0)
+    raise TypeError(f"unsupported clutter model: {type(model).__name__}")
+
+
+def sample(model: ClutterModel, count: int, rng_stream: np.random.Generator) -> list[float]:
+    """Draw count i.i.d. intensities from model: intensity_from_uniform of 1 - U[0, 1)."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    u = 1.0 - rng_stream.random(count)
-    if isinstance(model, ExponentialClutter):
-        draws = -np.log(u) / model.rate_lambda
-    elif isinstance(model, ParetoClutter):
-        draws = model.scale_beta * (u ** (-1.0 / model.shape_alpha) - 1.0)
-    else:
-        raise TypeError(f"unsupported clutter model: {type(model).__name__}")
-    return draws.tolist()
+    return intensity_from_uniform(model, 1.0 - rng_stream.random(count)).tolist()
 
 
 def kth_order_statistic(window: CrpWindow, k: int) -> OsStatistic:

@@ -1,11 +1,15 @@
-"""Sliding-window decision rules.
+"""Sliding-window decision rules and the table of detector families.
 
-All rules share the same shape: declare a detection when the cell under
-test strictly exceeds a multiple of a window statistic. The Bayesian
-order-statistic rule is evaluated the other way round, by comparing the
-predictive false-alarm probability of the observed cell against the design
-value, which avoids inverting the Pfa curve; strict monotonicity makes the
-two phrasings equivalent.
+A family is one choice of clutter-level measure g (the k-th order
+statistic, the minimum or the sum of the window), the multiplier m of the
+threshold m * g, and the false-alarm curve they imply: one FamilyRow in
+FAMILIES, which every consumer reads instead of branching on the family.
+
+All rules declare a detection when the cell under test strictly exceeds
+m * g. The Bayesian order-statistic rule is evaluated the other way round,
+by comparing the predictive false-alarm probability of the observed cell
+against the design value, which avoids inverting the Pfa curve; strict
+monotonicity makes the two phrasings equivalent.
 
 Ties sit with H0 everywhere: H1 requires a strict inequality.
 """
@@ -16,14 +20,18 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .clutter_models import CrpWindow, kth_order_statistic, window_sum
-from .numerics import RootSettings, solve_monotone_decreasing
+import numpy as np
+
+from .clutter_models import CrpWindow, kth_order_statistic
+from .numerics import solve_monotone_decreasing
 from .predictive import OsPredictive, os_pfa
 
 __all__ = [
+    "FAMILIES",
     "Family",
+    "FamilyRow",
     "Verdict",
     "DecisionPath",
     "DetectorSpec",
@@ -42,7 +50,6 @@ class Family(str, Enum):
     BAYES_OS = "bayes_os"
     MIN_CFAR = "min_cfar"
     CA_CFAR = "ca_cfar"
-    CUSTOM_G = "custom_g"
 
 
 class Verdict(str, Enum):
@@ -132,14 +139,13 @@ def bayes_os_decide(z0: float, window: CrpWindow, spec: DetectorSpec) -> Decisio
 
 
 @lru_cache(maxsize=4096)
-def _bayes_multiplier(n: int, k: int, design_pfa: float, settings: RootSettings) -> float:
+def _bayes_multiplier(n: int, k: int, design_pfa: float) -> float:
     # tau for unit order statistic; thresholds scale linearly in t
     unit = OsPredictive(n, k, 1.0)
-    return solve_monotone_decreasing(lambda m: os_pfa(m, unit), design_pfa, settings)
+    return solve_monotone_decreasing(lambda m: os_pfa(m, unit), design_pfa)
 
 
-def bayes_os_threshold(spec: DetectorSpec, t: float,
-                       settings: RootSettings = RootSettings()) -> float:
+def bayes_os_threshold(spec: DetectorSpec, t: float) -> float:
     """Explicit threshold tau with os_pfa(tau; n, k, t) = design_pfa.
 
     k = 1 has the closed form t*n*(1/pfa - 1); other k invert the Pfa curve
@@ -152,33 +158,38 @@ def bayes_os_threshold(spec: DetectorSpec, t: float,
         raise ValueError(f"observed order statistic must be positive, got {t}")
     if spec.k == 1:
         return t * spec.n * (1.0 / spec.design_pfa - 1.0)
-    return t * _bayes_multiplier(spec.n, spec.k, spec.design_pfa, settings)
+    return t * _bayes_multiplier(spec.n, spec.k, spec.design_pfa)
 
 
-def min_cfar_decide(z0: float, window: CrpWindow, spec: DetectorSpec) -> Decision:
-    """Minimum-based rule: H1 iff z0 > n*(1/pfa - 1) * min(window)."""
-    if spec.family is not Family.MIN_CFAR:
-        raise ValueError(f"min_cfar_decide needs a min_cfar spec, got {spec.family.value}")
-    _require_z0(z0)
-    _require_window(window, spec)
-    threshold = spec.n * (1.0 / spec.design_pfa - 1.0) * min(window.samples)
-    verdict = Verdict.H1 if z0 > threshold else Verdict.H0
-    return Decision(verdict, z0, threshold, DecisionPath.THRESHOLD)
+def _threshold_rule(family: Family, statistic: Callable[[tuple[float, ...]], float],
+                    doc: str) -> Callable[[float, CrpWindow, DetectorSpec], Decision]:
+    def decide(z0: float, window: CrpWindow, spec: DetectorSpec) -> Decision:
+        if spec.family is not family:
+            raise ValueError(
+                f"{family.value}_decide needs a {family.value} spec, got {spec.family.value}"
+            )
+        _require_z0(z0)
+        _require_window(window, spec)
+        threshold = FAMILIES[family].multiplier(spec) * statistic(window.samples)
+        verdict = Verdict.H1 if z0 > threshold else Verdict.H0
+        return Decision(verdict, z0, threshold, DecisionPath.THRESHOLD)
+
+    decide.__name__ = decide.__qualname__ = f"{family.value}_decide"
+    decide.__doc__ = doc
+    return decide
 
 
-def ca_cfar_decide(z0: float, window: CrpWindow, spec: DetectorSpec) -> Decision:
+min_cfar_decide = _threshold_rule(
+    Family.MIN_CFAR, min, "Minimum-based rule: H1 iff z0 > n*(1/pfa - 1) * min(window)."
+)
+ca_cfar_decide = _threshold_rule(
+    Family.CA_CFAR, math.fsum,
     """Cell-averaging rule: H1 iff z0 > (pfa^(-1/n) - 1) * sum(window).
 
     The multiplier is exactly calibrated in exponential clutter; the
     simulation harness certifies that rather than trusting it.
-    """
-    if spec.family is not Family.CA_CFAR:
-        raise ValueError(f"ca_cfar_decide needs a ca_cfar spec, got {spec.family.value}")
-    _require_z0(z0)
-    _require_window(window, spec)
-    threshold = (spec.design_pfa ** (-1.0 / spec.n) - 1.0) * window_sum(window)
-    verdict = Verdict.H1 if z0 > threshold else Verdict.H0
-    return Decision(verdict, z0, threshold, DecisionPath.THRESHOLD)
+    """,
+)
 
 
 def custom_g_decide(z0: float, window: CrpWindow, tau: float,
@@ -192,17 +203,49 @@ def custom_g_decide(z0: float, window: CrpWindow, tau: float,
     return Decision(verdict, z0, threshold, DecisionPath.THRESHOLD)
 
 
+class FamilyRow(NamedTuple):
+    """Everything that differs between detector families.
+
+    block_statistic gives, for each row of a (rows, n) window matrix, the
+    statistic decide uses; pfa(tau, t, spec) is the false-alarm probability
+    of threshold tau at statistic t, so pfa(multiplier(spec), 1, spec) is the
+    design value; positive_statistic marks a rule undefined at a zero statistic.
+    """
+
+    decide: Callable[[float, CrpWindow, DetectorSpec], Decision]
+    block_statistic: Callable[[np.ndarray, DetectorSpec], np.ndarray]
+    multiplier: Callable[[DetectorSpec], float]
+    pfa: Callable[[float, float, DetectorSpec], float]
+    positive_statistic: bool = False
+
+
+FAMILIES: dict[Family, FamilyRow] = {
+    Family.BAYES_OS: FamilyRow(
+        bayes_os_decide,
+        lambda w, spec: np.partition(w, spec.k - 1, axis=1)[:, spec.k - 1],
+        lambda spec: bayes_os_threshold(spec, 1.0),
+        lambda tau, t, spec: os_pfa(tau, OsPredictive(spec.n, spec.k, t)),
+        positive_statistic=True,
+    ),
+    Family.MIN_CFAR: FamilyRow(
+        min_cfar_decide,
+        lambda w, spec: w.min(axis=1),
+        lambda spec: spec.n * (1.0 / spec.design_pfa - 1.0),
+        lambda tau, t, spec: os_pfa(tau, OsPredictive(spec.n, 1, t)),
+    ),
+    Family.CA_CFAR: FamilyRow(
+        ca_cfar_decide,
+        lambda w, spec: w.sum(axis=1),
+        lambda spec: spec.design_pfa ** (-1.0 / spec.n) - 1.0,
+        lambda tau, t, spec: (1.0 + tau / t) ** -spec.n,
+    ),
+}
+
+
 def threshold_multiplier(spec: DetectorSpec) -> float:
     """The scalar m with threshold = m * (window statistic) for spec's family.
 
     The statistic is the k-th order statistic for bayes_os, the minimum for
-    min_cfar, and the window sum for ca_cfar. custom_g has no closed
-    multiplier and is rejected.
+    min_cfar, and the window sum for ca_cfar.
     """
-    if spec.family is Family.BAYES_OS:
-        return bayes_os_threshold(spec, 1.0)
-    if spec.family is Family.MIN_CFAR:
-        return spec.n * (1.0 / spec.design_pfa - 1.0)
-    if spec.family is Family.CA_CFAR:
-        return spec.design_pfa ** (-1.0 / spec.n) - 1.0
-    raise ValueError("custom_g has no closed-form threshold multiplier")
+    return FAMILIES[spec.family].multiplier(spec)

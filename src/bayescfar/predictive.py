@@ -144,14 +144,13 @@ def os_pfa(tau: float, os: OsPredictive) -> float:
     return min(max(value, 0.0), 1.0)
 
 
-def os_pfa_quadrature(tau: float, os: OsPredictive,
-                      settings: QuadratureSettings = _OS_QUAD) -> float:
+def os_pfa_quadrature(tau: float, os: OsPredictive) -> float:
     """Independent oracle for os_pfa: the same probability as one integral.
 
     Integrates posterior_lambda_os(lambda) * e^{-lambda tau}, the chance the
     cell under test exceeds tau averaged over the posterior, over lambda in
-    (0, inf). The integrand is positive, so nothing cancels. Default
-    settings are pure-relative so small probabilities keep full relative
+    (0, inf). The integrand is positive, so nothing cancels. The quadrature
+    tolerance is pure-relative so small probabilities keep full relative
     accuracy.
     """
     if not (tau >= 0):
@@ -163,7 +162,7 @@ def os_pfa_quadrature(tau: float, os: OsPredictive,
 
     # integrand scale in lambda is set by 1/t
     ladder = [10.0**e / os.t for e in range(-6, 7)]
-    value = integrate_semi_infinite(f, settings, breakpoints=ladder).value
+    value = integrate_semi_infinite(f, _OS_QUAD, breakpoints=ladder).value
     return min(max(value, 0.0), 1.0)
 
 

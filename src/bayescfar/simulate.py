@@ -25,16 +25,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .clutter_models import ClutterModel, CrpWindow, ExponentialClutter, ParetoClutter
-from .detectors import (
-    Decision,
-    DetectorSpec,
-    Family,
-    bayes_os_decide,
-    ca_cfar_decide,
-    min_cfar_decide,
-    threshold_multiplier,
+from .clutter_models import (
+    ClutterModel,
+    CrpWindow,
+    ExponentialClutter,
+    ParetoClutter,
+    intensity_from_uniform,
 )
+from .detectors import FAMILIES, Decision, DetectorSpec, threshold_multiplier
 
 __all__ = [
     "ConfigurationError",
@@ -93,6 +91,8 @@ class Scenario:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {self.seed}")
+        if not isinstance(self.clutter, (ExponentialClutter, ParetoClutter)):
+            raise ConfigurationError(f"unsupported clutter model: {type(self.clutter).__name__}")
 
 
 @dataclass(frozen=True)
@@ -182,48 +182,22 @@ def _child_seed(seed: int, grid_index: int) -> int:
     return int(np.random.SeedSequence((seed, 1, grid_index)).generate_state(1, np.uint64)[0])
 
 
-def _intensity_from_uniform(model: ClutterModel, u: np.ndarray) -> np.ndarray:
-    """Inverse-CDF transform of uniforms on (0, 1] to clutter intensities."""
-    if isinstance(model, ExponentialClutter):
-        return -np.log(u) / model.rate_lambda
-    if isinstance(model, ParetoClutter):
-        return model.scale_beta * (u ** (-1.0 / model.shape_alpha) - 1.0)
-    raise ConfigurationError(f"unsupported clutter model: {type(model).__name__}")
-
-
-def _window_statistic(window: np.ndarray, spec: DetectorSpec) -> np.ndarray:
-    if spec.family is Family.BAYES_OS:
-        return np.partition(window, spec.k - 1, axis=1)[:, spec.k - 1]
-    if spec.family is Family.MIN_CFAR:
-        return window.min(axis=1)
-    if spec.family is Family.CA_CFAR:
-        return window.sum(axis=1)
-    raise ConfigurationError(
-        "custom_g detectors carry no statistic definition a scenario can name; "
-        "use the decision functions directly"
-    )
-
-
-def _needs_positive_statistic(spec: DetectorSpec) -> bool:
-    # only the Bayesian OS posterior is undefined at a zero statistic
-    return spec.family is Family.BAYES_OS
-
-
 def _run_block(scenario: Scenario, multiplier: float, cut_scale: float,
                block_index: int, size: int) -> tuple[int, int]:
     spec = scenario.detector
+    row = FAMILIES[spec.family]
     rng = _block_generator(scenario.seed, block_index)
     n = spec.n
 
     def draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
         u = 1.0 - rng.random((rows, n + 1))
-        mat = _intensity_from_uniform(scenario.clutter, u)
+        mat = intensity_from_uniform(scenario.clutter, u)
         return mat[:, :n], mat[:, n] * cut_scale
 
     window, cut = draw(size)
-    stat = _window_statistic(window, spec)
+    stat = row.block_statistic(window, spec)
     redraws = 0
-    if _needs_positive_statistic(spec):
+    if row.positive_statistic:
         bad = stat <= 0.0
         rounds = 0
         while bad.any():
@@ -238,20 +212,14 @@ def _run_block(scenario: Scenario, multiplier: float, cut_scale: float,
             new_window, new_cut = draw(count)
             window[bad] = new_window
             cut[bad] = new_cut
-            stat[bad] = _window_statistic(new_window, spec)
+            stat[bad] = row.block_statistic(new_window, spec)
             bad = stat <= 0.0
     hits = int(np.count_nonzero(cut > multiplier * stat))
     return hits, redraws
 
 
 def _run_blocks(scenario: Scenario, cut_scale: float, workers: int | None) -> tuple[int, int]:
-    spec = scenario.detector
-    if spec.family is Family.CUSTOM_G:
-        raise ConfigurationError(
-            "custom_g detectors carry no statistic definition a scenario can name; "
-            "use the decision functions directly"
-        )
-    multiplier = threshold_multiplier(spec)
+    multiplier = threshold_multiplier(scenario.detector)
     trials = scenario.trials
     sizes = [
         min(BLOCK_SIZE, trials - start) for start in range(0, trials, BLOCK_SIZE)
@@ -395,15 +363,7 @@ def scan_profile(profile: Sequence[float], spec: DetectorSpec,
         raise ConfigurationError(
             f"profile of {len(values)} cells cannot hold a {lead}+{trail} window"
         )
-    decide = {
-        Family.BAYES_OS: bayes_os_decide,
-        Family.MIN_CFAR: min_cfar_decide,
-        Family.CA_CFAR: ca_cfar_decide,
-    }.get(spec.family)
-    if decide is None:
-        raise ConfigurationError(
-            "scan_profile needs a closed detector family; custom_g supplies no g here"
-        )
+    decide = FAMILIES[spec.family].decide
     decisions = []
     for i in range(lead, len(values) - trail):
         window = CrpWindow(values[i - lead:i] + values[i + 1:i + 1 + trail])

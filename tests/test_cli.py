@@ -6,6 +6,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 BASE = [sys.executable, "-m", "bayescfar.cli"]
 
 
@@ -67,9 +69,10 @@ class TestThreshold:
         assert "--t" in out.stderr
 
     def test_unknown_family_is_usage_error(self):
-        out = run("threshold", "--family", "median", "--n", "4",
-                  "--pfa", "0.1", "--t", "1")
-        assert out.returncode == 2
+        for family in ("median", "custom_g"):
+            out = run("threshold", "--family", family, "--n", "4",
+                      "--pfa", "0.1", "--t", "1")
+            assert out.returncode == 2
 
     def test_unreachable_design_point_is_numeric_failure(self):
         out = run("threshold", "--family", "bayes_os", "--n", "2", "--k", "2",
@@ -297,6 +300,21 @@ class TestScan:
                   "--profile", path, "--leading", "2", "--trailing", "2")
         assert out.returncode == 2
         assert "line 3" in out.stderr
+
+    @pytest.mark.parametrize("text", ["inf", "1e400", "nan"])
+    def test_non_finite_value_names_its_line(self, tmp_path, text):
+        path = self.write_profile(tmp_path, [1.0, 2.0, text, 4.0, 5.0, 6.0])
+        out = run("scan", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
+                  "--profile", path, "--leading", "2", "--trailing", "2")
+        assert out.returncode == 2
+        assert "line 3" in out.stderr
+        assert "finite" in out.stderr
+
+    def test_unknown_family_is_usage_error(self, tmp_path):
+        path = self.write_profile(tmp_path, [1.0] * 12)
+        out = run("scan", "--family", "custom_g", "--n", "4", "--pfa", "0.1",
+                  "--profile", path, "--leading", "2", "--trailing", "2")
+        assert out.returncode == 2
 
     def test_malformed_value_names_its_line(self, tmp_path):
         path = self.write_profile(tmp_path, [1.0, 2.0, "not-a-number", 4.0, 5.0])

@@ -3,10 +3,12 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
-from bayescfar.clutter_models import CrpWindow, window_sum
+from bayescfar.clutter_models import CrpWindow, kth_order_statistic, window_sum
 from bayescfar.detectors import (
+    FAMILIES,
     Decision,
     DecisionPath,
     DegenerateWindowError,
@@ -28,8 +30,9 @@ class TestDetectorSpec:
         assert spec.family is Family.BAYES_OS
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            DetectorSpec("median_cfar", 4, 0.1)
+        for name in ("median_cfar", "custom_g"):
+            with pytest.raises(ValueError):
+                DetectorSpec(name, 4, 0.1)
 
     def test_bayes_os_requires_k(self):
         with pytest.raises(ValueError):
@@ -269,6 +272,41 @@ class TestThresholdMultiplier:
         )
         assert threshold_multiplier(DetectorSpec(Family.BAYES_OS, 4, 0.1, k=1)) == 36.0
 
-    def test_custom_g_rejected(self):
-        with pytest.raises(ValueError):
-            threshold_multiplier(DetectorSpec(Family.CUSTOM_G, 4, 0.1))
+
+class TestFamilyTable:
+    @staticmethod
+    def random_spec(rng, family):
+        n = rng.randint(1, 40)
+        k = rng.randint(1, n) if family is Family.BAYES_OS else None
+        return DetectorSpec(family, n, 10.0 ** rng.uniform(-6, -0.05), k=k)
+
+    def test_every_family_has_a_row(self):
+        assert set(FAMILIES) == set(Family)
+
+    def test_multiplier_inverts_the_pfa_curve(self):
+        rng = random.Random(41)
+        for family, row in FAMILIES.items():
+            for _ in range(60):
+                spec = self.random_spec(rng, family)
+                got = row.pfa(row.multiplier(spec), 1.0, spec)
+                assert math.isclose(got, spec.design_pfa, rel_tol=1e-9), spec
+
+    def test_block_statistic_matches_the_per_cell_rule(self):
+        rng = random.Random(42)
+        per_cell = {
+            Family.BAYES_OS: lambda w, spec: kth_order_statistic(w, spec.k).value_t,
+            Family.MIN_CFAR: lambda w, spec: min(w.samples),
+            Family.CA_CFAR: lambda w, spec: window_sum(w),
+        }
+        for family, row in FAMILIES.items():
+            for _ in range(20):
+                spec = self.random_spec(rng, family)
+                windows = np.random.default_rng(rng.randrange(2**32)).exponential(
+                    size=(50, spec.n))
+                got = row.block_statistic(windows, spec)
+                for values, stat in zip(windows, got):
+                    want = per_cell[family](CrpWindow(values), spec)
+                    if family is Family.CA_CFAR:
+                        assert math.isclose(stat, want, rel_tol=1e-12)
+                    else:
+                        assert stat == want

@@ -94,9 +94,10 @@ class TestScenarioValidation:
         with pytest.raises(ConfigurationError):
             estimate_pd(pareto)
 
-    def test_custom_g_has_no_runnable_statistic(self):
+    def test_unsupported_clutter_model_rejected(self):
         with pytest.raises(ConfigurationError):
-            estimate_pfa(scenario(family=Family.CUSTOM_G, trials=10))
+            Scenario(clutter=object(), detector=DetectorSpec(Family.CA_CFAR, 4, 0.1),
+                     trials=10, seed=1)
 
 
 class TestEstimatePfa:
@@ -201,14 +202,14 @@ class TestDegenerateRedraws:
     def test_zero_statistics_are_redrawn_and_counted(self, monkeypatch):
         import bayescfar.simulate as sim
 
-        original = sim._intensity_from_uniform
+        original = sim.intensity_from_uniform
 
         def lossy(model, u):
             x = original(model, u)
             x[u > 0.9] = 0.0
             return x
 
-        monkeypatch.setattr(sim, "_intensity_from_uniform", lossy)
+        monkeypatch.setattr(sim, "intensity_from_uniform", lossy)
         sc = scenario(family=Family.BAYES_OS, n=4, k=1, pfa=0.1,
                       trials=20_000, seed=3)
         report = estimate_pfa(sc, workers=1)
@@ -220,7 +221,7 @@ class TestDegenerateRedraws:
         import bayescfar.simulate as sim
 
         monkeypatch.setattr(
-            sim, "_intensity_from_uniform", lambda model, u: np.zeros_like(u)
+            sim, "intensity_from_uniform", lambda model, u: np.zeros_like(u)
         )
         sc = scenario(family=Family.BAYES_OS, n=4, k=1, pfa=0.1, trials=10, seed=3)
         with pytest.raises(ConfigurationError):
@@ -360,6 +361,3 @@ class TestScanProfile:
             WindowLayout(-1, 2)
         with pytest.raises(ValueError):
             WindowLayout(0, 0)
-        with pytest.raises(ConfigurationError):
-            scan_profile([1.0] * 10,
-                         DetectorSpec(Family.CUSTOM_G, 4, 0.1), self.LAYOUT)
