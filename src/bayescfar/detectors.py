@@ -4,6 +4,9 @@ A family is one choice of clutter-level measure g (the k-th order
 statistic, the minimum or the sum of the window), the multiplier m of the
 threshold m * g, and the false-alarm curve they imply: one FamilyRow in
 FAMILIES, which every consumer reads instead of branching on the family.
+Each row decides one cell at a time (decide, the reference) and a whole
+block of windows at once (scan, which simulate.scan_profile uses); the two
+give the same bits.
 
 All rules declare a detection when the cell under test strictly exceeds
 m * g. The Bayesian order-statistic rule is evaluated the other way round,
@@ -20,13 +23,13 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .clutter_models import CrpWindow, kth_order_statistic
 from .numerics import solve_monotone_decreasing
-from .predictive import OsPredictive, os_pfa
+from .predictive import OsPredictive, _os_product, os_pfa
 
 __all__ = [
     "FAMILIES",
@@ -161,7 +164,37 @@ def bayes_os_threshold(spec: DetectorSpec, t: float) -> float:
     return t * _bayes_multiplier(spec.n, spec.k, spec.design_pfa)
 
 
-def _threshold_rule(family: Family, statistic: Callable[[tuple[float, ...]], float],
+def _kth_smallest(windows: np.ndarray, spec: DetectorSpec) -> np.ndarray:
+    return np.partition(windows, spec.k - 1, axis=1)[:, spec.k - 1]
+
+
+def _bayes_os_scan(z0: np.ndarray, windows: np.ndarray,
+                   spec: DetectorSpec) -> tuple[np.ndarray, np.ndarray, DecisionPath]:
+    # a zero order statistic takes the t -> 0+ limit of the product: x = inf
+    # (Pfa 0, H1) for z0 > 0 and x = 0 (Pfa 1, H0) for z0 = 0
+    t = _kth_smallest(windows, spec)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.where(z0 > 0.0, z0 / t, 0.0)
+    pfa = _os_product(x, spec.n, spec.k)
+    return pfa, pfa < spec.design_pfa, DecisionPath.PFA_COMPARISON
+
+
+def _ca_threshold(multiplier: float, samples: Sequence[float]) -> float:
+    # multiplier * the exactly rounded sum. A sum beyond the float range is
+    # formed at scale 2**-shift: exact for every sample above 2**(shift - 1022),
+    # and smaller ones lie far under the rounding of so large a sum
+    try:
+        return multiplier * math.fsum(samples)
+    except OverflowError:
+        shift = len(samples).bit_length()
+        scaled = math.fsum(math.ldexp(s, -shift) for s in samples)
+        try:
+            return math.ldexp(multiplier * scaled, shift)
+        except OverflowError:
+            return math.inf
+
+
+def _threshold_rule(family: Family, threshold: Callable[[float, Sequence[float]], float],
                     doc: str) -> Callable[[float, CrpWindow, DetectorSpec], Decision]:
     def decide(z0: float, window: CrpWindow, spec: DetectorSpec) -> Decision:
         if spec.family is not family:
@@ -170,24 +203,39 @@ def _threshold_rule(family: Family, statistic: Callable[[tuple[float, ...]], flo
             )
         _require_z0(z0)
         _require_window(window, spec)
-        threshold = FAMILIES[family].multiplier(spec) * statistic(window.samples)
-        verdict = Verdict.H1 if z0 > threshold else Verdict.H0
-        return Decision(verdict, z0, threshold, DecisionPath.THRESHOLD)
+        limit = threshold(FAMILIES[family].multiplier(spec), window.samples)
+        verdict = Verdict.H1 if z0 > limit else Verdict.H0
+        return Decision(verdict, z0, limit, DecisionPath.THRESHOLD)
 
     decide.__name__ = decide.__qualname__ = f"{family.value}_decide"
     decide.__doc__ = doc
     return decide
 
 
+def _threshold_scan(
+    thresholds: Callable[[float, np.ndarray], np.ndarray],
+) -> Callable[[np.ndarray, np.ndarray, DetectorSpec], tuple[np.ndarray, np.ndarray, DecisionPath]]:
+    def scan(z0: np.ndarray, windows: np.ndarray,
+             spec: DetectorSpec) -> tuple[np.ndarray, np.ndarray, DecisionPath]:
+        with np.errstate(over="ignore"):
+            limit = thresholds(FAMILIES[spec.family].multiplier(spec), windows)
+        return limit, z0 > limit, DecisionPath.THRESHOLD
+
+    return scan
+
+
 min_cfar_decide = _threshold_rule(
-    Family.MIN_CFAR, min, "Minimum-based rule: H1 iff z0 > n*(1/pfa - 1) * min(window)."
+    Family.MIN_CFAR, lambda m, samples: m * min(samples),
+    "Minimum-based rule: H1 iff z0 > n*(1/pfa - 1) * min(window).",
 )
 ca_cfar_decide = _threshold_rule(
-    Family.CA_CFAR, math.fsum,
+    Family.CA_CFAR, _ca_threshold,
     """Cell-averaging rule: H1 iff z0 > (pfa^(-1/n) - 1) * sum(window).
 
     The multiplier is exactly calibrated in exponential clutter; the
-    simulation harness certifies that rather than trusting it.
+    simulation harness certifies that rather than trusting it. The sum is
+    exactly rounded; where it exceeds the float range the threshold is still
+    formed exactly, and is inf (so H0) only if it overflows itself.
     """,
 )
 
@@ -206,6 +254,11 @@ def custom_g_decide(z0: float, window: CrpWindow, tau: float,
 class FamilyRow(NamedTuple):
     """Everything that differs between detector families.
 
+    scan is the columnar counterpart of decide: given the cells under test
+    z0 and their windows as the rows of a (rows, n) matrix, it returns each
+    cell's comparison value, whether it is H1, and the DecisionPath, with
+    the same bits decide gives cell by cell (bayes_os also answers at a zero
+    statistic, where decide raises; see simulate.scan_profile).
     block_statistic gives, for each row of a (rows, n) window matrix, the
     statistic decide uses; pfa(tau, t, spec) is the false-alarm probability
     of threshold tau at statistic t, so pfa(multiplier(spec), 1, spec) is the
@@ -213,6 +266,8 @@ class FamilyRow(NamedTuple):
     """
 
     decide: Callable[[float, CrpWindow, DetectorSpec], Decision]
+    scan: Callable[[np.ndarray, np.ndarray, DetectorSpec],
+                   tuple[np.ndarray, np.ndarray, DecisionPath]]
     block_statistic: Callable[[np.ndarray, DetectorSpec], np.ndarray]
     multiplier: Callable[[DetectorSpec], float]
     pfa: Callable[[float, float, DetectorSpec], float]
@@ -222,19 +277,24 @@ class FamilyRow(NamedTuple):
 FAMILIES: dict[Family, FamilyRow] = {
     Family.BAYES_OS: FamilyRow(
         bayes_os_decide,
-        lambda w, spec: np.partition(w, spec.k - 1, axis=1)[:, spec.k - 1],
+        _bayes_os_scan,
+        _kth_smallest,
         lambda spec: bayes_os_threshold(spec, 1.0),
         lambda tau, t, spec: os_pfa(tau, OsPredictive(spec.n, spec.k, t)),
         positive_statistic=True,
     ),
     Family.MIN_CFAR: FamilyRow(
         min_cfar_decide,
+        _threshold_scan(lambda m, w: m * w.min(axis=1)),
         lambda w, spec: w.min(axis=1),
         lambda spec: spec.n * (1.0 / spec.design_pfa - 1.0),
         lambda tau, t, spec: os_pfa(tau, OsPredictive(spec.n, 1, t)),
     ),
     Family.CA_CFAR: FamilyRow(
         ca_cfar_decide,
+        _threshold_scan(
+            lambda m, w: np.fromiter((_ca_threshold(m, r) for r in w.tolist()), float, len(w))
+        ),
         lambda w, spec: w.sum(axis=1),
         lambda spec: spec.design_pfa ** (-1.0 / spec.n) - 1.0,
         lambda tau, t, spec: (1.0 + tau / t) ** -spec.n,

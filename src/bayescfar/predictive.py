@@ -115,6 +115,15 @@ def os_predictive_density(z0: float, os: OsPredictive) -> float:
     return os_pfa(z0, os) * rate / os.t
 
 
+def _os_product(x, n: int, k: int):
+    # prod_{j=n-k+1}^{n} j/(j+x) in plain * and /, so that x may be a float
+    # or an ndarray and both give the same bits
+    value = 1.0
+    for j in range(n - k + 1, n + 1):
+        value *= j / (j + x)
+    return value
+
+
 def os_pfa(tau: float, os: OsPredictive) -> float:
     """False-alarm probability of the threshold tau under the predictive law.
 
@@ -137,11 +146,7 @@ def os_pfa(tau: float, os: OsPredictive) -> float:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     if tau == 0.0:
         return 1.0
-    x = tau / os.t
-    value = 1.0
-    for j in range(os.n - os.k + 1, os.n + 1):
-        value *= j / (j + x)
-    return min(max(value, 0.0), 1.0)
+    return min(max(_os_product(tau / os.t, os.n, os.k), 0.0), 1.0)
 
 
 def os_pfa_quadrature(tau: float, os: OsPredictive) -> float:

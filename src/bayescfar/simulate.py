@@ -12,6 +12,16 @@ applied through its threshold multiplier (threshold = multiplier * observed
 order statistic), which by strict monotonicity of the predictive Pfa gives
 the same verdicts as the probability-comparison path; the equivalence is
 property-tested rather than assumed.
+
+scan_profile is columnar too: the windows of a range profile are the rows
+of a sliding-window matrix, built SCAN_BLOCK_ROWS cells at a time, and the
+family's scan entry in detectors.FAMILIES evaluates each block in one pass,
+with the same comparison values and verdicts as the per-cell decide
+functions, which stay as the tests' oracle. The scan also answers the two
+windows decide does not: a zero k-th order statistic under bayes_os takes
+the t -> 0+ limit (H1 for a positive cell, H0 for a zero one), and a
+ca_cfar window sum beyond the float range gives an exact threshold, inf
+(H0) only when the threshold itself overflows.
 """
 
 from __future__ import annotations
@@ -24,15 +34,15 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .clutter_models import (
     ClutterModel,
-    CrpWindow,
     ExponentialClutter,
     ParetoClutter,
     intensity_from_uniform,
 )
-from .detectors import FAMILIES, Decision, DetectorSpec, threshold_multiplier
+from .detectors import FAMILIES, Decision, DetectorSpec, Verdict, threshold_multiplier
 
 __all__ = [
     "ConfigurationError",
@@ -42,6 +52,7 @@ __all__ = [
     "WindowLayout",
     "WILSON_Z",
     "BLOCK_SIZE",
+    "SCAN_BLOCK_ROWS",
     "WORKERS_ENV_VAR",
     "wilson_interval",
     "estimate_pfa",
@@ -55,6 +66,9 @@ logger = logging.getLogger(__name__)
 
 WILSON_Z = 3.0
 BLOCK_SIZE = 65536
+# cells per window matrix in scan_profile: bounds its size for long profiles
+# and windows in the hundreds
+SCAN_BLOCK_ROWS = 4096
 WORKERS_ENV_VAR = "BAYESCFAR_WORKERS"
 # give up if a block cannot produce nondegenerate windows
 _MAX_REDRAW_ROUNDS = 1000
@@ -340,7 +354,7 @@ class WindowLayout:
             raise ValueError("the window must contain at least one cell")
 
 
-def scan_profile(profile: Sequence[float], spec: DetectorSpec,
+def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
                  window_layout: WindowLayout) -> list[Decision]:
     """Slide the detector across a range profile; one Decision per eligible cell.
 
@@ -348,12 +362,31 @@ def scan_profile(profile: Sequence[float], spec: DetectorSpec,
     plus the trailing cells immediately after, no guard cells. Cells without
     a full complement of neighbors are skipped, so a profile of exactly
     leading + trailing cells yields an empty list; anything shorter cannot
-    hold a single window and is a configuration error.
+    hold a single window and is a configuration error. The profile is a
+    sequence of floats or a 1-D array; a value that is negative or not
+    finite is a ValueError naming the first such value.
+
+    Evaluation is columnar: the windows of up to SCAN_BLOCK_ROWS cells at a
+    time form the rows of one matrix, and the family's scan entry in
+    FAMILIES gives every comparison value and verdict of the block at once,
+    with the same bits as the family's per-cell decide. Two cases that decide
+    does not answer have defined outcomes here:
+
+    - bayes_os at a window whose k-th order statistic is zero takes the
+      t -> 0+ limit of its false-alarm probability: a cell z0 > 0 gets
+      comparison value 0.0 and H1, a cell z0 = 0 gets 1.0 and H0 (the
+      threshold form m * t is 0 there, as for min_cfar at a zero minimum);
+    - ca_cfar at a window whose sum exceeds the float range still forms the
+      threshold m * sum exactly, and it is inf, so H0, only if that product
+      overflows (as min_cfar prints for an overflowing m * min).
     """
-    values = [float(x) for x in profile]
-    for x in values:
-        if not (x >= 0) or not math.isfinite(x):
-            raise ValueError(f"profile values must be finite and nonnegative, got {x}")
+    values = np.asarray(profile, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"the profile must be one-dimensional, got shape {values.shape}")
+    bad = ~(np.isfinite(values) & (values >= 0))
+    if bad.any():
+        first = float(values[np.argmax(bad)])
+        raise ValueError(f"profile values must be finite and nonnegative, got {first}")
     lead, trail = window_layout.leading, window_layout.trailing
     if lead + trail != spec.n:
         raise ConfigurationError(
@@ -363,9 +396,19 @@ def scan_profile(profile: Sequence[float], spec: DetectorSpec,
         raise ConfigurationError(
             f"profile of {len(values)} cells cannot hold a {lead}+{trail} window"
         )
-    decide = FAMILIES[spec.family].decide
-    decisions = []
-    for i in range(lead, len(values) - trail):
-        window = CrpWindow(values[i - lead:i] + values[i + 1:i + 1 + trail])
-        decisions.append(decide(values[i], window, spec))
+    if len(values) == lead + trail:
+        return []
+    scan = FAMILIES[spec.family].scan
+    rows = sliding_window_view(values, spec.n + 1)
+    verdicts = (Verdict.H0, Verdict.H1)
+    decisions: list[Decision] = []
+    for start in range(0, len(rows), SCAN_BLOCK_ROWS):
+        block = rows[start:start + SCAN_BLOCK_ROWS]
+        z0 = block[:, lead]
+        windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
+        comparison, h1, path = scan(z0, windows, spec)
+        decisions.extend(
+            Decision(verdicts[flag], x, value, path)
+            for flag, x, value in zip(h1.tolist(), z0.tolist(), comparison.tolist())
+        )
     return decisions

@@ -286,6 +286,36 @@ class TestScan:
         assert verdicts[6] == "H1"
         assert all(v == "H0" for cell, v in verdicts.items() if cell != 6)
 
+    def test_run_of_zeros_takes_the_zero_statistic_limit(self, tmp_path):
+        # bayes_os k = 2 of 4: a window holding two zeros has statistic 0, so
+        # its cell is H1 with Pfa 0 if positive and H0 with Pfa 1 if zero
+        values = [1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0, 6.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0]
+        path = self.write_profile(tmp_path, values)
+        out = run("scan", "--family", "bayes_os", "--n", "4", "--k", "2", "--pfa", "0.1",
+                  "--profile", path, "--leading", "2", "--trailing", "2")
+        assert out.returncode == 0, out.stderr
+        rows = {int(r.split(",")[0]): r for r in out.stdout.splitlines()[1:]}
+        assert sorted(rows) == list(range(2, 13))
+        assert [cell for cell, r in rows.items() if r.endswith(",H1")] == [3, 8, 11]
+        for cell in (3, 8, 11):
+            assert rows[cell].split(",")[2] == "0"
+        for cell in (4, 5, 6, 7, 9):
+            assert rows[cell] == f"{cell},0,1,H0"
+
+    @pytest.mark.parametrize("pfa, verdict", [("0.1", "H0"), ("0.9", "H1")])
+    def test_cell_averaging_sum_beyond_the_float_range(self, tmp_path, pfa, verdict):
+        # the window sums overflow; the threshold m * sum is inf only at pfa 0.1
+        path = self.write_profile(tmp_path, ["1e308"] * 12)
+        out = run("scan", "--family", "ca_cfar", "--n", "4", "--pfa", pfa,
+                  "--profile", path, "--leading", "2", "--trailing", "2")
+        assert out.returncode == 0, out.stderr
+        rows = out.stdout.splitlines()[1:]
+        assert len(rows) == 8
+        for row in rows:
+            _, z0, threshold, got = row.split(",")
+            assert (z0, got) == ("1e+308", verdict)
+            assert (threshold == "inf") == (verdict == "H0")
+
     def test_header_skip(self, tmp_path):
         path = self.write_profile(tmp_path, [1.0] * 8, header="range_gate")
         out = run("scan", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1",

@@ -195,6 +195,19 @@ class TestCaCfar:
         d = ca_cfar_decide(0.0, CrpWindow([1.0, 2.0, 3.0, 4.0]), spec)
         assert math.isclose(d.comparison_value, (0.1 ** -0.25 - 1.0) * 10.0, rel_tol=1e-15)
 
+    def test_sum_beyond_the_float_range(self):
+        # 4 * 1e308 overflows a float sum; the threshold is m * sum, formed
+        # exactly, and inf only where that product overflows
+        w = CrpWindow([1e308] * 4)
+        loose = DetectorSpec(Family.CA_CFAR, 4, 0.9)
+        m = threshold_multiplier(loose)
+        d = ca_cfar_decide(1e308, w, loose)
+        assert d.comparison_value == 4.0 * (m * 1e308)
+        assert d.verdict is Verdict.H1
+        d = ca_cfar_decide(1e308, w, DetectorSpec(Family.CA_CFAR, 4, 0.1))
+        assert d.comparison_value == math.inf
+        assert d.verdict is Verdict.H0
+
 
 class TestCustomG:
     def test_threshold_rule(self):

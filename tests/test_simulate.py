@@ -10,10 +10,22 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bayescfar.clutter_models import ExponentialClutter, ParetoClutter
-from bayescfar.detectors import DetectorSpec, Family, Verdict
+from bayescfar.clutter_models import CrpWindow, ExponentialClutter, ParetoClutter
+from bayescfar.detectors import (
+    FAMILIES,
+    Decision,
+    DecisionPath,
+    DegenerateWindowError,
+    DetectorSpec,
+    Family,
+    Verdict,
+    bayes_os_decide,
+)
 from bayescfar.simulate import (
+    SCAN_BLOCK_ROWS,
     ConfigurationError,
     Scenario,
     SimReport,
@@ -361,3 +373,115 @@ class TestScanProfile:
             WindowLayout(-1, 2)
         with pytest.raises(ValueError):
             WindowLayout(0, 0)
+        # the first bad value is named as a plain float
+        with pytest.raises(ValueError, match=r"got -1\.0$"):
+            scan_profile(np.array([1.0, 2.0, -1.0, math.nan, 4.0]), self.SPEC, self.LAYOUT)
+        with pytest.raises(ValueError, match=r"got nan$"):
+            scan_profile([1.0, math.nan, -1.0, 3.0, 4.0], self.SPEC, self.LAYOUT)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            scan_profile(np.ones((6, 4)), self.SPEC, self.LAYOUT)
+        with pytest.raises(ValueError, match="one-dimensional"):
+            scan_profile([[1.0] * 6] * 4, self.SPEC, self.LAYOUT)
+
+    def test_sequences_and_arrays_scan_alike(self):
+        values = [1.0, 3.0, 2.0, 40.0, 1.0, 0.5, 2.0, 1.0]
+        want = scan_profile(values, self.SPEC, self.LAYOUT)
+        assert len(want) == 4 and want[1].verdict is Verdict.H1
+        for profile in (tuple(values), np.array(values), np.array(values, dtype=np.float32)):
+            assert scan_profile(profile, self.SPEC, self.LAYOUT) == want
+        assert all(type(d.statistic_z0) is float and type(d.comparison_value) is float
+                   for d in want)
+
+    def test_zero_order_statistic_takes_the_limit(self):
+        # k = 2 of 4: wherever the window holds two zeros the statistic is 0;
+        # z0 > 0 there gives Pfa 0 and H1, z0 = 0 gives Pfa 1 and H0
+        spec = DetectorSpec(Family.BAYES_OS, 4, 0.1, k=2)
+        profile = [1.0, 2.0, 0.0, 0.0, 0.0, 7.0, 0.0, 0.0, 3.0, 4.0, 5.0]
+        decisions = scan_profile(profile, spec, self.LAYOUT)
+        limit = {2: (Verdict.H0, 1.0), 3: (Verdict.H0, 1.0), 4: (Verdict.H0, 1.0),
+                 5: (Verdict.H1, 0.0), 6: (Verdict.H0, 1.0), 8: (Verdict.H1, 0.0)}
+        for j, d in enumerate(decisions):
+            cell = j + 2
+            if cell in limit:
+                verdict, pfa = limit[cell]
+                assert d == Decision(verdict, profile[cell], pfa, DecisionPath.PFA_COMPARISON)
+            else:
+                window = CrpWindow(profile[cell - 2:cell] + profile[cell + 1:cell + 3])
+                assert d == bayes_os_decide(profile[cell], window, spec)
+        assert len(decisions) == 7
+
+    @pytest.mark.parametrize("pfa, threshold", [(0.9, None), (0.1, math.inf)])
+    def test_cell_averaging_sum_beyond_the_float_range(self, pfa, threshold):
+        spec = DetectorSpec(Family.CA_CFAR, 4, pfa)
+        if threshold is None:
+            threshold = 4.0 * (FAMILIES[Family.CA_CFAR].multiplier(spec) * 1e308)
+        decisions = scan_profile([1e308] * 12, spec, self.LAYOUT)
+        assert len(decisions) == 8
+        verdict = Verdict.H1 if 1e308 > threshold else Verdict.H0
+        assert all(d == Decision(verdict, 1e308, threshold, DecisionPath.THRESHOLD)
+                   for d in decisions)
+
+
+def _per_cell(profile, spec, layout):
+    """The per-cell decide of every eligible cell, the zero-statistic limit added."""
+    decide = FAMILIES[spec.family].decide
+    lead, trail = layout.leading, layout.trailing
+    out = []
+    for i in range(lead, len(profile) - trail):
+        window = CrpWindow(profile[i - lead:i] + profile[i + 1:i + 1 + trail])
+        try:
+            out.append(decide(profile[i], window, spec))
+        except DegenerateWindowError:
+            z0 = profile[i]
+            out.append(Decision(Verdict.H1 if z0 > 0 else Verdict.H0, z0,
+                                0.0 if z0 > 0 else 1.0, DecisionPath.PFA_COMPARISON))
+    return out
+
+
+def _assert_matches_per_cell(profile, spec, layout):
+    got = scan_profile(profile, spec, layout)
+    want = _per_cell(profile, spec, layout)
+    assert len(got) == len(want)
+    for cell, (g, w) in enumerate(zip(got, want), start=layout.leading):
+        assert g == w, (cell, g, w)
+        assert g.comparison_value.hex() == w.comparison_value.hex(), (cell, g, w)
+
+
+@st.composite
+def _scan_cases(draw):
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.integers(1, 40))
+    k = draw(st.integers(1, n)) if family is Family.BAYES_OS else None
+    spec = DetectorSpec(family, n, 10.0 ** draw(st.floats(-6.0, -0.05)), k=k)
+    lead = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+    spread = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-150, 150))
+    pool = draw(st.lists(spread, min_size=1, max_size=3))
+    value = st.one_of(spread, st.sampled_from(pool), st.just(0.0))
+    profile = draw(st.lists(value, min_size=n, max_size=n + 60))
+    return profile, spec, WindowLayout(lead, n - lead)
+
+
+def _long_window_case():
+    rng = np.random.default_rng(256)
+    profile = (rng.exponential(size=300) * 10.0 ** rng.uniform(-150, 150, 300)).tolist()
+    profile[100:150] = [0.0] * 50
+    return profile, DetectorSpec(Family.BAYES_OS, 256, 1e-3, k=200), WindowLayout(128, 128)
+
+
+class TestScanMatchesPerCell:
+    # ties, zeros (with and without a zero statistic), one-sided layouts and
+    # values over 300 decades; every Decision must equal the per-cell one
+    @settings(max_examples=150, deadline=None)
+    @given(_scan_cases())
+    @example(_long_window_case())
+    def test_random_profiles(self, case):
+        _assert_matches_per_cell(*case)
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_profile_longer_than_one_block(self, family):
+        n = 16
+        spec = DetectorSpec(family, n, 1e-3, k=12 if family is Family.BAYES_OS else None)
+        rng = np.random.default_rng(4096)
+        profile = rng.exponential(size=2 * SCAN_BLOCK_ROWS + 37 + n)
+        profile[rng.random(profile.size) < 0.01] *= 1000.0
+        _assert_matches_per_cell(profile.tolist(), spec, WindowLayout(9, 7))
