@@ -1,8 +1,9 @@
 """Clutter distributions and window statistics.
 
 Exponential and Pareto Type II (Lomax) intensity models, inverse-CDF
-sampling off a caller-supplied random stream, and the order-statistic /
-sum statistics extracted from a clutter range profile window.
+sampling off a caller-supplied random stream, the order-statistic / sum
+statistics extracted from a clutter range profile window, and direct draws
+of those statistics from their distributions for the Monte Carlo harness.
 
 Pareto convention used throughout: survival function (1 + t/beta)^(-alpha),
 with shape alpha and scale beta. Conventions differ between texts, so tests
@@ -27,6 +28,8 @@ __all__ = [
     "OsStatistic",
     "intensity_from_uniform",
     "sample",
+    "kth_smallest_draws",
+    "window_sum_draws",
     "kth_order_statistic",
     "os_density",
     "window_sum",
@@ -98,7 +101,8 @@ class CrpWindow:
     samples: tuple[float, ...]
 
     def __init__(self, samples: Sequence[float]):
-        vals = tuple(float(s) for s in samples)
+        # + 0.0 stores a -0.0 sample as 0.0, so min and sums see one zero
+        vals = tuple(float(s) + 0.0 for s in samples)
         if len(vals) < 1:
             raise ValueError("window must contain at least one sample")
         for s in vals:
@@ -147,6 +151,29 @@ def sample(model: ClutterModel, count: int, rng_stream: np.random.Generator) -> 
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     return intensity_from_uniform(model, 1.0 - rng_stream.random(count)).tolist()
+
+
+def kth_smallest_draws(model: ClutterModel, n: int, k: int,
+                       rng_stream: np.random.Generator, size: int) -> np.ndarray:
+    """size draws of the k-th smallest of n i.i.d. intensities of model.
+
+    The k-th largest of n uniforms is Beta(n - k + 1, k) (David & Nagaraja,
+    Order Statistics), and intensity_from_uniform is decreasing, so it maps
+    that uniform to the k-th smallest intensity: one draw instead of n.
+    """
+    return intensity_from_uniform(model, rng_stream.beta(n - k + 1, k, size))
+
+
+def window_sum_draws(model: ClutterModel, n: int,
+                     rng_stream: np.random.Generator, size: int) -> np.ndarray:
+    """size draws of the sum of n i.i.d. intensities of model.
+
+    An exponential sum is Gamma(n, 1/lambda), one draw; a Pareto sum has no
+    closed form and is summed from n transformed uniforms on (0, 1].
+    """
+    if isinstance(model, ExponentialClutter):
+        return rng_stream.standard_gamma(n, size) / model.rate_lambda
+    return intensity_from_uniform(model, 1.0 - rng_stream.random((size, n))).sum(axis=1)
 
 
 def kth_order_statistic(window: CrpWindow, k: int) -> OsStatistic:

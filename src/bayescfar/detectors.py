@@ -27,7 +27,13 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .clutter_models import CrpWindow, kth_order_statistic
+from .clutter_models import (
+    ClutterModel,
+    CrpWindow,
+    kth_order_statistic,
+    kth_smallest_draws,
+    window_sum_draws,
+)
 from .numerics import solve_monotone_decreasing
 from .predictive import OsPredictive, _os_product, os_pfa
 
@@ -164,15 +170,11 @@ def bayes_os_threshold(spec: DetectorSpec, t: float) -> float:
     return t * _bayes_multiplier(spec.n, spec.k, spec.design_pfa)
 
 
-def _kth_smallest(windows: np.ndarray, spec: DetectorSpec) -> np.ndarray:
-    return np.partition(windows, spec.k - 1, axis=1)[:, spec.k - 1]
-
-
 def _bayes_os_scan(z0: np.ndarray, windows: np.ndarray,
                    spec: DetectorSpec) -> tuple[np.ndarray, np.ndarray, DecisionPath]:
     # a zero order statistic takes the t -> 0+ limit of the product: x = inf
     # (Pfa 0, H1) for z0 > 0 and x = 0 (Pfa 1, H0) for z0 = 0
-    t = _kth_smallest(windows, spec)
+    t = np.partition(windows, spec.k - 1, axis=1)[:, spec.k - 1]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.where(z0 > 0.0, z0 / t, 0.0)
     pfa = _os_product(x, spec.n, spec.k)
@@ -259,8 +261,10 @@ class FamilyRow(NamedTuple):
     cell's comparison value, whether it is H1, and the DecisionPath, with
     the same bits decide gives cell by cell (bayes_os also answers at a zero
     statistic, where decide raises; see simulate.scan_profile).
-    block_statistic gives, for each row of a (rows, n) window matrix, the
-    statistic decide uses; pfa(tau, t, spec) is the false-alarm probability
+    draw(clutter, spec, rng, rows) gives rows independent draws of the
+    statistic decide uses, taken over a window of spec.n clutter samples,
+    straight from its distribution (see clutter_models.kth_smallest_draws
+    and window_sum_draws); pfa(tau, t, spec) is the false-alarm probability
     of threshold tau at statistic t, so pfa(multiplier(spec), 1, spec) is the
     design value; positive_statistic marks a rule undefined at a zero statistic.
     """
@@ -268,7 +272,7 @@ class FamilyRow(NamedTuple):
     decide: Callable[[float, CrpWindow, DetectorSpec], Decision]
     scan: Callable[[np.ndarray, np.ndarray, DetectorSpec],
                    tuple[np.ndarray, np.ndarray, DecisionPath]]
-    block_statistic: Callable[[np.ndarray, DetectorSpec], np.ndarray]
+    draw: Callable[[ClutterModel, DetectorSpec, np.random.Generator, int], np.ndarray]
     multiplier: Callable[[DetectorSpec], float]
     pfa: Callable[[float, float, DetectorSpec], float]
     positive_statistic: bool = False
@@ -278,7 +282,7 @@ FAMILIES: dict[Family, FamilyRow] = {
     Family.BAYES_OS: FamilyRow(
         bayes_os_decide,
         _bayes_os_scan,
-        _kth_smallest,
+        lambda clutter, spec, rng, rows: kth_smallest_draws(clutter, spec.n, spec.k, rng, rows),
         lambda spec: bayes_os_threshold(spec, 1.0),
         lambda tau, t, spec: os_pfa(tau, OsPredictive(spec.n, spec.k, t)),
         positive_statistic=True,
@@ -286,7 +290,7 @@ FAMILIES: dict[Family, FamilyRow] = {
     Family.MIN_CFAR: FamilyRow(
         min_cfar_decide,
         _threshold_scan(lambda m, w: m * w.min(axis=1)),
-        lambda w, spec: w.min(axis=1),
+        lambda clutter, spec, rng, rows: kth_smallest_draws(clutter, spec.n, 1, rng, rows),
         lambda spec: spec.n * (1.0 / spec.design_pfa - 1.0),
         lambda tau, t, spec: os_pfa(tau, OsPredictive(spec.n, 1, t)),
     ),
@@ -295,7 +299,7 @@ FAMILIES: dict[Family, FamilyRow] = {
         _threshold_scan(
             lambda m, w: np.fromiter((_ca_threshold(m, r) for r in w.tolist()), float, len(w))
         ),
-        lambda w, spec: w.sum(axis=1),
+        lambda clutter, spec, rng, rows: window_sum_draws(clutter, spec.n, rng, rows),
         lambda spec: spec.design_pfa ** (-1.0 / spec.n) - 1.0,
         lambda tau, t, spec: (1.0 + tau / t) ** -spec.n,
     ),

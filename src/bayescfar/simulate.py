@@ -7,6 +7,13 @@ for any worker count and any scheduling order. Grid sweeps derive one child
 seed per grid point from SeedSequence((s, 1, i)) so the points are
 independent but still reproducible from the master seed alone.
 
+A trial never builds its window: a block of m trials draws m window
+statistics straight from their distribution (the family's draw entry in
+detectors.FAMILIES: clutter_models.kth_smallest_draws or window_sum_draws),
+then m cells under test as intensity_from_uniform of 1 - U[0, 1). Trials
+whose statistic must be positive and is not are redrawn the same way,
+statistics first, from the same stream.
+
 Detector evaluation inside a block is vectorized: the Bayesian OS rule is
 applied through its threshold multiplier (threshold = multiplier * observed
 order statistic), which by strict monotonicity of the predictive Pfa gives
@@ -201,15 +208,13 @@ def _run_block(scenario: Scenario, multiplier: float, cut_scale: float,
     spec = scenario.detector
     row = FAMILIES[spec.family]
     rng = _block_generator(scenario.seed, block_index)
-    n = spec.n
 
     def draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
-        u = 1.0 - rng.random((rows, n + 1))
-        mat = intensity_from_uniform(scenario.clutter, u)
-        return mat[:, :n], mat[:, n] * cut_scale
+        stat = row.draw(scenario.clutter, spec, rng, rows)
+        cut = intensity_from_uniform(scenario.clutter, 1.0 - rng.random(rows))
+        return stat, cut * cut_scale
 
-    window, cut = draw(size)
-    stat = row.block_statistic(window, spec)
+    stat, cut = draw(size)
     redraws = 0
     if row.positive_statistic:
         bad = stat <= 0.0
@@ -223,10 +228,7 @@ def _run_block(scenario: Scenario, multiplier: float, cut_scale: float,
                 )
             count = int(bad.sum())
             redraws += count
-            new_window, new_cut = draw(count)
-            window[bad] = new_window
-            cut[bad] = new_cut
-            stat[bad] = row.block_statistic(new_window, spec)
+            stat[bad], cut[bad] = draw(count)
             bad = stat <= 0.0
     hits = int(np.count_nonzero(cut > multiplier * stat))
     return hits, redraws
@@ -273,8 +275,9 @@ def _report(scenario: Scenario, hits: int, redraws: int) -> SimReport:
 def estimate_pfa(scenario: Scenario, workers: int | None = None) -> SimReport:
     """Empirical false-alarm fraction under clutter-only trials.
 
-    Each trial draws the window and the cell under test i.i.d. from the
-    clutter model and runs the detector. Deterministic given the seed.
+    Each trial draws the statistic of a window of i.i.d. clutter samples and
+    an independent cell under test from the clutter model and runs the
+    detector. Deterministic given the seed.
     """
     if scenario.target is not None:
         raise ConfigurationError("estimate_pfa runs clutter-only trials; drop the target")
@@ -405,7 +408,10 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     for start in range(0, len(rows), SCAN_BLOCK_ROWS):
         block = rows[start:start + SCAN_BLOCK_ROWS]
         z0 = block[:, lead]
+        # the concatenated copy is ours: + 0.0 turns a -0.0 sample into 0.0, as
+        # CrpWindow does, so the statistic's sign agrees with decide's
         windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
+        windows += 0.0
         comparison, h1, path = scan(z0, windows, spec)
         decisions.extend(
             Decision(verdicts[flag], x, value, path)

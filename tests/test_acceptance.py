@@ -12,10 +12,11 @@ harness itself is certified against known ground truth.
 
 import json
 import math
-import os
 import random
 import subprocess
 import sys
+
+from child_env import child_env
 
 from bayescfar.clutter_models import CrpWindow, window_sum
 from bayescfar.detectors import (
@@ -242,9 +243,9 @@ def test_criterion_09_simulation_reproducibility(capfd):
     ]
     outputs = []
     for workers in ("1", "4", "1", "4"):
-        env = dict(os.environ, BAYESCFAR_WORKERS=workers)
         result = subprocess.run(
-            argv, capture_output=True, text=True, env=env, timeout=600
+            argv, capture_output=True, text=True,
+            env=child_env(BAYESCFAR_WORKERS=workers), timeout=600,
         )
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)

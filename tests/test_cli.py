@@ -2,21 +2,19 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 
 import pytest
+from child_env import child_env
 
 BASE = [sys.executable, "-m", "bayescfar.cli"]
 
 
 def run(*argv, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
-        BASE + list(argv), capture_output=True, text=True, env=env, timeout=600
+        BASE + list(argv), capture_output=True, text=True,
+        env=child_env(**(env_extra or {})), timeout=600,
     )
 
 

@@ -3,10 +3,9 @@
 import math
 import random
 
-import numpy as np
 import pytest
 
-from bayescfar.clutter_models import CrpWindow, kth_order_statistic, window_sum
+from bayescfar.clutter_models import CrpWindow, window_sum
 from bayescfar.detectors import (
     FAMILIES,
     Decision,
@@ -303,23 +302,3 @@ class TestFamilyTable:
                 spec = self.random_spec(rng, family)
                 got = row.pfa(row.multiplier(spec), 1.0, spec)
                 assert math.isclose(got, spec.design_pfa, rel_tol=1e-9), spec
-
-    def test_block_statistic_matches_the_per_cell_rule(self):
-        rng = random.Random(42)
-        per_cell = {
-            Family.BAYES_OS: lambda w, spec: kth_order_statistic(w, spec.k).value_t,
-            Family.MIN_CFAR: lambda w, spec: min(w.samples),
-            Family.CA_CFAR: lambda w, spec: window_sum(w),
-        }
-        for family, row in FAMILIES.items():
-            for _ in range(20):
-                spec = self.random_spec(rng, family)
-                windows = np.random.default_rng(rng.randrange(2**32)).exponential(
-                    size=(50, spec.n))
-                got = row.block_statistic(windows, spec)
-                for values, stat in zip(windows, got):
-                    want = per_cell[family](CrpWindow(values), spec)
-                    if family is Family.CA_CFAR:
-                        assert math.isclose(stat, want, rel_tol=1e-12)
-                    else:
-                        assert stat == want

@@ -10,6 +10,7 @@ import subprocess
 import sys
 
 import pytest
+from child_env import child_env
 
 from bayescfar.numerics import (
     QuadratureError,
@@ -131,7 +132,8 @@ class TestIntegrateSemiInfinite:
         # scipy is loaded by the first quadrature, not by importing the package
         code = "import sys, bayescfar; print('scipy' in sys.modules)"
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True, timeout=120
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            env=child_env(), timeout=120,
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"

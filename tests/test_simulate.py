@@ -12,6 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import betainc, gammainc
 
 from bayescfar.clutter_models import CrpWindow, ExponentialClutter, ParetoClutter
 from bayescfar.detectors import (
@@ -166,10 +168,25 @@ class TestEstimatePfa:
         assert a.scenario_digest != b.scenario_digest
         assert a.scenario_digest != c.scenario_digest
 
+    @staticmethod
+    def block_streams(seed, trials):
+        # the documented keying: block b of master seed s is a Philox stream
+        # keyed by SeedSequence((s, 0, b)), every block but the last 65536 trials
+        start, block = 0, 0
+        while start < trials:
+            size = min(65536, trials - start)
+            yield size, np.random.Generator(
+                np.random.Philox(np.random.SeedSequence((seed, 0, block)))
+            )
+            start += size
+            block += 1
+
     def test_independent_replication_of_the_stream(self):
-        # regenerate the trial stream with the documented keying and verify
-        # the hit count, trial by trial, on the threshold path and on the
-        # false-alarm-comparison path (k = 1: Pfa(z0) < p iff z0 > n t (1/p-1))
+        # regenerate the trial stream by hand and verify the hit count, trial
+        # by trial, on the threshold path and on the false-alarm-comparison
+        # path (k = 1: Pfa(z0) < p iff z0 > n t (1/p-1)). A block draws its
+        # minima first, as the largest of n uniforms, Beta(n, 1), through
+        # -ln(.)/lambda, then its cells under test from 1 - U[0, 1)
         n, p, lam, trials, seed = 4, 0.1, 2.0, 70_000, 4242
         sc = scenario(family=Family.MIN_CFAR, n=n, pfa=p, trials=trials,
                       seed=seed, rate=lam)
@@ -177,27 +194,38 @@ class TestEstimatePfa:
 
         hits_threshold = 0
         hits_pfa_rule = 0
-        start = 0
-        block = 0
-        while start < trials:
-            size = min(65536, trials - start)
-            rng = np.random.Generator(
-                np.random.Philox(np.random.SeedSequence((seed, 0, block)))
-            )
-            u = 1.0 - rng.random((size, n + 1))
-            mat = -np.log(u) / lam
-            window, cut = mat[:, :n], mat[:, n]
-            t = window.min(axis=1)
+        for size, rng in self.block_streams(seed, trials):
+            t = -np.log(rng.beta(n, 1, size)) / lam
+            cut = -np.log(1.0 - rng.random(size)) / lam
             multiplier = n * (1.0 / p - 1.0)
             via_threshold = cut > multiplier * t
             via_pfa = (n * t / (cut + n * t)) < p
             assert np.array_equal(via_threshold, via_pfa)
             hits_threshold += int(via_threshold.sum())
             hits_pfa_rule += int(via_pfa.sum())
-            start += size
-            block += 1
         assert report.estimate == hits_threshold / trials
         assert hits_threshold == hits_pfa_rule
+
+    def test_independent_replication_of_the_pareto_window_stream(self):
+        # a Pareto window sum has no closed form, so a block still draws its
+        # (rows, n) window matrix, beta (U^(-1/alpha) - 1) with U in (0, 1],
+        # sums each row, then draws its cells under test the same way
+        n, p, alpha, beta, trials, seed = 6, 0.05, 3.0, 2.0, 70_000, 2718
+        sc = Scenario(
+            clutter=ParetoClutter(alpha, beta),
+            detector=DetectorSpec(Family.CA_CFAR, n, p),
+            trials=trials,
+            seed=seed,
+        )
+        report = estimate_pfa(sc, workers=1)
+
+        hits = 0
+        for size, rng in self.block_streams(seed, trials):
+            window = beta * ((1.0 - rng.random((size, n))) ** (-1.0 / alpha) - 1.0)
+            cut = beta * ((1.0 - rng.random(size)) ** (-1.0 / alpha) - 1.0)
+            multiplier = p ** (-1.0 / n) - 1.0
+            hits += int(np.count_nonzero(cut > multiplier * window.sum(axis=1)))
+        assert report.estimate == hits / trials
 
     def test_wilson_coverage_meta(self):
         # the 3-sigma interval should cover the known truth essentially always
@@ -210,18 +238,112 @@ class TestEstimatePfa:
         assert covered >= 198
 
 
-class TestDegenerateRedraws:
-    def test_zero_statistics_are_redrawn_and_counted(self, monkeypatch):
-        import bayescfar.simulate as sim
+def _os_pfa_oracle(x, n, k):
+    # prod_{j=n-k+1}^{n} j/(j+x), the OS false-alarm curve, written out here
+    j = np.arange(n - k + 1, n + 1, dtype=float)
+    return np.prod(j / (j + np.asarray(x, dtype=float)[..., None]), axis=-1)
 
-        original = sim.intensity_from_uniform
+
+def _family_spec(family, n, k, pfa=0.01):
+    # k is the order index of the statistic: bayes_os takes it, min_cfar is
+    # the k = 1 rule and ca_cfar takes none
+    return DetectorSpec(family, n, pfa, k=k if family is Family.BAYES_OS else None)
+
+
+_OS_DRAW_CASES = [(Family.BAYES_OS, 4, 1), (Family.BAYES_OS, 16, 12), (Family.BAYES_OS, 256, 200),
+                  (Family.MIN_CFAR, 4, 1), (Family.MIN_CFAR, 16, 1), (Family.MIN_CFAR, 256, 1)]
+
+
+class TestStatisticDraws:
+    """Each family's draw against the exact law of its window statistic.
+
+    The k-th smallest of n i.i.d. samples with CDF F has CDF
+    I_{F(t)}(k, n - k + 1) (a binomial tail), and the sum of n exponential
+    samples of rate lambda has CDF P(n, lambda t); both come from scipy here,
+    with F written out, so the oracle shares no code with the draws.
+    """
+
+    SIZE = 20_000
+
+    @staticmethod
+    def draws(clutter, spec, seed):
+        rng = np.random.Generator(np.random.Philox(seed))
+        return FAMILIES[spec.family].draw(clutter, spec, rng, TestStatisticDraws.SIZE)
+
+    @staticmethod
+    def assert_ks(sample, cdf):
+        assert sample.shape == (TestStatisticDraws.SIZE,)
+        result = stats.kstest(sample, cdf)
+        assert result.pvalue > 1e-3, result
+
+    @pytest.mark.parametrize("family, n, k", _OS_DRAW_CASES)
+    def test_order_statistic_in_exponential_clutter(self, family, n, k):
+        lam = 1.7
+        sample = self.draws(ExponentialClutter(lam), _family_spec(family, n, k), 100 * n + k)
+        self.assert_ks(sample, lambda t: betainc(k, n - k + 1, -np.expm1(-lam * t)))
+
+    @pytest.mark.parametrize("family, k", [(Family.BAYES_OS, 5), (Family.MIN_CFAR, 1)])
+    def test_order_statistic_in_pareto_clutter(self, family, k):
+        n, alpha, beta = 8, 3.0, 2.0
+        sample = self.draws(ParetoClutter(alpha, beta), _family_spec(family, n, k), 800 + k)
+        self.assert_ks(
+            sample,
+            lambda t: betainc(k, n - k + 1, -np.expm1(-alpha * np.log1p(t / beta))),
+        )
+
+    @pytest.mark.parametrize("n", [4, 16, 256])
+    def test_window_sum_in_exponential_clutter(self, n):
+        lam = 0.6
+        sample = self.draws(ExponentialClutter(lam), DetectorSpec(Family.CA_CFAR, n, 0.01), n)
+        self.assert_ks(sample, lambda t: gammainc(n, lam * t))
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_hit_rate_matches_brute_window_monte_carlo(self, family):
+        # whole windows drawn here with their own generator; the statistic,
+        # the threshold and the OS false-alarm curve are written out locally
+        n, k, p, lam, trials = 8, 5, 0.05, 1.5, 400_000
+        spec = _family_spec(family, n, k, p)
+        rng = np.random.default_rng(8088)
+        hits = 0
+        for _ in range(trials // 100_000):
+            window = rng.exponential(1.0 / lam, size=(100_000, n))
+            cut = rng.exponential(1.0 / lam, size=100_000)
+            if family is Family.BAYES_OS:
+                t = np.partition(window, k - 1, axis=1)[:, k - 1]
+                hit = _os_pfa_oracle(cut / t, n, k) < p
+            elif family is Family.MIN_CFAR:
+                hit = cut > n * (1.0 / p - 1.0) * window.min(axis=1)
+            else:
+                hit = cut > (p ** (-1.0 / n) - 1.0) * window.sum(axis=1)
+            hits += int(np.count_nonzero(hit))
+        brute = hits / trials
+        se_brute = math.sqrt(brute * (1.0 - brute) / trials)
+
+        report = estimate_pfa(Scenario(ExponentialClutter(lam), spec, trials, seed=606))
+        gap = abs(report.estimate - brute)
+        assert gap < 3.0 * math.hypot(report.standard_error(), se_brute)
+
+    @pytest.mark.parametrize("family, k", [(Family.BAYES_OS, 200), (Family.CA_CFAR, None)])
+    def test_design_point_with_a_window_in_the_hundreds(self, family, k):
+        report = estimate_pfa(scenario(family=family, n=256, k=k, pfa=0.01,
+                                       trials=1_000_000, seed=256))
+        assert abs(report.estimate - 0.01) < 3.0 * report.standard_error()
+
+
+class TestDegenerateRedraws:
+    # the window statistic is drawn through clutter_models' transform, so
+    # that is where a clutter model producing zero samples is simulated
+    def test_zero_statistics_are_redrawn_and_counted(self, monkeypatch):
+        import bayescfar.clutter_models as clutter_models
+
+        original = clutter_models.intensity_from_uniform
 
         def lossy(model, u):
             x = original(model, u)
             x[u > 0.9] = 0.0
             return x
 
-        monkeypatch.setattr(sim, "intensity_from_uniform", lossy)
+        monkeypatch.setattr(clutter_models, "intensity_from_uniform", lossy)
         sc = scenario(family=Family.BAYES_OS, n=4, k=1, pfa=0.1,
                       trials=20_000, seed=3)
         report = estimate_pfa(sc, workers=1)
@@ -230,10 +352,10 @@ class TestDegenerateRedraws:
         assert estimate_pfa(sc, workers=4) == report
 
     def test_never_positive_statistic_gives_up(self, monkeypatch):
-        import bayescfar.simulate as sim
+        import bayescfar.clutter_models as clutter_models
 
         monkeypatch.setattr(
-            sim, "intensity_from_uniform", lambda model, u: np.zeros_like(u)
+            clutter_models, "intensity_from_uniform", lambda model, u: np.zeros_like(u)
         )
         sc = scenario(family=Family.BAYES_OS, n=4, k=1, pfa=0.1, trials=10, seed=3)
         with pytest.raises(ConfigurationError):
@@ -410,6 +532,18 @@ class TestScanProfile:
                 assert d == bayes_os_decide(profile[cell], window, spec)
         assert len(decisions) == 7
 
+    def test_negative_zero_sample_counts_as_zero(self):
+        # numpy's min keeps the later of two signed zeros and Python's the
+        # first; a -0.0 window sample is 0.0 on both paths, while a -0.0
+        # cell under test keeps its sign in statistic_z0
+        spec = DetectorSpec(Family.MIN_CFAR, 2, 0.1)
+        profile = [0.0, -0.0, 1.0, -0.0, 3.0]
+        decisions = scan_profile(profile, spec, WindowLayout(2, 0))
+        assert decisions == _per_cell(profile, spec, WindowLayout(2, 0))
+        assert [d.comparison_value.hex() for d in decisions] == [0.0.hex()] * 3
+        assert math.copysign(1.0, decisions[1].statistic_z0) == -1.0
+        assert math.copysign(1.0, CrpWindow([-0.0]).samples[0]) == 1.0
+
     @pytest.mark.parametrize("pfa, threshold", [(0.9, None), (0.1, math.inf)])
     def test_cell_averaging_sum_beyond_the_float_range(self, pfa, threshold):
         spec = DetectorSpec(Family.CA_CFAR, 4, pfa)
@@ -456,7 +590,7 @@ def _scan_cases(draw):
     lead = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
     spread = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-150, 150))
     pool = draw(st.lists(spread, min_size=1, max_size=3))
-    value = st.one_of(spread, st.sampled_from(pool), st.just(0.0))
+    value = st.one_of(spread, st.sampled_from(pool), st.just(0.0), st.just(-0.0))
     profile = draw(st.lists(value, min_size=n, max_size=n + 60))
     return profile, spec, WindowLayout(lead, n - lead)
 
