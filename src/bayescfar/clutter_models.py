@@ -43,8 +43,8 @@ class ExponentialClutter:
     rate_lambda: float
 
     def __post_init__(self) -> None:
-        if not (self.rate_lambda > 0):
-            raise ValueError(f"rate_lambda must be positive, got {self.rate_lambda}")
+        if not (0 < self.rate_lambda < math.inf):
+            raise ValueError(f"rate_lambda must be finite and positive, got {self.rate_lambda}")
 
     def pdf(self, x: float) -> float:
         if x < 0:
@@ -68,10 +68,10 @@ class ParetoClutter:
     scale_beta: float
 
     def __post_init__(self) -> None:
-        if not (self.shape_alpha > 0):
-            raise ValueError(f"shape_alpha must be positive, got {self.shape_alpha}")
-        if not (self.scale_beta > 0):
-            raise ValueError(f"scale_beta must be positive, got {self.scale_beta}")
+        if not (0 < self.shape_alpha < math.inf):
+            raise ValueError(f"shape_alpha must be finite and positive, got {self.shape_alpha}")
+        if not (0 < self.scale_beta < math.inf):
+            raise ValueError(f"scale_beta must be finite and positive, got {self.scale_beta}")
 
     def pdf(self, x: float) -> float:
         if x < 0:

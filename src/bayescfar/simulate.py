@@ -24,11 +24,16 @@ scan_profile is columnar too: the windows of a range profile are the rows
 of a sliding-window matrix, built SCAN_BLOCK_ROWS cells at a time, and the
 family's scan entry in detectors.FAMILIES evaluates each block in one pass,
 with the same comparison values and verdicts as the per-cell decide
-functions, which stay as the tests' oracle. The scan also answers the two
-windows decide does not: a zero k-th order statistic under bayes_os takes
-the t -> 0+ limit (H1 for a positive cell, H0 for a zero one), and a
-ca_cfar window sum beyond the float range gives an exact threshold, inf
-(H0) only when the threshold itself overflows.
+functions, which stay as the tests' oracle. The ca_cfar entry forms every
+window sum at once as a certified compensated sum, and only the rows it
+cannot certify exactly rounded (and blocks of under 128 rows, where that is
+faster) are summed one at a time with math.fsum. The immutable Decision
+NamedTuples are then built from the result columns without a Python call
+per cell. The scan also answers the two windows decide does not: a zero
+k-th order statistic under bayes_os takes the t -> 0+ limit (H1 for a
+positive cell, H0 for a zero one), and a ca_cfar window sum beyond the
+float range gives an exact threshold, inf (H0) only when the threshold
+itself overflows.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ import math
 import os as _os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from itertools import repeat
 from typing import Sequence
 
 import numpy as np
@@ -95,8 +101,8 @@ class TargetModel:
     def __post_init__(self) -> None:
         if self.kind != "swerling1":
             raise ValueError(f"unsupported target kind {self.kind!r}")
-        if not (self.snr_linear > 0):
-            raise ValueError(f"snr_linear must be positive, got {self.snr_linear}")
+        if not (0 < self.snr_linear < math.inf):
+            raise ValueError(f"snr_linear must be finite and positive, got {self.snr_linear}")
 
 
 @dataclass(frozen=True)
@@ -326,8 +332,8 @@ def cfar_sweep(scenario: Scenario, lambda_grid: Sequence[float],
     if len(lambda_grid) == 0:
         raise ConfigurationError("lambda_grid must not be empty")
     for rate in lambda_grid:
-        if not (rate > 0):
-            raise ConfigurationError(f"clutter rates must be positive, got {rate}")
+        if not (0 < rate < math.inf):
+            raise ConfigurationError(f"clutter rates must be finite and positive, got {rate}")
     reports = []
     for i, rate in enumerate(lambda_grid):
         point = replace(
@@ -372,8 +378,12 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     Evaluation is columnar: the windows of up to SCAN_BLOCK_ROWS cells at a
     time form the rows of one matrix, and the family's scan entry in
     FAMILIES gives every comparison value and verdict of the block at once,
-    with the same bits as the family's per-cell decide. Two cases that decide
-    does not answer have defined outcomes here:
+    with the same bits as the family's per-cell decide. For ca_cfar that
+    means the exactly rounded window sums: a compensated (TwoSum) sum of all
+    rows at once, certified row by row, with math.fsum for the rows it cannot
+    certify and for blocks of under 128 rows. The Decisions, immutable
+    NamedTuples, are built from the result columns by C-level iteration.
+    Two cases that decide does not answer have defined outcomes here:
 
     - bayes_os at a window whose k-th order statistic is zero takes the
       t -> 0+ limit of its false-alarm probability: a cell z0 > 0 gets
@@ -403,7 +413,7 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
         return []
     scan = FAMILIES[spec.family].scan
     rows = sliding_window_view(values, spec.n + 1)
-    verdicts = (Verdict.H0, Verdict.H1)
+    verdicts = np.array((Verdict.H0, Verdict.H1), dtype=object)
     decisions: list[Decision] = []
     for start in range(0, len(rows), SCAN_BLOCK_ROWS):
         block = rows[start:start + SCAN_BLOCK_ROWS]
@@ -413,8 +423,8 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
         windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
         windows += 0.0
         comparison, h1, path = scan(z0, windows, spec)
-        decisions.extend(
-            Decision(verdicts[flag], x, value, path)
-            for flag, x, value in zip(h1.tolist(), z0.tolist(), comparison.tolist())
-        )
+        # tuple.__new__ through map builds each Decision without a Python call
+        columns = (verdicts[h1.astype(np.intp)].tolist(), z0.tolist(),
+                   comparison.tolist(), repeat(path))
+        decisions.extend(map(tuple.__new__, repeat(Decision), zip(*columns)))
     return decisions

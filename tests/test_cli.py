@@ -224,6 +224,19 @@ class TestSimulate:
                   "--lambda", "1", "--trials", "0", "--seed", "3")
         assert out.returncode == 2
 
+    @pytest.mark.parametrize("family, model, name", [
+        ("ca_cfar", ["--lambda", "inf"], "rate_lambda"),
+        ("ca_cfar", ["--clutter", "pareto", "--alpha", "inf", "--beta", "2"], "shape_alpha"),
+        ("min_cfar", ["--clutter", "pareto", "--alpha", "3", "--beta", "inf"], "scale_beta"),
+        ("min_cfar", ["--lambda", "1", "--mode", "pd", "--snr", "inf"], "snr_linear"),
+    ])
+    def test_non_finite_model_parameter_is_usage_error(self, family, model, name):
+        out = run("simulate", "--family", family, "--n", "4", "--pfa", "0.1", *model,
+                  "--trials", "100", "--seed", "3")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert f"{name} must be finite and positive, got inf" in out.stderr
+
 
 class TestSweep:
     def test_rows_cover_grid(self):

@@ -52,6 +52,15 @@ class TestModels:
         with pytest.raises(ValueError):
             ParetoClutter(2.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    def test_non_finite_parameters_rejected(self, bad):
+        with pytest.raises(ValueError, match="rate_lambda must be finite and positive"):
+            ExponentialClutter(bad)
+        with pytest.raises(ValueError, match="shape_alpha must be finite and positive"):
+            ParetoClutter(bad, 1.0)
+        with pytest.raises(ValueError, match="scale_beta must be finite and positive"):
+            ParetoClutter(2.0, bad)
+
 
 class TestSampling:
     def test_deterministic_given_stream(self):

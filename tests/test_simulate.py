@@ -92,6 +92,9 @@ class TestScenarioValidation:
             TargetModel(kind="swerling3", snr_linear=1.0)
         with pytest.raises(ValueError):
             TargetModel(snr_linear=0.0)
+        for bad in (math.inf, math.nan):
+            with pytest.raises(ValueError, match="snr_linear must be finite and positive"):
+                TargetModel(snr_linear=bad)
 
     def test_mode_and_model_mismatches(self):
         with pytest.raises(ConfigurationError):
@@ -436,6 +439,8 @@ class TestCfarSweep:
             cfar_sweep(scenario(trials=10), [])
         with pytest.raises(ConfigurationError):
             cfar_sweep(scenario(trials=10), [1.0, -2.0])
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            cfar_sweep(scenario(trials=10), [1.0, math.inf])
         pareto = Scenario(
             clutter=ParetoClutter(3.0, 2.0),
             detector=DetectorSpec(Family.CA_CFAR, 4, 0.1),
@@ -556,6 +561,27 @@ class TestScanProfile:
                    for d in decisions)
 
 
+class TestDecisionContract:
+    def test_scan_and_decide_give_equal_immutable_decisions(self):
+        spec = DetectorSpec(Family.CA_CFAR, 2, 0.1)
+        profile = [1.0, 2.0, 40.0, 0.5]
+        got = scan_profile(profile, spec, WindowLayout(2, 0))
+        want = _per_cell(profile, spec, WindowLayout(2, 0))
+        assert got == want
+        assert [hash(d) for d in got] == [hash(d) for d in want]
+        assert len(set(got + want)) == 2
+        d = got[0]
+        assert repr(d) == ("Decision(verdict=<Verdict.H1: 'H1'>, statistic_z0=40.0, "
+                           "comparison_value=%r, path=<DecisionPath.THRESHOLD: 'threshold'>)"
+                           % d.comparison_value)
+        for field in Decision._fields:
+            with pytest.raises(AttributeError):
+                setattr(d, field, None)
+        with pytest.raises(AttributeError):
+            d.extra = 1.0
+        assert Decision._fields == ("verdict", "statistic_z0", "comparison_value", "path")
+
+
 def _per_cell(profile, spec, layout):
     """The per-cell decide of every eligible cell, the zero-statistic limit added."""
     decide = FAMILIES[spec.family].decide
@@ -591,7 +617,10 @@ def _scan_cases(draw):
     spread = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-150, 150))
     pool = draw(st.lists(spread, min_size=1, max_size=3))
     value = st.one_of(spread, st.sampled_from(pool), st.just(0.0), st.just(-0.0))
-    profile = draw(st.lists(value, min_size=n, max_size=n + 60))
+    # up to 300 eligible cells, so the ca_cfar scan runs both its per-row
+    # fsum (few rows) and its certified vectorized sum (many rows)
+    cells = draw(st.integers(n, n + 300))
+    profile = draw(st.lists(value, min_size=cells, max_size=cells))
     return profile, spec, WindowLayout(lead, n - lead)
 
 
@@ -600,6 +629,42 @@ def _long_window_case():
     profile = (rng.exponential(size=300) * 10.0 ** rng.uniform(-150, 150, 300)).tolist()
     profile[100:150] = [0.0] * 50
     return profile, DetectorSpec(Family.BAYES_OS, 256, 1e-3, k=200), WindowLayout(128, 128)
+
+
+def _adversarial_ca_cases():
+    # windows whose exactly rounded sum a plain or compensated running sum
+    # gets wrong, or whose sum the certified cascade cannot vouch for; with
+    # the (n, 0) layout every window of a repeated pattern is a rotation of
+    # it, and 300 cells give the scan a block long enough for its vectorized sum
+    tiny = 2.0 ** -113
+    rng = np.random.default_rng(8)
+    cases = {
+        "tie-to-even": [1.0, 2.0 ** -53],
+        "near-tie-above-power-of-two": [1.0, 2.0 ** -53, tiny],
+        "near-tie-split": [1.0, 2.0 ** -54, 2.0 ** -54, tiny],
+        "near-tie-odd-mantissa": [3.0, 2.0 ** -52, 2.0 ** -52 * tiny, 0.0],
+        "near-tie-many-terms": [1.0] + [2.0 ** -57] * 8 + [tiny],
+        "just-below-power-of-two": [0.5, 0.5 - 2.0 ** -54, 2.0 ** -110],
+        # the sum is 1 - 2**-54 - 2**-108, so it rounds down to 1 - 2**-53,
+        # while the cascade's c rounds up and fl(s + c) is 1.0
+        "below-power-of-two-lost-error": [1.0 - 2.0 ** -53, 2.0 ** -55, 2.0 ** -55 - 2.0 ** -108],
+        "just-below-tie": [0.5, 0.5 - 2.0 ** -54, 0.0],
+        "below-power-of-two-many-terms": [1.0 - 2.0 ** -53] + [2.0 ** -58] * 15,
+        "quantized-eighths": (rng.integers(0, 80, 48) / 8.0).tolist(),
+        "all-zero": [0.0] * 5,
+        "subnormal": [5e-324, 2.5e-323, 0.0, 2.0 ** -1022 - 5e-324, 2.0 ** -1060],
+        "mixed-1e300-1e-300": rng.choice([1e300, 1e-300, 3e300, 7e-301], 12).tolist(),
+        "sum-overflows": [1e308, 1e308, 1.0, 5e-324],
+    }
+    params = [pytest.param((p * 300)[:300], len(p), 1e-3, id=name) for name, p in cases.items()]
+    # a multiplier below one keeps an overflowing sum's threshold finite
+    params.append(pytest.param([1e308] * 300, 4, 0.9, id="sum-overflows-threshold-finite"))
+    for n in (256, 300):
+        scale = 10.0 ** rng.uniform(-100, 100, 2 * n)
+        near_ties = np.where(rng.random(2 * n) < 0.5, 2.0 ** -53, tiny)
+        profile = np.where(rng.random(2 * n) < 0.1, near_ties, rng.exponential(size=2 * n) * scale)
+        params.append(pytest.param(profile.tolist(), n, 1e-3, id=f"n={n}"))
+    return params
 
 
 class TestScanMatchesPerCell:
@@ -619,3 +684,9 @@ class TestScanMatchesPerCell:
         profile = rng.exponential(size=2 * SCAN_BLOCK_ROWS + 37 + n)
         profile[rng.random(profile.size) < 0.01] *= 1000.0
         _assert_matches_per_cell(profile.tolist(), spec, WindowLayout(9, 7))
+
+    @pytest.mark.parametrize("profile, n, pfa", _adversarial_ca_cases())
+    def test_adversarial_cell_averaging_windows(self, profile, n, pfa):
+        spec = DetectorSpec(Family.CA_CFAR, n, pfa)
+        _assert_matches_per_cell(profile, spec, WindowLayout(n, 0))
+        _assert_matches_per_cell(profile, spec, WindowLayout(n // 2, n - n // 2))
