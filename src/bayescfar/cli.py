@@ -22,7 +22,7 @@ import sys
 from typing import Callable, Sequence
 
 from .clutter_models import ExponentialClutter, ParetoClutter
-from .detectors import FAMILIES, DetectorSpec, Family, bayes_os_threshold, threshold_multiplier
+from .detectors import DetectorSpec, Family, predictive_pfa, threshold
 from .numerics import NumericsError
 from .predictive import OsPredictive, os_predictive_density
 from .simulate import (
@@ -62,6 +62,8 @@ def _parse_grid(text: str) -> list[float]:
         raise UsageError(f"could not parse grid {text!r}: {exc}") from exc
     if steps < 1:
         raise UsageError("grid needs at least one point")
+    if not all(map(math.isfinite, (start, stop, stop - start))):
+        raise UsageError(f"grid endpoints and their span must be finite, got {text!r}")
     if steps == 1:
         return [start]
     step = (stop - start) / (steps - 1)
@@ -132,25 +134,25 @@ def _require(args: argparse.Namespace, *names: str) -> None:
             raise UsageError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _detector_spec(args: argparse.Namespace) -> DetectorSpec:
-    _require(args, "family", "n", "pfa")
-    try:
-        family = Family(args.family)
-    except ValueError as exc:
-        raise UsageError(f"unknown family {args.family!r}") from exc
-    return DetectorSpec(family=family, n=args.n, design_pfa=args.pfa, k=args.k)
-
-
-def _curve_spec(args: argparse.Namespace) -> DetectorSpec:
-    # the pfa and density curves do not depend on a design point; reuse the
-    # spec validation of (family, n, k) with a placeholder when --pfa is absent
+def _detector_spec(args: argparse.Namespace,
+                   placeholder_pfa: float | None = None) -> DetectorSpec:
+    # the pfa and density curves do not depend on a design point; they pass a
+    # placeholder for --pfa, so that (family, n, k) are still validated
+    pfa = args.pfa if args.pfa is not None else placeholder_pfa
     _require(args, "family", "n")
+    if pfa is None:
+        raise UsageError("missing required option --pfa")
     try:
         family = Family(args.family)
     except ValueError as exc:
         raise UsageError(f"unknown family {args.family!r}") from exc
-    pfa = args.pfa if args.pfa is not None else 0.5
     return DetectorSpec(family=family, n=args.n, design_pfa=pfa, k=args.k)
+
+
+def _statistic(args: argparse.Namespace) -> float:
+    if not (0 < args.t < math.inf):
+        raise UsageError(f"--t must be finite and positive, got {args.t}")
+    return args.t
 
 
 def _clutter_model(args: argparse.Namespace):
@@ -167,13 +169,7 @@ def _clutter_model(args: argparse.Namespace):
 def cmd_threshold(args: argparse.Namespace) -> int:
     spec = _detector_spec(args)
     _require(args, "t")
-    if not (args.t > 0):
-        raise UsageError(f"--t must be positive, got {args.t}")
-    # bayes_os_threshold keeps the rounding of the k = 1 form t*n*(1/pfa - 1)
-    if spec.family is Family.BAYES_OS:
-        tau = bayes_os_threshold(spec, args.t)
-    else:
-        tau = threshold_multiplier(spec) * args.t
+    tau = threshold(spec, _statistic(args))
     record = {
         "family": spec.family.value,
         "n": spec.n,
@@ -188,26 +184,22 @@ def cmd_threshold(args: argparse.Namespace) -> int:
 
 
 def cmd_pfa(args: argparse.Namespace) -> int:
-    spec = _curve_spec(args)
+    spec = _detector_spec(args, placeholder_pfa=0.5)
     _require(args, "t", "tau_grid")
-    if not (args.t > 0):
-        raise UsageError(f"--t must be positive, got {args.t}")
-    curve = FAMILIES[spec.family].pfa
+    t = _statistic(args)
     grid = _parse_grid(args.tau_grid)
     print("tau,pfa")
     for tau in grid:
-        print(f"{_format_number(tau)},{_format_number(curve(tau, args.t, spec))}")
+        print(f"{_format_number(tau)},{_format_number(predictive_pfa(spec, tau, t))}")
     return 0
 
 
 def cmd_density(args: argparse.Namespace) -> int:
-    spec = _curve_spec(args)
+    spec = _detector_spec(args, placeholder_pfa=0.5)
     _require(args, "t", "z0_grid")
     if spec.family is not Family.BAYES_OS:
         raise UsageError("density is available for the bayes_os family only")
-    if not (args.t > 0):
-        raise UsageError(f"--t must be positive, got {args.t}")
-    os_data = OsPredictive(spec.n, spec.k, args.t)
+    os_data = OsPredictive(spec.n, spec.k, _statistic(args))
     print("z0,density")
     for z0 in _parse_grid(args.z0_grid):
         print(f"{_format_number(z0)},{_format_number(os_predictive_density(z0, os_data))}")

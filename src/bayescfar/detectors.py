@@ -1,20 +1,19 @@
-"""Sliding-window decision rules and the table of detector families.
+"""Sliding-window decision rules, built once from a table of detector families.
 
-A family is one choice of clutter-level measure g (the k-th order
-statistic, the minimum or the sum of the window), the multiplier m of the
-threshold m * g, and the false-alarm curve they imply: one FamilyRow in
-FAMILIES, which every consumer reads instead of branching on the family.
-Each row decides one cell at a time (decide, the reference) and a whole
-block of windows at once (scan, which simulate.scan_profile uses); the two
-give the same bits.
+Every rule here is one construction: a measure g of the clutter level in the
+window, and the predictive false-alarm probability of a threshold tau on the
+cell under test, which under the reciprocal prior depends only on x = tau/g.
+bayes_os takes the k-th order statistic, with Pfa(x) = prod_{j=n-k+1}^{n}
+j/(j+x); min_cfar is its k = 1 case (criterion 2); ca_cfar takes the window
+sum, with Pfa(x) = (1 + x)^-n. A FamilyRow in FAMILIES holds just these
+ingredients, and decide, the columnar scan_windows, the multiplier and the
+threshold are built from them once, for every family.
 
-All rules declare a detection when the cell under test strictly exceeds
-m * g. The Bayesian order-statistic rule is evaluated the other way round,
-by comparing the predictive false-alarm probability of the observed cell
-against the design value, which avoids inverting the Pfa curve; strict
-monotonicity makes the two phrasings equivalent.
-
-Ties sit with H0 everywhere: H1 requires a strict inequality.
+A threshold-path rule declares a detection when the cell under test strictly
+exceeds m * g. The Bayesian order-statistic rule compares Pfa(z0/g) against
+the design value instead, which avoids inverting the curve; strict
+monotonicity makes the two phrasings equivalent. Ties sit with H0
+everywhere: H1 requires a strict inequality.
 """
 
 from __future__ import annotations
@@ -23,24 +22,27 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Any, Callable, NamedTuple
 
 import numpy as np
 
 from .clutter_models import (
     ClutterModel,
     CrpWindow,
+    _scaled_window_sum,
+    _scaled_window_sums,
     kth_order_statistic,
     kth_smallest_draws,
     window_sum_draws,
 )
 from .numerics import solve_monotone_decreasing
-from .predictive import OsPredictive, _os_product, os_pfa
+from .predictive import _os_product, os_pfa  # noqa: F401  (perfbench traces os_pfa here)
 
 __all__ = [
     "FAMILIES",
     "Family",
     "FamilyRow",
+    "KRule",
     "Verdict",
     "DecisionPath",
     "DetectorSpec",
@@ -51,6 +53,9 @@ __all__ = [
     "min_cfar_decide",
     "ca_cfar_decide",
     "custom_g_decide",
+    "predictive_pfa",
+    "scan_windows",
+    "threshold",
     "threshold_multiplier",
 ]
 
@@ -69,6 +74,14 @@ class Verdict(str, Enum):
 class DecisionPath(str, Enum):
     THRESHOLD = "threshold"
     PFA_COMPARISON = "pfa_comparison"
+
+
+class KRule(str, Enum):
+    """The order index k a family takes: 1..n, unset or 1, or none."""
+
+    REQUIRED = "required"
+    ONE = "one"
+    NONE = "none"
 
 
 class DegenerateWindowError(ValueError):
@@ -90,16 +103,15 @@ class DetectorSpec:
             raise ValueError(f"window size n must be at least 1, got {self.n}")
         if not (0.0 < self.design_pfa < 1.0):
             raise ValueError(f"design_pfa must lie in (0, 1), got {self.design_pfa}")
-        if self.family is Family.BAYES_OS:
-            if self.k is None:
-                raise ValueError("bayes_os requires an order index k")
-            if not (1 <= self.k <= self.n):
-                raise ValueError(f"k={self.k} outside 1..{self.n}")
-        elif self.family is Family.MIN_CFAR:
-            if self.k not in (None, 1):
-                raise ValueError("min_cfar is the k=1 rule; leave k unset or 1")
-        elif self.k is not None:
-            raise ValueError(f"{self.family.value} takes no order index k")
+        name, rule = self.family.value, FAMILIES[self.family].k_rule
+        if rule is KRule.REQUIRED and self.k is None:
+            raise ValueError(f"{name} requires an order index k")
+        if rule is KRule.REQUIRED and not (1 <= self.k <= self.n):
+            raise ValueError(f"k={self.k} outside 1..{self.n}")
+        if rule is KRule.ONE and self.k not in (None, 1):
+            raise ValueError(f"{name} is the k=1 rule; leave k unset or 1")
+        if rule is KRule.NONE and self.k is not None:
+            raise ValueError(f"{name} takes no order index k")
 
 
 class Decision(NamedTuple):
@@ -117,189 +129,178 @@ class Decision(NamedTuple):
     path: DecisionPath
 
 
-def _require_window(window: CrpWindow, spec: DetectorSpec) -> None:
-    if window.n != spec.n:
-        raise ValueError(f"window has {window.n} samples but the detector expects {spec.n}")
-
-
 def _require_z0(z0: float) -> None:
     if not (z0 >= 0) or not math.isfinite(z0):
         raise ValueError(f"z0 must be finite and nonnegative, got {z0}")
 
 
-def bayes_os_decide(z0: float, window: CrpWindow, spec: DetectorSpec) -> Decision:
-    """Bayesian order-statistic rule via the comparison shortcut.
+def _require_statistic(t: float) -> None:
+    if not (t > 0) or not math.isfinite(t):
+        raise ValueError(f"the window statistic must be finite and positive, got {t}")
 
-    Evaluates the predictive false-alarm probability at the observed cell
-    and rejects H0 when it falls strictly below the design value. No
-    threshold is ever solved for.
+
+def _order(spec: DetectorSpec) -> int:
+    # min_cfar leaves k unset for its fixed k = 1
+    return spec.k or 1
+
+
+def _os_statistic_rows(m: float, windows: np.ndarray, spec: DetectorSpec) -> np.ndarray:
+    k = _order(spec)
+    return m * (windows.min(axis=1) if k == 1
+                else np.partition(windows, k - 1, axis=1)[:, k - 1])
+
+
+class FamilyRow(NamedTuple):
+    """A family as the note builds it: a clutter-level statistic g and Pfa(x).
+
+    statistic(m, window, spec) is m * g of one CrpWindow in scalar code, the
+    per-cell reference (g itself is the m = 1 call); statistic_rows is the
+    same for every row of a (rows, n) window matrix, with the same bits.
+    draw(clutter, spec, rng, rows) gives rows draws of g over spec.n clutter
+    samples straight from its law; pfa(x, spec) is the predictive Pfa at
+    x = tau/g, for a float or an array; k_rule is the order index the family
+    takes; multiplier(spec) is the closed-form m with pfa(m) = design_pfa,
+    or None to solve for it. path says how decide compares: z0 against the
+    threshold m * g, or pfa(z0/g) against the design value, the one path
+    that divides by g and so needs it positive.
     """
-    if spec.family is not Family.BAYES_OS:
-        raise ValueError(f"bayes_os_decide needs a bayes_os spec, got {spec.family.value}")
-    _require_z0(z0)
-    _require_window(window, spec)
-    t = kth_order_statistic(window, spec.k).value_t
-    if t == 0.0:
-        raise DegenerateWindowError(
-            f"order statistic k={spec.k} of the window is zero; the rule is undefined"
-        )
-    pfa_at_z0 = os_pfa(z0, OsPredictive(spec.n, spec.k, t))
-    verdict = Verdict.H1 if pfa_at_z0 < spec.design_pfa else Verdict.H0
-    return Decision(verdict, z0, pfa_at_z0, DecisionPath.PFA_COMPARISON)
+
+    statistic: Callable[[float, CrpWindow, DetectorSpec], float]
+    statistic_rows: Callable[[float, np.ndarray, DetectorSpec], np.ndarray]
+    draw: Callable[[ClutterModel, DetectorSpec, np.random.Generator, int], np.ndarray]
+    pfa: Callable[[Any, DetectorSpec], Any]
+    k_rule: KRule
+    path: DecisionPath
+    multiplier: Callable[[DetectorSpec], float | None]
+
+
+# bayes_os and min_cfar share the k-th order statistic, its draws, the curve
+# prod j/(j+x) and, at k = 1 where that curve is n/(n+x), the closed form
+_ORDER_STATISTIC = dict(
+    statistic=lambda m, window, spec: m * kth_order_statistic(window, _order(spec)).value_t,
+    statistic_rows=_os_statistic_rows,
+    draw=lambda clutter, spec, rng, rows: kth_smallest_draws(
+        clutter, spec.n, _order(spec), rng, rows),
+    pfa=lambda x, spec: _os_product(x, spec.n, _order(spec)),
+    multiplier=lambda spec: (spec.n * (1.0 / spec.design_pfa - 1.0)
+                             if _order(spec) == 1 else None),
+)
+
+FAMILIES: dict[Family, FamilyRow] = {
+    Family.BAYES_OS: FamilyRow(**_ORDER_STATISTIC, k_rule=KRule.REQUIRED,
+                               path=DecisionPath.PFA_COMPARISON),
+    Family.MIN_CFAR: FamilyRow(**_ORDER_STATISTIC, k_rule=KRule.ONE,
+                               path=DecisionPath.THRESHOLD),
+    Family.CA_CFAR: FamilyRow(
+        statistic=lambda m, window, spec: _scaled_window_sum(m, window.samples),
+        statistic_rows=lambda m, windows, spec: _scaled_window_sums(m, windows),
+        draw=lambda clutter, spec, rng, rows: window_sum_draws(clutter, spec.n, rng, rows),
+        pfa=lambda x, spec: (1.0 + x) ** -spec.n,
+        k_rule=KRule.NONE,
+        path=DecisionPath.THRESHOLD,
+        multiplier=lambda spec: spec.design_pfa ** (-1.0 / spec.n) - 1.0,
+    ),
+}
 
 
 @lru_cache(maxsize=4096)
-def _bayes_multiplier(n: int, k: int, design_pfa: float) -> float:
-    # tau for unit order statistic; thresholds scale linearly in t
-    unit = OsPredictive(n, k, 1.0)
-    return solve_monotone_decreasing(lambda m: os_pfa(m, unit), design_pfa)
+def threshold_multiplier(spec: DetectorSpec) -> float:
+    """The m with Pfa(m) = design_pfa, so that the threshold is m * g.
 
-
-def bayes_os_threshold(spec: DetectorSpec, t: float) -> float:
-    """Explicit threshold tau with os_pfa(tau; n, k, t) = design_pfa.
-
-    k = 1 has the closed form t*n*(1/pfa - 1); other k invert the Pfa curve
-    by bisection. The multiplier tau/t depends only on (n, k, pfa), so it is
-    solved once at t = 1 and cached.
+    The family's closed form where it has one, else the Pfa curve inverted
+    by bisection; cached per spec.
     """
-    if spec.family is not Family.BAYES_OS:
-        raise ValueError(f"bayes_os_threshold needs a bayes_os spec, got {spec.family.value}")
-    if not (t > 0) or not math.isfinite(t):
-        raise ValueError(f"observed order statistic must be positive, got {t}")
-    if spec.k == 1:
+    row = FAMILIES[spec.family]
+    m = row.multiplier(spec)
+    if m is None:
+        m = solve_monotone_decreasing(lambda x: row.pfa(x, spec), spec.design_pfa)
+    return m
+
+
+def threshold(spec: DetectorSpec, t: float) -> float:
+    """The threshold tau = m * t at window statistic t, so Pfa(tau/t) = design_pfa."""
+    _require_statistic(t)
+    # the one override: bayes_os at k = 1 has always formed t * n * (1/pfa - 1),
+    # which rounds differently from m * t on about 31% of inputs, and keeps it
+    # so that its printed thresholds do not move
+    if spec.family is Family.BAYES_OS and spec.k == 1:
         return t * spec.n * (1.0 / spec.design_pfa - 1.0)
-    return t * _bayes_multiplier(spec.n, spec.k, spec.design_pfa)
+    return threshold_multiplier(spec) * t
 
 
-def _bayes_os_scan(z0: np.ndarray, windows: np.ndarray,
-                   spec: DetectorSpec) -> tuple[np.ndarray, np.ndarray, DecisionPath]:
-    # a zero order statistic takes the t -> 0+ limit of the product: x = inf
-    # (Pfa 0, H1) for z0 > 0 and x = 0 (Pfa 1, H0) for z0 = 0
-    t = np.partition(windows, spec.k - 1, axis=1)[:, spec.k - 1]
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.where(z0 > 0.0, z0 / t, 0.0)
-    pfa = _os_product(x, spec.n, spec.k)
-    return pfa, pfa < spec.design_pfa, DecisionPath.PFA_COMPARISON
+# the name the library has always exported for the order-statistic threshold
+bayes_os_threshold = threshold
 
 
-def _ca_threshold(multiplier: float, samples: Sequence[float]) -> float:
-    # multiplier * the exactly rounded sum. A sum beyond the float range is
-    # formed at scale 2**-shift: exact for every sample above 2**(shift - 1022),
-    # and smaller ones lie far under the rounding of so large a sum
-    try:
-        return multiplier * math.fsum(samples)
-    except OverflowError:
-        shift = len(samples).bit_length()
-        scaled = math.fsum(math.ldexp(s, -shift) for s in samples)
-        try:
-            return math.ldexp(multiplier * scaled, shift)
-        except OverflowError:
-            return math.inf
+def predictive_pfa(spec: DetectorSpec, tau: float, t: float) -> float:
+    """False-alarm probability of threshold tau at window statistic t."""
+    if not (tau >= 0):
+        raise ValueError(f"tau must be nonnegative, got {tau}")
+    _require_statistic(t)
+    return FAMILIES[spec.family].pfa(tau / t, spec)
 
 
-def _ca_row_sums(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The sum of every row at once, and which rows it is certified exactly
-    # rounded for. A TwoSum cascade (Ogita, Rump & Oishi, "Accurate sum and dot
-    # product", SIAM J. Sci. Comput. 26(6), 2005) keeps the running sum s and
-    # each step's exact error e_j; the row sum is then exactly s + sum(e_j).
-    # c and a are the rounded sums of e_j and |e_j|, so c is off by at most
-    # gamma * a, and (r, d) = TwoSum(s, c) leaves the sum within |d| + gamma * a
-    # of r. That bound lies strictly inside r's rounding interval (the smaller
-    # half-spacing, below r) or is zero (c then exact, and r = fl(s + c) is the
-    # rounded sum); other rows, and any that overflowed, are not certified.
-    rows, n = windows.shape
-    # c adds n - 1 errors with n - 2 roundings of unit roundoff 2**-53; the
-    # factor 2 covers the rounding of a and of gamma * a
-    gamma = 2.0 * max(n - 2, 0) * 2.0 ** -53
-    with np.errstate(over="ignore", invalid="ignore"):
-        s = windows[:, 0]
-        c = np.zeros(rows)
-        a = np.zeros(rows)
-        for w in windows.T[1:]:
-            t = s + w
-            tw = t - s
-            e = (s - (t - tw)) + (w - tw)
-            s = t
-            c += e
-            a += np.abs(e)
-        r = s + c
-        rc = r - s
-        d = (s - (r - rc)) + (c - rc)
-        bound = gamma * a
-        half_spacing = 0.5 * (r - np.nextafter(r, 0.0))
-        certified = ((bound == 0.0) | (np.abs(d) + bound < half_spacing)) & np.isfinite(r)
-    return r, certified
-
-
-# the cascade costs about ten numpy calls per window column whatever the row
-# count; below about 128 rows (measured for n from 1 to 300) fsum row by row
-# is as fast or faster
-_CASCADE_MIN_ROWS = 128
-
-
-def _ca_thresholds(multiplier: float, windows: np.ndarray) -> np.ndarray:
-    # _ca_threshold of every row: certified rows take multiplier * the cascade
-    # sum, the rest (near ties, overflow, small blocks) go through _ca_threshold
-    if len(windows) < _CASCADE_MIN_ROWS:
-        return np.fromiter((_ca_threshold(multiplier, r) for r in windows.tolist()),
-                           float, len(windows))
-    sums, certified = _ca_row_sums(windows)
-    # a multiplier that rounds to 0 times an overflowed sum is nan; that row
-    # is not certified and is redone below
-    with np.errstate(invalid="ignore"):
-        limit = multiplier * sums
-    for i in np.flatnonzero(~certified).tolist():
-        limit[i] = _ca_threshold(multiplier, windows[i].tolist())
-    return limit
-
-
-def _threshold_rule(family: Family, threshold: Callable[[float, Sequence[float]], float],
-                    doc: str) -> Callable[[float, CrpWindow, DetectorSpec], Decision]:
+def _decide(family: Family, doc: str) -> Callable[[float, CrpWindow, DetectorSpec], Decision]:
     def decide(z0: float, window: CrpWindow, spec: DetectorSpec) -> Decision:
         if spec.family is not family:
             raise ValueError(
                 f"{family.value}_decide needs a {family.value} spec, got {spec.family.value}"
             )
         _require_z0(z0)
-        _require_window(window, spec)
-        limit = threshold(FAMILIES[family].multiplier(spec), window.samples)
-        verdict = Verdict.H1 if z0 > limit else Verdict.H0
-        return Decision(verdict, z0, limit, DecisionPath.THRESHOLD)
+        if window.n != spec.n:
+            raise ValueError(f"window has {window.n} samples but the detector expects {spec.n}")
+        row = FAMILIES[family]
+        if row.path is DecisionPath.THRESHOLD:
+            limit = row.statistic(threshold_multiplier(spec), window, spec)
+            return Decision(Verdict.H1 if z0 > limit else Verdict.H0, z0, limit, row.path)
+        g = row.statistic(1.0, window, spec)
+        if g == 0.0:
+            raise DegenerateWindowError(
+                f"the {family.value} window statistic is zero; the rule is undefined"
+            )
+        pfa = row.pfa(z0 / g, spec)
+        return Decision(Verdict.H1 if pfa < spec.design_pfa else Verdict.H0, z0, pfa, row.path)
 
     decide.__name__ = decide.__qualname__ = f"{family.value}_decide"
     decide.__doc__ = doc
     return decide
 
 
-def _threshold_scan(
-    thresholds: Callable[[float, np.ndarray], np.ndarray],
-) -> Callable[[np.ndarray, np.ndarray, DetectorSpec], tuple[np.ndarray, np.ndarray, DecisionPath]]:
-    def scan(z0: np.ndarray, windows: np.ndarray,
-             spec: DetectorSpec) -> tuple[np.ndarray, np.ndarray, DecisionPath]:
-        with np.errstate(over="ignore"):
-            limit = thresholds(FAMILIES[spec.family].multiplier(spec), windows)
-        return limit, z0 > limit, DecisionPath.THRESHOLD
-
-    return scan
-
-
-min_cfar_decide = _threshold_rule(
-    Family.MIN_CFAR, lambda m, samples: m * min(samples),
-    "Minimum-based rule: H1 iff z0 > n*(1/pfa - 1) * min(window).",
+bayes_os_decide = _decide(
+    Family.BAYES_OS,
+    "Bayesian order-statistic rule: H1 iff os_pfa(z0; n, k, t) < pfa, no threshold solved.",
 )
-ca_cfar_decide = _threshold_rule(
-    Family.CA_CFAR, _ca_threshold,
+min_cfar_decide = _decide(
+    Family.MIN_CFAR, "Minimum-based rule: H1 iff z0 > n*(1/pfa - 1) * min(window).",
+)
+ca_cfar_decide = _decide(
+    Family.CA_CFAR,
     """Cell-averaging rule: H1 iff z0 > (pfa^(-1/n) - 1) * sum(window).
 
-    The multiplier is exactly calibrated in exponential clutter; the
-    simulation harness certifies that rather than trusting it. The sum is
-    exactly rounded (math.fsum); where it exceeds the float range the
-    threshold is still formed exactly, and is inf (so H0) only if it
-    overflows itself. This is the per-cell reference for the columnar scan,
-    which sums a whole block of windows by a certified compensated sum and
-    falls back to this fsum for the rows it cannot certify.
+    The sum is exactly rounded (math.fsum); beyond the float range the
+    threshold is still formed exactly, and is inf (H0) only if it overflows.
     """,
 )
+
+
+def scan_windows(z0: np.ndarray, windows: np.ndarray,
+                 spec: DetectorSpec) -> tuple[np.ndarray, np.ndarray, DecisionPath]:
+    """decide for every row of a (rows, n) window matrix: comparison values, H1, path.
+
+    The bits are decide's, cell by cell. A zero statistic on the
+    pfa_comparison path, where decide raises, takes the g -> 0+ limit:
+    Pfa 0 (H1) for z0 > 0 and Pfa 1 (H0) for z0 = 0.
+    """
+    row = FAMILIES[spec.family]
+    if row.path is DecisionPath.THRESHOLD:
+        with np.errstate(over="ignore"):
+            limit = row.statistic_rows(threshold_multiplier(spec), windows, spec)
+        return limit, z0 > limit, row.path
+    g = row.statistic_rows(1.0, windows, spec)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        x = np.where(z0 > 0.0, z0 / g, 0.0)
+    pfa = row.pfa(x, spec)
+    return pfa, pfa < spec.design_pfa, row.path
 
 
 def custom_g_decide(z0: float, window: CrpWindow, tau: float,
@@ -308,69 +309,6 @@ def custom_g_decide(z0: float, window: CrpWindow, tau: float,
     _require_z0(z0)
     if not (tau >= 0) or not math.isfinite(tau):
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
-    threshold = tau * g(window)
-    verdict = Verdict.H1 if z0 > threshold else Verdict.H0
-    return Decision(verdict, z0, threshold, DecisionPath.THRESHOLD)
-
-
-class FamilyRow(NamedTuple):
-    """Everything that differs between detector families.
-
-    scan is the columnar counterpart of decide: given the cells under test
-    z0 and their windows as the rows of a (rows, n) matrix, it returns each
-    cell's comparison value, whether it is H1, and the DecisionPath, with
-    the same bits decide gives cell by cell (bayes_os also answers at a zero
-    statistic, where decide raises; see simulate.scan_profile). ca_cfar's
-    scan sums all rows at once by a certified compensated sum and sends the
-    rows it cannot certify exactly rounded, or a block of fewer than 128
-    rows, through decide's own fsum.
-    draw(clutter, spec, rng, rows) gives rows independent draws of the
-    statistic decide uses, taken over a window of spec.n clutter samples,
-    straight from its distribution (see clutter_models.kth_smallest_draws
-    and window_sum_draws); pfa(tau, t, spec) is the false-alarm probability
-    of threshold tau at statistic t, so pfa(multiplier(spec), 1, spec) is the
-    design value; positive_statistic marks a rule undefined at a zero statistic.
-    """
-
-    decide: Callable[[float, CrpWindow, DetectorSpec], Decision]
-    scan: Callable[[np.ndarray, np.ndarray, DetectorSpec],
-                   tuple[np.ndarray, np.ndarray, DecisionPath]]
-    draw: Callable[[ClutterModel, DetectorSpec, np.random.Generator, int], np.ndarray]
-    multiplier: Callable[[DetectorSpec], float]
-    pfa: Callable[[float, float, DetectorSpec], float]
-    positive_statistic: bool = False
-
-
-FAMILIES: dict[Family, FamilyRow] = {
-    Family.BAYES_OS: FamilyRow(
-        bayes_os_decide,
-        _bayes_os_scan,
-        lambda clutter, spec, rng, rows: kth_smallest_draws(clutter, spec.n, spec.k, rng, rows),
-        lambda spec: bayes_os_threshold(spec, 1.0),
-        lambda tau, t, spec: os_pfa(tau, OsPredictive(spec.n, spec.k, t)),
-        positive_statistic=True,
-    ),
-    Family.MIN_CFAR: FamilyRow(
-        min_cfar_decide,
-        _threshold_scan(lambda m, w: m * w.min(axis=1)),
-        lambda clutter, spec, rng, rows: kth_smallest_draws(clutter, spec.n, 1, rng, rows),
-        lambda spec: spec.n * (1.0 / spec.design_pfa - 1.0),
-        lambda tau, t, spec: os_pfa(tau, OsPredictive(spec.n, 1, t)),
-    ),
-    Family.CA_CFAR: FamilyRow(
-        ca_cfar_decide,
-        _threshold_scan(_ca_thresholds),
-        lambda clutter, spec, rng, rows: window_sum_draws(clutter, spec.n, rng, rows),
-        lambda spec: spec.design_pfa ** (-1.0 / spec.n) - 1.0,
-        lambda tau, t, spec: (1.0 + tau / t) ** -spec.n,
-    ),
-}
-
-
-def threshold_multiplier(spec: DetectorSpec) -> float:
-    """The scalar m with threshold = m * (window statistic) for spec's family.
-
-    The statistic is the k-th order statistic for bayes_os, the minimum for
-    min_cfar, and the window sum for ca_cfar.
-    """
-    return FAMILIES[spec.family].multiplier(spec)
+    limit = tau * g(window)
+    verdict = Verdict.H1 if z0 > limit else Verdict.H0
+    return Decision(verdict, z0, limit, DecisionPath.THRESHOLD)

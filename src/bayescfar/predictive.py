@@ -144,9 +144,8 @@ def os_pfa(tau: float, os: OsPredictive) -> float:
     """
     if not (tau >= 0):
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    if tau == 0.0:
-        return 1.0
-    return min(max(_os_product(tau / os.t, os.n, os.k), 0.0), 1.0)
+    # every factor lies in [0, 1] in floating point too, and x = 0 gives 1.0
+    return _os_product(tau / os.t, os.n, os.k)
 
 
 def os_pfa_quadrature(tau: float, os: OsPredictive) -> float:

@@ -10,9 +10,9 @@ independent but still reproducible from the master seed alone.
 A trial never builds its window: a block of m trials draws m window
 statistics straight from their distribution (the family's draw entry in
 detectors.FAMILIES: clutter_models.kth_smallest_draws or window_sum_draws),
-then m cells under test as intensity_from_uniform of 1 - U[0, 1). Trials
-whose statistic must be positive and is not are redrawn the same way,
-statistics first, from the same stream.
+then m cells under test as intensity_from_uniform of 1 - U[0, 1). Under the
+pfa-comparison rule, which divides by the statistic, trials whose statistic
+is zero are redrawn the same way, statistics first, from the same stream.
 
 Detector evaluation inside a block is vectorized: the Bayesian OS rule is
 applied through its threshold multiplier (threshold = multiplier * observed
@@ -21,19 +21,15 @@ the same verdicts as the probability-comparison path; the equivalence is
 property-tested rather than assumed.
 
 scan_profile is columnar too: the windows of a range profile are the rows
-of a sliding-window matrix, built SCAN_BLOCK_ROWS cells at a time, and the
-family's scan entry in detectors.FAMILIES evaluates each block in one pass,
-with the same comparison values and verdicts as the per-cell decide
-functions, which stay as the tests' oracle. The ca_cfar entry forms every
-window sum at once as a certified compensated sum, and only the rows it
-cannot certify exactly rounded (and blocks of under 128 rows, where that is
-faster) are summed one at a time with math.fsum. The immutable Decision
-NamedTuples are then built from the result columns without a Python call
-per cell. The scan also answers the two windows decide does not: a zero
-k-th order statistic under bayes_os takes the t -> 0+ limit (H1 for a
-positive cell, H0 for a zero one), and a ca_cfar window sum beyond the
-float range gives an exact threshold, inf (H0) only when the threshold
-itself overflows.
+of a sliding-window matrix, built SCAN_BLOCK_ROWS cells at a time, and
+detectors.scan_windows evaluates each block in one pass, with the same
+comparison values and verdicts as the per-cell decide functions, which stay
+as the tests' oracle. The immutable Decision NamedTuples are then built
+from the result columns without a Python call per cell. The scan also
+answers the two windows decide does not: a zero k-th order statistic under
+bayes_os takes the t -> 0+ limit (H1 for a positive cell, H0 for a zero
+one), and a ca_cfar window sum beyond the float range gives an exact
+threshold, inf (H0) only when the threshold itself overflows.
 """
 
 from __future__ import annotations
@@ -55,7 +51,15 @@ from .clutter_models import (
     ParetoClutter,
     intensity_from_uniform,
 )
-from .detectors import FAMILIES, Decision, DetectorSpec, Verdict, threshold_multiplier
+from .detectors import (
+    FAMILIES,
+    Decision,
+    DecisionPath,
+    DetectorSpec,
+    Verdict,
+    scan_windows,
+    threshold_multiplier,
+)
 
 __all__ = [
     "ConfigurationError",
@@ -222,7 +226,7 @@ def _run_block(scenario: Scenario, multiplier: float, cut_scale: float,
 
     stat, cut = draw(size)
     redraws = 0
-    if row.positive_statistic:
+    if row.path is DecisionPath.PFA_COMPARISON:
         bad = stat <= 0.0
         rounds = 0
         while bad.any():
@@ -376,13 +380,11 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     finite is a ValueError naming the first such value.
 
     Evaluation is columnar: the windows of up to SCAN_BLOCK_ROWS cells at a
-    time form the rows of one matrix, and the family's scan entry in
-    FAMILIES gives every comparison value and verdict of the block at once,
-    with the same bits as the family's per-cell decide. For ca_cfar that
-    means the exactly rounded window sums: a compensated (TwoSum) sum of all
-    rows at once, certified row by row, with math.fsum for the rows it cannot
-    certify and for blocks of under 128 rows. The Decisions, immutable
-    NamedTuples, are built from the result columns by C-level iteration.
+    time form the rows of one matrix, and detectors.scan_windows gives every
+    comparison value and verdict of the block at once, with the same bits as
+    the family's per-cell decide (for ca_cfar, the exactly rounded window
+    sums). The Decisions, immutable NamedTuples, are built from the result
+    columns by C-level iteration.
     Two cases that decide does not answer have defined outcomes here:
 
     - bayes_os at a window whose k-th order statistic is zero takes the
@@ -411,7 +413,6 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
         )
     if len(values) == lead + trail:
         return []
-    scan = FAMILIES[spec.family].scan
     rows = sliding_window_view(values, spec.n + 1)
     verdicts = np.array((Verdict.H0, Verdict.H1), dtype=object)
     decisions: list[Decision] = []
@@ -422,7 +423,7 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
         # CrpWindow does, so the statistic's sign agrees with decide's
         windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
         windows += 0.0
-        comparison, h1, path = scan(z0, windows, spec)
+        comparison, h1, path = scan_windows(z0, windows, spec)
         # tuple.__new__ through map builds each Decision without a Python call
         columns = (verdicts[h1.astype(np.intp)].tolist(), z0.tolist(),
                    comparison.tolist(), repeat(path))

@@ -111,10 +111,36 @@ class TestPfaCurve:
         assert all(a > b for a, b in zip(pfas, pfas[1:]))
 
     def test_bad_grid_is_usage_error(self):
-        for bad in ("5:1", "1:2:0", "a:b:3"):
+        for bad in ("5:1", "1:2:0", "a:b:3", "0:inf:2", "nan:1:2", "1:nan:3"):
             out = run("pfa", "--family", "ca_cfar", "--n", "4",
                       "--t", "1", "--tau-grid", bad)
             assert out.returncode == 2, bad
+
+    @pytest.mark.parametrize("family", [["bayes_os", "--k", "1"], ["min_cfar"], ["ca_cfar"]])
+    @pytest.mark.parametrize("grid", ["-3:0:4", "-inf:0:3", "-1e308:1e308:3"])
+    def test_negative_threshold_is_usage_error(self, family, grid):
+        # every family forms x = tau/t in one place, which rejects tau < 0
+        out = run("pfa", "--family", *family, "--n", "4", "--t", "1", f"--tau-grid={grid}")
+        assert out.returncode == 2, out.stderr
+        assert out.stdout in ("", "tau,pfa\n")
+        assert "error:" in out.stderr
+
+
+class TestStatisticFlag:
+    @pytest.mark.parametrize("argv", [
+        ["threshold", "--family", "bayes_os", "--n", "4", "--k", "2", "--pfa", "0.1"],
+        ["threshold", "--family", "min_cfar", "--n", "4", "--pfa", "0.1"],
+        ["threshold", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1"],
+        ["pfa", "--family", "min_cfar", "--n", "4", "--tau-grid", "0:1:3"],
+        ["pfa", "--family", "ca_cfar", "--n", "4", "--tau-grid", "0:1:3"],
+        ["density", "--family", "bayes_os", "--n", "4", "--k", "2", "--z0-grid", "0:1:3"],
+    ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
+    @pytest.mark.parametrize("t", ["inf", "nan", "0"])
+    def test_non_finite_or_zero_statistic_is_usage_error(self, argv, t):
+        out = run(*argv, "--t", t)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "--t must be finite and positive" in out.stderr
 
 
 class TestDensity:

@@ -231,6 +231,23 @@ class TestOsDensity:
         out = stats.kstest(draws, np.vectorize(cdf))
         assert out.statistic < 1.628 / math.sqrt(20_000)
 
+    def test_matches_the_written_out_formula(self):
+        for n, k in ((2, 2), (5, 3), (17, 9), (40, 40)):
+            for lam in (0.3, 4.0):
+                for t in (0.01, 0.7, 3.0):
+                    u = -math.expm1(-lam * t)
+                    want = (lam * k * math.comb(n, k) * u ** (k - 1)
+                            * math.exp(-lam * t * (n - k + 1)))
+                    got = os_density(t, n, k, lam)
+                    assert math.isclose(got, want, rel_tol=1e-12), (n, k, lam, t)
+
+    def test_far_tail_and_rate_domain(self):
+        assert os_density(math.inf, 3, 1, 1.0) == 0.0
+        assert os_density(math.inf, 3, 2, 1.0) == 0.0
+        for bad in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="rate_lambda"):
+                os_density(1.0, 3, 1, bad)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             os_density(-1.0, 3, 1, 1.0)

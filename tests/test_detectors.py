@@ -13,14 +13,19 @@ from bayescfar.detectors import (
     DegenerateWindowError,
     DetectorSpec,
     Family,
+    KRule,
     Verdict,
     bayes_os_decide,
     bayes_os_threshold,
     ca_cfar_decide,
     custom_g_decide,
     min_cfar_decide,
+    predictive_pfa,
+    threshold,
     threshold_multiplier,
 )
+from bayescfar.numerics import solve_monotone_decreasing
+from bayescfar.predictive import OsPredictive, os_pfa
 
 
 class TestDetectorSpec:
@@ -144,6 +149,19 @@ class TestBayesOsThreshold:
             for p in (0.001, 0.01, 0.1, 0.5, 0.9)
         ]
         assert all(a > b for a, b in zip(taus, taus[1:]))
+
+    def test_k_one_keeps_the_rounding_of_its_closed_form(self):
+        # t * n * (1/pfa - 1), not m * t: the two differ in the last digit on
+        # about a third of inputs, and printed thresholds must not move
+        rng = random.Random(31)
+        differ = 0
+        for _ in range(200):
+            n, p, t = rng.randint(1, 64), 10.0 ** rng.uniform(-6, -0.05), 10.0 ** rng.uniform(-3, 3)
+            spec = DetectorSpec(Family.BAYES_OS, n, p, k=1)
+            want = t * n * (1.0 / p - 1.0)
+            assert bayes_os_threshold(spec, t) == want
+            differ += want != threshold_multiplier(spec) * t
+        assert differ > 0
 
     def test_rejects_nonpositive_statistic(self):
         spec = DetectorSpec(Family.BAYES_OS, 4, 0.1, k=1)
@@ -296,9 +314,45 @@ class TestFamilyTable:
         assert set(FAMILIES) == set(Family)
 
     def test_multiplier_inverts_the_pfa_curve(self):
+        # closed (min_cfar, ca_cfar, bayes_os at k = 1) or solved, the
+        # multiplier m puts the row's curve at the design value
         rng = random.Random(41)
+        solved = 0
         for family, row in FAMILIES.items():
             for _ in range(60):
                 spec = self.random_spec(rng, family)
-                got = row.pfa(row.multiplier(spec), 1.0, spec)
+                solved += row.multiplier(spec) is None
+                got = row.pfa(threshold_multiplier(spec), spec)
                 assert math.isclose(got, spec.design_pfa, rel_tol=1e-9), spec
+        assert solved > 0
+
+    def test_order_statistic_families_differ_only_in_path_and_k_rule(self):
+        bayes, plain = FAMILIES[Family.BAYES_OS], FAMILIES[Family.MIN_CFAR]
+        assert bayes._replace(path=plain.path, k_rule=plain.k_rule) == plain
+        assert (bayes.path, bayes.k_rule) == (DecisionPath.PFA_COMPARISON, KRule.REQUIRED)
+        assert (plain.path, plain.k_rule) == (DecisionPath.THRESHOLD, KRule.ONE)
+
+    def test_solved_multiplier_is_the_bayes_os_threshold_at_unit_statistic(self):
+        # bit for bit, and equal to bisecting os_pfa itself at t = 1
+        rng = random.Random(606)
+        for _ in range(60):
+            n = rng.randint(2, 64)
+            k = rng.randint(2, n)
+            spec = DetectorSpec(Family.BAYES_OS, n, 10.0 ** rng.uniform(-6, -0.05), k=k)
+            unit = OsPredictive(n, k, 1.0)
+            want = solve_monotone_decreasing(lambda m: os_pfa(m, unit), spec.design_pfa)
+            assert threshold_multiplier(spec).hex() == bayes_os_threshold(spec, 1.0).hex()
+            assert threshold_multiplier(spec).hex() == want.hex(), spec
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_pfa_rejects_a_threshold_outside_its_domain(self, family):
+        spec = DetectorSpec(family, 4, 0.1, k=1 if family is Family.BAYES_OS else None)
+        assert predictive_pfa(spec, 0.0, 1.0) == 1.0
+        for tau in (-1.0, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="tau must be nonnegative"):
+                predictive_pfa(spec, tau, 1.0)
+        for t in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError):
+                predictive_pfa(spec, 1.0, t)
+            with pytest.raises(ValueError):
+                threshold(spec, t)

@@ -25,6 +25,9 @@ from bayescfar.detectors import (
     Family,
     Verdict,
     bayes_os_decide,
+    ca_cfar_decide,
+    min_cfar_decide,
+    threshold_multiplier,
 )
 from bayescfar.simulate import (
     SCAN_BLOCK_ROWS,
@@ -553,7 +556,7 @@ class TestScanProfile:
     def test_cell_averaging_sum_beyond_the_float_range(self, pfa, threshold):
         spec = DetectorSpec(Family.CA_CFAR, 4, pfa)
         if threshold is None:
-            threshold = 4.0 * (FAMILIES[Family.CA_CFAR].multiplier(spec) * 1e308)
+            threshold = 4.0 * (threshold_multiplier(spec) * 1e308)
         decisions = scan_profile([1e308] * 12, spec, self.LAYOUT)
         assert len(decisions) == 8
         verdict = Verdict.H1 if 1e308 > threshold else Verdict.H0
@@ -584,7 +587,8 @@ class TestDecisionContract:
 
 def _per_cell(profile, spec, layout):
     """The per-cell decide of every eligible cell, the zero-statistic limit added."""
-    decide = FAMILIES[spec.family].decide
+    decide = {Family.BAYES_OS: bayes_os_decide, Family.MIN_CFAR: min_cfar_decide,
+              Family.CA_CFAR: ca_cfar_decide}[spec.family]
     lead, trail = layout.leading, layout.trailing
     out = []
     for i in range(lead, len(profile) - trail):
