@@ -187,10 +187,11 @@ def cmd_pfa(args: argparse.Namespace) -> int:
     spec = _detector_spec(args, placeholder_pfa=0.5)
     _require(args, "t", "tau_grid")
     t = _statistic(args)
-    grid = _parse_grid(args.tau_grid)
+    # every row is computed before the header, so a bad grid prints nothing
+    rows = [(tau, predictive_pfa(spec, tau, t)) for tau in _parse_grid(args.tau_grid)]
     print("tau,pfa")
-    for tau in grid:
-        print(f"{_format_number(tau)},{_format_number(predictive_pfa(spec, tau, t))}")
+    for tau, pfa in rows:
+        print(f"{_format_number(tau)},{_format_number(pfa)}")
     return 0
 
 
@@ -200,9 +201,10 @@ def cmd_density(args: argparse.Namespace) -> int:
     if spec.family is not Family.BAYES_OS:
         raise UsageError("density is available for the bayes_os family only")
     os_data = OsPredictive(spec.n, spec.k, _statistic(args))
+    rows = [(z0, os_predictive_density(z0, os_data)) for z0 in _parse_grid(args.z0_grid)]
     print("z0,density")
-    for z0 in _parse_grid(args.z0_grid):
-        print(f"{_format_number(z0)},{_format_number(os_predictive_density(z0, os_data))}")
+    for z0, density in rows:
+        print(f"{_format_number(z0)},{_format_number(density)}")
     return 0
 
 

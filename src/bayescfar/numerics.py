@@ -4,14 +4,26 @@ Binomial coefficients (exact where they fit, log-domain beyond), adaptive
 quadrature on (0, inf), and bracketed bisection for strictly decreasing
 functions.
 
-Everything here is a pure function; nothing holds state between calls.
+The quadrature comes in two forms. integrate_semi_infinite calls QUADPACK's
+QAGP on the map u = x/(1+x). FirstPassRule is QAGP's first pass over the
+same breakpoint intervals as a fixed 21-point Gauss-Kronrod rule: it takes
+the integrand's values at its nodes, so a caller that integrates many
+products f(x) * g(x) with one fixed g evaluates g once. Where that pass
+does not meet QAGP's own acceptance test, FirstPassRule.integrate calls
+integrate_semi_infinite, so every value returned has passed the same test.
+
+Everything here is a pure function or a rule fixed when it is built;
+nothing holds state between calls.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "NumericsError",
@@ -23,6 +35,7 @@ __all__ = [
     "RootSettings",
     "Binomial",
     "QuadratureResult",
+    "FirstPassRule",
     "binom",
     "integrate_semi_infinite",
     "solve_monotone_decreasing",
@@ -181,6 +194,137 @@ def integrate_semi_infinite(
             error_estimate=error_estimate,
         )
     return QuadratureResult(value, error_estimate)
+
+
+# QUADPACK qk21 (Piessens et al., 1983): Kronrod abscissae on [-1, 1] from
+# the outside in, with the centre last; entries 1, 3, ..., 9 are the
+# 10-point Gauss nodes, whose weights are _WG
+_XGK = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+    0.0,
+])
+_WGK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980053640, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+    0.149445554002916905664936468389821,
+])
+_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+# qk21 adds the Gauss-node pairs first, then the Kronrod-only pairs; a
+# FirstPassRule's rows are its centre, then centre - offset and
+# centre + offset for the abscissae _XGK[_QK21_ORDER]
+_QK21_ORDER = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
+_WGK_PAIRS = _WGK[_QK21_ORDER, None]
+# the spread term of qk21's error estimate adds the pairs in abscissa order
+_ABSCISSA_ORDER = np.argsort(_QK21_ORDER)
+_EPMACH = sys.float_info.epsilon
+_UFLOW = sys.float_info.min
+
+
+def _sequential_sum(rows: np.ndarray) -> np.ndarray:
+    # rows[0] + rows[1] + ... left to right, as QUADPACK's loops add: numpy
+    # sums pairwise only along the contiguous axis, never across C-order rows
+    return np.add.reduce(rows, axis=0)
+
+
+class FirstPassRule:
+    """QAGP's first pass over (0, inf) as a fixed rule on given breakpoints.
+
+    The breakpoints are mapped to u = x/(1+x) as integrate_semi_infinite
+    maps them, and each of the intervals they cut (0, 1) into carries
+    QUADPACK's 21-point Gauss-Kronrod rule. nodes holds the 21 points of
+    every interval in the original variable x. integrate takes f's values
+    at those nodes and returns QAGP's first-pass result, summed and
+    error-estimated as qk21 and QAGP do it, when QAGP would accept it:
+    every value finite and the summed error estimate within
+    max(absolute_tolerance, relative_tolerance * |value|). Otherwise it
+    returns integrate_semi_infinite(f, settings, breakpoints), which is
+    QAGP itself and refines from the same first pass.
+    """
+
+    def __init__(self, breakpoints: Sequence[float]):
+        points = _to_unit_interval(breakpoints)
+        if not points:
+            raise ValueError("the rule needs at least one finite breakpoint in (0, inf)")
+        edges = np.array([0.0, *points, 1.0])
+        centre = 0.5 * (edges[:-1] + edges[1:])
+        self._half_length = 0.5 * (edges[1:] - edges[:-1])
+        offset = self._half_length * _XGK[_QK21_ORDER, None]
+        # rows: the centre, then centre - offset and centre + offset per abscissa
+        u = np.concatenate((centre[None], centre - offset, centre + offset))
+        w = 1.0 - u
+        self.breakpoints = tuple(breakpoints)
+        self.nodes = (u / w).ravel()
+        self._jacobian = w * w
+
+    def first_pass(
+        self, values: np.ndarray, settings: QuadratureSettings = QuadratureSettings()
+    ) -> QuadratureResult | None:
+        """The first-pass result for f's values at nodes, or None if QAGP would refine."""
+        # a non-finite value sends the integral to QAGP, so its warnings are moot
+        with np.errstate(all="ignore"):
+            f = np.reshape(values, self._jacobian.shape) / self._jacobian
+            if not np.isfinite(f).all():
+                return None
+            h = self._half_length
+            # qk21's sums, in its order: the centre term, then the node pairs
+            pair_sum = f[1:11] + f[11:]
+            pairs = _WGK_PAIRS * pair_sum
+            pairs[0] += _WGK[10] * f[0]
+            kronrod = _sequential_sum(pairs)
+            gauss = _sequential_sum(_WG[:, None] * pair_sum[:5])
+            size = np.abs(f)
+            pairs = _WGK_PAIRS * (size[1:11] + size[11:])
+            pairs[0] += np.abs(_WGK[10] * f[0])
+            magnitude = _sequential_sum(pairs) * h
+            deviation = np.abs(f - 0.5 * kronrod)
+            pairs = (_WGK_PAIRS * (deviation[1:11] + deviation[11:]))[_ABSCISSA_ORDER]
+            pairs[0] += _WGK[10] * deviation[0]
+            spread = _sequential_sum(pairs) * h
+            error = np.abs((kronrod - gauss) * h)
+            error = np.where(
+                spread != 0.0,
+                spread * np.minimum(1.0, (200.0 * error / spread) ** 1.5),
+                error,
+            )
+            error = np.where(
+                magnitude > _UFLOW / (50.0 * _EPMACH),
+                np.maximum(_EPMACH * 50.0 * magnitude, error),
+                error,
+            )
+            value = float(np.cumsum(kronrod * h)[-1])
+            error_estimate = float(np.cumsum(error)[-1])
+        bound = max(settings.absolute_tolerance, settings.relative_tolerance * abs(value))
+        if not error_estimate <= bound:
+            return None
+        return QuadratureResult(value, error_estimate)
+
+    def integrate(
+        self,
+        values: np.ndarray,
+        f: Callable[[float], float],
+        settings: QuadratureSettings = QuadratureSettings(),
+    ) -> QuadratureResult:
+        """Integral of f over (0, inf), given f's values at nodes.
+
+        The first pass when QAGP would accept it; otherwise
+        integrate_semi_infinite(f, settings, breakpoints), which evaluates
+        f itself and raises QuadratureError as it does.
+        """
+        result = self.first_pass(values, settings)
+        if result is None:
+            result = integrate_semi_infinite(f, settings, self.breakpoints)
+        return result
 
 
 def solve_monotone_decreasing(

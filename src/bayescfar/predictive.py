@@ -18,11 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Callable
 
 import numpy as np
 
-from .numerics import QuadratureSettings, binom, integrate_semi_infinite
+from .numerics import FirstPassRule, QuadratureSettings, binom, integrate_semi_infinite
 
 __all__ = [
     "OsPredictive",
@@ -78,7 +79,8 @@ def _log_posterior_os(rate_lambda: float, os: OsPredictive) -> float:
     log_body = -lt * (os.n - os.k + 1)
     if os.k > 1:
         log_body += (os.k - 1) * math.log(grow)
-    return math.log(os.k * os.t) + binom(os.n, os.k).log() + log_body
+    # log k + log t, not log(k t): k t overflows for t near the float maximum
+    return math.log(os.k) + math.log(os.t) + binom(os.n, os.k).log() + log_body
 
 
 def posterior_lambda_os(rate_lambda: float, os: OsPredictive) -> float:
@@ -180,7 +182,7 @@ def _scan_axis(values: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
 
 def _locate_support_1d(density: Callable[[float], float]) -> list[float]:
     grid = np.geomspace(1e-12, 1e12, 131073)
-    vals = np.fromiter((density(x) for x in grid), dtype=float, count=len(grid))
+    vals = np.fromiter(map(density, grid.tolist()), dtype=float, count=len(grid))
     if not np.all(np.isfinite(vals)):
         raise ValueError("posterior evaluated to a non-finite value during support scan")
     if vals.max() <= 0.0:
@@ -239,6 +241,14 @@ class PredictiveModel:
     the quadrature rule) and then verifies the posterior integrates to 1,
     within a small multiple of the integration tolerance floored at 1e-6.
     Both failures raise ValueError.
+
+    With one parameter, the support scan's 49 breakpoints fix a
+    FirstPassRule of 1 050 nodes, and construction samples the posterior
+    once at those nodes; the normalization check and every later density
+    and Pfa integral reuse the samples. The posterior must therefore be a
+    pure function of theta. A build calls it 131 073 times for the scan
+    and 1 050 for the samples; only an integral whose first pass QAGP
+    would refine calls it again.
     """
 
     def __init__(
@@ -259,8 +269,13 @@ class PredictiveModel:
         if parameter_dimension == 1:
             self._breakpoints = _locate_support_1d(posterior)
             self._breakpoints_b = None
-            norm = integrate_semi_infinite(
-                posterior, integration, breakpoints=self._breakpoints
+            self._rule = FirstPassRule(self._breakpoints)
+            self._nodes = self._rule.nodes.tolist()
+            self._posterior_at_nodes = np.fromiter(
+                map(posterior, self._nodes), dtype=float, count=len(self._nodes)
+            )
+            norm = self._rule.integrate(
+                self._posterior_at_nodes, posterior, integration
             ).value
         else:
             self._breakpoints, self._breakpoints_b = _locate_support_2d(posterior)
@@ -283,15 +298,23 @@ class PredictiveModel:
 
 
 def generic_predictive_density(z0: float, model: PredictiveModel) -> float:
-    """Predictive density: integral of likelihood(z0, theta) * posterior(theta)."""
+    """Predictive density: integral of likelihood(z0, theta) * posterior(theta).
+
+    With one parameter this calls the likelihood once per rule node and
+    weighs it by the posterior samples taken when the model was built; the
+    posterior is called again only if QAGP would refine the first pass.
+    """
     if not (z0 >= 0):
         raise ValueError(f"z0 must be nonnegative, got {z0}")
     settings = model.integration
     if model.parameter_dimension == 1:
-        return integrate_semi_infinite(
-            lambda th: model.likelihood(z0, th) * model.posterior(th),
-            settings,
-            breakpoints=model._breakpoints,
+        likelihood, nodes = model.likelihood, model._nodes
+        values = np.fromiter(map(likelihood, repeat(z0), nodes), dtype=float, count=len(nodes))
+        # a non-finite product sends the integral to QAGP, as its warning would
+        with np.errstate(all="ignore"):
+            values *= model._posterior_at_nodes
+        return model._rule.integrate(
+            values, lambda th: likelihood(z0, th) * model.posterior(th), settings
         ).value
 
     def outer(a: float) -> float:
@@ -315,7 +338,10 @@ def generic_pfa(tau: float, model: PredictiveModel) -> float:
 
     Integrates the predictive density over (tau, inf). The outer tolerance
     is kept a factor 30 looser than the inner one so that round-off noise
-    from the inner quadrature cannot stall the outer refinement.
+    from the inner quadrature cannot stall the outer refinement. The outer
+    integral is adaptive; with one parameter each inner one reuses the
+    model's posterior samples (see generic_predictive_density), so a call
+    costs likelihood evaluations and no posterior ones.
     """
     if not (tau >= 0):
         raise ValueError(f"tau must be nonnegative, got {tau}")

@@ -117,12 +117,15 @@ class TestPfaCurve:
             assert out.returncode == 2, bad
 
     @pytest.mark.parametrize("family", [["bayes_os", "--k", "1"], ["min_cfar"], ["ca_cfar"]])
-    @pytest.mark.parametrize("grid", ["-3:0:4", "-inf:0:3", "-1e308:1e308:3"])
+    @pytest.mark.parametrize(
+        "grid", ["-3:0:4", "-inf:0:3", "-1e308:1e308:3", "1:-1:3", "5:-0.5:12"]
+    )
     def test_negative_threshold_is_usage_error(self, family, grid):
-        # every family forms x = tau/t in one place, which rejects tau < 0
+        # every family forms x = tau/t in one place, which rejects tau < 0;
+        # the whole grid is checked before the header, so nothing is printed
         out = run("pfa", "--family", *family, "--n", "4", "--t", "1", f"--tau-grid={grid}")
         assert out.returncode == 2, out.stderr
-        assert out.stdout in ("", "tau,pfa\n")
+        assert out.stdout == ""
         assert "error:" in out.stderr
 
 
@@ -163,6 +166,14 @@ class TestDensity:
         out = run("density", "--family", "ca_cfar", "--n", "4",
                   "--t", "1", "--z0-grid", "0:1:2")
         assert out.returncode == 2
+
+    @pytest.mark.parametrize("grid", ["1:-1:3", "-1:1:3"])
+    def test_grid_crossing_zero_prints_nothing(self, grid):
+        out = run("density", "--family", "bayes_os", "--n", "4", "--k", "2",
+                  "--t", "1", f"--z0-grid={grid}")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "error: z0 must be nonnegative" in out.stderr
 
 
 class TestSimulate:

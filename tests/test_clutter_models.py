@@ -241,6 +241,16 @@ class TestOsDensity:
                     got = os_density(t, n, k, lam)
                     assert math.isclose(got, want, rel_tol=1e-12), (n, k, lam, t)
 
+    def test_no_overflow_when_k_times_rate_passes_the_float_range(self):
+        # k lambda = 3e308 overflows; lambda t = 1, so the density is near 6e307
+        t, n, k, lam = 1e-308, 5, 3, 1e308
+        x = lam * t
+        want = lam * (k * math.comb(n, k) * (-math.expm1(-x)) ** (k - 1)
+                      * math.exp(-x * (n - k + 1)))
+        got = os_density(t, n, k, lam)
+        assert math.isfinite(got)
+        assert math.isclose(got, want, rel_tol=1e-12)
+
     def test_far_tail_and_rate_domain(self):
         assert os_density(math.inf, 3, 1, 1.0) == 0.0
         assert os_density(math.inf, 3, 2, 1.0) == 0.0

@@ -6,13 +6,17 @@ quadrature cases.
 """
 
 import math
+import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from child_env import child_env
+from scipy import integrate
 
 from bayescfar.numerics import (
+    FirstPassRule,
     QuadratureError,
     QuadratureSettings,
     RootFindingError,
@@ -137,6 +141,146 @@ class TestIntegrateSemiInfinite:
         )
         assert out.returncode == 0, out.stderr
         assert out.stdout.strip() == "False"
+
+
+def qagp_oracle(f, breakpoints, settings):
+    """scipy's QAGP on the map u = x/(1+x), written out here.
+
+    Returns (value, error estimate, whether QAGP stopped after its first
+    pass of 21 nodes per interval with no warning).
+    """
+    points = sorted({x / (1.0 + x) for x in breakpoints})
+
+    def transformed(u):
+        w = 1.0 - u
+        return f(u / w) / (w * w)
+
+    out = integrate.quad(
+        transformed, 0.0, 1.0, points=points, full_output=1,
+        epsabs=settings.absolute_tolerance, epsrel=settings.relative_tolerance,
+        limit=settings.max_subdivisions,
+    )
+    first_pass = out[2]["neval"] == 21 * (len(points) + 1) and len(out) == 3
+    return out[0], out[1], first_pass
+
+
+def random_breakpoints(rng, lo, hi):
+    return sorted(10.0 ** rng.uniform(lo, hi) for _ in range(rng.randint(1, 60)))
+
+
+def outcome(call):
+    # a result, or the estimates a QuadratureError carries
+    try:
+        return call()
+    except QuadratureError as err:
+        return ("QuadratureError", err.best_estimate, err.error_estimate)
+
+
+class TestFirstPassRule:
+    def test_agrees_with_qagp_on_random_gamma_and_lognormal_integrands(self):
+        rng = random.Random(1983)
+        settings = QuadratureSettings()
+        accepted = declined = 0
+        for case in range(120):
+            if case % 2:
+                shape, rate = rng.uniform(0.5, 30.0), 10.0 ** rng.uniform(-3, 3)
+
+                def f(x, shape=shape, rate=rate):
+                    log_val = (shape * math.log(rate) + (shape - 1.0) * math.log(x)
+                               - rate * x - math.lgamma(shape))
+                    return math.exp(log_val) if log_val > -745.0 else 0.0
+
+                centre = math.log10(shape / rate)
+            else:
+                mu, sigma = rng.uniform(-5, 5), rng.uniform(0.05, 2.0)
+
+                def f(x, mu=mu, sigma=sigma):
+                    z = (math.log(x) - mu) / sigma
+                    return math.exp(-0.5 * z * z) / (x * sigma * math.sqrt(2 * math.pi))
+
+                centre = mu / math.log(10.0)
+            breakpoints = random_breakpoints(rng, centre - 3.0, centre + 3.0)
+            rule = FirstPassRule(breakpoints)
+            values = np.array([f(x) for x in rule.nodes])
+            want, want_error, qagp_first_pass = qagp_oracle(f, breakpoints, settings)
+            got = rule.first_pass(values, settings)
+            assert (got is not None) == qagp_first_pass, case
+            if got is None:
+                declined += 1
+                continue
+            accepted += 1
+            assert math.isclose(got.value, want, rel_tol=1e-15, abs_tol=1e-300), case
+            assert math.isclose(got.error_estimate, want_error, rel_tol=1e-12), case
+            # every law here has unit mass
+            assert math.isclose(got.value, 1.0, rel_tol=1e-9), case
+        assert accepted >= 30 and declined >= 10, (accepted, declined)
+
+    def test_nodes_are_the_points_qagp_evaluates(self):
+        breakpoints = [0.3, 2.0, 7.5, 40.0]
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return x * math.exp(-x)
+
+        qagp_oracle(f, breakpoints, QuadratureSettings(relative_tolerance=1e-3))
+        rule = FirstPassRule(breakpoints)
+        assert len(seen) == len(rule.nodes) == 21 * 5
+        assert sorted(seen) == sorted(rule.nodes.tolist())
+
+    def test_exact_for_polynomials_up_to_degree_31_on_one_interval(self):
+        # (1 + s)^d on the middle interval u in (1/2, 3/4) and zero elsewhere,
+        # s the interval's local coordinate; the integral is 2^(d+1)/(d+1) h
+        rule = FirstPassRule([1.0, 3.0])
+        centre, half = 0.625, 0.125
+        loose = QuadratureSettings(relative_tolerance=1e-3)
+        for d in range(32):
+            def f(x, d=d):
+                u = x / (1.0 + x)
+                if not (0.5 < u < 0.75):
+                    return 0.0
+                return (1.0 + (u - centre) / half) ** d * (1.0 - u) ** 2
+
+            got = rule.first_pass(np.array([f(x) for x in rule.nodes]), loose)
+            want = half * 2.0 ** (d + 1) / (d + 1)
+            assert got is not None, d
+            assert math.isclose(got.value, want, rel_tol=2e-15), d
+
+    @pytest.mark.parametrize("settings", [
+        QuadratureSettings(relative_tolerance=1e-15),
+        QuadratureSettings(),
+    ])
+    def test_declined_first_pass_returns_the_qagp_value_bit_for_bit(self, settings):
+        breakpoints = [0.1, 1.0, 10.0]
+        cases = {
+            "gamma": lambda x: x * math.exp(-x),
+            # a spike at x = 0.63, far narrower than the interval (0.1, 1)
+            "spike": lambda x: math.exp(-0.5 * ((x - 0.63) / 2e-3) ** 2) + math.exp(-x),
+        }
+        for name, f in cases.items():
+            rule = FirstPassRule(breakpoints)
+            values = np.array([f(x) for x in rule.nodes])
+            assert rule.first_pass(values, settings) is None, name
+            got = outcome(lambda: rule.integrate(values, f, settings))
+            want = outcome(lambda: integrate_semi_infinite(f, settings, breakpoints))
+            assert got == want, name
+
+    def test_non_finite_values_fail_as_qagp_does(self):
+        def f(x):
+            return math.nan if 1.0 < x < 2.0 else math.exp(-x)
+
+        rule = FirstPassRule([0.5, 1.5, 4.0])
+        values = np.array([f(x) for x in rule.nodes])
+        assert rule.first_pass(values) is None
+        got = outcome(lambda: rule.integrate(values, f))
+        want = outcome(lambda: integrate_semi_infinite(f, breakpoints=[0.5, 1.5, 4.0]))
+        assert got[0] == want[0] == "QuadratureError"
+        assert repr(got) == repr(want)
+
+    def test_needs_a_breakpoint(self):
+        for bad in ([], [0.0], [-1.0, math.inf, math.nan]):
+            with pytest.raises(ValueError, match="breakpoint"):
+                FirstPassRule(bad)
 
 
 def os_pfa_product_form(m: float, n: int, k: int) -> float:

@@ -12,8 +12,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from scipy import integrate
 
-from bayescfar.numerics import QuadratureSettings, integrate_semi_infinite
+from bayescfar.numerics import QuadratureError, QuadratureSettings, integrate_semi_infinite
 from bayescfar.predictive import (
     OsPredictive,
     PredictiveModel,
@@ -84,6 +85,17 @@ class TestPosterior:
                     posterior_lambda_os(lam, osd),
                     rel_tol=1e-12,
                 )
+
+    def test_no_overflow_when_k_times_t_passes_the_float_range(self):
+        # k t overflows in both cases; lambda t is moderate, so the written-out
+        # formula stays in range when t multiplies last
+        for lam, n, k, t in [(1e-308, 5, 3, 1e308), (4.5e-308, 300, 200, 1e307)]:
+            x = lam * t
+            want = t * (k * math.comb(n, k) * (-math.expm1(-x)) ** (k - 1)
+                        * math.exp(-x * (n - k + 1)))
+            got = posterior_lambda_os(lam, OsPredictive(n, k, t))
+            assert math.isfinite(want) and want > 1e280
+            assert math.isclose(got, want, rel_tol=1e-12), (n, k)
 
     def test_rejects_bad_conditioning(self):
         with pytest.raises(ValueError):
@@ -349,6 +361,77 @@ class TestPredictiveModel:
                 os_predictive_density(z0, osd),
                 rel_tol=1e-8,
             )
+
+    def test_posterior_is_sampled_once_per_model(self):
+        osd = OsPredictive(6, 4, 1.3)
+        calls = [0]
+
+        def posterior(lam):
+            calls[0] += 1
+            return posterior_lambda_os(lam, osd)
+
+        model = PredictiveModel(
+            likelihood=lambda z0, lam: lam * math.exp(-lam * z0),
+            posterior=posterior,
+            parameter_dimension=1,
+        )
+        # the support scan, then the 21-node rule on each of 50 intervals
+        assert calls[0] == 131_073 + 1_050
+        for tau in (0.0, 0.7, 4.0):
+            generic_pfa(tau, model)
+        for z0 in (0.05, 1.0, 6.0):
+            generic_predictive_density(z0, model)
+        assert calls[0] == 131_073 + 1_050
+
+    def test_non_finite_product_fails_as_qagp_does(self):
+        # inf * 0 past the posterior's support makes the product NaN at the
+        # outermost rule nodes; the integral goes to QAGP, which reports it
+        n, s = 4, 3.0
+
+        def posterior(lam):
+            return math.exp(log_gamma_pdf(lam, float(n), s)) if lam > 0 else 0.0
+
+        model = PredictiveModel(
+            likelihood=lambda z0, lam: math.inf if lam > 1e3 else lam * math.exp(-lam * z0),
+            posterior=posterior,
+            parameter_dimension=1,
+        )
+        with pytest.raises(QuadratureError):
+            generic_predictive_density(1.0, model)
+
+    def test_matches_nested_quadrature(self):
+        # test-local nested scipy quad over lambda and z0, on this test's own
+        # map u = x/(1+x) and breakpoints, with tighter tolerances
+        osd = OsPredictive(6, 4, 1.3)
+
+        def likelihood(z0, lam):
+            return lam * math.exp(-lam * z0)
+
+        def posterior(lam):
+            return posterior_lambda_os(lam, osd)
+
+        model = PredictiveModel(likelihood, posterior, parameter_dimension=1)
+
+        def semi_infinite(f, points, epsrel):
+            def transformed(u):
+                w = 1.0 - u
+                return f(u / w) / (w * w) if 0.0 < u < 1.0 else 0.0
+
+            u_points = [x / (1.0 + x) for x in points]
+            return integrate.quad(transformed, 0.0, 1.0, points=u_points,
+                                  epsabs=0.0, epsrel=epsrel, limit=500)[0]
+
+        def density(z0):
+            return semi_infinite(lambda lam: likelihood(z0, lam) * posterior(lam),
+                                 [10.0 ** (e / 4.0) / 1.3 for e in range(-12, 9)], 1e-13)
+
+        for z0 in (0.05, 1.0, 6.0):
+            want = density(z0)
+            assert math.isclose(generic_predictive_density(z0, model), want, rel_tol=1e-12)
+        for tau in (0.0, 0.7, 4.0):
+            want = semi_infinite(lambda x: density(tau + x),
+                                 [10.0 ** e * 1.3 for e in range(-3, 4)], 1e-12)
+            assert math.isclose(generic_pfa(tau, model), want, rel_tol=1e-12), tau
 
     def test_two_parameter_narrow_posterior(self):
         # independent Gamma factors concentrated at (1, 2); the compound
