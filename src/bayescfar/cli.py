@@ -6,9 +6,9 @@ runs; CSV is comma-separated with a mandatory header row and no quoting.
 
 Exit codes: 0 success, 2 usage or configuration problem, 3 numeric failure.
 
-A --config file (INI style, one section per subcommand, keys named after the
-long options) fills in any option not given on the command line; explicit
-flags always win.
+A --config file (INI style, one section per subcommand, keys named after
+that subcommand's long options, with - or _ alike) fills in any option not
+given on the command line; explicit flags always win.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .clutter_models import ExponentialClutter, ParetoClutter
 from .detectors import DetectorSpec, Family, predictive_pfa, threshold
@@ -80,32 +80,27 @@ def _parse_comma_list(text: str) -> list[float]:
         raise UsageError(f"could not parse list {text!r}: {exc}") from exc
 
 
-_CONVERTERS: dict[str, Callable[[str], object]] = {
-    "family": str,
-    "n": int,
-    "k": int,
-    "pfa": float,
-    "t": float,
-    "tau_grid": str,
-    "z0_grid": str,
-    "mode": str,
-    "clutter": str,
-    "rate": float,
-    "alpha": float,
-    "beta": float,
-    "trials": int,
-    "seed": int,
-    "snr": float,
-    "out": str,
-    "lambda_grid": str,
-    "profile": str,
-    "leading": int,
-    "trailing": int,
-    "header": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-}
+def _config_keys(sub: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    # a config key is a long option's name; --config and --help are not keys
+    return {
+        option[2:]: action
+        for action in sub._actions
+        if action.dest not in ("config", "help")
+        for option in action.option_strings
+        if option.startswith("--")
+    }
 
 
-def _apply_config(args: argparse.Namespace, command: str) -> None:
+def _config_value(action: argparse.Action, raw: str) -> object:
+    if action.nargs == 0:  # a store_true flag
+        state = configparser.ConfigParser.BOOLEAN_STATES.get(raw.lower())
+        if state is None:
+            raise ValueError("not a boolean")
+        return state
+    return (action.type or str)(raw)
+
+
+def _apply_config(args: argparse.Namespace) -> None:
     if args.config is None:
         return
     if not os.path.exists(args.config):
@@ -115,15 +110,17 @@ def _apply_config(args: argparse.Namespace, command: str) -> None:
         parser.read(args.config)
     except configparser.Error as exc:
         raise UsageError(f"could not parse config {args.config}: {exc}") from exc
-    if command not in parser:
+    if args.command not in parser:
         return
-    for key, raw in parser[command].items():
-        name = key.replace("-", "_")
-        if name not in _CONVERTERS:
-            raise UsageError(f"unknown config key {key!r} in section [{command}]")
-        if getattr(args, name, None) is None or getattr(args, name) is False:
+    for key, raw in parser[args.command].items():
+        action = args.config_keys.get(key.replace("_", "-"))
+        if action is None:
+            raise UsageError(f"unknown config key {key!r} in section [{args.command}]")
+        # explicit flags win: a flag left out is None, or False for store_true
+        given = getattr(args, action.dest)
+        if given is None or given is False:
             try:
-                setattr(args, name, _CONVERTERS[name](raw))
+                setattr(args, action.dest, _config_value(action, raw))
             except ValueError as exc:
                 raise UsageError(f"bad config value {key} = {raw!r}: {exc}") from exc
 
@@ -367,6 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sub in subs.choices.values():
         sub.add_argument("--config", help="INI file supplying defaults for missing flags")
+        sub.set_defaults(config_keys=_config_keys(sub))
     return parser
 
 
@@ -384,7 +382,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, args.command)
+        _apply_config(args)
         return _COMMANDS[args.command](args)
     except (UsageError, ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

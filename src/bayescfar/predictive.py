@@ -18,8 +18,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import Callable
+from itertools import product, repeat
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -180,7 +180,7 @@ def _scan_axis(values: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _locate_support_1d(density: Callable[[float], float]) -> list[float]:
+def _locate_support_1d(density: Callable[[float], float]) -> tuple[list[float]]:
     grid = np.geomspace(1e-12, 1e12, 131073)
     vals = np.fromiter(map(density, grid.tolist()), dtype=float, count=len(grid))
     if not np.all(np.isfinite(vals)):
@@ -191,7 +191,7 @@ def _locate_support_1d(density: Callable[[float], float]) -> list[float]:
             "density may be zero everywhere or concentrated outside the scanned range"
         )
     lo, hi = _scan_axis(vals, grid)
-    return list(np.geomspace(lo, hi, 49))
+    return (list(np.geomspace(lo, hi, 49)),)
 
 
 def _locate_support_2d(
@@ -202,15 +202,11 @@ def _locate_support_2d(
     for _ in range(4):
         ga = np.geomspace(lo[0], hi[0], 129)
         gb = np.geomspace(lo[1], hi[1], 129)
-        vals = np.empty((len(ga), len(gb)))
-        for i, a in enumerate(ga):
-            for j, b in enumerate(gb):
-                v = density((a, b))
-                if not math.isfinite(v):
-                    raise ValueError(
-                        "posterior evaluated to a non-finite value during support scan"
-                    )
-                vals[i, j] = v
+        vals = np.fromiter(
+            map(density, product(ga.tolist(), gb.tolist())), dtype=float, count=129 * 129
+        ).reshape(129, 129)
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("posterior evaluated to a non-finite value during support scan")
         if vals.max() <= 0.0:
             raise ValueError(
                 "posterior support not found on (1e-12, 1e12)^2; "
@@ -228,6 +224,29 @@ def _locate_support_2d(
     return list(np.geomspace(lo[0], hi[0], 33)), list(np.geomspace(lo[1], hi[1], 33))
 
 
+def _theta_integral(model: PredictiveModel, f: Callable, values: np.ndarray) -> float:
+    # nested QAGP of f(theta), the innermost axis first, given f at the
+    # model's nodes: each pass is its rule's first pass where QAGP would
+    # accept it and integrate_semi_infinite where QAGP would refine it
+    settings = model.integration
+    *outer, rule = model._rules
+    if not outer:
+        return rule.integrate(values, f, settings).value
+
+    def marginal(a: float, row: np.ndarray | None = None) -> float:
+        def g(b: float) -> float:
+            return f((a, b))
+
+        if row is None:
+            return integrate_semi_infinite(g, settings, rule.breakpoints).value
+        return rule.integrate(row, g, settings).value
+
+    a_nodes = model._axes[0]
+    rows = np.reshape(values, (len(a_nodes), -1))
+    marginals = np.fromiter(map(marginal, a_nodes, rows), dtype=float, count=len(rows))
+    return outer[0].integrate(marginals, marginal, settings).value
+
+
 class PredictiveModel:
     """A predictive density defined by a likelihood and a normalized posterior.
 
@@ -242,13 +261,15 @@ class PredictiveModel:
     within a small multiple of the integration tolerance floored at 1e-6.
     Both failures raise ValueError.
 
-    With one parameter, the support scan's 49 breakpoints fix a
-    FirstPassRule of 1 050 nodes, and construction samples the posterior
-    once at those nodes; the normalization check and every later density
+    The scan's breakpoints fix one FirstPassRule per parameter, and the θ
+    integral is nested first passes, the innermost axis first. Construction
+    samples the posterior once at the rules' nodes, in 2-D the product grid
+    with b varying fastest; the normalization check and every later density
     and Pfa integral reuse the samples. The posterior must therefore be a
-    pure function of theta. A build calls it 131 073 times for the scan
-    and 1 050 for the samples; only an integral whose first pass QAGP
-    would refine calls it again.
+    pure function of theta. With one parameter a build calls it 131 073
+    times for the scan and 1 050 for the samples (49 breakpoints); with two,
+    129² per scan round and 714² for the samples (33 breakpoints per axis).
+    Only an integral whose first pass QAGP would refine calls it again.
     """
 
     def __init__(
@@ -266,29 +287,13 @@ class PredictiveModel:
         self.posterior = posterior
         self.parameter_dimension = parameter_dimension
         self.integration = integration
-        if parameter_dimension == 1:
-            self._breakpoints = _locate_support_1d(posterior)
-            self._breakpoints_b = None
-            self._rule = FirstPassRule(self._breakpoints)
-            self._nodes = self._rule.nodes.tolist()
-            self._posterior_at_nodes = np.fromiter(
-                map(posterior, self._nodes), dtype=float, count=len(self._nodes)
-            )
-            norm = self._rule.integrate(
-                self._posterior_at_nodes, posterior, integration
-            ).value
-        else:
-            self._breakpoints, self._breakpoints_b = _locate_support_2d(posterior)
-
-            def marginal_a(a: float) -> float:
-                return integrate_semi_infinite(
-                    lambda b: posterior((a, b)), integration,
-                    breakpoints=self._breakpoints_b,
-                ).value
-
-            norm = integrate_semi_infinite(
-                marginal_a, integration, breakpoints=self._breakpoints
-            ).value
+        scan = _locate_support_1d if parameter_dimension == 1 else _locate_support_2d
+        self._rules = tuple(map(FirstPassRule, scan(posterior)))
+        self._axes = [rule.nodes.tolist() for rule in self._rules]
+        self._posterior_at_nodes = np.fromiter(
+            map(posterior, self._thetas()), dtype=float, count=math.prod(map(len, self._axes))
+        )
+        norm = _theta_integral(self, posterior, self._posterior_at_nodes)
         tol = max(_NORMALIZATION_TOLERANCE, 100.0 * integration.relative_tolerance)
         if abs(norm - 1.0) > tol:
             raise ValueError(
@@ -296,37 +301,31 @@ class PredictiveModel:
                 "pass a normalized posterior"
             )
 
+    def _thetas(self) -> Iterator:
+        # theta at every node: floats in 1-D, (a, b) pairs with b fastest in
+        # 2-D, made as they are consumed rather than held as 714² tuples
+        if self.parameter_dimension == 1:
+            return iter(self._axes[0])
+        return product(*self._axes)
+
 
 def generic_predictive_density(z0: float, model: PredictiveModel) -> float:
     """Predictive density: integral of likelihood(z0, theta) * posterior(theta).
 
-    With one parameter this calls the likelihood once per rule node and
+    In either dimension this calls the likelihood once per rule node and
     weighs it by the posterior samples taken when the model was built; the
-    posterior is called again only if QAGP would refine the first pass.
+    posterior is called again only where QAGP would refine a first pass.
     """
     if not (z0 >= 0):
         raise ValueError(f"z0 must be nonnegative, got {z0}")
-    settings = model.integration
-    if model.parameter_dimension == 1:
-        likelihood, nodes = model.likelihood, model._nodes
-        values = np.fromiter(map(likelihood, repeat(z0), nodes), dtype=float, count=len(nodes))
-        # a non-finite product sends the integral to QAGP, as its warning would
-        with np.errstate(all="ignore"):
-            values *= model._posterior_at_nodes
-        return model._rule.integrate(
-            values, lambda th: likelihood(z0, th) * model.posterior(th), settings
-        ).value
-
-    def outer(a: float) -> float:
-        return integrate_semi_infinite(
-            lambda b: model.likelihood(z0, (a, b)) * model.posterior((a, b)),
-            settings,
-            breakpoints=model._breakpoints_b,
-        ).value
-
-    return integrate_semi_infinite(
-        outer, settings, breakpoints=model._breakpoints
-    ).value
+    likelihood, posterior, sampled = model.likelihood, model.posterior, model._posterior_at_nodes
+    values = np.fromiter(
+        map(likelihood, repeat(z0), model._thetas()), dtype=float, count=len(sampled)
+    )
+    # a non-finite product sends the integral to QAGP, as its warning would
+    with np.errstate(all="ignore"):
+        values *= sampled
+    return _theta_integral(model, lambda th: likelihood(z0, th) * posterior(th), values)
 
 
 # z0-axis subdivision hints for the tail integral; spans any desk-scale unit.
@@ -339,9 +338,9 @@ def generic_pfa(tau: float, model: PredictiveModel) -> float:
     Integrates the predictive density over (tau, inf). The outer tolerance
     is kept a factor 30 looser than the inner one so that round-off noise
     from the inner quadrature cannot stall the outer refinement. The outer
-    integral is adaptive; with one parameter each inner one reuses the
-    model's posterior samples (see generic_predictive_density), so a call
-    costs likelihood evaluations and no posterior ones.
+    integral is adaptive; each inner one reuses the model's posterior
+    samples (see generic_predictive_density), so a call costs likelihood
+    evaluations and no posterior ones.
     """
     if not (tau >= 0):
         raise ValueError(f"tau must be nonnegative, got {tau}")

@@ -450,3 +450,54 @@ class TestConfigFile:
         out = run("threshold", "--config", "/nonexistent.ini",
                   "--family", "min_cfar", "--n", "4", "--pfa", "0.1", "--t", "1")
         assert out.returncode == 2
+
+    THRESHOLD_FLAGS = ("--family", "min_cfar", "--n", "4", "--pfa", "0.1", "--t", "1")
+
+    def test_keys_are_the_long_option_names(self, tmp_path):
+        cfg = tmp_path / "detector.ini"
+        cfg.write_text("[simulate]\nlambda = 2\ntrials = 1000\nseed = 5\n")
+        flags = ("--family", "ca_cfar", "--n", "8", "--pfa", "0.1")
+        out = run("simulate", "--config", str(cfg), *flags)
+        assert out.returncode == 0, out.stderr
+        want = run("simulate", *flags, "--lambda", "2", "--trials", "1000", "--seed", "5")
+        assert out.stdout == want.stdout
+
+    @pytest.mark.parametrize("key", ["tau-grid", "tau_grid"])
+    def test_dash_or_underscore_in_keys(self, tmp_path, key):
+        cfg = tmp_path / "detector.ini"
+        cfg.write_text(f"[pfa]\n{key} = 0:2:3\n")
+        out = run("pfa", "--config", str(cfg), *self.THRESHOLD_FLAGS)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == run("pfa", *self.THRESHOLD_FLAGS, "--tau-grid", "0:2:3").stdout
+
+    @pytest.mark.parametrize("section, key", [
+        ("simulate", "rate = 2"),        # the dest of --lambda, not a flag
+        ("threshold", "trials = 5"),     # a flag of other subcommands
+        ("threshold", "profile = x"),
+        ("threshold", "config = other.ini"),
+    ])
+    def test_key_without_a_flag_in_its_subcommand_rejected(self, tmp_path, section, key):
+        cfg = tmp_path / "detector.ini"
+        cfg.write_text(f"[{section}]\n{key}\n")
+        out = run(section, "--config", str(cfg), *self.THRESHOLD_FLAGS)
+        assert out.returncode == 2
+        assert "unknown config key" in out.stderr
+
+    def test_store_true_flag_from_config(self, tmp_path):
+        profile = tmp_path / "profile.csv"
+        profile.write_text("value\n" + "1\n" * 5)
+        flags = ("--family", "min_cfar", "--n", "4", "--pfa", "0.1", "--profile", str(profile),
+                 "--leading", "2", "--trailing", "2")
+        cfg = tmp_path / "detector.ini"
+        cfg.write_text("[scan]\nheader = yes\n")
+        out = run("scan", "--config", str(cfg), *flags)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout == run("scan", *flags, "--header").stdout
+
+    def test_invalid_boolean_rejected(self, tmp_path):
+        cfg = tmp_path / "detector.ini"
+        cfg.write_text("[scan]\nheader = maybe\n")
+        out = run("scan", "--config", str(cfg), "--family", "min_cfar", "--n", "4",
+                  "--pfa", "0.1", "--profile", "p.csv", "--leading", "2", "--trailing", "2")
+        assert out.returncode == 2
+        assert "bad config value header" in out.stderr

@@ -463,3 +463,87 @@ class TestPredictiveModel:
             want = 3.0 * math.exp(-3.0 * z0)
             got = generic_predictive_density(z0, model)
             assert abs(got - want) / want < 1e-3, z0
+
+
+class TestTwoParameterModel:
+    """The 2-D route against the closed form of a Gamma x Gamma posterior.
+
+    With a ~ Gamma(s1, rate r1) and b ~ Gamma(s2, rate r2) independent and
+    the likelihood r e^{-r z0} at r = a + b, the predictive survival is
+    E[e^{-a z0}] E[e^{-b z0}] = (1 + z0/r1)^{-s1} (1 + z0/r2)^{-s2}, and the
+    predictive density is minus its derivative.
+    """
+
+    S1, R1, S2, R2 = 3.0, 3.0, 5.0, 2.5
+
+    @classmethod
+    def posterior(cls, theta):
+        a, b = theta
+        return math.exp(log_gamma_pdf(a, cls.S1, cls.R1) + log_gamma_pdf(b, cls.S2, cls.R2))
+
+    @staticmethod
+    def likelihood(z0, theta):
+        r = theta[0] + theta[1]
+        return r * math.exp(-r * z0)
+
+    @pytest.fixture(scope="class")
+    def counted(self):
+        calls = {"likelihood": 0, "posterior": 0}
+
+        def likelihood(z0, theta):
+            calls["likelihood"] += 1
+            return self.likelihood(z0, theta)
+
+        def posterior(theta):
+            calls["posterior"] += 1
+            return self.posterior(theta)
+
+        return PredictiveModel(likelihood, posterior, parameter_dimension=2), calls
+
+    @pytest.mark.parametrize("z0", [0.0, 0.3, 2.0, 10.0])
+    def test_density_matches_closed_form(self, counted, z0):
+        s1, r1, s2, r2 = self.S1, self.R1, self.S2, self.R2
+        want = (
+            (s1 / r1) * (1.0 + z0 / r1) ** (-s1 - 1.0) * (1.0 + z0 / r2) ** (-s2)
+            + (1.0 + z0 / r1) ** (-s1) * (s2 / r2) * (1.0 + z0 / r2) ** (-s2 - 1.0)
+        )
+        got = generic_predictive_density(z0, counted[0])
+        assert math.isclose(got, want, rel_tol=1e-10), (z0, got, want)
+
+    def test_density_reuses_the_posterior_samples(self, counted):
+        # 33 breakpoints per axis cut each into 34 intervals of 21 nodes
+        model, calls = counted
+        calls["likelihood"] = calls["posterior"] = 0
+        generic_predictive_density(0.7, model)
+        assert calls == {"likelihood": 714**2, "posterior": 0}
+
+    def test_declined_inner_passes_equal_nested_quadrature(self, monkeypatch):
+        # a narrow bump in b that the inner first passes cannot resolve; each
+        # declined pass must be the nested integrate_semi_infinite call itself
+        import bayescfar.numerics as numerics
+
+        def likelihood(z0, theta):
+            bump = 1.0 + 50.0 * math.exp(-(((theta[1] - 2.0) / 0.05) ** 2))
+            return self.likelihood(z0, theta) * bump
+
+        model = PredictiveModel(likelihood, self.posterior, parameter_dimension=2)
+        z0, settings = 0.5, model.integration
+        a_points, b_points = (rule.breakpoints for rule in model._rules)
+
+        def marginal(a):
+            return integrate_semi_infinite(
+                lambda b: likelihood(z0, (a, b)) * self.posterior((a, b)), settings, b_points
+            ).value
+
+        want = integrate_semi_infinite(marginal, settings, a_points).value
+        declined = [0]
+        original = numerics.integrate_semi_infinite
+
+        def counting(*args):
+            declined[0] += 1
+            return original(*args)
+
+        monkeypatch.setattr(numerics, "integrate_semi_infinite", counting)
+        got = generic_predictive_density(z0, model)
+        assert declined[0] > 0
+        assert got.hex() == want.hex()

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, optimize, stats
 from scipy.special import betainc, gammainc
 
 from bayescfar.clutter_models import CrpWindow, ExponentialClutter, ParetoClutter
@@ -417,6 +417,61 @@ class TestEstimatePd:
             estimates.append(estimate_pd(sc).estimate)
         assert all(a <= b for a, b in zip(estimates, estimates[1:]))
         assert estimates[-1] > estimates[0]
+
+
+def _os_multiplier(n, k, pfa):
+    # the x with prod_{j=n-k+1}^{n} j/(j+x) = pfa, from its log form
+    j = np.arange(n - k + 1, n + 1, dtype=float)
+    return optimize.brentq(lambda x: np.log1p(x / j).sum() + math.log(pfa), 0.0, 1e12,
+                           rtol=1e-14)
+
+
+def _pareto_pfa_oracle(m, n, k, alpha):
+    # E[S(m t)] for the k-th smallest t of n Lomax samples: V = S(t) is
+    # Beta(n-k+1, k) and t = beta (V^(-1/alpha) - 1), so beta cancels
+    law = stats.beta(n - k + 1, k)
+    value, _ = integrate.quad(
+        lambda v: (1.0 + m * (v ** (-1.0 / alpha) - 1.0)) ** -alpha * law.pdf(v),
+        0.0, 1.0, epsabs=0.0, epsrel=1e-10, limit=200,
+    )
+    return value
+
+
+class TestAnalyticOracles:
+    """Estimates against 1-D integrals over the law of the window statistic.
+
+    A rule with threshold m * t fires with probability E[S(m t)], where S is
+    the survival function of the cell under test: in Pareto clutter the
+    integral above, and for a Swerling-1 target in exponential clutter the
+    OS product at x = m/(1+SNR), or (1 + m/(1+SNR))^-n for a window sum. The
+    multipliers are solved here too, so no oracle shares code with the draws.
+    """
+
+    @pytest.mark.parametrize("family, n, k, pfa, alpha, beta, trials, seed", [
+        (Family.BAYES_OS, 16, 12, 0.01, 3.0, 2.0, 1_000_000, 9101),
+        (Family.MIN_CFAR, 8, 1, 0.05, 2.5, 1.0, 1_000_000, 9102),
+        (Family.BAYES_OS, 24, 18, 0.001, 4.0, 0.5, 2_000_000, 9103),
+    ])
+    def test_pfa_in_pareto_clutter(self, family, n, k, pfa, alpha, beta, trials, seed):
+        m = _os_multiplier(n, k, pfa) if family is Family.BAYES_OS else n * (1.0 / pfa - 1.0)
+        want = _pareto_pfa_oracle(m, n, k, alpha)
+        spec = _family_spec(family, n, k, pfa)
+        report = estimate_pfa(Scenario(ParetoClutter(alpha, beta), spec, trials, seed))
+        assert abs(report.estimate - want) < 3.0 * report.standard_error(), (report, want)
+
+    @pytest.mark.parametrize("family, n, k, pfa, snr, rate, seed", [
+        (Family.BAYES_OS, 16, 12, 0.01, 10.0, 1.3, 9104),
+        (Family.CA_CFAR, 16, None, 0.01, 5.0, 0.7, 9105),
+        (Family.BAYES_OS, 8, 6, 0.001, 20.0, 1.0, 9106),
+    ])
+    def test_swerling1_pd_in_exponential_clutter(self, family, n, k, pfa, snr, rate, seed):
+        if family is Family.BAYES_OS:
+            want = float(_os_pfa_oracle(_os_multiplier(n, k, pfa) / (1.0 + snr), n, k))
+        else:
+            want = (1.0 + (pfa ** (-1.0 / n) - 1.0) / (1.0 + snr)) ** -n
+        report = estimate_pd(scenario(family=family, n=n, k=k, pfa=pfa, trials=1_000_000,
+                                      seed=seed, rate=rate, target=TargetModel(snr_linear=snr)))
+        assert abs(report.estimate - want) < 3.0 * report.standard_error(), (report, want)
 
 
 class TestCfarSweep:
