@@ -9,15 +9,17 @@ distributions for the Monte Carlo harness.
 Pareto convention used throughout: survival function (1 + t/beta)^(-alpha),
 with shape alpha and scale beta. Conventions differ between texts, so tests
 pin this one down.
+
+The scalar statistics and densities are plain float arithmetic; numpy is
+imported by the array functions (the inverse-CDF transform and the window
+matrix sums) when they first run, not with the module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence, Union
 
 from .predictive import OsPredictive, _log_posterior_os
 
@@ -35,6 +37,9 @@ __all__ = [
     "os_density",
     "window_sum",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -140,6 +145,8 @@ def intensity_from_uniform(model: ClutterModel, u: np.ndarray) -> np.ndarray:
     The (0, 1] convention keeps ln and the negative power finite; U = 1 maps
     to the distribution's lower endpoint 0.
     """
+    import numpy as np
+
     if isinstance(model, ExponentialClutter):
         return -np.log(u) / model.rate_lambda
     if isinstance(model, ParetoClutter):
@@ -236,6 +243,8 @@ def _row_sums(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # of r. That bound lies strictly inside r's rounding interval (the smaller
     # half-spacing, below r) or is zero (c then exact, and r = fl(s + c) is the
     # rounded sum); other rows, and any that overflowed, are not certified.
+    import numpy as np
+
     rows, n = windows.shape
     # c adds n - 1 errors with n - 2 roundings of unit roundoff 2**-53; the
     # factor 2 covers the rounding of a and of gamma * a
@@ -270,6 +279,8 @@ def _scaled_window_sums(multiplier: float, windows: np.ndarray) -> np.ndarray:
     # _scaled_window_sum of every row, with its bits: certified rows take
     # multiplier * the cascade sum, the rest (near ties, overflow, small
     # blocks) go through _scaled_window_sum
+    import numpy as np
+
     if len(windows) < _CASCADE_MIN_ROWS:
         return np.fromiter((_scaled_window_sum(multiplier, r) for r in windows.tolist()),
                            float, len(windows))

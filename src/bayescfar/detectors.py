@@ -14,6 +14,10 @@ exceeds m * g. The Bayesian order-statistic rule compares Pfa(z0/g) against
 the design value instead, which avoids inverting the curve; strict
 monotonicity makes the two phrasings equivalent. Ties sit with H0
 everywhere: H1 requires a strict inequality.
+
+A decision and a threshold are float arithmetic on the rows' scalar
+entries; numpy is imported by the columnar entries and scan_windows when
+they first run, not with the module.
 """
 
 from __future__ import annotations
@@ -22,9 +26,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable, NamedTuple
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .clutter_models import (
     ClutterModel,
@@ -58,6 +60,9 @@ __all__ = [
     "threshold",
     "threshold_multiplier",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class Family(str, Enum):
@@ -145,6 +150,8 @@ def _order(spec: DetectorSpec) -> int:
 
 
 def _os_statistic_rows(m: float, windows: np.ndarray, spec: DetectorSpec) -> np.ndarray:
+    import numpy as np
+
     k = _order(spec)
     return m * (windows.min(axis=1) if k == 1
                 else np.partition(windows, k - 1, axis=1)[:, k - 1])
@@ -291,6 +298,8 @@ def scan_windows(z0: np.ndarray, windows: np.ndarray,
     pfa_comparison path, where decide raises, takes the g -> 0+ limit:
     Pfa 0 (H1) for z0 > 0 and Pfa 1 (H0) for z0 = 0.
     """
+    import numpy as np
+
     row = FAMILIES[spec.family]
     if row.path is DecisionPath.THRESHOLD:
         with np.errstate(over="ignore"):

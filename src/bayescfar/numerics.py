@@ -10,10 +10,15 @@ same breakpoint intervals as a fixed 21-point Gauss-Kronrod rule: it takes
 the integrand's values at its nodes, so a caller that integrates many
 products f(x) * g(x) with one fixed g evaluates g once. Where that pass
 does not meet QAGP's own acceptance test, FirstPassRule.integrate calls
-integrate_semi_infinite, so every value returned has passed the same test.
+integrate_semi_infinite, so every value returned has passed the same test;
+that call is given the node values already held, looked up by node, so f is
+evaluated only at the points where QAGP refines.
 
 Everything here is a pure function or a rule fixed when it is built;
-nothing holds state between calls.
+nothing holds state between calls. Neither numpy nor scipy is imported with
+the module: scipy by integrate_semi_infinite's first call, numpy by the
+first FirstPassRule built, so the closed-form chain and the bisection run
+without either.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from functools import cache
+from typing import TYPE_CHECKING, Callable, NamedTuple, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "NumericsError",
@@ -199,41 +206,54 @@ def integrate_semi_infinite(
 # QUADPACK qk21 (Piessens et al., 1983): Kronrod abscissae on [-1, 1] from
 # the outside in, with the centre last; entries 1, 3, ..., 9 are the
 # 10-point Gauss nodes, whose weights are _WG
-_XGK = np.array([
+_XGK = (
     0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
     0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
     0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
     0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
     0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
     0.0,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
     0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
     0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
     0.123491976262065851077208980053640, 0.134709217311473325928054001771707,
     0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
     0.149445554002916905664936468389821,
-])
-_WG = np.array([
+)
+_WG = (
     0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
-])
+)
 # qk21 adds the Gauss-node pairs first, then the Kronrod-only pairs; a
 # FirstPassRule's rows are its centre, then centre - offset and
 # centre + offset for the abscissae _XGK[_QK21_ORDER]
-_QK21_ORDER = np.array([1, 3, 5, 7, 9, 0, 2, 4, 6, 8])
-_WGK_PAIRS = _WGK[_QK21_ORDER, None]
-# the spread term of qk21's error estimate adds the pairs in abscissa order
-_ABSCISSA_ORDER = np.argsort(_QK21_ORDER)
+_QK21_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
+
+
+@cache
+def _qk21_columns() -> tuple[np.ndarray, ...]:
+    # the tables as the column arrays a FirstPassRule broadcasts against its
+    # intervals, made when the first rule is built: the abscissae and the
+    # Kronrod weights in _QK21_ORDER, the Gauss weights, and the permutation
+    # that puts pair rows back in abscissa order, as the spread term of
+    # qk21's error estimate adds them
+    import numpy as np
+
+    order = np.array(_QK21_ORDER)
+    return (np.array(_XGK)[order, None], np.array(_WGK)[order, None],
+            np.array(_WG)[:, None], np.argsort(order))
 
 
 def _sequential_sum(rows: np.ndarray) -> np.ndarray:
     # rows[0] + rows[1] + ... left to right, as QUADPACK's loops add: numpy
     # sums pairwise only along the contiguous axis, never across C-order rows
+    import numpy as np
+
     return np.add.reduce(rows, axis=0)
 
 
@@ -249,17 +269,21 @@ class FirstPassRule:
     every value finite and the summed error estimate within
     max(absolute_tolerance, relative_tolerance * |value|). Otherwise it
     returns integrate_semi_infinite(f, settings, breakpoints), which is
-    QAGP itself and refines from the same first pass.
+    QAGP itself and refines from the same first pass; QAGP's first pass
+    evaluates f at these nodes bit for bit, so it is handed the values
+    already given there and calls f only at the points it refines.
     """
 
     def __init__(self, breakpoints: Sequence[float]):
+        import numpy as np
+
         points = _to_unit_interval(breakpoints)
         if not points:
             raise ValueError("the rule needs at least one finite breakpoint in (0, inf)")
         edges = np.array([0.0, *points, 1.0])
         centre = 0.5 * (edges[:-1] + edges[1:])
         self._half_length = 0.5 * (edges[1:] - edges[:-1])
-        offset = self._half_length * _XGK[_QK21_ORDER, None]
+        offset = self._half_length * _qk21_columns()[0]
         # rows: the centre, then centre - offset and centre + offset per abscissa
         u = np.concatenate((centre[None], centre - offset, centre + offset))
         w = 1.0 - u
@@ -271,6 +295,9 @@ class FirstPassRule:
         self, values: np.ndarray, settings: QuadratureSettings = QuadratureSettings()
     ) -> QuadratureResult | None:
         """The first-pass result for f's values at nodes, or None if QAGP would refine."""
+        import numpy as np
+
+        _, kronrod_weights, gauss_weights, abscissa_order = _qk21_columns()
         # a non-finite value sends the integral to QAGP, so its warnings are moot
         with np.errstate(all="ignore"):
             f = np.reshape(values, self._jacobian.shape) / self._jacobian
@@ -279,16 +306,16 @@ class FirstPassRule:
             h = self._half_length
             # qk21's sums, in its order: the centre term, then the node pairs
             pair_sum = f[1:11] + f[11:]
-            pairs = _WGK_PAIRS * pair_sum
+            pairs = kronrod_weights * pair_sum
             pairs[0] += _WGK[10] * f[0]
             kronrod = _sequential_sum(pairs)
-            gauss = _sequential_sum(_WG[:, None] * pair_sum[:5])
+            gauss = _sequential_sum(gauss_weights * pair_sum[:5])
             size = np.abs(f)
-            pairs = _WGK_PAIRS * (size[1:11] + size[11:])
+            pairs = kronrod_weights * (size[1:11] + size[11:])
             pairs[0] += np.abs(_WGK[10] * f[0])
             magnitude = _sequential_sum(pairs) * h
             deviation = np.abs(f - 0.5 * kronrod)
-            pairs = (_WGK_PAIRS * (deviation[1:11] + deviation[11:]))[_ABSCISSA_ORDER]
+            pairs = (kronrod_weights * (deviation[1:11] + deviation[11:]))[abscissa_order]
             pairs[0] += _WGK[10] * deviation[0]
             spread = _sequential_sum(pairs) * h
             error = np.abs((kronrod - gauss) * h)
@@ -318,12 +345,21 @@ class FirstPassRule:
         """Integral of f over (0, inf), given f's values at nodes.
 
         The first pass when QAGP would accept it; otherwise
-        integrate_semi_infinite(f, settings, breakpoints), which evaluates
-        f itself and raises QuadratureError as it does.
+        integrate_semi_infinite(f, settings, breakpoints), which raises
+        QuadratureError as it does. That call takes f's values at the
+        nodes from values and calls f only at the points QAGP adds.
         """
         result = self.first_pass(values, settings)
         if result is None:
-            result = integrate_semi_infinite(f, settings, self.breakpoints)
+            import numpy as np
+
+            known = dict(zip(self.nodes.tolist(), np.ravel(values).tolist()))
+
+            def refined(x: float) -> float:
+                value = known.get(x)
+                return f(x) if value is None else value
+
+            result = integrate_semi_infinite(refined, settings, self.breakpoints)
         return result
 
 

@@ -12,16 +12,18 @@ k C(n,k) B(k, x+n-k+1), which multiplies out to the product of k positive
 factors prod_{j=n-k+1}^{n} j/(j+x). Nothing cancels, so the product is
 evaluated directly in floating point; os_pfa_quadrature integrates the same
 probability numerically as an independent check.
+
+The closed forms are plain float arithmetic. numpy is imported by the
+generic machinery's support scans and θ integrals when they first run, and
+scipy by the first quadrature, so neither loads with the module.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product, repeat
-from typing import Callable, Iterator
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from .numerics import FirstPassRule, QuadratureSettings, binom, integrate_semi_infinite
 
@@ -35,6 +37,9 @@ __all__ = [
     "generic_predictive_density",
     "generic_pfa",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Pure-relative control for the quadrature oracle: false-alarm probabilities
 # spanning many decades need the error budget tied to the value, not to an
@@ -59,6 +64,8 @@ class OsPredictive:
     n: int
     k: int
     t: float
+    # log k + log t + log C(n, k), the posterior's constant term
+    _log_constant: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -67,6 +74,9 @@ class OsPredictive:
             raise ValueError(f"k={self.k} outside 1..{self.n}")
         if not (self.t > 0) or not math.isfinite(self.t):
             raise ValueError(f"observed order statistic must be positive, got {self.t}")
+        # log k + log t, not log(k t): k t overflows for t near the float maximum
+        constant = math.log(self.k) + math.log(self.t) + binom(self.n, self.k).log()
+        object.__setattr__(self, "_log_constant", constant)
 
 
 def _log_posterior_os(rate_lambda: float, os: OsPredictive) -> float:
@@ -79,8 +89,7 @@ def _log_posterior_os(rate_lambda: float, os: OsPredictive) -> float:
     log_body = -lt * (os.n - os.k + 1)
     if os.k > 1:
         log_body += (os.k - 1) * math.log(grow)
-    # log k + log t, not log(k t): k t overflows for t near the float maximum
-    return math.log(os.k) + math.log(os.t) + binom(os.n, os.k).log() + log_body
+    return os._log_constant + log_body
 
 
 def posterior_lambda_os(rate_lambda: float, os: OsPredictive) -> float:
@@ -173,6 +182,8 @@ def os_pfa_quadrature(tau: float, os: OsPredictive) -> float:
 
 
 def _scan_axis(values: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
+    import numpy as np
+
     peak = values.max()
     idx = np.nonzero(values > peak * 1e-280)[0]
     lo = grid[max(idx[0] - 1, 0)]
@@ -181,6 +192,8 @@ def _scan_axis(values: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
 
 
 def _locate_support_1d(density: Callable[[float], float]) -> tuple[list[float]]:
+    import numpy as np
+
     grid = np.geomspace(1e-12, 1e12, 131073)
     vals = np.fromiter(map(density, grid.tolist()), dtype=float, count=len(grid))
     if not np.all(np.isfinite(vals)):
@@ -197,6 +210,8 @@ def _locate_support_1d(density: Callable[[float], float]) -> tuple[list[float]]:
 def _locate_support_2d(
     density: Callable[[tuple[float, float]], float],
 ) -> tuple[list[float], list[float]]:
+    import numpy as np
+
     lo = [1e-12, 1e-12]
     hi = [1e12, 1e12]
     for _ in range(4):
@@ -228,6 +243,8 @@ def _theta_integral(model: PredictiveModel, f: Callable, values: np.ndarray) -> 
     # nested QAGP of f(theta), the innermost axis first, given f at the
     # model's nodes: each pass is its rule's first pass where QAGP would
     # accept it and integrate_semi_infinite where QAGP would refine it
+    import numpy as np
+
     settings = model.integration
     *outer, rule = model._rules
     if not outer:
@@ -279,6 +296,8 @@ class PredictiveModel:
         parameter_dimension: int,
         integration: QuadratureSettings = QuadratureSettings(),
     ):
+        import numpy as np
+
         if parameter_dimension not in (1, 2):
             raise ValueError(
                 f"parameter_dimension must be 1 or 2, got {parameter_dimension}"
@@ -318,6 +337,8 @@ def generic_predictive_density(z0: float, model: PredictiveModel) -> float:
     """
     if not (z0 >= 0):
         raise ValueError(f"z0 must be nonnegative, got {z0}")
+    import numpy as np
+
     likelihood, posterior, sampled = model.likelihood, model.posterior, model._posterior_at_nodes
     values = np.fromiter(
         map(likelihood, repeat(z0), model._thetas()), dtype=float, count=len(sampled)

@@ -30,6 +30,10 @@ answers the two windows decide does not: a zero k-th order statistic under
 bayes_os takes the t -> 0+ limit (H1 for a positive cell, H0 for a zero
 one), and a ca_cfar window sum beyond the float range gives an exact
 threshold, inf (H0) only when the threshold itself overflows.
+
+numpy is imported by the functions that make arrays (the block streams,
+a block's draws, scan_profile's window matrix) when they first run, not
+with the module.
 """
 
 from __future__ import annotations
@@ -37,13 +41,9 @@ from __future__ import annotations
 import logging
 import math
 import os as _os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import repeat
-from typing import Sequence
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from typing import TYPE_CHECKING, Sequence
 
 from .clutter_models import (
     ClutterModel,
@@ -78,6 +78,9 @@ __all__ = [
     "max_pairwise_deviation_se",
     "scan_profile",
 ]
+
+if TYPE_CHECKING:
+    import numpy as np
 
 logger = logging.getLogger(__name__)
 
@@ -206,15 +209,21 @@ def _worker_count(workers: int | None) -> int:
 
 
 def _block_generator(seed: int, block_index: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, 0, block_index))))
 
 
 def _child_seed(seed: int, grid_index: int) -> int:
+    import numpy as np
+
     return int(np.random.SeedSequence((seed, 1, grid_index)).generate_state(1, np.uint64)[0])
 
 
 def _run_block(scenario: Scenario, multiplier: float, cut_scale: float,
                block_index: int, size: int) -> tuple[int, int]:
+    import numpy as np
+
     spec = scenario.detector
     row = FAMILIES[spec.family]
     rng = _block_generator(scenario.seed, block_index)
@@ -257,6 +266,8 @@ def _run_blocks(scenario: Scenario, cut_scale: float, workers: int | None) -> tu
             for b, size in enumerate(sizes)
         ]
     else:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
             results = list(
                 pool.map(
@@ -395,6 +406,9 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
       threshold m * sum exactly, and it is inf, so H0, only if that product
       overflows (as min_cfar prints for an overflowing m * min).
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     values = np.asarray(profile, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"the profile must be one-dimensional, got shape {values.shape}")

@@ -501,3 +501,63 @@ class TestConfigFile:
                   "--pfa", "0.1", "--profile", "p.csv", "--leading", "2", "--trailing", "2")
         assert out.returncode == 2
         assert "bad config value header" in out.stderr
+
+
+# a fresh interpreter imports bayescfar, then runs cli.main on each argv list
+# in turn and prints one JSON line per command: its exit code, its stdout, and
+# which of numpy and scipy are loaded by then
+MAIN_IN_FRESH_INTERPRETER = """
+import contextlib, io, json, sys
+import bayescfar
+from bayescfar import cli
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    loaded = [name for name in ("numpy", "scipy") if name in sys.modules]
+    print(json.dumps({"code": code, "stdout": out.getvalue(), "loaded": loaded}))
+"""
+
+
+def main_in_fresh_interpreter(*argvs):
+    out = subprocess.run(
+        [sys.executable, "-c", MAIN_IN_FRESH_INTERPRETER, json.dumps(argvs)],
+        capture_output=True, text=True, env=child_env(), timeout=600,
+    )
+    assert out.returncode == 0, out.stderr
+    return [json.loads(line) for line in out.stdout.splitlines()]
+
+
+class TestStartWithoutNumpy:
+    FAMILIES = [["--family", "bayes_os", "--n", "16", "--k", "12"],
+                ["--family", "min_cfar", "--n", "16"],
+                ["--family", "ca_cfar", "--n", "16"]]
+    # density is defined for bayes_os only; the others exit 2
+    CLOSED_FORM = [
+        *(["threshold", *f, "--pfa", "0.01", "--t", "1.3"] for f in FAMILIES),
+        *(["pfa", *f, "--t", "1.3", "--tau-grid", "0:30:7"] for f in FAMILIES),
+        *(["density", *f, "--t", "1.3", "--z0-grid", "0:30:7"] for f in FAMILIES),
+    ]
+
+    def test_closed_form_commands_load_neither_numpy_nor_scipy(self):
+        results = main_in_fresh_interpreter(*self.CLOSED_FORM)
+        assert [r["code"] for r in results] == [0] * 7 + [2, 2]
+        assert [r["loaded"] for r in results] == [[]] * 9
+        assert results[0]["stdout"] == run(*self.CLOSED_FORM[0]).stdout
+
+    def test_array_commands_load_numpy_when_they_run(self, tmp_path):
+        profile = tmp_path / "profile.csv"
+        profile.write_text("".join(f"{v}\n" for v in [1, 2, 30, 1, 0.5, 2, 1, 4, 1]))
+        array_commands = [
+            ["scan", "--family", "bayes_os", "--n", "4", "--k", "3", "--pfa", "0.1",
+             "--profile", str(profile), "--leading", "2", "--trailing", "2"],
+            ["simulate", *self.FAMILIES[2], "--pfa", "0.05", "--lambda", "1",
+             "--trials", "20000", "--seed", "19"],
+            ["sweep", *self.FAMILIES[1], "--pfa", "0.1", "--lambda-grid", "0.5,2",
+             "--trials", "20000", "--seed", "5"],
+        ]
+        results = main_in_fresh_interpreter(self.CLOSED_FORM[0], *array_commands)
+        assert [r["code"] for r in results] == [0, 0, 0, 0]
+        assert [r["loaded"] for r in results] == [[], ["numpy"], ["numpy"], ["numpy"]]
+        # the same bytes as each command run on its own
+        assert [r["stdout"] for r in results[1:]] == [run(*argv).stdout for argv in array_commands]

@@ -265,6 +265,28 @@ class TestFirstPassRule:
             want = outcome(lambda: integrate_semi_infinite(f, settings, breakpoints))
             assert got == want, name
 
+    def test_declined_first_pass_calls_f_only_where_qagp_refines(self):
+        # QAGP evaluates f once per point, neval in all; its first pass takes
+        # the 21 nodes of each interval, whose values the rule already holds
+        breakpoints = [0.1, 1.0, 10.0]
+        calls = [0]
+
+        def f(x):
+            calls[0] += 1
+            return math.exp(-0.5 * ((x - 0.63) / 2e-3) ** 2) + math.exp(-x)
+
+        want = integrate_semi_infinite(f, breakpoints=breakpoints)
+        neval = calls[0]
+        rule = FirstPassRule(breakpoints)
+        values = np.array([f(x) for x in rule.nodes])
+        calls[0] = 0
+        got = rule.integrate(values, f)
+        first_pass = 21 * (len(breakpoints) + 1)
+        assert neval > first_pass
+        assert calls[0] == neval - first_pass
+        assert (got.value.hex(), got.error_estimate.hex()) == (
+            want.value.hex(), want.error_estimate.hex())
+
     def test_non_finite_values_fail_as_qagp_does(self):
         def f(x):
             return math.nan if 1.0 < x < 2.0 else math.exp(-x)

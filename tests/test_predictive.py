@@ -519,23 +519,33 @@ class TestTwoParameterModel:
 
     def test_declined_inner_passes_equal_nested_quadrature(self, monkeypatch):
         # a narrow bump in b that the inner first passes cannot resolve; each
-        # declined pass must be the nested integrate_semi_infinite call itself
+        # declined pass must be the nested integrate_semi_infinite call itself,
+        # fed the values its first pass already holds
         import bayescfar.numerics as numerics
 
+        calls = {"likelihood": 0, "posterior": 0}
+
         def likelihood(z0, theta):
+            calls["likelihood"] += 1
             bump = 1.0 + 50.0 * math.exp(-(((theta[1] - 2.0) / 0.05) ** 2))
             return self.likelihood(z0, theta) * bump
 
-        model = PredictiveModel(likelihood, self.posterior, parameter_dimension=2)
+        def posterior(theta):
+            calls["posterior"] += 1
+            return self.posterior(theta)
+
+        model = PredictiveModel(likelihood, posterior, parameter_dimension=2)
         z0, settings = 0.5, model.integration
         a_points, b_points = (rule.breakpoints for rule in model._rules)
 
         def marginal(a):
             return integrate_semi_infinite(
-                lambda b: likelihood(z0, (a, b)) * self.posterior((a, b)), settings, b_points
+                lambda b: likelihood(z0, (a, b)) * posterior((a, b)), settings, b_points
             ).value
 
+        calls["likelihood"] = calls["posterior"] = 0
         want = integrate_semi_infinite(marginal, settings, a_points).value
+        nested = dict(calls)
         declined = [0]
         original = numerics.integrate_semi_infinite
 
@@ -544,6 +554,11 @@ class TestTwoParameterModel:
             return original(*args)
 
         monkeypatch.setattr(numerics, "integrate_semi_infinite", counting)
+        calls["likelihood"] = calls["posterior"] = 0
         got = generic_predictive_density(z0, model)
         assert declined[0] > 0
         assert got.hex() == want.hex()
+        # the likelihood is called where the nested quadrature calls it; the
+        # posterior only at the points a declined pass adds to the samples
+        assert nested == {"likelihood": 601_230, "posterior": 601_230}
+        assert calls == {"likelihood": 601_230, "posterior": 91_434}
