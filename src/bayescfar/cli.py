@@ -1,10 +1,17 @@
 """Command-line front end.
 
-Subcommands: threshold, pfa, density, simulate, sweep, scan. Numeric output
-uses shortest-round-trip float formatting so results diff bit-exactly across
-runs; CSV is comma-separated with a mandatory header row and no quoting.
+Subcommands: threshold, pfa, density, simulate, sweep, scan, each with its
+handler bound on its subparser. Every CSV table (pfa, density, sweep, scan,
+and the row simulate --out appends) is written by _write_csv, every JSON
+record (threshold, simulate) by _write_json; each forms its whole output
+before writing, so a failure prints nothing. CSV is comma-separated with a
+mandatory header row and no quoting; floats take shortest-round-trip
+formatting so results diff bit-exactly across runs. JSON is strict
+(RFC 8259): a record holding inf or nan is a numeric failure.
 
-Exit codes: 0 success, 2 usage or configuration problem, 3 numeric failure.
+Exit codes: 0 success, 2 usage or configuration problem, 3 numeric failure:
+a solver or quadrature that does not converge, or a threshold multiplier or
+threshold that is not finite.
 
 A --config file (INI style, one section per subcommand, keys named after
 that subcommand's long options, with - or _ alike) fills in any option not
@@ -19,7 +26,7 @@ import json
 import math
 import os
 import sys
-from typing import Sequence
+from typing import Iterable, Sequence, TextIO
 
 from .clutter_models import ExponentialClutter, ParetoClutter
 from .detectors import DetectorSpec, Family, predictive_pfa, threshold
@@ -49,6 +56,31 @@ def _format_number(x: float) -> str:
     if f.is_integer() and abs(f) < 1e16:
         return str(int(f))
     return repr(f)
+
+
+def _csv_line(fields: Sequence) -> str:
+    # str, not _format_number, for ints: a seed up to 2**64 - 1 stays exact
+    return ",".join([_format_number(x) if isinstance(x, float) else str(x) for x in fields])
+
+
+def _write_csv(sink: TextIO, header: Sequence[str] | None, rows: Iterable[Sequence]) -> None:
+    """Write a header row (None leaves it out), then rows, as CSV lines.
+
+    Every line is formed before the first is written, so a row that fails
+    to compute or to format leaves sink untouched.
+    """
+    table = [] if header is None else [header]
+    table.extend(rows)
+    sink.write("".join([_csv_line(fields) + "\n" for fields in table]))
+
+
+def _write_json(record: dict) -> None:
+    """Print record as one line of strict JSON; a non-finite value is a NumericsError."""
+    try:
+        text = json.dumps(record, allow_nan=False)
+    except ValueError as exc:
+        raise NumericsError(f"a value is not finite in {record}") from exc
+    print(text)
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -97,7 +129,11 @@ def _config_value(action: argparse.Action, raw: str) -> object:
         if state is None:
             raise ValueError("not a boolean")
         return state
-    return (action.type or str)(raw)
+    value = (action.type or str)(raw)
+    # the check argparse makes on a flag's value
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"invalid choice (choose from {', '.join(map(repr, action.choices))})")
+    return value
 
 
 def _apply_config(args: argparse.Namespace) -> None:
@@ -139,11 +175,7 @@ def _detector_spec(args: argparse.Namespace,
     _require(args, "family", "n")
     if pfa is None:
         raise UsageError("missing required option --pfa")
-    try:
-        family = Family(args.family)
-    except ValueError as exc:
-        raise UsageError(f"unknown family {args.family!r}") from exc
-    return DetectorSpec(family=family, n=args.n, design_pfa=pfa, k=args.k)
+    return DetectorSpec(family=Family(args.family), n=args.n, design_pfa=pfa, k=args.k)
 
 
 def _statistic(args: argparse.Namespace) -> float:
@@ -153,29 +185,19 @@ def _statistic(args: argparse.Namespace) -> float:
 
 
 def _clutter_model(args: argparse.Namespace):
-    kind = args.clutter or "exponential"
-    if kind == "exponential":
-        _require(args, "rate")
-        return ExponentialClutter(rate_lambda=args.rate)
-    if kind == "pareto":
+    if args.clutter == "pareto":
         _require(args, "alpha", "beta")
         return ParetoClutter(shape_alpha=args.alpha, scale_beta=args.beta)
-    raise UsageError(f"unknown clutter model {kind!r}")
+    _require(args, "rate")
+    return ExponentialClutter(rate_lambda=args.rate)
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     spec = _detector_spec(args)
     _require(args, "t")
     tau = threshold(spec, _statistic(args))
-    record = {
-        "family": spec.family.value,
-        "n": spec.n,
-        "k": spec.k,
-        "pfa": spec.design_pfa,
-        "t": args.t,
-        "tau": tau,
-    }
-    print(json.dumps(record))
+    _write_json({"family": spec.family.value, "n": spec.n, "k": spec.k,
+                 "pfa": spec.design_pfa, "t": args.t, "tau": tau})
     print(f"tau = {_format_number(tau)}", file=sys.stderr)
     return 0
 
@@ -184,11 +206,8 @@ def cmd_pfa(args: argparse.Namespace) -> int:
     spec = _detector_spec(args, placeholder_pfa=0.5)
     _require(args, "t", "tau_grid")
     t = _statistic(args)
-    # every row is computed before the header, so a bad grid prints nothing
-    rows = [(tau, predictive_pfa(spec, tau, t)) for tau in _parse_grid(args.tau_grid)]
-    print("tau,pfa")
-    for tau, pfa in rows:
-        print(f"{_format_number(tau)},{_format_number(pfa)}")
+    grid = _parse_grid(args.tau_grid)
+    _write_csv(sys.stdout, ("tau", "pfa"), ((tau, predictive_pfa(spec, tau, t)) for tau in grid))
     return 0
 
 
@@ -198,45 +217,35 @@ def cmd_density(args: argparse.Namespace) -> int:
     if spec.family is not Family.BAYES_OS:
         raise UsageError("density is available for the bayes_os family only")
     os_data = OsPredictive(spec.n, spec.k, _statistic(args))
-    rows = [(z0, os_predictive_density(z0, os_data)) for z0 in _parse_grid(args.z0_grid)]
-    print("z0,density")
-    for z0, density in rows:
-        print(f"{_format_number(z0)},{_format_number(density)}")
+    grid = _parse_grid(args.z0_grid)
+    _write_csv(sys.stdout, ("z0", "density"),
+               ((z0, os_predictive_density(z0, os_data)) for z0 in grid))
     return 0
 
 
-def _append_csv(path: str, report) -> None:
-    header = "estimate,wilson_low,wilson_high,trials,seed,degenerate_redraws\n"
-    row = (
-        f"{_format_number(report.estimate)},{_format_number(report.wilson_low)},"
-        f"{_format_number(report.wilson_high)},{report.trials},{report.seed},"
-        f"{report.degenerate_redraws}\n"
-    )
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", encoding="ascii", newline="") as sink:
-        if fresh:
-            sink.write(header)
-        sink.write(row)
+# the columns of the row simulate --out appends
+_OUT_COLUMNS = ("estimate", "wilson_low", "wilson_high", "trials", "seed", "degenerate_redraws")
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
     spec = _detector_spec(args)
     clutter = _clutter_model(args)
     _require(args, "trials", "seed")
-    mode = args.mode or "pfa"
-    if mode not in ("pfa", "pd"):
-        raise UsageError(f"--mode must be pfa or pd, got {mode!r}")
     target = None
-    if mode == "pd":
+    if args.mode == "pd":
         _require(args, "snr")
         target = TargetModel(kind="swerling1", snr_linear=args.snr)
     scenario = Scenario(
         clutter=clutter, detector=spec, trials=args.trials, seed=args.seed, target=target
     )
-    report = estimate_pfa(scenario) if mode == "pfa" else estimate_pd(scenario)
-    print(json.dumps(report.to_dict()))
+    report = estimate_pd(scenario) if args.mode == "pd" else estimate_pfa(scenario)
+    record = report.to_dict()
+    _write_json(record)
     if args.out:
-        _append_csv(args.out, report)
+        fresh = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
+        with open(args.out, "a", encoding="ascii", newline="") as sink:
+            _write_csv(sink, _OUT_COLUMNS if fresh else None,
+                       [[record[name] for name in _OUT_COLUMNS]])
     return 0
 
 
@@ -251,13 +260,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         seed=args.seed,
     )
     reports = cfar_sweep(scenario, grid)
-    print("lambda,estimate,wilson_low,wilson_high,trials")
-    for rate, report in zip(grid, reports):
-        print(
-            f"{_format_number(rate)},{_format_number(report.estimate)},"
-            f"{_format_number(report.wilson_low)},{_format_number(report.wilson_high)},"
-            f"{report.trials}"
-        )
+    _write_csv(sys.stdout, ("lambda", "estimate", "wilson_low", "wilson_high", "trials"),
+               ((rate, r.estimate, r.wilson_low, r.wilson_high, r.trials)
+                for rate, r in zip(grid, reports)))
     deviation = max_pairwise_deviation_se(reports)
     print(f"max pairwise deviation: {deviation:.3f} SE", file=sys.stderr)
     return 0
@@ -292,21 +297,21 @@ def cmd_scan(args: argparse.Namespace) -> int:
     profile = _read_profile(args.profile, bool(args.header))
     layout = WindowLayout(leading=args.leading, trailing=args.trailing)
     decisions = scan_profile(profile, spec, layout)
-    print("cell_index,z0,comparison_value,verdict")
-    for offset, decision in enumerate(decisions):
-        index = layout.leading + offset
-        print(
-            f"{index},{_format_number(decision.statistic_z0)},"
-            f"{_format_number(decision.comparison_value)},{decision.verdict.value}"
-        )
+    _write_csv(sys.stdout, ("cell_index", "z0", "comparison_value", "verdict"),
+               ((index, d.statistic_z0, d.comparison_value, d.verdict.value)
+                for index, d in enumerate(decisions, start=layout.leading)))
     return 0
 
 
-def _add_detector_flags(sub: argparse.ArgumentParser) -> None:
+def _add_subcommand(subs, name: str, handler, help: str) -> argparse.ArgumentParser:
+    # every subcommand takes the detector flags
+    sub = subs.add_parser(name, help=help)
+    sub.set_defaults(handler=handler)
     sub.add_argument("--family", choices=[f.value for f in Family])
     sub.add_argument("--n", type=int)
     sub.add_argument("--k", type=int)
     sub.add_argument("--pfa", type=float)
+    return sub
 
 
 def _add_clutter_flags(sub: argparse.ArgumentParser) -> None:
@@ -324,22 +329,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("threshold", help="solve for the detection threshold")
-    _add_detector_flags(p)
+    p = _add_subcommand(subs, "threshold", cmd_threshold, "solve for the detection threshold")
     p.add_argument("--t", type=float, help="observed window statistic")
 
-    p = subs.add_parser("pfa", help="false-alarm probability over a threshold grid")
-    _add_detector_flags(p)
+    p = _add_subcommand(subs, "pfa", cmd_pfa, "false-alarm probability over a threshold grid")
     p.add_argument("--t", type=float, help="observed window statistic")
     p.add_argument("--tau-grid", dest="tau_grid", help="start:stop:steps")
 
-    p = subs.add_parser("density", help="predictive density over a cell-value grid")
-    _add_detector_flags(p)
+    p = _add_subcommand(subs, "density", cmd_density,
+                        "predictive density over a cell-value grid")
     p.add_argument("--t", type=float, help="observed order statistic")
     p.add_argument("--z0-grid", dest="z0_grid", help="start:stop:steps")
 
-    p = subs.add_parser("simulate", help="Monte Carlo Pfa or Pd estimate")
-    _add_detector_flags(p)
+    p = _add_subcommand(subs, "simulate", cmd_simulate, "Monte Carlo Pfa or Pd estimate")
     _add_clutter_flags(p)
     p.add_argument("--mode", choices=["pfa", "pd"])
     p.add_argument("--trials", type=int)
@@ -347,15 +349,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--snr", type=float, help="linear SNR for pd mode")
     p.add_argument("--out", help="append a CSV summary row to this file")
 
-    p = subs.add_parser("sweep", help="Pfa estimates across clutter powers")
-    _add_detector_flags(p)
+    p = _add_subcommand(subs, "sweep", cmd_sweep, "Pfa estimates across clutter powers")
     p.add_argument("--lambda-grid", dest="lambda_grid",
                    help="comma-separated exponential rates")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
 
-    p = subs.add_parser("scan", help="run the detector across a range profile")
-    _add_detector_flags(p)
+    p = _add_subcommand(subs, "scan", cmd_scan, "run the detector across a range profile")
     p.add_argument("--profile", help="CSV file, one nonnegative value per line")
     p.add_argument("--header", action="store_true", default=False,
                    help="skip the first profile line")
@@ -368,22 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "threshold": cmd_threshold,
-    "pfa": cmd_pfa,
-    "density": cmd_density,
-    "simulate": cmd_simulate,
-    "sweep": cmd_sweep,
-    "scan": cmd_scan,
-}
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         _apply_config(args)
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except (UsageError, ConfigurationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -37,7 +37,7 @@ from .clutter_models import (
     kth_smallest_draws,
     window_sum_draws,
 )
-from .numerics import solve_monotone_decreasing
+from .numerics import NumericsError, solve_monotone_decreasing
 from .predictive import _os_product, os_pfa  # noqa: F401  (perfbench traces os_pfa here)
 
 __all__ = [
@@ -215,24 +215,39 @@ def threshold_multiplier(spec: DetectorSpec) -> float:
     """The m with Pfa(m) = design_pfa, so that the threshold is m * g.
 
     The family's closed form where it has one, else the Pfa curve inverted
-    by bisection; cached per spec.
+    by bisection; cached per spec. A closed form that overflows or is not
+    finite raises NumericsError, as bisection does when it cannot reach the
+    design value: 0 < pfa < 1 is valid input, and a multiplier beyond the
+    float range is a numeric failure, not a usage error.
     """
     row = FAMILIES[spec.family]
-    m = row.multiplier(spec)
+    try:
+        m = row.multiplier(spec)
+    except OverflowError:  # ca_cfar's pfa ** (-1/n)
+        m = math.inf
     if m is None:
-        m = solve_monotone_decreasing(lambda x: row.pfa(x, spec), spec.design_pfa)
+        return solve_monotone_decreasing(lambda x: row.pfa(x, spec), spec.design_pfa)
+    if not math.isfinite(m):
+        raise NumericsError(
+            f"the {spec.family.value} multiplier at design_pfa={spec.design_pfa!r} "
+            "is beyond the float range"
+        )
     return m
 
 
 def threshold(spec: DetectorSpec, t: float) -> float:
-    """The threshold tau = m * t at window statistic t, so Pfa(tau/t) = design_pfa."""
+    """The threshold tau = m * t at window statistic t, so Pfa(tau/t) = design_pfa.
+
+    NumericsError where threshold_multiplier raises it; a finite m * t may still be inf.
+    """
     _require_statistic(t)
+    m = threshold_multiplier(spec)
     # the one override: bayes_os at k = 1 has always formed t * n * (1/pfa - 1),
     # which rounds differently from m * t on about 31% of inputs, and keeps it
     # so that its printed thresholds do not move
     if spec.family is Family.BAYES_OS and spec.k == 1:
         return t * spec.n * (1.0 / spec.design_pfa - 1.0)
-    return threshold_multiplier(spec) * t
+    return m * t
 
 
 # the name the library has always exported for the order-statistic threshold

@@ -191,52 +191,46 @@ def _scan_axis(values: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _locate_support_1d(density: Callable[[float], float]) -> tuple[list[float]]:
+# per parameter dimension: scan points per axis, most scan rounds, and the
+# breakpoints per axis that the rules are built on
+_SUPPORT_SCAN = {1: (131073, 1, 49), 2: (129, 4, 33)}
+
+
+def _theta_nodes(axes: list[list[float]]) -> Iterator:
+    # theta at every node: floats in 1-D, (a, b) pairs with b fastest in 2-D,
+    # made as they are consumed rather than held as 714² tuples
+    return iter(axes[0]) if len(axes) == 1 else product(*axes)
+
+
+def _locate_support(density: Callable, dimension: int) -> list[list[float]]:
+    # scan a geometric grid over (1e-12, 1e12) per axis, then narrow each axis
+    # to where the density's maximum over the other axes is above 1e-280 of
+    # its peak; repeat while some axis shrinks by half, up to the round limit
     import numpy as np
 
-    grid = np.geomspace(1e-12, 1e12, 131073)
-    vals = np.fromiter(map(density, grid.tolist()), dtype=float, count=len(grid))
-    if not np.all(np.isfinite(vals)):
-        raise ValueError("posterior evaluated to a non-finite value during support scan")
-    if vals.max() <= 0.0:
-        raise ValueError(
-            "posterior support not found on (1e-12, 1e12); "
-            "density may be zero everywhere or concentrated outside the scanned range"
-        )
-    lo, hi = _scan_axis(vals, grid)
-    return (list(np.geomspace(lo, hi, 49)),)
-
-
-def _locate_support_2d(
-    density: Callable[[tuple[float, float]], float],
-) -> tuple[list[float], list[float]]:
-    import numpy as np
-
-    lo = [1e-12, 1e-12]
-    hi = [1e12, 1e12]
-    for _ in range(4):
-        ga = np.geomspace(lo[0], hi[0], 129)
-        gb = np.geomspace(lo[1], hi[1], 129)
+    points, rounds, breakpoints = _SUPPORT_SCAN[dimension]
+    lo, hi = [1e-12] * dimension, [1e12] * dimension
+    for _ in range(rounds):
+        grids = [np.geomspace(a, b, points) for a, b in zip(lo, hi)]
         vals = np.fromiter(
-            map(density, product(ga.tolist(), gb.tolist())), dtype=float, count=129 * 129
-        ).reshape(129, 129)
+            map(density, _theta_nodes([grid.tolist() for grid in grids])),
+            dtype=float, count=points**dimension,
+        ).reshape((points,) * dimension)
         if not np.all(np.isfinite(vals)):
             raise ValueError("posterior evaluated to a non-finite value during support scan")
         if vals.max() <= 0.0:
             raise ValueError(
-                "posterior support not found on (1e-12, 1e12)^2; "
-                "spikes narrower than about 0.5% relative width are beyond the scan"
+                f"posterior support not found on (1e-12, 1e12)^{dimension}; density may be "
+                "zero everywhere, concentrated outside the scanned range, or a spike "
+                "narrower than the scan's grid spacing"
             )
-        new_lo = list(lo)
-        new_hi = list(hi)
-        new_lo[0], new_hi[0] = _scan_axis(vals.max(axis=1), ga)
-        new_lo[1], new_hi[1] = _scan_axis(vals.max(axis=0), gb)
-        shrunk = new_hi[0] / new_lo[0] < 0.5 * hi[0] / lo[0] or \
-            new_hi[1] / new_lo[1] < 0.5 * hi[1] / lo[1]
-        lo, hi = new_lo, new_hi
+        spans = [_scan_axis(np.moveaxis(vals, axis, 0).reshape(points, -1).max(axis=1), grid)
+                 for axis, grid in enumerate(grids)]
+        shrunk = any(b / a < 0.5 * h / l for (a, b), l, h in zip(spans, lo, hi))
+        lo, hi = [a for a, _ in spans], [b for _, b in spans]
         if not shrunk:
             break
-    return list(np.geomspace(lo[0], hi[0], 33)), list(np.geomspace(lo[1], hi[1], 33))
+    return [list(np.geomspace(a, b, breakpoints)) for a, b in zip(lo, hi)]
 
 
 def _theta_integral(model: PredictiveModel, f: Callable, values: np.ndarray) -> float:
@@ -306,11 +300,11 @@ class PredictiveModel:
         self.posterior = posterior
         self.parameter_dimension = parameter_dimension
         self.integration = integration
-        scan = _locate_support_1d if parameter_dimension == 1 else _locate_support_2d
-        self._rules = tuple(map(FirstPassRule, scan(posterior)))
+        self._rules = tuple(map(FirstPassRule, _locate_support(posterior, parameter_dimension)))
         self._axes = [rule.nodes.tolist() for rule in self._rules]
         self._posterior_at_nodes = np.fromiter(
-            map(posterior, self._thetas()), dtype=float, count=math.prod(map(len, self._axes))
+            map(posterior, _theta_nodes(self._axes)), dtype=float,
+            count=math.prod(map(len, self._axes)),
         )
         norm = _theta_integral(self, posterior, self._posterior_at_nodes)
         tol = max(_NORMALIZATION_TOLERANCE, 100.0 * integration.relative_tolerance)
@@ -319,13 +313,6 @@ class PredictiveModel:
                 f"posterior integrates to {norm!r}, not 1 (tolerance {tol:g}); "
                 "pass a normalized posterior"
             )
-
-    def _thetas(self) -> Iterator:
-        # theta at every node: floats in 1-D, (a, b) pairs with b fastest in
-        # 2-D, made as they are consumed rather than held as 714² tuples
-        if self.parameter_dimension == 1:
-            return iter(self._axes[0])
-        return product(*self._axes)
 
 
 def generic_predictive_density(z0: float, model: PredictiveModel) -> float:
@@ -341,7 +328,7 @@ def generic_predictive_density(z0: float, model: PredictiveModel) -> float:
 
     likelihood, posterior, sampled = model.likelihood, model.posterior, model._posterior_at_nodes
     values = np.fromiter(
-        map(likelihood, repeat(z0), model._thetas()), dtype=float, count=len(sampled)
+        map(likelihood, repeat(z0), _theta_nodes(model._axes)), dtype=float, count=len(sampled)
     )
     # a non-finite product sends the integral to QAGP, as its warning would
     with np.errstate(all="ignore"):

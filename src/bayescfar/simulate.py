@@ -41,7 +41,7 @@ from __future__ import annotations
 import logging
 import math
 import os as _os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
@@ -147,15 +147,7 @@ class SimReport:
     degenerate_redraws: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "estimate": self.estimate,
-            "trials": self.trials,
-            "wilson_low": self.wilson_low,
-            "wilson_high": self.wilson_high,
-            "seed": self.seed,
-            "scenario_digest": self.scenario_digest,
-            "degenerate_redraws": self.degenerate_redraws,
-        }
+        return asdict(self)
 
     def standard_error(self) -> float:
         return (self.wilson_high - self.wilson_low) / (2.0 * WILSON_Z)

@@ -1,26 +1,56 @@
-"""Command line interface tests, run through a real subprocess."""
+"""Command line interface tests.
 
+Most call cli.main in process through the run fixture, with stdout and
+stderr captured. One test per subcommand, an argparse rejection and the
+start-up checks run `python -m bayescfar.cli` in a subprocess (run_module),
+so the module entry point and its exit codes stay covered.
+"""
+
+import hashlib
 import json
 import math
 import subprocess
 import sys
+from typing import NamedTuple
 
 import pytest
 from child_env import child_env
 
+from bayescfar import cli
+
 BASE = [sys.executable, "-m", "bayescfar.cli"]
 
 
-def run(*argv, env_extra=None):
+def run_module(*argv):
     return subprocess.run(
-        BASE + list(argv), capture_output=True, text=True,
-        env=child_env(**(env_extra or {})), timeout=600,
+        BASE + list(argv), capture_output=True, text=True, env=child_env(), timeout=600,
     )
+
+
+class Completed(NamedTuple):
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def run(capsys):
+    """cli.main on argv in process, with the fields run_module's result has."""
+    def run_main(*argv):
+        capsys.readouterr()
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # argparse rejected a flag
+            code = exc.code
+        out, err = capsys.readouterr()
+        return Completed(code, out, err)
+
+    return run_main
 
 
 class TestThreshold:
     def test_minimum_rule_hand_value(self):
-        out = run("threshold", "--family", "bayes_os", "--n", "4", "--k", "1",
+        out = run_module("threshold", "--family", "bayes_os", "--n", "4", "--k", "1",
                   "--pfa", "0.1", "--t", "2")
         assert out.returncode == 0
         record = json.loads(out.stdout)
@@ -29,13 +59,13 @@ class TestThreshold:
         }
         assert "tau = 72" in out.stderr
 
-    def test_inverted_curve(self):
+    def test_inverted_curve(self, run):
         out = run("threshold", "--family", "bayes_os", "--n", "2", "--k", "2",
                   "--pfa", "0.333333333333", "--t", "1")
         assert out.returncode == 0
         assert math.isclose(json.loads(out.stdout)["tau"], 1.0, rel_tol=1e-6)
 
-    def test_closed_families(self):
+    def test_closed_families(self, run):
         out = run("threshold", "--family", "min_cfar", "--n", "4",
                   "--pfa", "0.1", "--t", "1.5")
         assert out.returncode == 0
@@ -44,7 +74,7 @@ class TestThreshold:
                   "--pfa", "0.5", "--t", "3")
         assert json.loads(out.stdout)["tau"] == 3.0
 
-    def test_json_reparses_to_emitted_value(self):
+    def test_json_reparses_to_emitted_value(self, run):
         # serialized floats must carry full precision, not a trimmed rendering
         from bayescfar.detectors import DetectorSpec, Family, bayes_os_threshold
 
@@ -54,13 +84,13 @@ class TestThreshold:
         spec = DetectorSpec(Family.BAYES_OS, 11, 0.037, k=7)
         assert record["tau"] == bayes_os_threshold(spec, 1.3)
 
-    def test_out_of_range_pfa_is_usage_error(self):
+    def test_out_of_range_pfa_is_usage_error(self, run):
         out = run("threshold", "--family", "bayes_os", "--n", "4", "--k", "1",
                   "--pfa", "1.5", "--t", "2")
         assert out.returncode == 2
         assert "error:" in out.stderr
 
-    def test_missing_flag_is_usage_error(self):
+    def test_missing_flag_is_usage_error(self, run):
         out = run("threshold", "--family", "bayes_os", "--n", "4", "--k", "1",
                   "--pfa", "0.1")
         assert out.returncode == 2
@@ -68,11 +98,11 @@ class TestThreshold:
 
     def test_unknown_family_is_usage_error(self):
         for family in ("median", "custom_g"):
-            out = run("threshold", "--family", family, "--n", "4",
+            out = run_module("threshold", "--family", family, "--n", "4",
                       "--pfa", "0.1", "--t", "1")
             assert out.returncode == 2
 
-    def test_unreachable_design_point_is_numeric_failure(self):
+    def test_unreachable_design_point_is_numeric_failure(self, run):
         out = run("threshold", "--family", "bayes_os", "--n", "2", "--k", "2",
                   "--pfa", "1e-320", "--t", "1")
         assert out.returncode == 3
@@ -81,17 +111,17 @@ class TestThreshold:
 
 class TestPfaCurve:
     def test_zero_threshold_row(self):
-        out = run("pfa", "--family", "bayes_os", "--n", "2", "--k", "2",
+        out = run_module("pfa", "--family", "bayes_os", "--n", "2", "--k", "2",
                   "--t", "1", "--tau-grid", "0:0:1")
         assert out.returncode == 0
         assert out.stdout == "tau,pfa\n0,1\n"
 
-    def test_exact_decimal_row(self):
+    def test_exact_decimal_row(self, run):
         out = run("pfa", "--family", "bayes_os", "--n", "4", "--k", "1",
                   "--t", "1", "--tau-grid", "36:36:1")
         assert out.stdout == "tau,pfa\n36,0.1\n"
 
-    def test_interior_value_round_trips(self):
+    def test_interior_value_round_trips(self, run):
         out = run("pfa", "--family", "bayes_os", "--n", "2", "--k", "2",
                   "--t", "1", "--tau-grid", "1:1:1")
         line = out.stdout.splitlines()[1]
@@ -99,7 +129,7 @@ class TestPfaCurve:
         assert tau == "1"
         assert math.isclose(float(pfa), 1.0 / 3.0, rel_tol=1e-14)
 
-    def test_grid_expansion(self):
+    def test_grid_expansion(self, run):
         out = run("pfa", "--family", "ca_cfar", "--n", "4",
                   "--t", "1", "--tau-grid", "0:2:5")
         rows = out.stdout.splitlines()
@@ -110,7 +140,7 @@ class TestPfaCurve:
         assert pfas[0] == 1.0
         assert all(a > b for a, b in zip(pfas, pfas[1:]))
 
-    def test_bad_grid_is_usage_error(self):
+    def test_bad_grid_is_usage_error(self, run):
         for bad in ("5:1", "1:2:0", "a:b:3", "0:inf:2", "nan:1:2", "1:nan:3"):
             out = run("pfa", "--family", "ca_cfar", "--n", "4",
                       "--t", "1", "--tau-grid", bad)
@@ -120,7 +150,7 @@ class TestPfaCurve:
     @pytest.mark.parametrize(
         "grid", ["-3:0:4", "-inf:0:3", "-1e308:1e308:3", "1:-1:3", "5:-0.5:12"]
     )
-    def test_negative_threshold_is_usage_error(self, family, grid):
+    def test_negative_threshold_is_usage_error(self, run, family, grid):
         # every family forms x = tau/t in one place, which rejects tau < 0;
         # the whole grid is checked before the header, so nothing is printed
         out = run("pfa", "--family", *family, "--n", "4", "--t", "1", f"--tau-grid={grid}")
@@ -139,7 +169,7 @@ class TestStatisticFlag:
         ["density", "--family", "bayes_os", "--n", "4", "--k", "2", "--z0-grid", "0:1:3"],
     ], ids=lambda argv: f"{argv[0]}-{argv[2]}")
     @pytest.mark.parametrize("t", ["inf", "nan", "0"])
-    def test_non_finite_or_zero_statistic_is_usage_error(self, argv, t):
+    def test_non_finite_or_zero_statistic_is_usage_error(self, run, argv, t):
         out = run(*argv, "--t", t)
         assert out.returncode == 2
         assert out.stdout == ""
@@ -148,12 +178,12 @@ class TestStatisticFlag:
 
 class TestDensity:
     def test_origin_value(self):
-        out = run("density", "--family", "bayes_os", "--n", "1", "--k", "1",
+        out = run_module("density", "--family", "bayes_os", "--n", "1", "--k", "1",
                   "--t", "1", "--z0-grid", "0:0:1")
         assert out.returncode == 0
         assert out.stdout == "z0,density\n0,1\n"
 
-    def test_curve_integrates_roughly_to_one(self):
+    def test_curve_integrates_roughly_to_one(self, run):
         out = run("density", "--family", "bayes_os", "--n", "8", "--k", "5",
                   "--t", "1", "--z0-grid", "0:50:20001")
         rows = out.stdout.splitlines()[1:]
@@ -162,13 +192,13 @@ class TestDensity:
         # crude rule on a truncated domain; just a sanity bracket
         assert 0.95 < riemann < 1.01
 
-    def test_non_bayes_family_rejected(self):
+    def test_non_bayes_family_rejected(self, run):
         out = run("density", "--family", "ca_cfar", "--n", "4",
                   "--t", "1", "--z0-grid", "0:1:2")
         assert out.returncode == 2
 
     @pytest.mark.parametrize("grid", ["1:-1:3", "-1:1:3"])
-    def test_grid_crossing_zero_prints_nothing(self, grid):
+    def test_grid_crossing_zero_prints_nothing(self, run, grid):
         out = run("density", "--family", "bayes_os", "--n", "4", "--k", "2",
                   "--t", "1", f"--z0-grid={grid}")
         assert out.returncode == 2
@@ -181,7 +211,7 @@ class TestSimulate:
             "--lambda", "1", "--trials", "50000", "--seed", "7"]
 
     def test_estimate_near_design_point(self):
-        out = run(*self.ARGS)
+        out = run_module(*self.ARGS)
         assert out.returncode == 0
         record = json.loads(out.stdout)
         width = record["wilson_high"] - record["wilson_low"]
@@ -190,11 +220,11 @@ class TestSimulate:
         assert record["seed"] == 7
         assert record["degenerate_redraws"] == 0
 
-    def test_byte_identical_reruns(self):
+    def test_byte_identical_reruns(self, run):
         a, b = run(*self.ARGS), run(*self.ARGS)
         assert a.stdout == b.stdout
 
-    def test_json_reparses_to_report_values(self):
+    def test_json_reparses_to_report_values(self, run):
         from bayescfar.clutter_models import ExponentialClutter
         from bayescfar.detectors import DetectorSpec, Family
         from bayescfar.simulate import Scenario, estimate_pfa
@@ -208,12 +238,14 @@ class TestSimulate:
         )
         assert json.loads(out.stdout) == estimate_pfa(sc).to_dict()
 
-    def test_worker_count_does_not_change_output(self):
-        a = run(*self.ARGS, env_extra={"BAYESCFAR_WORKERS": "1"})
-        b = run(*self.ARGS, env_extra={"BAYESCFAR_WORKERS": "4"})
+    def test_worker_count_does_not_change_output(self, run, monkeypatch):
+        monkeypatch.setenv("BAYESCFAR_WORKERS", "1")
+        a = run(*self.ARGS)
+        monkeypatch.setenv("BAYESCFAR_WORKERS", "4")
+        b = run(*self.ARGS)
         assert a.stdout == b.stdout
 
-    def test_pd_mode(self):
+    def test_pd_mode(self, run):
         out = run("simulate", "--family", "min_cfar", "--n", "4", "--pfa", "0.1",
                   "--lambda", "2", "--mode", "pd", "--snr", "10",
                   "--trials", "200000", "--seed", "11")
@@ -222,13 +254,13 @@ class TestSimulate:
         # analytic Swerling-I value for the minimum rule is 0.55
         assert abs(record["estimate"] - 0.55) < 0.01
 
-    def test_pd_mode_requires_snr(self):
+    def test_pd_mode_requires_snr(self, run):
         out = run("simulate", "--family", "min_cfar", "--n", "4", "--pfa", "0.1",
                   "--lambda", "2", "--mode", "pd", "--trials", "100", "--seed", "1")
         assert out.returncode == 2
         assert "snr" in out.stderr
 
-    def test_pareto_clutter_pfa(self):
+    def test_pareto_clutter_pfa(self, run):
         out = run("simulate", "--family", "ca_cfar", "--n", "8", "--pfa", "0.1",
                   "--clutter", "pareto", "--alpha", "3", "--beta", "2",
                   "--trials", "50000", "--seed", "13")
@@ -238,14 +270,14 @@ class TestSimulate:
         # the run must still execute and report a sane proportion
         assert 0.0 <= record["estimate"] <= 1.0
 
-    def test_single_trial(self):
+    def test_single_trial(self, run):
         out = run("simulate", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
                   "--lambda", "1", "--trials", "1", "--seed", "3")
         record = json.loads(out.stdout)
         assert record["estimate"] in (0.0, 1.0)
         assert record["wilson_low"] <= record["estimate"] <= record["wilson_high"]
 
-    def test_csv_sink_appends_with_single_header(self, tmp_path):
+    def test_csv_sink_appends_with_single_header(self, run, tmp_path):
         sink = tmp_path / "runs.csv"
         run(*self.ARGS, "--out", str(sink))
         run(*self.ARGS, "--out", str(sink))
@@ -256,7 +288,16 @@ class TestSimulate:
         first = lines[1].split(",")
         assert first[3] == "50000" and first[4] == "7"
 
-    def test_trials_must_be_positive(self):
+    def test_csv_sink_keeps_a_64_bit_seed_exact(self, run, tmp_path):
+        sink = tmp_path / "runs.csv"
+        seed = str(2**64 - 1)
+        out = run("simulate", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
+                  "--lambda", "1", "--trials", "100", "--seed", seed, "--out", str(sink))
+        assert out.returncode == 0, out.stderr
+        assert json.loads(out.stdout)["seed"] == 2**64 - 1
+        assert sink.read_text().splitlines()[1].split(",")[4] == seed
+
+    def test_trials_must_be_positive(self, run):
         out = run("simulate", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
                   "--lambda", "1", "--trials", "0", "--seed", "3")
         assert out.returncode == 2
@@ -267,7 +308,7 @@ class TestSimulate:
         ("min_cfar", ["--clutter", "pareto", "--alpha", "3", "--beta", "inf"], "scale_beta"),
         ("min_cfar", ["--lambda", "1", "--mode", "pd", "--snr", "inf"], "snr_linear"),
     ])
-    def test_non_finite_model_parameter_is_usage_error(self, family, model, name):
+    def test_non_finite_model_parameter_is_usage_error(self, run, family, model, name):
         out = run("simulate", "--family", family, "--n", "4", "--pfa", "0.1", *model,
                   "--trials", "100", "--seed", "3")
         assert out.returncode == 2
@@ -277,7 +318,7 @@ class TestSimulate:
 
 class TestSweep:
     def test_rows_cover_grid(self):
-        out = run("sweep", "--family", "ca_cfar", "--n", "8", "--pfa", "0.05",
+        out = run_module("sweep", "--family", "ca_cfar", "--n", "8", "--pfa", "0.05",
                   "--lambda-grid", "0.5,1,2", "--trials", "20000", "--seed", "19")
         assert out.returncode == 0
         rows = out.stdout.splitlines()
@@ -286,18 +327,18 @@ class TestSweep:
         assert [r.split(",")[0] for r in rows[1:]] == ["0.5", "1", "2"]
         assert "max pairwise deviation" in out.stderr
 
-    def test_single_rate(self):
+    def test_single_rate(self, run):
         out = run("sweep", "--family", "min_cfar", "--n", "4", "--pfa", "0.1",
                   "--lambda-grid", "2", "--trials", "10000", "--seed", "5")
         assert out.returncode == 0
         assert len(out.stdout.splitlines()) == 2
 
-    def test_empty_grid_is_usage_error(self):
+    def test_empty_grid_is_usage_error(self, run):
         out = run("sweep", "--family", "ca_cfar", "--n", "8", "--pfa", "0.05",
                   "--lambda-grid", "", "--trials", "100", "--seed", "1")
         assert out.returncode == 2
 
-    def test_negative_rate_is_usage_error(self):
+    def test_negative_rate_is_usage_error(self, run):
         out = run("sweep", "--family", "ca_cfar", "--n", "8", "--pfa", "0.05",
                   "--lambda-grid", "1,-2", "--trials", "100", "--seed", "1")
         assert out.returncode == 2
@@ -313,7 +354,7 @@ class TestScan:
 
     def test_flat_profile_all_quiet(self, tmp_path):
         path = self.write_profile(tmp_path, [1.0] * 12)
-        out = run("scan", "--family", "min_cfar", "--n", "4", "--pfa", "0.1",
+        out = run_module("scan", "--family", "min_cfar", "--n", "4", "--pfa", "0.1",
                   "--profile", path, "--leading", "2", "--trailing", "2")
         assert out.returncode == 0
         rows = out.stdout.splitlines()
@@ -322,7 +363,7 @@ class TestScan:
         assert all(r.endswith(",H0") for r in rows[1:])
         assert rows[1].startswith("2,")
 
-    def test_spike_is_flagged_at_its_cell(self, tmp_path):
+    def test_spike_is_flagged_at_its_cell(self, run, tmp_path):
         values = [1.0] * 12
         values[6] = 1e6
         path = self.write_profile(tmp_path, values)
@@ -334,7 +375,7 @@ class TestScan:
         assert verdicts[6] == "H1"
         assert all(v == "H0" for cell, v in verdicts.items() if cell != 6)
 
-    def test_run_of_zeros_takes_the_zero_statistic_limit(self, tmp_path):
+    def test_run_of_zeros_takes_the_zero_statistic_limit(self, run, tmp_path):
         # bayes_os k = 2 of 4: a window holding two zeros has statistic 0, so
         # its cell is H1 with Pfa 0 if positive and H0 with Pfa 1 if zero
         values = [1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0, 6.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0]
@@ -351,7 +392,7 @@ class TestScan:
             assert rows[cell] == f"{cell},0,1,H0"
 
     @pytest.mark.parametrize("pfa, verdict", [("0.1", "H0"), ("0.9", "H1")])
-    def test_cell_averaging_sum_beyond_the_float_range(self, tmp_path, pfa, verdict):
+    def test_cell_averaging_sum_beyond_the_float_range(self, run, tmp_path, pfa, verdict):
         # the window sums overflow; the threshold m * sum is inf only at pfa 0.1
         path = self.write_profile(tmp_path, ["1e308"] * 12)
         out = run("scan", "--family", "ca_cfar", "--n", "4", "--pfa", pfa,
@@ -364,7 +405,7 @@ class TestScan:
             assert (z0, got) == ("1e+308", verdict)
             assert (threshold == "inf") == (verdict == "H0")
 
-    def test_header_skip(self, tmp_path):
+    def test_header_skip(self, run, tmp_path):
         path = self.write_profile(tmp_path, [1.0] * 8, header="range_gate")
         out = run("scan", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
                   "--profile", path, "--leading", "2", "--trailing", "2",
@@ -372,7 +413,7 @@ class TestScan:
         assert out.returncode == 0
         assert len(out.stdout.splitlines()) == 5
 
-    def test_negative_value_names_its_line(self, tmp_path):
+    def test_negative_value_names_its_line(self, run, tmp_path):
         path = self.write_profile(tmp_path, [1.0, 2.0, -3.0, 4.0, 5.0, 6.0])
         out = run("scan", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
                   "--profile", path, "--leading", "2", "--trailing", "2")
@@ -380,7 +421,7 @@ class TestScan:
         assert "line 3" in out.stderr
 
     @pytest.mark.parametrize("text", ["inf", "1e400", "nan"])
-    def test_non_finite_value_names_its_line(self, tmp_path, text):
+    def test_non_finite_value_names_its_line(self, run, tmp_path, text):
         path = self.write_profile(tmp_path, [1.0, 2.0, text, 4.0, 5.0, 6.0])
         out = run("scan", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
                   "--profile", path, "--leading", "2", "--trailing", "2")
@@ -388,26 +429,26 @@ class TestScan:
         assert "line 3" in out.stderr
         assert "finite" in out.stderr
 
-    def test_unknown_family_is_usage_error(self, tmp_path):
+    def test_unknown_family_is_usage_error(self, run, tmp_path):
         path = self.write_profile(tmp_path, [1.0] * 12)
         out = run("scan", "--family", "custom_g", "--n", "4", "--pfa", "0.1",
                   "--profile", path, "--leading", "2", "--trailing", "2")
         assert out.returncode == 2
 
-    def test_malformed_value_names_its_line(self, tmp_path):
+    def test_malformed_value_names_its_line(self, run, tmp_path):
         path = self.write_profile(tmp_path, [1.0, 2.0, "not-a-number", 4.0, 5.0])
         out = run("scan", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
                   "--profile", path, "--leading", "2", "--trailing", "2")
         assert out.returncode == 2
         assert "line 3" in out.stderr
 
-    def test_layout_mismatch_rejected(self, tmp_path):
+    def test_layout_mismatch_rejected(self, run, tmp_path):
         path = self.write_profile(tmp_path, [1.0] * 12)
         out = run("scan", "--family", "min_cfar", "--n", "4", "--pfa", "0.1",
                   "--profile", path, "--leading", "3", "--trailing", "2")
         assert out.returncode == 2
 
-    def test_missing_profile_file(self):
+    def test_missing_profile_file(self, run):
         out = run("scan", "--family", "min_cfar", "--n", "4", "--pfa", "0.1",
                   "--profile", "/nonexistent/profile.csv",
                   "--leading", "2", "--trailing", "2")
@@ -415,7 +456,7 @@ class TestScan:
 
 
 class TestConfigFile:
-    def test_config_supplies_defaults(self, tmp_path):
+    def test_config_supplies_defaults(self, run, tmp_path):
         cfg = tmp_path / "detector.ini"
         cfg.write_text(
             "[threshold]\nfamily = bayes_os\nn = 4\nk = 1\npfa = 0.1\nt = 2\n"
@@ -424,7 +465,7 @@ class TestConfigFile:
         assert out.returncode == 0
         assert json.loads(out.stdout)["tau"] == 72.0
 
-    def test_explicit_flags_win(self, tmp_path):
+    def test_explicit_flags_win(self, run, tmp_path):
         cfg = tmp_path / "detector.ini"
         cfg.write_text(
             "[threshold]\nfamily = bayes_os\nn = 4\nk = 1\npfa = 0.1\nt = 2\n"
@@ -432,28 +473,28 @@ class TestConfigFile:
         out = run("threshold", "--config", str(cfg), "--pfa", "0.5")
         assert json.loads(out.stdout)["tau"] == 8.0
 
-    def test_sections_are_per_command(self, tmp_path):
+    def test_sections_are_per_command(self, run, tmp_path):
         cfg = tmp_path / "detector.ini"
         cfg.write_text("[simulate]\ntrials = 100\nseed = 1\n")
         out = run("threshold", "--config", str(cfg), "--family", "min_cfar",
                   "--n", "4", "--pfa", "0.1", "--t", "1")
         assert out.returncode == 0
 
-    def test_unknown_key_rejected(self, tmp_path):
+    def test_unknown_key_rejected(self, run, tmp_path):
         cfg = tmp_path / "detector.ini"
         cfg.write_text("[threshold]\nturbo = yes\n")
         out = run("threshold", "--config", str(cfg), "--family", "min_cfar",
                   "--n", "4", "--pfa", "0.1", "--t", "1")
         assert out.returncode == 2
 
-    def test_missing_config_file_rejected(self):
+    def test_missing_config_file_rejected(self, run):
         out = run("threshold", "--config", "/nonexistent.ini",
                   "--family", "min_cfar", "--n", "4", "--pfa", "0.1", "--t", "1")
         assert out.returncode == 2
 
     THRESHOLD_FLAGS = ("--family", "min_cfar", "--n", "4", "--pfa", "0.1", "--t", "1")
 
-    def test_keys_are_the_long_option_names(self, tmp_path):
+    def test_keys_are_the_long_option_names(self, run, tmp_path):
         cfg = tmp_path / "detector.ini"
         cfg.write_text("[simulate]\nlambda = 2\ntrials = 1000\nseed = 5\n")
         flags = ("--family", "ca_cfar", "--n", "8", "--pfa", "0.1")
@@ -463,7 +504,7 @@ class TestConfigFile:
         assert out.stdout == want.stdout
 
     @pytest.mark.parametrize("key", ["tau-grid", "tau_grid"])
-    def test_dash_or_underscore_in_keys(self, tmp_path, key):
+    def test_dash_or_underscore_in_keys(self, run, tmp_path, key):
         cfg = tmp_path / "detector.ini"
         cfg.write_text(f"[pfa]\n{key} = 0:2:3\n")
         out = run("pfa", "--config", str(cfg), *self.THRESHOLD_FLAGS)
@@ -476,14 +517,42 @@ class TestConfigFile:
         ("threshold", "profile = x"),
         ("threshold", "config = other.ini"),
     ])
-    def test_key_without_a_flag_in_its_subcommand_rejected(self, tmp_path, section, key):
+    def test_key_without_a_flag_in_its_subcommand_rejected(self, run, tmp_path, section, key):
         cfg = tmp_path / "detector.ini"
         cfg.write_text(f"[{section}]\n{key}\n")
         out = run(section, "--config", str(cfg), *self.THRESHOLD_FLAGS)
         assert out.returncode == 2
         assert "unknown config key" in out.stderr
 
-    def test_store_true_flag_from_config(self, tmp_path):
+    @pytest.mark.parametrize("section, key, flags", [
+        ("threshold", "family = median", ("--n", "4", "--pfa", "0.1", "--t", "1")),
+        ("simulate", "clutter = weibull", ("--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
+                                           "--lambda", "1", "--trials", "100", "--seed", "1")),
+        ("simulate", "mode = pfd", ("--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
+                                    "--lambda", "1", "--trials", "100", "--seed", "1")),
+    ])
+    def test_value_outside_a_flags_choices_rejected(self, run, tmp_path, section, key, flags):
+        # the check argparse makes on the flag, made on the config value
+        cfg = tmp_path / "detector.ini"
+        cfg.write_text(f"[{section}]\n{key}\n")
+        out = run(section, "--config", str(cfg), *flags)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert f"bad config value {key.split()[0]}" in out.stderr
+        assert "invalid choice" in out.stderr
+
+    def test_choices_from_config(self, run, tmp_path):
+        cfg = tmp_path / "detector.ini"
+        cfg.write_text("[simulate]\nfamily = min_cfar\nclutter = pareto\nmode = pfa\n")
+        flags = ("--n", "4", "--pfa", "0.1", "--alpha", "3", "--beta", "2",
+                 "--trials", "1000", "--seed", "5")
+        out = run("simulate", "--config", str(cfg), *flags)
+        assert out.returncode == 0, out.stderr
+        want = run("simulate", "--family", "min_cfar", "--clutter", "pareto", "--mode", "pfa",
+                   *flags)
+        assert out.stdout == want.stdout
+
+    def test_store_true_flag_from_config(self, run, tmp_path):
         profile = tmp_path / "profile.csv"
         profile.write_text("value\n" + "1\n" * 5)
         flags = ("--family", "min_cfar", "--n", "4", "--pfa", "0.1", "--profile", str(profile),
@@ -494,13 +563,129 @@ class TestConfigFile:
         assert out.returncode == 0, out.stderr
         assert out.stdout == run("scan", *flags, "--header").stdout
 
-    def test_invalid_boolean_rejected(self, tmp_path):
+    def test_invalid_boolean_rejected(self, run, tmp_path):
         cfg = tmp_path / "detector.ini"
         cfg.write_text("[scan]\nheader = maybe\n")
         out = run("scan", "--config", str(cfg), "--family", "min_cfar", "--n", "4",
                   "--pfa", "0.1", "--profile", "p.csv", "--leading", "2", "--trailing", "2")
         assert out.returncode == 2
         assert "bad config value header" in out.stderr
+
+
+class TestNumericEdges:
+    """A design point whose multiplier or threshold is not a finite float exits 3."""
+
+    SIM = ("--lambda", "1", "--trials", "10", "--seed", "1")
+
+    @pytest.mark.parametrize("argv", [
+        # ca_cfar's pfa ** (-1/n) overflows
+        ["threshold", "--family", "ca_cfar", "--n", "1", "--pfa", "1e-320", "--t", "1"],
+        ["simulate", "--family", "ca_cfar", "--n", "1", "--pfa", "1e-320", *SIM],
+        ["sweep", "--family", "ca_cfar", "--n", "1", "--pfa", "1e-320",
+         "--lambda-grid", "1,2", "--trials", "10", "--seed", "1"],
+        # n (1/pfa - 1) is inf
+        ["threshold", "--family", "bayes_os", "--n", "3", "--k", "1", "--pfa", "1e-320",
+         "--t", "1"],
+        ["simulate", "--family", "min_cfar", "--n", "3", "--pfa", "1e-320", *SIM],
+        # the multiplier is finite, m * t is not: strict JSON has no value for tau
+        ["threshold", "--family", "min_cfar", "--n", "1", "--pfa", "1e-300", "--t", "1e300"],
+        ["threshold", "--family", "bayes_os", "--n", "1", "--k", "1", "--pfa", "1e-300",
+         "--t", "1e300"],
+        ["threshold", "--family", "ca_cfar", "--n", "1", "--pfa", "1e-300", "--t", "1e300"],
+    ], ids=["threshold-ca_cfar", "simulate-ca_cfar", "sweep-ca_cfar", "threshold-bayes_os",
+            "simulate-min_cfar", "tau-min_cfar", "tau-bayes_os", "tau-ca_cfar"])
+    def test_non_finite_multiplier_or_threshold_is_numeric_failure(self, run, argv):
+        out = run(*argv)
+        assert out.returncode == 3, out.stderr
+        assert out.stdout == ""
+        assert "numeric failure" in out.stderr
+
+    @pytest.mark.parametrize("family, n", [("min_cfar", "3"), ("ca_cfar", "1")])
+    def test_scan_with_an_infinite_multiplier_is_numeric_failure(self, run, tmp_path,
+                                                                 family, n):
+        # over zero windows an inf multiplier would give nan thresholds
+        profile = tmp_path / "profile.csv"
+        profile.write_text("".join(f"{v}\n" for v in [1, 0, 0, 0, 5, 0, 0, 0, 1]))
+        out = run("scan", "--family", family, "--n", n, "--pfa", "1e-320",
+                  "--profile", str(profile), "--leading", n, "--trailing", "0")
+        assert out.returncode == 3, out.stderr
+        assert out.stdout == ""
+        assert "numeric failure" in out.stderr
+
+
+# commands that use no random stream, with the exit code and the sha256 of
+# the stdout each gave before the CSV and JSON output went through one writer
+# each; {name} stands for the path of a profile in PINNED_PROFILES
+PINNED_PROFILES = {
+    "zeros": ("", [1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 0.0, 0.0, 6.0, 0.0, 0.0, 1.0, 2.0, 3.0, 4.0]),
+    "ramp": ("", [(i * 7919 % 1013) / 37.0 for i in range(400)]),
+    "beyond": ("", ["1e308"] * 12),
+    "header_only": ("range_gate\n", []),
+}
+PINNED = [
+    ("threshold --family bayes_os --n 16 --k 12 --pfa 0.01 --t 1.3",
+     0, "364983e7abee124fa62b06962c8bca19f5c2e2744fe30cf61cce6f389f04d91f"),
+    ("threshold --family bayes_os --n 4 --k 1 --pfa 0.1 --t 2",
+     0, "5b0c96dbcdde4d139e08229adb8c3cd136a8cabef3e8a216507b681471e8e661"),
+    ("threshold --family bayes_os --n 11 --k 7 --pfa 0.037 --t 1.3",
+     0, "05c2d07d5186e69f08d569924da78e60e3c667cc11c26dbb6923eb07b2a276bb"),
+    ("threshold --family min_cfar --n 16 --pfa 0.01 --t 1.3",
+     0, "9e4b950fc65c381a3f8960220216445d72835bd70a8ee426d00b1289cb14949f"),
+    ("threshold --family ca_cfar --n 16 --pfa 0.01 --t 1.3",
+     0, "06a9dea1e434e83ca7b7f75baafadcc1665f17225522ab0bf7d437e07de5f723"),
+    ("threshold --family bayes_os --n 2 --k 2 --pfa 1e-320 --t 1",
+     3, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("threshold --family ca_cfar --n 4 --pfa 1.5 --t 1",
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("pfa --family bayes_os --n 16 --k 12 --t 1.3 --tau-grid 0:30:61",
+     0, "b6f4a75c03e2d26bf151cf0c33b0134c8fd437939b4016c5a8685fc0ca6b07d4"),
+    ("pfa --family bayes_os --n 4 --k 1 --t 1 --tau-grid 0:50:11",
+     0, "c1d96e561bc1cefaa3a1902cc26451c442ceb47c7f1b15c08caf4fdd378b1f57"),
+    ("pfa --family min_cfar --n 16 --t 1.3 --tau-grid 0:30:61",
+     0, "1e40d43f036a1de4f80880246e64d08823ba68697c9411b49e32b616cd909b50"),
+    ("pfa --family ca_cfar --n 16 --t 1.3 --tau-grid 0:30:61",
+     0, "493941f9e08651563ddf6ff4a3250ef826162f89b2050c6145f97803ec68133f"),
+    ("pfa --family ca_cfar --n 4 --t 1 --tau-grid 5:-0.5:12",
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("density --family bayes_os --n 8 --k 5 --t 1 --z0-grid 0:20:201",
+     0, "064a0dd81a00e6d0929c7d7392d450aa1a15dc10e260bef31bee0f69f33cebf0"),
+    ("density --family bayes_os --n 1 --k 1 --t 1 --z0-grid 0:0:1",
+     0, "81af3e680eaa67e953b6d0ae799266c8db4eb208300ddd73fb3668c7ce8027a0"),
+    ("density --family ca_cfar --n 4 --t 1 --z0-grid 0:1:2",
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+    ("scan --family bayes_os --n 4 --k 2 --pfa 0.1 --profile {zeros} --leading 2 --trailing 2",
+     0, "4987efe6a9891765b165f7325be05155749fcc46d095d2fca4b8f96130c625fb"),
+    ("scan --family min_cfar --n 4 --pfa 0.1 --profile {zeros} --leading 2 --trailing 2",
+     0, "6c9764e164a89e2eb5462dcb7f84c586dcdc5c9c45e6de8077fd1ce5081fe863"),
+    ("scan --family ca_cfar --n 4 --pfa 0.1 --profile {zeros} --leading 2 --trailing 2",
+     0, "456ba1dae9a2c7a0c565cd58eb551a2cf326ab46790bff8dec70fed940d4ce72"),
+    ("scan --family bayes_os --n 16 --k 12 --pfa 0.01 --profile {ramp} --leading 8 --trailing 8",
+     0, "86cd6178dc0a0574976551f00297efe1c00d10bdc0e0ce578097fbeae743c94a"),
+    ("scan --family min_cfar --n 16 --pfa 0.01 --profile {ramp} --leading 8 --trailing 8",
+     0, "8fc028dc9d38cc5777c73608b3242cbb37d99f84c9a598dacd5f90ddfb58525c"),
+    ("scan --family ca_cfar --n 16 --pfa 0.01 --profile {ramp} --leading 8 --trailing 8",
+     0, "6bc1fe76c681533c0668b0cc898df0f7337ca1a6c24c7a429d80e9a41b99d957"),
+    ("scan --family ca_cfar --n 4 --pfa 0.1 --profile {beyond} --leading 2 --trailing 2",
+     0, "1be859dba5f0d9edae675bdc50c0edaba1e638b484024923c03807370d4c6d03"),
+    ("scan --family ca_cfar --n 4 --pfa 0.9 --profile {beyond} --leading 2 --trailing 2",
+     0, "f8cd4a6e42c224454b3344072b3e4c06ac03ba8b59b258f6c3f6debb74c1549d"),
+    ("scan --family min_cfar --n 4 --pfa 0.1 --profile {header_only} --header"
+     " --leading 2 --trailing 2",
+     2, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+]
+
+
+class TestPinnedStdout:
+    @pytest.mark.parametrize("command, code, digest", PINNED,
+                             ids=[f"{i}-{c.split()[0]}" for i, (c, _, _) in enumerate(PINNED)])
+    def test_stdout_bytes_are_pinned(self, run, tmp_path, command, code, digest):
+        paths = {}
+        for name, (header, values) in PINNED_PROFILES.items():
+            paths[name] = tmp_path / f"{name}.csv"
+            paths[name].write_text(header + "".join(f"{v}\n" for v in values))
+        out = run(*command.format(**paths).split())
+        assert out.returncode == code, out.stderr
+        assert hashlib.sha256(out.stdout.encode()).hexdigest() == digest
 
 
 # a fresh interpreter imports bayescfar, then runs cli.main on each argv list
@@ -543,7 +728,7 @@ class TestStartWithoutNumpy:
         results = main_in_fresh_interpreter(*self.CLOSED_FORM)
         assert [r["code"] for r in results] == [0] * 7 + [2, 2]
         assert [r["loaded"] for r in results] == [[]] * 9
-        assert results[0]["stdout"] == run(*self.CLOSED_FORM[0]).stdout
+        assert results[0]["stdout"] == run_module(*self.CLOSED_FORM[0]).stdout
 
     def test_array_commands_load_numpy_when_they_run(self, tmp_path):
         profile = tmp_path / "profile.csv"
@@ -560,4 +745,6 @@ class TestStartWithoutNumpy:
         assert [r["code"] for r in results] == [0, 0, 0, 0]
         assert [r["loaded"] for r in results] == [[], ["numpy"], ["numpy"], ["numpy"]]
         # the same bytes as each command run on its own
-        assert [r["stdout"] for r in results[1:]] == [run(*argv).stdout for argv in array_commands]
+        assert [r["stdout"] for r in results[1:]] == [
+            run_module(*argv).stdout for argv in array_commands
+        ]

@@ -24,7 +24,7 @@ from bayescfar.detectors import (
     threshold,
     threshold_multiplier,
 )
-from bayescfar.numerics import solve_monotone_decreasing
+from bayescfar.numerics import NumericsError, solve_monotone_decreasing
 from bayescfar.predictive import OsPredictive, os_pfa
 
 
@@ -301,6 +301,28 @@ class TestThresholdMultiplier:
             threshold_multiplier(DetectorSpec(Family.CA_CFAR, 2, 0.25)), 1.0, rel_tol=1e-15
         )
         assert threshold_multiplier(DetectorSpec(Family.BAYES_OS, 4, 0.1, k=1)) == 36.0
+
+    @pytest.mark.parametrize("spec", [
+        DetectorSpec(Family.CA_CFAR, 1, 1e-320),  # pfa ** (-1/n) overflows
+        DetectorSpec(Family.MIN_CFAR, 3, 1e-320),  # n (1/pfa - 1) is inf
+        DetectorSpec(Family.BAYES_OS, 1, 1e-320, k=1),
+    ], ids=lambda spec: spec.family.value)
+    def test_closed_form_beyond_the_float_range_is_numeric_failure(self, spec):
+        with pytest.raises(NumericsError, match="beyond the float range"):
+            threshold_multiplier(spec)
+        with pytest.raises(NumericsError, match="beyond the float range"):
+            threshold(spec, 1.0)
+
+    def test_decide_takes_no_inf_multiplier(self):
+        # an inf multiplier times a zero minimum would compare z0 against nan
+        spec = DetectorSpec(Family.MIN_CFAR, 3, 1e-320)
+        with pytest.raises(NumericsError):
+            min_cfar_decide(5.0, CrpWindow([0.0, 0.0, 0.0]), spec)
+
+    def test_finite_multiplier_may_give_an_infinite_threshold(self):
+        spec = DetectorSpec(Family.MIN_CFAR, 1, 1e-300)
+        assert math.isclose(threshold_multiplier(spec), 1e300, rel_tol=1e-15)
+        assert threshold(spec, 1e300) == math.inf
 
 
 class TestFamilyTable:
