@@ -9,7 +9,6 @@ rate property empirically.
 from .clutter_models import (
     CrpWindow,
     ExponentialClutter,
-    OsStatistic,
     ParetoClutter,
     kth_order_statistic,
     os_density,
@@ -31,16 +30,13 @@ from .detectors import (
     threshold_multiplier,
 )
 from .numerics import (
-    Binomial,
     EvaluationError,
     NumericsError,
     QuadratureError,
     QuadratureResult,
     QuadratureSettings,
     RootFindingError,
-    RootSettings,
     TargetUnreachableError,
-    binom,
     integrate_semi_infinite,
     solve_monotone_decreasing,
 )
@@ -71,7 +67,6 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Binomial",
     "CrpWindow",
     "ConfigurationError",
     "Decision",
@@ -83,14 +78,12 @@ __all__ = [
     "Family",
     "NumericsError",
     "OsPredictive",
-    "OsStatistic",
     "ParetoClutter",
     "PredictiveModel",
     "QuadratureError",
     "QuadratureResult",
     "QuadratureSettings",
     "RootFindingError",
-    "RootSettings",
     "Scenario",
     "SimReport",
     "TargetModel",
@@ -99,7 +92,6 @@ __all__ = [
     "WindowLayout",
     "bayes_os_decide",
     "bayes_os_threshold",
-    "binom",
     "ca_cfar_decide",
     "cfar_sweep",
     "custom_g_decide",

@@ -9,7 +9,8 @@ mandatory header row and no quoting; floats take shortest-round-trip
 formatting so results diff bit-exactly across runs. JSON is strict
 (RFC 8259): a record holding inf or nan is a numeric failure.
 
-Exit codes: 0 success, 2 usage or configuration problem, 3 numeric failure:
+Exit codes: 0 success, 2 usage or configuration problem (a --config,
+--profile or --out file that cannot be opened among them), 3 numeric failure:
 a solver or quadrature that does not converge, or a threshold multiplier or
 threshold that is not finite.
 
@@ -24,8 +25,8 @@ import argparse
 import configparser
 import json
 import math
-import os
 import sys
+from contextlib import nullcontext
 from typing import Iterable, Sequence, TextIO
 
 from .clutter_models import ExponentialClutter, ParetoClutter
@@ -81,6 +82,14 @@ def _write_json(record: dict) -> None:
     except ValueError as exc:
         raise NumericsError(f"a value is not finite in {record}") from exc
     print(text)
+
+
+def _open_named(flag: str, path: str, mode: str, **options) -> TextIO:
+    """open(path, mode, **options) for the file a flag names; an OSError is a UsageError."""
+    try:
+        return open(path, mode, **options)
+    except OSError as exc:
+        raise UsageError(f"cannot open {flag} {path}: {exc.strerror or exc}") from exc
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -139,13 +148,13 @@ def _config_value(action: argparse.Action, raw: str) -> object:
 def _apply_config(args: argparse.Namespace) -> None:
     if args.config is None:
         return
-    if not os.path.exists(args.config):
-        raise UsageError(f"config file not found: {args.config}")
     parser = configparser.ConfigParser()
-    try:
-        parser.read(args.config)
-    except configparser.Error as exc:
-        raise UsageError(f"could not parse config {args.config}: {exc}") from exc
+    # no encoding given, as ConfigParser.read opens a file
+    with _open_named("--config", args.config, "r") as source:
+        try:
+            parser.read_file(source)
+        except configparser.Error as exc:
+            raise UsageError(f"could not parse config {args.config}: {exc}") from exc
     if args.command not in parser:
         return
     for key, raw in parser[args.command].items():
@@ -234,17 +243,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     target = None
     if args.mode == "pd":
         _require(args, "snr")
-        target = TargetModel(kind="swerling1", snr_linear=args.snr)
+        target = TargetModel(snr_linear=args.snr)
     scenario = Scenario(
         clutter=clutter, detector=spec, trials=args.trials, seed=args.seed, target=target
     )
     report = estimate_pd(scenario) if args.mode == "pd" else estimate_pfa(scenario)
     record = report.to_dict()
-    _write_json(record)
-    if args.out:
-        fresh = not os.path.exists(args.out) or os.path.getsize(args.out) == 0
-        with open(args.out, "a", encoding="ascii", newline="") as sink:
-            _write_csv(sink, _OUT_COLUMNS if fresh else None,
+    # --out is opened before the record is printed, so a path that cannot
+    # take the row fails with nothing on stdout; append mode opens at the end,
+    # so the header goes only into a file that is empty
+    out = (_open_named("--out", args.out, "a", encoding="ascii", newline="")
+           if args.out else nullcontext())
+    with out as sink:
+        _write_json(record)
+        if sink is not None:
+            _write_csv(sink, _OUT_COLUMNS if sink.tell() == 0 else None,
                        [[record[name] for name in _OUT_COLUMNS]])
     return 0
 
@@ -269,10 +282,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _read_profile(path: str, skip_header: bool) -> list[float]:
-    if not os.path.exists(path):
-        raise UsageError(f"profile file not found: {path}")
     values: list[float] = []
-    with open(path, "r", encoding="ascii") as source:
+    with _open_named("--profile", path, "r", encoding="ascii") as source:
         for lineno, line in enumerate(source, start=1):
             if skip_header and lineno == 1:
                 continue

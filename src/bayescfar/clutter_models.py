@@ -28,7 +28,6 @@ __all__ = [
     "ParetoClutter",
     "ClutterModel",
     "CrpWindow",
-    "OsStatistic",
     "intensity_from_uniform",
     "sample",
     "kth_smallest_draws",
@@ -121,23 +120,6 @@ class CrpWindow:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class OsStatistic:
-    """The k-th smallest window sample, tagged with the (k, n) it came from."""
-
-    value_t: float
-    index_k: int
-    window_size_n: int
-
-    def __post_init__(self) -> None:
-        if not (1 <= self.index_k <= self.window_size_n):
-            raise ValueError(
-                f"order statistic index {self.index_k} outside 1..{self.window_size_n}"
-            )
-        if not (self.value_t >= 0):
-            raise ValueError(f"order statistic value must be nonnegative, got {self.value_t}")
-
-
 def intensity_from_uniform(model: ClutterModel, u: np.ndarray) -> np.ndarray:
     """Inverse-CDF transform of uniforms on (0, 1] to intensities of model.
 
@@ -184,12 +166,11 @@ def window_sum_draws(model: ClutterModel, n: int,
     return intensity_from_uniform(model, 1.0 - rng_stream.random((size, n))).sum(axis=1)
 
 
-def kth_order_statistic(window: CrpWindow, k: int) -> OsStatistic:
+def kth_order_statistic(window: CrpWindow, k: int) -> float:
     """k-th smallest sample of the window; duplicates keep their multiplicity."""
     if not (1 <= k <= window.n):
         raise ValueError(f"k={k} outside 1..{window.n}")
-    ordered = sorted(window.samples)
-    return OsStatistic(ordered[k - 1], k, window.n)
+    return sorted(window.samples)[k - 1]
 
 
 def os_density(t: float, n: int, k: int, rate_lambda: float) -> float:
@@ -269,21 +250,12 @@ def _row_sums(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, certified
 
 
-# the cascade costs about ten numpy calls per window column whatever the row
-# count; below about 128 rows (measured for n from 1 to 300) fsum row by row
-# is as fast or faster
-_CASCADE_MIN_ROWS = 128
-
-
 def _scaled_window_sums(multiplier: float, windows: np.ndarray) -> np.ndarray:
     # _scaled_window_sum of every row, with its bits: certified rows take
-    # multiplier * the cascade sum, the rest (near ties, overflow, small
-    # blocks) go through _scaled_window_sum
+    # multiplier * the cascade sum, the rest (near ties, overflow) go through
+    # _scaled_window_sum
     import numpy as np
 
-    if len(windows) < _CASCADE_MIN_ROWS:
-        return np.fromiter((_scaled_window_sum(multiplier, r) for r in windows.tolist()),
-                           float, len(windows))
     sums, certified = _row_sums(windows)
     # a multiplier that rounds to 0 times an overflowed sum is nan; that row
     # is not certified and is redone below

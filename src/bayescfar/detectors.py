@@ -153,8 +153,7 @@ def _os_statistic_rows(m: float, windows: np.ndarray, spec: DetectorSpec) -> np.
     import numpy as np
 
     k = _order(spec)
-    return m * (windows.min(axis=1) if k == 1
-                else np.partition(windows, k - 1, axis=1)[:, k - 1])
+    return m * np.partition(windows, k - 1, axis=1)[:, k - 1]
 
 
 class FamilyRow(NamedTuple):
@@ -184,7 +183,7 @@ class FamilyRow(NamedTuple):
 # bayes_os and min_cfar share the k-th order statistic, its draws, the curve
 # prod j/(j+x) and, at k = 1 where that curve is n/(n+x), the closed form
 _ORDER_STATISTIC = dict(
-    statistic=lambda m, window, spec: m * kth_order_statistic(window, _order(spec)).value_t,
+    statistic=lambda m, window, spec: m * kth_order_statistic(window, _order(spec)),
     statistic_rows=_os_statistic_rows,
     draw=lambda clutter, spec, rng, rows: kth_smallest_draws(
         clutter, spec.n, _order(spec), rng, rows),

@@ -1,8 +1,9 @@
 """Shared numerical routines.
 
-Binomial coefficients (exact where they fit, log-domain beyond), adaptive
-quadrature on (0, inf), and bracketed bisection for strictly decreasing
-functions.
+Adaptive quadrature on (0, inf) and bracketed bisection for strictly
+decreasing functions. The bisection's tolerance (1e-12 relative to the
+root) and its iteration limit (200) are fixed: every threshold in the
+package is solved to the same precision.
 
 The quadrature comes in two forms. integrate_semi_infinite calls QUADPACK's
 QAGP on the map u = x/(1+x). FirstPassRule is QAGP's first pass over the
@@ -39,17 +40,17 @@ __all__ = [
     "RootFindingError",
     "TargetUnreachableError",
     "QuadratureSettings",
-    "RootSettings",
-    "Binomial",
     "QuadratureResult",
     "FirstPassRule",
-    "binom",
     "integrate_semi_infinite",
     "solve_monotone_decreasing",
 ]
 
-# Largest n for which every C(n, r) fits a 64-bit signed integer.
-EXACT_BINOM_LIMIT = 62
+# solve_monotone_decreasing bisects until its bracket is narrower than
+# _ROOT_TOLERANCE relative to the root; _ROOT_MAX_ITERATIONS bounds both the
+# doublings that bracket the root and the bisection steps
+_ROOT_TOLERANCE = 1e-12
+_ROOT_MAX_ITERATIONS = 200
 
 
 class NumericsError(RuntimeError):
@@ -102,53 +103,9 @@ class QuadratureSettings:
             raise ValueError("max_subdivisions must be at least 1")
 
 
-@dataclass(frozen=True)
-class RootSettings:
-    """Tolerances for threshold root-finding (relative on the root itself)."""
-
-    tolerance_on_tau: float = 1e-12
-    max_iterations: int = 200
-
-    def __post_init__(self) -> None:
-        if not (self.tolerance_on_tau > 0):
-            raise ValueError("tolerance_on_tau must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-
-
-class Binomial(NamedTuple):
-    """Binomial coefficient with its representation flag.
-
-    value is the exact integer C(n, r) when exact is True, otherwise the
-    natural log of C(n, r) as a float.
-    """
-
-    value: int | float
-    exact: bool
-
-    def as_float(self) -> float:
-        return float(self.value) if self.exact else math.exp(self.value)
-
-    def log(self) -> float:
-        return math.log(self.value) if self.exact else float(self.value)
-
-
 class QuadratureResult(NamedTuple):
     value: float
     error_estimate: float
-
-
-def binom(n: int, r: int) -> Binomial:
-    """C(n, r), exact up to n = 62, log-domain beyond.
-
-    Raises ValueError outside 0 <= r <= n.
-    """
-    if n < 0 or r < 0 or r > n:
-        raise ValueError(f"binom requires 0 <= r <= n, got n={n}, r={r}")
-    if n <= EXACT_BINOM_LIMIT:
-        return Binomial(math.comb(n, r), True)
-    logc = math.lgamma(n + 1) - math.lgamma(r + 1) - math.lgamma(n - r + 1)
-    return Binomial(logc, False)
 
 
 def _to_unit_interval(breakpoints: Sequence[float]) -> list[float]:
@@ -363,17 +320,13 @@ class FirstPassRule:
         return result
 
 
-def solve_monotone_decreasing(
-    f: Callable[[float], float],
-    target: float,
-    settings: RootSettings = RootSettings(),
-) -> float:
+def solve_monotone_decreasing(f: Callable[[float], float], target: float) -> float:
     """Solve f(tau) = target for a strictly decreasing f on [0, inf).
 
     Brackets the root by doubling from [0, 1], then bisects until the bracket
-    is narrower than tolerance_on_tau relative to the root. Requires
-    f(0) >= target; raises TargetUnreachableError otherwise and
-    RootFindingError if the bracket never closes.
+    is narrower than 1e-12 relative to the root. Requires f(0) >= target;
+    raises TargetUnreachableError otherwise and RootFindingError if 200
+    doublings do not enclose the root.
     """
     f0 = f(0.0)
     if not math.isfinite(f0):
@@ -391,14 +344,14 @@ def solve_monotone_decreasing(
         lo = hi
         hi *= 2.0
         expansions += 1
-        if expansions > settings.max_iterations or not math.isfinite(hi):
+        if expansions > _ROOT_MAX_ITERATIONS or not math.isfinite(hi):
             raise RootFindingError(
-                f"bracket expansion exceeded {settings.max_iterations} doublings "
+                f"bracket expansion exceeded {_ROOT_MAX_ITERATIONS} doublings "
                 f"without enclosing target {target!r}"
             )
 
     # invariant: f(lo) > target >= f(hi)
-    for _ in range(settings.max_iterations):
+    for _ in range(_ROOT_MAX_ITERATIONS):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -406,6 +359,6 @@ def solve_monotone_decreasing(
             lo = mid
         else:
             hi = mid
-        if (hi - lo) <= settings.tolerance_on_tau * hi:
+        if (hi - lo) <= _ROOT_TOLERANCE * hi:
             break
     return 0.5 * (lo + hi)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from itertools import product, repeat
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from .numerics import FirstPassRule, QuadratureSettings, binom, integrate_semi_infinite
+from .numerics import FirstPassRule, QuadratureSettings, integrate_semi_infinite
 
 __all__ = [
     "OsPredictive",
@@ -49,6 +49,16 @@ _OS_QUAD = QuadratureSettings(
 )
 
 _NORMALIZATION_TOLERANCE = 1e-6
+
+
+def _log_comb(n: int, k: int) -> float:
+    # log C(n, k). Up to n = 62, where every C(n, r) fits 64 bits, the log of
+    # the exact integer, as the posterior's constant has always been formed,
+    # so its bits do not move; beyond, lgamma, whose cost does not grow with n
+    # as the exact integer's does (about 2 ms at n = 10**4, 10 s at 10**6)
+    if n <= 62:
+        return math.log(math.comb(n, k))
+    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
 @dataclass(frozen=True)
@@ -75,7 +85,7 @@ class OsPredictive:
         if not (self.t > 0) or not math.isfinite(self.t):
             raise ValueError(f"observed order statistic must be positive, got {self.t}")
         # log k + log t, not log(k t): k t overflows for t near the float maximum
-        constant = math.log(self.k) + math.log(self.t) + binom(self.n, self.k).log()
+        constant = math.log(self.k) + math.log(self.t) + _log_comb(self.n, self.k)
         object.__setattr__(self, "_log_constant", constant)
 
 

@@ -26,10 +26,12 @@ detectors.scan_windows evaluates each block in one pass, with the same
 comparison values and verdicts as the per-cell decide functions, which stay
 as the tests' oracle. The immutable Decision NamedTuples are then built
 from the result columns without a Python call per cell. The scan also
-answers the two windows decide does not: a zero k-th order statistic under
+answers the one window decide does not: a zero k-th order statistic under
 bayes_os takes the t -> 0+ limit (H1 for a positive cell, H0 for a zero
-one), and a ca_cfar window sum beyond the float range gives an exact
-threshold, inf (H0) only when the threshold itself overflows.
+one). A ca_cfar window sum beyond the float range gives, in the scan as in
+decide, an exact threshold, inf (H0) only when the threshold itself
+overflows; a Monte Carlo draw beyond the float range is inf, and takes the
+same rule.
 
 numpy is imported by the functions that make arrays (the block streams,
 a block's draws, scan_profile's window matrix) when they first run, not
@@ -100,14 +102,11 @@ class ConfigurationError(ValueError):
 
 @dataclass(frozen=True)
 class TargetModel:
-    """Fluctuating point target: received power exponential, mean scaled by 1 + SNR."""
+    """Swerling-1 point target: received power exponential, mean scaled by 1 + SNR."""
 
-    kind: str = "swerling1"
     snr_linear: float = 1.0
 
     def __post_init__(self) -> None:
-        if self.kind != "swerling1":
-            raise ValueError(f"unsupported target kind {self.kind!r}")
         if not (0 < self.snr_linear < math.inf):
             raise ValueError(f"snr_linear must be finite and positive, got {self.snr_linear}")
 
@@ -176,7 +175,7 @@ def _scenario_digest(scenario: Scenario) -> str:
     d = scenario.detector
     det = f"{d.family.value}(n={d.n},k={d.k},design_pfa={d.design_pfa!r})"
     tgt = "none" if scenario.target is None else \
-        f"{scenario.target.kind}(snr_linear={scenario.target.snr_linear!r})"
+        f"swerling1(snr_linear={scenario.target.snr_linear!r})"
     return (
         f"clutter={clutter}|detector={det}|trials={scenario.trials}"
         f"|seed={scenario.seed}|target={tgt}"
@@ -225,23 +224,28 @@ def _run_block(scenario: Scenario, multiplier: float, cut_scale: float,
         cut = intensity_from_uniform(scenario.clutter, 1.0 - rng.random(rows))
         return stat, cut * cut_scale
 
-    stat, cut = draw(size)
-    redraws = 0
-    if row.path is DecisionPath.PFA_COMPARISON:
-        bad = stat <= 0.0
-        rounds = 0
-        while bad.any():
-            rounds += 1
-            if rounds > _MAX_REDRAW_ROUNDS:
-                raise ConfigurationError(
-                    "window statistic degenerate in every redraw; "
-                    "the clutter model keeps producing zero samples"
-                )
-            count = int(bad.sum())
-            redraws += count
-            stat[bad], cut[bad] = draw(count)
+    # a draw beyond the float range (the Pareto power, or a divide by a tiny
+    # rate) is inf, and an inf statistic makes an inf threshold, so H0, the
+    # rule scan_profile applies to an overflowing ca_cfar sum; a multiplier
+    # that rounds to 0 times inf is nan, also H0
+    with np.errstate(over="ignore", invalid="ignore"):
+        stat, cut = draw(size)
+        redraws = 0
+        if row.path is DecisionPath.PFA_COMPARISON:
             bad = stat <= 0.0
-    hits = int(np.count_nonzero(cut > multiplier * stat))
+            rounds = 0
+            while bad.any():
+                rounds += 1
+                if rounds > _MAX_REDRAW_ROUNDS:
+                    raise ConfigurationError(
+                        "window statistic degenerate in every redraw; "
+                        "the clutter model keeps producing zero samples"
+                    )
+                count = int(bad.sum())
+                redraws += count
+                stat[bad], cut[bad] = draw(count)
+                bad = stat <= 0.0
+        hits = int(np.count_nonzero(cut > multiplier * stat))
     return hits, redraws
 
 
@@ -388,15 +392,16 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     the family's per-cell decide (for ca_cfar, the exactly rounded window
     sums). The Decisions, immutable NamedTuples, are built from the result
     columns by C-level iteration.
-    Two cases that decide does not answer have defined outcomes here:
 
-    - bayes_os at a window whose k-th order statistic is zero takes the
-      t -> 0+ limit of its false-alarm probability: a cell z0 > 0 gets
-      comparison value 0.0 and H1, a cell z0 = 0 gets 1.0 and H0 (the
-      threshold form m * t is 0 there, as for min_cfar at a zero minimum);
-    - ca_cfar at a window whose sum exceeds the float range still forms the
-      threshold m * sum exactly, and it is inf, so H0, only if that product
-      overflows (as min_cfar prints for an overflowing m * min).
+    One case that decide does not answer has a defined outcome here:
+    bayes_os at a window whose k-th order statistic is zero takes the
+    t -> 0+ limit of its false-alarm probability. A cell z0 > 0 gets
+    comparison value 0.0 and H1, a cell z0 = 0 gets 1.0 and H0 (the
+    threshold form m * t is 0 there, as for min_cfar at a zero minimum).
+    ca_cfar at a window whose sum exceeds the float range forms the
+    threshold m * sum exactly, as ca_cfar_decide does, and it is inf, so
+    H0, only if that product overflows (as min_cfar prints for an
+    overflowing m * min).
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view

@@ -297,6 +297,12 @@ class TestSimulate:
         assert json.loads(out.stdout)["seed"] == 2**64 - 1
         assert sink.read_text().splitlines()[1].split(",")[4] == seed
 
+    def test_unwritable_sink_rejected_before_the_record(self, run, tmp_path):
+        out = run(*self.ARGS, "--out", str(tmp_path / "missing" / "runs.csv"))
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "cannot open --out" in out.stderr
+
     def test_trials_must_be_positive(self, run):
         out = run("simulate", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
                   "--lambda", "1", "--trials", "0", "--seed", "3")
@@ -448,11 +454,13 @@ class TestScan:
                   "--profile", path, "--leading", "3", "--trailing", "2")
         assert out.returncode == 2
 
-    def test_missing_profile_file(self, run):
-        out = run("scan", "--family", "min_cfar", "--n", "4", "--pfa", "0.1",
-                  "--profile", "/nonexistent/profile.csv",
-                  "--leading", "2", "--trailing", "2")
-        assert out.returncode == 2
+    def test_missing_profile_file(self, run, tmp_path):
+        for path in ("/nonexistent/profile.csv", str(tmp_path)):
+            out = run("scan", "--family", "min_cfar", "--n", "4", "--pfa", "0.1",
+                      "--profile", path, "--leading", "2", "--trailing", "2")
+            assert out.returncode == 2, path
+            assert out.stdout == ""
+            assert "cannot open --profile" in out.stderr
 
 
 class TestConfigFile:
@@ -487,10 +495,14 @@ class TestConfigFile:
                   "--n", "4", "--pfa", "0.1", "--t", "1")
         assert out.returncode == 2
 
-    def test_missing_config_file_rejected(self, run):
-        out = run("threshold", "--config", "/nonexistent.ini",
-                  "--family", "min_cfar", "--n", "4", "--pfa", "0.1", "--t", "1")
-        assert out.returncode == 2
+    def test_missing_config_file_rejected(self, run, tmp_path):
+        # neither may be skipped, as ConfigParser.read skips what it cannot open
+        for path in ("/nonexistent.ini", str(tmp_path)):
+            out = run("threshold", "--config", path,
+                      "--family", "min_cfar", "--n", "4", "--pfa", "0.1", "--t", "1")
+            assert out.returncode == 2, path
+            assert out.stdout == ""
+            assert "cannot open --config" in out.stderr
 
     THRESHOLD_FLAGS = ("--family", "min_cfar", "--n", "4", "--pfa", "0.1", "--t", "1")
 

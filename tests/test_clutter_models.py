@@ -112,14 +112,11 @@ class TestWindowStatistics:
 
     def test_kth_order_statistic_examples(self):
         w = CrpWindow([3.0, 1.0, 2.0])
-        first = kth_order_statistic(w, 1)
-        assert first.value_t == 1.0
-        assert first.index_k == 1
-        assert first.window_size_n == 3
-        assert kth_order_statistic(w, 2).value_t == 2.0
-        assert kth_order_statistic(w, 3).value_t == 3.0
+        assert kth_order_statistic(w, 1) == 1.0
+        assert kth_order_statistic(w, 2) == 2.0
+        assert kth_order_statistic(w, 3) == 3.0
         # ties occupy adjacent ranks
-        assert kth_order_statistic(CrpWindow([5.0, 5.0, 2.0]), 2).value_t == 5.0
+        assert kth_order_statistic(CrpWindow([5.0, 5.0, 2.0]), 2) == 5.0
 
     def test_kth_order_statistic_bounds(self):
         w = CrpWindow([1.0, 2.0])
@@ -138,7 +135,7 @@ class TestWindowStatistics:
     )
     def test_kth_order_statistic_monotone_in_k(self, xs):
         w = CrpWindow(xs)
-        ranked = [kth_order_statistic(w, k).value_t for k in range(1, w.n + 1)]
+        ranked = [kth_order_statistic(w, k) for k in range(1, w.n + 1)]
         assert ranked == sorted(xs)
 
     def test_window_sum_examples(self):
@@ -158,10 +155,7 @@ class TestWindowStatistics:
         w = CrpWindow(xs)
         scaled = CrpWindow([c * x for x in xs])
         for k in range(1, w.n + 1):
-            assert (
-                kth_order_statistic(scaled, k).value_t
-                == c * kth_order_statistic(w, k).value_t
-            )
+            assert kth_order_statistic(scaled, k) == c * kth_order_statistic(w, k)
         assert window_sum(scaled) == c * window_sum(w)
 
     def test_general_scaling_within_rounding(self):
@@ -171,8 +165,8 @@ class TestWindowStatistics:
             c = float(rng.uniform(0.1, 10.0))
             w, scaled = CrpWindow(xs), CrpWindow([c * x for x in xs])
             for k in (1, 4, 8):
-                got = kth_order_statistic(scaled, k).value_t
-                want = c * kth_order_statistic(w, k).value_t
+                got = kth_order_statistic(scaled, k)
+                want = c * kth_order_statistic(w, k)
                 assert math.isclose(got, want, rel_tol=4e-16)
             assert math.isclose(window_sum(scaled), c * window_sum(w), rel_tol=4e-16)
 
@@ -216,9 +210,7 @@ class TestOsDensity:
         n, k, lam = 4, 2, 1.3
         rng = np.random.default_rng(51)
         draws = [
-            kth_order_statistic(
-                CrpWindow(sample(ExponentialClutter(lam), n, rng)), k
-            ).value_t
+            kth_order_statistic(CrpWindow(sample(ExponentialClutter(lam), n, rng)), k)
             for _ in range(20_000)
         ]
 

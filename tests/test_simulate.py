@@ -92,8 +92,6 @@ class TestScenarioValidation:
 
     def test_target_kind(self):
         with pytest.raises(ValueError):
-            TargetModel(kind="swerling3", snr_linear=1.0)
-        with pytest.raises(ValueError):
             TargetModel(snr_linear=0.0)
         for bad in (math.inf, math.nan):
             with pytest.raises(ValueError, match="snr_linear must be finite and positive"):
@@ -232,6 +230,18 @@ class TestEstimatePfa:
             multiplier = p ** (-1.0 / n) - 1.0
             hits += int(np.count_nonzero(cut > multiplier * window.sum(axis=1)))
         assert report.estimate == hits / trials
+
+    @pytest.mark.parametrize("clutter, spec", [
+        (ParetoClutter(1e-12, 1.0), DetectorSpec(Family.BAYES_OS, 4, 0.1, k=2)),
+        (ExponentialClutter(5e-324), DetectorSpec(Family.CA_CFAR, 4, 0.1)),
+        # the multiplier rounds to 0, and 0 * inf is nan
+        (ExponentialClutter(5e-324), DetectorSpec(Family.CA_CFAR, 100, 0.9999999999999999)),
+    ], ids=["pareto-power-overflows", "rate-divide-overflows", "zero-multiplier"])
+    def test_infinite_clutter_draws_are_h0_without_warnings(self, clutter, spec):
+        # the draws overflow to inf, and an inf statistic makes an inf (or nan)
+        # threshold, so H0; tier-1 turns any leaked RuntimeWarning into a failure
+        report = estimate_pfa(Scenario(clutter, spec, trials=1000, seed=1))
+        assert report.estimate == 0.0
 
     def test_wilson_coverage_meta(self):
         # the 3-sigma interval should cover the known truth essentially always
@@ -374,34 +384,14 @@ class TestDegenerateRedraws:
 
 
 class TestEstimatePd:
-    def test_minimum_rule_matches_analytic_value(self):
-        # Pd = (1+s) / ((1+s) + (1/p - 1)); s = 10, p = 0.1 gives 0.55
+    @pytest.mark.parametrize("rate, seed", [(1.0, 808), (0.7, 31337)])
+    def test_minimum_rule_matches_analytic_value(self, rate, seed):
+        # Pd = n / (n + m/(1+s)) with m = n(1/p - 1) at every clutter rate
+        # (Gandhi & Kassam, IEEE TAES 24(4), 1988); s = 10, p = 0.1 gives 0.55
         sc = scenario(family=Family.MIN_CFAR, n=4, pfa=0.1, trials=1_000_000,
-                      seed=808, target=TargetModel(snr_linear=10.0))
+                      seed=seed, rate=rate, target=TargetModel(snr_linear=10.0))
         report = estimate_pd(sc)
         assert abs(report.estimate - 0.55) < 3.0 * report.standard_error()
-
-    def test_agrees_with_independent_harness(self):
-        # same quantity, separately coded: flat chunked numpy passes with its
-        # own generator, no block scheme, no shared helpers
-        n, p, s, lam = 4, 0.1, 10.0, 0.7
-        rng = np.random.default_rng(2025)
-        trials = 100_000_000
-        chunk = 2_000_000
-        mult = n * (1.0 / p - 1.0)
-        hits = 0
-        for _ in range(trials // chunk):
-            window = rng.exponential(1.0 / lam, size=(chunk, n))
-            cut = rng.exponential((1.0 + s) / lam, size=chunk)
-            hits += int(np.count_nonzero(cut > mult * window.min(axis=1)))
-        brute = hits / trials
-        se_brute = math.sqrt(brute * (1.0 - brute) / trials)
-
-        sc = scenario(family=Family.MIN_CFAR, n=n, pfa=p, trials=1_000_000,
-                      seed=31337, rate=lam, target=TargetModel(snr_linear=s))
-        report = estimate_pd(sc)
-        gap = abs(report.estimate - brute)
-        assert gap < 3.0 * math.hypot(report.standard_error(), se_brute)
 
     def test_vanishing_target_recovers_false_alarm_rate(self):
         sc = scenario(family=Family.BAYES_OS, n=8, k=6, pfa=0.05, trials=400_000,
@@ -676,8 +666,8 @@ def _scan_cases(draw):
     spread = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-150, 150))
     pool = draw(st.lists(spread, min_size=1, max_size=3))
     value = st.one_of(spread, st.sampled_from(pool), st.just(0.0), st.just(-0.0))
-    # up to 300 eligible cells, so the ca_cfar scan runs both its per-row
-    # fsum (few rows) and its certified vectorized sum (many rows)
+    # from 0 to 300 eligible cells; the ca_cfar scan sums every block with its
+    # certified cascade and redoes with fsum only the rows it cannot certify
     cells = draw(st.integers(n, n + 300))
     profile = draw(st.lists(value, min_size=cells, max_size=cells))
     return profile, spec, WindowLayout(lead, n - lead)
@@ -694,7 +684,7 @@ def _adversarial_ca_cases():
     # windows whose exactly rounded sum a plain or compensated running sum
     # gets wrong, or whose sum the certified cascade cannot vouch for; with
     # the (n, 0) layout every window of a repeated pattern is a rotation of
-    # it, and 300 cells give the scan a block long enough for its vectorized sum
+    # it, repeated over 300 cells
     tiny = 2.0 ** -113
     rng = np.random.default_rng(8)
     cases = {
