@@ -3,14 +3,15 @@
 Subcommands: threshold, pfa, density, simulate, sweep, scan, each with its
 handler bound on its subparser. Every CSV table (pfa, density, sweep, scan,
 and the row simulate --out appends) is written by _write_csv, every JSON
-record (threshold, simulate) by _write_json; each forms its whole output
-before writing, so a failure prints nothing. CSV is comma-separated with a
-mandatory header row and no quoting; floats take shortest-round-trip
+record (threshold, simulate) formed by _json_line; each forms its whole
+output before writing, so a failure prints nothing. CSV is comma-separated
+with a mandatory header row and no quoting; floats take shortest-round-trip
 formatting so results diff bit-exactly across runs. JSON is strict
 (RFC 8259): a record holding inf or nan is a numeric failure.
 
 Exit codes: 0 success, 2 usage or configuration problem (a --config,
---profile or --out file that cannot be opened among them), 3 numeric failure:
+--profile or --out file that cannot be opened, or an --out file that cannot
+be written, among them), 3 numeric failure:
 a solver or quadrature that does not converge, or a threshold multiplier or
 threshold that is not finite.
 
@@ -26,7 +27,6 @@ import configparser
 import json
 import math
 import sys
-from contextlib import nullcontext
 from typing import Iterable, Sequence, TextIO
 
 from .clutter_models import ExponentialClutter, ParetoClutter
@@ -75,13 +75,12 @@ def _write_csv(sink: TextIO, header: Sequence[str] | None, rows: Iterable[Sequen
     sink.write("".join([_csv_line(fields) + "\n" for fields in table]))
 
 
-def _write_json(record: dict) -> None:
-    """Print record as one line of strict JSON; a non-finite value is a NumericsError."""
+def _json_line(record: dict) -> str:
+    """record as one line of strict JSON; a non-finite value is a NumericsError."""
     try:
-        text = json.dumps(record, allow_nan=False)
+        return json.dumps(record, allow_nan=False)
     except ValueError as exc:
         raise NumericsError(f"a value is not finite in {record}") from exc
-    print(text)
 
 
 def _open_named(flag: str, path: str, mode: str, **options) -> TextIO:
@@ -90,6 +89,11 @@ def _open_named(flag: str, path: str, mode: str, **options) -> TextIO:
         return open(path, mode, **options)
     except OSError as exc:
         raise UsageError(f"cannot open {flag} {path}: {exc.strerror or exc}") from exc
+
+
+# every grid point is a row of output, and every row is formed before the
+# first is written, so a grid's size is bounded where memory still holds it
+_GRID_POINTS = 10**6
 
 
 def _parse_grid(text: str) -> list[float]:
@@ -101,8 +105,8 @@ def _parse_grid(text: str) -> list[float]:
         start, stop, steps = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError as exc:
         raise UsageError(f"could not parse grid {text!r}: {exc}") from exc
-    if steps < 1:
-        raise UsageError("grid needs at least one point")
+    if not 1 <= steps <= _GRID_POINTS:
+        raise UsageError(f"grid needs 1 to {_GRID_POINTS} points, got {steps}")
     if not all(map(math.isfinite, (start, stop, stop - start))):
         raise UsageError(f"grid endpoints and their span must be finite, got {text!r}")
     if steps == 1:
@@ -205,8 +209,8 @@ def cmd_threshold(args: argparse.Namespace) -> int:
     spec = _detector_spec(args)
     _require(args, "t")
     tau = threshold(spec, _statistic(args))
-    _write_json({"family": spec.family.value, "n": spec.n, "k": spec.k,
-                 "pfa": spec.design_pfa, "t": args.t, "tau": tau})
+    print(_json_line({"family": spec.family.value, "n": spec.n, "k": spec.k,
+                      "pfa": spec.design_pfa, "t": args.t, "tau": tau}))
     print(f"tau = {_format_number(tau)}", file=sys.stderr)
     return 0
 
@@ -249,16 +253,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     )
     report = estimate_pd(scenario) if args.mode == "pd" else estimate_pfa(scenario)
     record = report.to_dict()
-    # --out is opened before the record is printed, so a path that cannot
-    # take the row fails with nothing on stdout; append mode opens at the end,
-    # so the header goes only into a file that is empty
-    out = (_open_named("--out", args.out, "a", encoding="ascii", newline="")
-           if args.out else nullcontext())
-    with out as sink:
-        _write_json(record)
-        if sink is not None:
-            _write_csv(sink, _OUT_COLUMNS if sink.tell() == 0 else None,
-                       [[record[name] for name in _OUT_COLUMNS]])
+    line = _json_line(record)
+    # the --out row is written and closed before the record is printed, so a
+    # file that cannot take it fails with nothing on stdout; append mode opens
+    # at the end, so the header goes only into a file that is empty
+    if args.out:
+        sink = _open_named("--out", args.out, "a", encoding="ascii", newline="")
+        try:
+            with sink:
+                _write_csv(sink, _OUT_COLUMNS if sink.tell() == 0 else None,
+                           [[record[name] for name in _OUT_COLUMNS]])
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror or exc}") from exc
+    print(line)
     return 0
 
 

@@ -5,21 +5,23 @@ decreasing functions. The bisection's tolerance (1e-12 relative to the
 root) and its iteration limit (200) are fixed: every threshold in the
 package is solved to the same precision.
 
-The quadrature comes in two forms. integrate_semi_infinite calls QUADPACK's
-QAGP on the map u = x/(1+x). FirstPassRule is QAGP's first pass over the
-same breakpoint intervals as a fixed 21-point Gauss-Kronrod rule: it takes
-the integrand's values at its nodes, so a caller that integrates many
+The quadrature is QUADPACK's QAGP (Piessens et al., 1983), ported here:
+dqagpe's adaptive bisection, with qpsrt's ordering of the error estimates,
+qelg's epsilon-algorithm extrapolation and the qk21 Gauss-Kronrod rule, on
+the map u = x/(1+x). Its results, error estimates, evaluation points and
+failures are QUADPACK's bit for bit; scipy is never imported. The first
+pass of QAGP is a fixed rule on the breakpoint intervals, FirstPassRule: it
+takes the integrand's values at its nodes, so a caller that integrates many
 products f(x) * g(x) with one fixed g evaluates g once. Where that pass
-does not meet QAGP's own acceptance test, FirstPassRule.integrate calls
-integrate_semi_infinite, so every value returned has passed the same test;
-that call is given the node values already held, looked up by node, so f is
-evaluated only at the points where QAGP refines.
+does not meet QAGP's acceptance test, FirstPassRule.integrate continues the
+same adaptive state, seeded from the pass's per-interval results, and calls
+f only at the points QAGP adds. integrate_semi_infinite is that rule on f's
+values at its nodes.
 
 Everything here is a pure function or a rule fixed when it is built;
-nothing holds state between calls. Neither numpy nor scipy is imported with
-the module: scipy by integrate_semi_infinite's first call, numpy by the
-first FirstPassRule built, so the closed-form chain and the bisection run
-without either.
+nothing holds state between calls. numpy is not imported with the module
+but by the first FirstPassRule built, so the closed-form chain and the
+bisection run without it.
 """
 
 from __future__ import annotations
@@ -114,52 +116,6 @@ def _to_unit_interval(breakpoints: Sequence[float]) -> list[float]:
     return [u for u in pts if 0.0 < u < 1.0]
 
 
-def integrate_semi_infinite(
-    f: Callable[[float], float],
-    settings: QuadratureSettings = QuadratureSettings(),
-    breakpoints: Sequence[float] | None = None,
-) -> QuadratureResult:
-    """Adaptive integral of f over (0, inf).
-
-    Uses the substitution x = u/(1-u), which maps the domain to (0, 1) and
-    tames both tails of Gamma-type integrands. Optional breakpoints (in the
-    original variable) force subdivision there, which matters for integrands
-    concentrated on a region the global rule would step over.
-
-    Raises QuadratureError, carrying the best estimate, if the requested
-    tolerance cannot be certified.
-    """
-    # imported here so that importing the package does not load scipy
-    from scipy.integrate import quad
-
-    def transformed(u: float) -> float:
-        if u <= 0.0 or u >= 1.0:
-            return 0.0
-        w = 1.0 - u
-        return f(u / w) / (w * w)
-
-    points = _to_unit_interval(breakpoints) if breakpoints else None
-    limit = max(settings.max_subdivisions, (len(points) + 1) * 2 if points else 1)
-    out = quad(
-        transformed,
-        0.0,
-        1.0,
-        epsabs=settings.absolute_tolerance,
-        epsrel=settings.relative_tolerance,
-        limit=limit,
-        points=points,
-        full_output=1,
-    )
-    value, error_estimate = out[0], out[1]
-    if len(out) > 3:
-        raise QuadratureError(
-            f"semi-infinite quadrature did not converge: {out[3]}",
-            best_estimate=value,
-            error_estimate=error_estimate,
-        )
-    return QuadratureResult(value, error_estimate)
-
-
 # QUADPACK qk21 (Piessens et al., 1983): Kronrod abscissae on [-1, 1] from
 # the outside in, with the centre last; entries 1, 3, ..., 9 are the
 # 10-point Gauss nodes, whose weights are _WG
@@ -190,6 +146,7 @@ _WG = (
 _QK21_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
 _EPMACH = sys.float_info.epsilon
 _UFLOW = sys.float_info.min
+_OFLOW = sys.float_info.max
 
 
 @cache
@@ -214,21 +171,409 @@ def _sequential_sum(rows: np.ndarray) -> np.ndarray:
     return np.add.reduce(rows, axis=0)
 
 
-class FirstPassRule:
-    """QAGP's first pass over (0, inf) as a fixed rule on given breakpoints.
+def _qk21_error(difference: float, magnitude: float, spread: float) -> float:
+    # qk21's error estimate from |Kronrod - Gauss|, the integral of |f| and
+    # that of |f - mean| over the interval; ** is C's pow, as in QUADPACK
+    error = difference
+    if spread != 0.0 and error != 0.0:
+        error = spread * min(1.0, 200.0 * error / spread) ** 1.5
+    if magnitude > _UFLOW / (50.0 * _EPMACH):
+        error = max(_EPMACH * 50.0 * magnitude, error)
+    return error
 
-    The breakpoints are mapped to u = x/(1+x) as integrate_semi_infinite
-    maps them, and each of the intervals they cut (0, 1) into carries
-    QUADPACK's 21-point Gauss-Kronrod rule. nodes holds the 21 points of
-    every interval in the original variable x. integrate takes f's values
-    at those nodes and returns QAGP's first-pass result, summed and
-    error-estimated as qk21 and QAGP do it, when QAGP would accept it:
-    every value finite and the summed error estimate within
-    max(absolute_tolerance, relative_tolerance * |value|). Otherwise it
-    returns integrate_semi_infinite(f, settings, breakpoints), which is
-    QAGP itself and refines from the same first pass; QAGP's first pass
-    evaluates f at these nodes bit for bit, so it is handed the values
-    already given there and calls f only at the points it refines.
+
+def _qk21(g: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:
+    # qk21 on (a, b): the result, its error estimate, and the integrals of |g|
+    # and of |g - mean|, evaluating g at the centre, then the Gauss pairs,
+    # then the Kronrod-only pairs, and adding in that order
+    centre = 0.5 * (a + b)
+    half = 0.5 * (b - a)
+    fc = g(centre)
+    gauss = 0.0
+    kronrod = _WGK[10] * fc
+    magnitude = abs(kronrod)
+    lower, upper = [0.0] * 10, [0.0] * 10
+    for j in _QK21_ORDER:
+        offset = half * _XGK[j]
+        f1 = lower[j] = g(centre - offset)
+        f2 = upper[j] = g(centre + offset)
+        if j % 2:
+            gauss += _WG[j // 2] * (f1 + f2)
+        kronrod += _WGK[j] * (f1 + f2)
+        magnitude += _WGK[j] * (abs(f1) + abs(f2))
+    mean = kronrod * 0.5
+    spread = _WGK[10] * abs(fc - mean)
+    for j in range(10):
+        spread += _WGK[j] * (abs(lower[j] - mean) + abs(upper[j] - mean))
+    size = abs(half)
+    magnitude *= size
+    spread *= size
+    return (kronrod * half, _qk21_error(abs((kronrod - gauss) * half), magnitude, spread),
+            magnitude, spread)
+
+
+def _divide(a: float, b: float) -> float:
+    # a / b in IEEE arithmetic, where Python raises on a zero divisor
+    if b != 0.0:
+        return a / b
+    if a == 0.0 or a != a:
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _qelg(n: int, table: list[float], last3: list[float], calls: int
+          ) -> tuple[float, float, int, int]:
+    # QUADPACK's qelg: Wynn's epsilon algorithm on the n partial sums in
+    # table, updated in place. Returns the extrapolated value, its error
+    # estimate, the new table length and the new call count; last3 holds the
+    # last three extrapolated values, which the error estimate compares
+    calls += 1
+    error = _OFLOW
+    result = table[n - 1]
+    if n >= 3:
+        table[n + 1] = table[n - 1]
+        new = (n - 1) // 2
+        table[n - 1] = _OFLOW
+        num = k1 = n
+        for i in range(1, new + 1):
+            res = table[k1 + 1]
+            e0, e1, e2 = table[k1 - 3], table[k1 - 2], res
+            e1abs = abs(e1)
+            delta2 = e2 - e1
+            err2 = abs(delta2)
+            tol2 = max(abs(e2), e1abs) * _EPMACH
+            delta3 = e1 - e0
+            err3 = abs(delta3)
+            tol3 = max(e1abs, abs(e0)) * _EPMACH
+            if not (err2 > tol2 or err3 > tol3):
+                # e0, e1 and e2 agree to machine accuracy: converged
+                result, error = res, err2 + err3
+                return result, max(error, 5.0 * _EPMACH * abs(result)), n, calls
+            e3 = table[k1 - 1]
+            table[k1 - 1] = e1
+            delta1 = e1 - e3
+            err1 = abs(delta1)
+            tol1 = max(e1abs, abs(e3)) * _EPMACH
+            # two close elements, or irregular behaviour: drop the table's tail
+            if err1 <= tol1 or err2 <= tol2 or err3 <= tol3:
+                n = i + i - 1
+                break
+            ss = 1.0 / delta1 + 1.0 / delta2 - 1.0 / delta3
+            if not abs(ss * e1) > 1e-4:
+                n = i + i - 1
+                break
+            res = e1 + 1.0 / ss
+            table[k1 - 1] = res
+            k1 -= 2
+            candidate = err2 + abs(res - e2) + err3
+            if not candidate > error:
+                error, result = candidate, res
+        # shift the table
+        if n == 50:
+            n = 49
+        start = 0 if num % 2 else 1
+        for i in range(start, start + 2 * new + 2, 2):
+            table[i] = table[i + 2]
+        if num != n:
+            table[:n] = table[num - n:num]
+        if calls < 4:
+            last3[calls - 1] = result
+            error = _OFLOW
+        else:
+            error = abs(result - last3[2]) + abs(result - last3[1]) + abs(result - last3[0])
+            last3[:] = last3[1], last3[2], result
+    return result, max(error, 5.0 * _EPMACH * abs(result)), n, calls
+
+
+def _qpsrt(limit: int, last: int, maxerr: int, elist: list[float], iord: list[int],
+           nrmax: int) -> tuple[int, int]:
+    # QUADPACK's qpsrt: keep iord, the interval indices by decreasing error,
+    # in order after interval maxerr was bisected into itself and interval
+    # last - 1; returns the interval to bisect next and its rank nrmax. As
+    # QAGP calls it, last is at least 3
+    errmax = elist[maxerr]
+    for _ in range(nrmax):
+        successor = iord[nrmax - 1]
+        if errmax <= elist[successor]:
+            break
+        iord[nrmax] = successor
+        nrmax -= 1
+    # only as many ranks stay sorted as bisections remain
+    bound = last if last <= limit // 2 + 2 else limit + 3 - last
+    errmin = elist[last - 1]
+    for i in range(nrmax + 1, bound - 1):
+        successor = iord[i]
+        if errmax >= elist[successor]:
+            iord[i - 1] = maxerr
+            k = bound - 2
+            for _ in range(i, bound - 1):
+                successor = iord[k]
+                if errmin < elist[successor]:
+                    iord[k + 1] = last - 1
+                    break
+                iord[k + 1] = successor
+                k -= 1
+            else:
+                iord[i] = last - 1
+            break
+        iord[i - 1] = successor
+    else:
+        iord[bound - 2] = maxerr
+        iord[bound - 1] = last - 1
+    return iord[nrmax], nrmax
+
+
+_QAGP_FAILURES = {
+    1: "the subdivision limit was reached",
+    2: "round-off error prevents the requested tolerance",
+    3: "the integrand behaves extremely badly inside the interval",
+    4: "the extrapolation table does not converge; round-off error",
+    5: "the integral is probably divergent or slowly convergent",
+}
+
+
+def _qagp(
+    g: Callable[[float], float],
+    edges: list[float],
+    first_pass: tuple[np.ndarray, ...],
+    settings: QuadratureSettings,
+) -> QuadratureResult:
+    # QUADPACK's dqagpe on (0, 1) from its first pass, which qk21 took on the
+    # intervals between edges: their results, error estimates and integrals
+    # of |g| and |g - mean|. Bisects the interval with the largest error
+    # estimate, extrapolating with qelg once the smallest intervals carry the
+    # largest errors, until the error estimate meets the tolerance; raises
+    # QuadratureError, with the best estimate, when dqagpe sets ier > 0.
+    # Names are dqagpe's; indices count from 0 where QUADPACK's count from 1
+    epsabs, epsrel = settings.absolute_tolerance, settings.relative_tolerance
+    rlist, elist, magnitudes, spreads = (column.tolist() for column in first_pass)
+    nint = len(rlist)
+    # at least two subintervals per interval, so dqagpe's own check that
+    # the limit exceeds the breakpoints always passes
+    limit = max(settings.max_subdivisions, 2 * nint)
+    alist, blist = edges[:-1], edges[1:]
+    result = abserr = resabs = 0.0
+    for area, error, magnitude in zip(rlist, elist, magnitudes):
+        result += area
+        abserr += error
+        resabs += magnitude
+    # an interval whose error estimate is its spread takes the whole error
+    errsum = 0.0
+    for i, (error, spread) in enumerate(zip(elist, spreads)):
+        if error == spread and error != 0.0:
+            elist[i] = abserr
+        errsum += elist[i]
+    level = [0] * nint
+    last = nint
+    dres = abs(result)
+    errbnd = max(epsabs, epsrel * dres)
+    ier = 2 if abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd else 0
+    # rank the intervals by error, a selection sort as dqagpe's
+    iord = list(range(nint))
+    for i in range(nint - 1):
+        top, k = iord[i], i
+        for j in range(i + 1, nint):
+            if not elist[top] > elist[iord[j]]:
+                top, k = iord[j], j
+        iord[k], iord[i] = iord[i], top
+    if ier or abserr <= errbnd:
+        return _settled(result, abserr, ier)
+
+    # qelg's table: up to 50 partial sums and the two slots it works in
+    table = [0.0] * 52
+    table[0] = result
+    last3 = [0.0] * 3
+    maxerr = iord[0]
+    errmax = elist[maxerr]
+    area = result
+    nrmax = nres = ktmin = 0
+    numrl2 = 1
+    extrap = noext = False
+    erlarg, ertest = errsum, errbnd
+    levmax = 1
+    iroff1 = iroff2 = iroff3 = ierro = 0
+    abserr = _OFLOW
+    correc = 0.0
+    ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * resabs else -1
+    # room for every interval the limit allows
+    pad = limit - nint
+    alist, blist, rlist, elist = (column + [0.0] * pad for column in (alist, blist, rlist, elist))
+    level, iord = level + [0] * pad, iord + [0] * pad
+
+    summed = False
+    for last in range(nint + 1, limit + 1):
+        # bisect the interval with the nrmax-th largest error estimate
+        a1 = alist[maxerr]
+        b1 = 0.5 * (alist[maxerr] + blist[maxerr])
+        a2 = b1
+        b2 = blist[maxerr]
+        erlast = errmax
+        area1, error1, _, spread1 = _qk21(g, a1, b1)
+        area2, error2, _, spread2 = _qk21(g, a2, b2)
+        area12 = area1 + area2
+        erro12 = error1 + error2
+        errsum = errsum + erro12 - errmax
+        area = area + area12 - rlist[maxerr]
+        if not (spread1 == error1 or spread2 == error2):
+            if not (abs(rlist[maxerr] - area12) > 1e-5 * abs(area12) or erro12 < 0.99 * errmax):
+                if extrap:
+                    iroff2 += 1
+                else:
+                    iroff1 += 1
+            if last > 10 and erro12 > errmax:
+                iroff3 += 1
+        level[maxerr] += 1
+        level[last - 1] = level[maxerr]
+        rlist[maxerr] = area1
+        rlist[last - 1] = area2
+        errbnd = max(epsabs, epsrel * abs(area))
+        # round-off, the subdivision limit, or an interval too small to halve
+        if iroff1 + iroff2 >= 10 or iroff3 >= 20:
+            ier = 2
+        if iroff2 >= 5:
+            ierro = 3
+        if last == limit:
+            ier = 1
+        if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPMACH) * (abs(a2) + 1000.0 * _UFLOW):
+            ier = 4
+        if error2 > error1:
+            alist[maxerr] = a2
+            alist[last - 1] = a1
+            blist[last - 1] = b1
+            rlist[maxerr] = area2
+            rlist[last - 1] = area1
+            elist[maxerr] = error2
+            elist[last - 1] = error1
+        else:
+            alist[last - 1] = a2
+            blist[maxerr] = b1
+            blist[last - 1] = b2
+            elist[maxerr] = error1
+            elist[last - 1] = error2
+        maxerr, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        errmax = elist[maxerr]
+        if errsum <= errbnd:
+            summed = True
+            break
+        if ier:
+            break
+        if noext:
+            continue
+        erlarg -= erlast
+        if level[last - 1] + 1 <= levmax:
+            erlarg += erro12
+        if not extrap:
+            # go on bisecting until the next interval is a smallest one
+            if level[maxerr] + 1 <= levmax:
+                continue
+            extrap = True
+            nrmax = 1
+        if not (ierro == 3 or erlarg <= ertest):
+            # the smallest intervals carry the largest errors: bisect any
+            # larger interval that is still among the worst first
+            bound = last if last <= 2 + limit // 2 else limit + 3 - last
+            larger = False
+            for _ in range(nrmax, bound):
+                maxerr = iord[nrmax]
+                errmax = elist[maxerr]
+                if level[maxerr] + 1 <= levmax:
+                    larger = True
+                    break
+                nrmax += 1
+            if larger:
+                continue
+        # extrapolate
+        numrl2 += 1
+        table[numrl2 - 1] = area
+        if numrl2 > 2:
+            reseps, abseps, numrl2, nres = _qelg(numrl2, table, last3, nres)
+            ktmin += 1
+            if ktmin > 5 and abserr < 1e-3 * errsum:
+                ier = 5
+            if not abseps >= abserr:
+                ktmin = 0
+                abserr, result, correc = abseps, reseps, erlarg
+                ertest = max(epsabs, epsrel * abs(reseps))
+                if abserr < ertest:
+                    break
+            if numrl2 == 1:
+                noext = True
+            if ier == 5:
+                break
+        # go on to bisect the smallest intervals
+        maxerr = iord[0]
+        errmax = elist[maxerr]
+        nrmax = 0
+        extrap = False
+        levmax += 1
+        erlarg = errsum
+
+    # no extrapolation succeeded: the intervals' sum stands
+    summed = summed or abserr == _OFLOW
+    if not summed:
+        # the extrapolated value stands unless the intervals' sum is better
+        # by its error estimate; then dqagpe's divergence test
+        diverging = True
+        if ier + ierro:
+            if ierro == 3:
+                abserr += correc
+            if ier == 0:
+                ier = 3
+            if result != 0.0 and area != 0.0:
+                summed = abserr / abs(result) > errsum / abs(area)
+                diverging = not summed
+            elif abserr > errsum:
+                summed, diverging = True, False
+            elif area == 0.0:
+                diverging = False
+        if diverging and not (ksgn == -1 and max(abs(result), abs(area)) <= resabs * 0.01):
+            ratio = _divide(result, area)
+            if 0.01 > ratio or ratio > 100.0 or errsum > abs(area):
+                ier = 6
+    if summed:
+        result = 0.0
+        for value in rlist[:last]:
+            result += value
+        abserr = errsum
+    return _settled(result, abserr, ier - 1 if ier > 2 else ier)
+
+
+def _settled(result: float, abserr: float, ier: int) -> QuadratureResult:
+    # QAGP's outcome: its estimates, or QuadratureError carrying them
+    if ier:
+        raise QuadratureError(
+            f"semi-infinite quadrature did not converge: {_QAGP_FAILURES[ier]}",
+            best_estimate=result,
+            error_estimate=abserr,
+        )
+    return QuadratureResult(result, abserr)
+
+
+def _on_unit_interval(f: Callable[[float], float]) -> Callable[[float], float]:
+    # f(x) dx on (0, inf) as an integrand in u = x/(1+x) on (0, 1)
+    def transformed(u: float) -> float:
+        if u <= 0.0 or u >= 1.0:
+            return 0.0
+        w = 1.0 - u
+        return f(u / w) / (w * w)
+
+    return transformed
+
+
+class FirstPassRule:
+    """QAGP over (0, inf) on given breakpoints, from a first pass of fixed nodes.
+
+    The breakpoints are mapped to u = x/(1+x), and each of the intervals
+    they cut (0, 1) into carries QUADPACK's 21-point Gauss-Kronrod rule.
+    nodes holds the 21 points of every interval in the original variable x,
+    where QAGP's first pass evaluates f. first_pass takes f's values there
+    and returns that pass's result, summed and error-estimated as qk21 and
+    QAGP do it, when QAGP accepts it: the summed error estimate within
+    max(absolute_tolerance, relative_tolerance * |value|). integrate goes on
+    where first_pass stops: when the pass is declined it continues QAGP's
+    adaptive bisection from that same pass, calling f only at the points
+    QAGP adds, so a caller that integrates many products f(x) * g(x) with
+    one fixed g evaluates g once.
     """
 
     def __init__(self, breakpoints: Sequence[float]):
@@ -247,19 +592,20 @@ class FirstPassRule:
         self.breakpoints = tuple(breakpoints)
         self.nodes = (u / w).ravel()
         self._jacobian = w * w
+        self._edges = edges.tolist()
 
-    def first_pass(
-        self, values: np.ndarray, settings: QuadratureSettings = QuadratureSettings()
-    ) -> QuadratureResult | None:
-        """The first-pass result for f's values at nodes, or None if QAGP would refine."""
+    def _first_pass(
+        self, values: np.ndarray, settings: QuadratureSettings
+    ) -> tuple[QuadratureResult | None, tuple[np.ndarray, ...]]:
+        # the accepted result or None, and qk21's per-interval result, error
+        # estimate, integral of |f| and integral of |f - mean|
         import numpy as np
 
         _, kronrod_weights, gauss_weights, abscissa_order = _qk21_columns()
-        # a non-finite value sends the integral to QAGP, so its warnings are moot
+        # non-finite values make a non-finite error estimate, which QAGP
+        # declines, so their warnings are moot
         with np.errstate(all="ignore"):
             f = np.reshape(values, self._jacobian.shape) / self._jacobian
-            if not np.isfinite(f).all():
-                return None
             h = self._half_length
             # qk21's sums, in its order: the centre term, then the node pairs
             pair_sum = f[1:11] + f[11:]
@@ -275,23 +621,31 @@ class FirstPassRule:
             pairs = (kronrod_weights * (deviation[1:11] + deviation[11:]))[abscissa_order]
             pairs[0] += _WGK[10] * deviation[0]
             spread = _sequential_sum(pairs) * h
-            error = np.abs((kronrod - gauss) * h)
-            error = np.where(
-                spread != 0.0,
-                spread * np.minimum(1.0, (200.0 * error / spread) ** 1.5),
-                error,
-            )
+            # _qk21_error on every interval; the power goes through C's pow,
+            # as QUADPACK's does, since numpy's may differ in the last bit
+            difference = np.abs((kronrod - gauss) * h)
+            ratio = np.fmin(1.0, 200.0 * difference / spread)
+            powered = np.array([r ** 1.5 for r in ratio.tolist()])
+            error = np.where((spread != 0.0) & (difference != 0.0), spread * powered, difference)
             error = np.where(
                 magnitude > _UFLOW / (50.0 * _EPMACH),
-                np.maximum(_EPMACH * 50.0 * magnitude, error),
+                np.fmax(_EPMACH * 50.0 * magnitude, error),
                 error,
             )
-            value = float(np.cumsum(kronrod * h)[-1])
+            area = kronrod * h
+            value = float(np.cumsum(area)[-1])
             error_estimate = float(np.cumsum(error)[-1])
+        intervals = (area, error, magnitude, spread)
         bound = max(settings.absolute_tolerance, settings.relative_tolerance * abs(value))
         if not error_estimate <= bound:
-            return None
-        return QuadratureResult(value, error_estimate)
+            return None, intervals
+        return QuadratureResult(value, error_estimate), intervals
+
+    def first_pass(
+        self, values: np.ndarray, settings: QuadratureSettings = QuadratureSettings()
+    ) -> QuadratureResult | None:
+        """The first-pass result for f's values at nodes, or None if QAGP would refine."""
+        return self._first_pass(values, settings)[0]
 
     def integrate(
         self,
@@ -301,23 +655,40 @@ class FirstPassRule:
     ) -> QuadratureResult:
         """Integral of f over (0, inf), given f's values at nodes.
 
-        The first pass when QAGP would accept it; otherwise
-        integrate_semi_infinite(f, settings, breakpoints), which raises
-        QuadratureError as it does. That call takes f's values at the
-        nodes from values and calls f only at the points QAGP adds.
+        The first pass when QAGP accepts it; otherwise QAGP's bisection,
+        continued from that pass, which calls f only at the points it adds
+        and raises QuadratureError, carrying the best estimate, where QAGP
+        reports failure.
         """
-        result = self.first_pass(values, settings)
+        result, intervals = self._first_pass(values, settings)
         if result is None:
-            import numpy as np
-
-            known = dict(zip(self.nodes.tolist(), np.ravel(values).tolist()))
-
-            def refined(x: float) -> float:
-                value = known.get(x)
-                return f(x) if value is None else value
-
-            result = integrate_semi_infinite(refined, settings, self.breakpoints)
+            result = _qagp(_on_unit_interval(f), self._edges, intervals, settings)
         return result
+
+
+def integrate_semi_infinite(
+    f: Callable[[float], float],
+    settings: QuadratureSettings = QuadratureSettings(),
+    breakpoints: Sequence[float] | None = None,
+) -> QuadratureResult:
+    """Adaptive integral of f over (0, inf): QUADPACK's QAGP.
+
+    Uses the substitution x = u/(1-u), which maps the domain to (0, 1) and
+    tames both tails of Gamma-type integrands. Breakpoints (in the original
+    variable) force subdivision there, which matters for integrands
+    concentrated on a region the global rule would step over; without them
+    the one breakpoint is x = 1, the map's midpoint. This is
+    FirstPassRule(breakpoints).integrate on f's values at the rule's nodes.
+
+    Raises QuadratureError, carrying the best estimate, if the requested
+    tolerance cannot be certified, and ValueError if breakpoints are given
+    but none lies in (0, inf).
+    """
+    import numpy as np
+
+    rule = FirstPassRule(breakpoints or (1.0,))
+    values = np.fromiter(map(f, rule.nodes.tolist()), dtype=float, count=len(rule.nodes))
+    return rule.integrate(values, f, settings)
 
 
 def solve_monotone_decreasing(f: Callable[[float], float], target: float) -> float:

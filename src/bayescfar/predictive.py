@@ -14,8 +14,12 @@ evaluated directly in floating point; os_pfa_quadrature integrates the same
 probability numerically as an independent check.
 
 The closed forms are plain float arithmetic. numpy is imported by the
-generic machinery's support scans and θ integrals when they first run, and
-scipy by the first quadrature, so neither loads with the module.
+generic machinery's support scans and θ integrals, and by the first
+quadrature, when they first run, so it does not load with the module.
+Every quadrature here is numerics' port of QUADPACK's QAGP; scipy is never
+imported. A θ integral whose first pass QAGP declines continues the same
+adaptive state from that pass, so it calls the likelihood and the
+posterior only at the points QAGP adds.
 """
 
 from __future__ import annotations
@@ -245,8 +249,9 @@ def _locate_support(density: Callable, dimension: int) -> list[list[float]]:
 
 def _theta_integral(model: PredictiveModel, f: Callable, values: np.ndarray) -> float:
     # nested QAGP of f(theta), the innermost axis first, given f at the
-    # model's nodes: each pass is its rule's first pass where QAGP would
-    # accept it and integrate_semi_infinite where QAGP would refine it
+    # model's nodes: each pass is its rule's first pass where QAGP accepts
+    # it, and QAGP's bisection continued from it where QAGP declines it; an
+    # outer bisection's new a nodes get their inner integrals from scratch
     import numpy as np
 
     settings = model.integration

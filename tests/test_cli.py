@@ -6,14 +6,20 @@ start-up checks run `python -m bayescfar.cli` in a subprocess (run_module),
 so the module entry point and its exit codes stay covered.
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import math
+import os
 import subprocess
 import sys
+import warnings
 from typing import NamedTuple
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from child_env import child_env
 
 from bayescfar import cli
@@ -120,6 +126,15 @@ class TestPfaCurve:
         out = run("pfa", "--family", "bayes_os", "--n", "4", "--k", "1",
                   "--t", "1", "--tau-grid", "36:36:1")
         assert out.stdout == "tau,pfa\n36,0.1\n"
+
+    @pytest.mark.parametrize("steps", ["0", "1000001", str(2**64)])
+    def test_grid_size_is_bounded(self, run, steps):
+        # every point is a row formed in memory; 2**64 of them would never end
+        out = run("pfa", "--family", "bayes_os", "--n", "4", "--k", "1",
+                  "--t", "1", "--tau-grid", f"0:1:{steps}")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "grid needs 1 to 1000000 points" in out.stderr
 
     def test_interior_value_round_trips(self, run):
         out = run("pfa", "--family", "bayes_os", "--n", "2", "--k", "2",
@@ -302,6 +317,14 @@ class TestSimulate:
         assert out.returncode == 2
         assert out.stdout == ""
         assert "cannot open --out" in out.stderr
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs the /dev/full device")
+    def test_sink_that_cannot_take_the_row_fails_before_the_record(self, run):
+        # /dev/full opens, and every write to it fails
+        out = run(*self.ARGS, "--out", "/dev/full")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "cannot write --out /dev/full" in out.stderr
 
     def test_trials_must_be_positive(self, run):
         out = run("simulate", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
@@ -623,6 +646,146 @@ class TestNumericEdges:
         assert out.returncode == 3, out.stderr
         assert out.stdout == ""
         assert "numeric failure" in out.stderr
+
+
+# the flag space: every command line starts valid, then up to two of its
+# numbers (a flag's value, a grid's part or a profile value) take an extreme
+# value, tiny, huge, non-finite, negative or any float at all
+EXTREME_FLOATS = st.one_of(st.sampled_from([
+    0.0, -0.0, 5e-324, 1e-320, 1e-300, 1e-12, 1.0, 1e12, 1e300, 1.7976931348623157e308,
+    math.inf, -math.inf, math.nan, -1.0,
+]), st.floats())
+EXTREME_COUNTS = st.sampled_from([-1, 0, 1, 300, 2**64])
+PROFILE = "<profile>"
+
+
+@st.composite
+def command_lines(draw):
+    """(argv, profile): a command line with PROFILE standing for the path of
+    a file holding the profile values, or None for no profile."""
+    command = draw(st.sampled_from(["threshold", "pfa", "density", "simulate", "sweep", "scan"]))
+    family = draw(st.sampled_from(["bayes_os", "min_cfar", "ca_cfar"]))
+    positive = st.floats(1e-3, 1e3)
+    # each flag's numbers; grids keep their parts apart until formatted
+    numbers = {}
+    if command == "scan":
+        numbers["--leading"] = [draw(st.integers(0, 8))]
+        numbers["--trailing"] = [draw(st.integers(0, 8))]
+        n = max(numbers["--leading"][0] + numbers["--trailing"][0], 1)
+    else:
+        n = draw(st.integers(1, 40))
+    numbers["--n"] = [n]
+    if family == "bayes_os":
+        numbers["--k"] = [draw(st.integers(1, n))]
+    numbers["--pfa"] = [draw(st.floats(1e-6, 0.5))]
+    words = []
+    if command in ("threshold", "pfa", "density"):
+        numbers["--t"] = [draw(positive)]
+    if command in ("pfa", "density"):
+        flag = "--tau-grid" if command == "pfa" else "--z0-grid"
+        numbers[flag] = [draw(st.floats(0, 50)), draw(st.floats(0, 50)), draw(st.integers(1, 40))]
+    if command == "simulate":
+        if draw(st.booleans()):
+            words += ["--clutter", "pareto"]
+            numbers["--alpha"] = [draw(st.floats(0.5, 10))]
+            numbers["--beta"] = [draw(positive)]
+        else:
+            numbers["--lambda"] = [draw(positive)]
+        if draw(st.booleans()):
+            words += ["--mode", "pd"]
+            numbers["--snr"] = [draw(st.floats(0, 100))]
+    if command == "sweep":
+        numbers["--lambda-grid"] = draw(st.lists(positive, min_size=1, max_size=3))
+    if command in ("simulate", "sweep"):
+        numbers["--trials"] = [draw(st.integers(1, 10**4))]
+        numbers["--seed"] = [draw(st.integers(0, 2**64 - 1))]
+    profile = draw(st.lists(positive, max_size=40)) if command == "scan" else None
+    places = [(flag, i) for flag, values in numbers.items() for i in range(len(values))]
+    places += [(PROFILE, i) for i in range(len(profile or []))]
+    for flag, i in draw(st.lists(st.sampled_from(places), max_size=2, unique=True)):
+        values = profile if flag == PROFILE else numbers[flag]
+        extreme = EXTREME_COUNTS if isinstance(values[i], int) else EXTREME_FLOATS
+        values[i] = draw(extreme)
+        if flag == "--trials":
+            values[i] = min(values[i], 10**4)
+    argv = [command, "--family", family, *words]
+    for flag, values in numbers.items():
+        joiner = "," if flag == "--lambda-grid" else ":"
+        argv.append(f"{flag}={joiner.join(map(repr, values))}")
+    if profile is not None:
+        argv += ["--profile", PROFILE]
+    return argv, profile
+
+
+SIMULATE = ["simulate", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
+            "--trials", "1000", "--seed", "3"]
+
+
+@pytest.fixture(scope="module")
+def profile_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("flag_space") / "profile.csv"
+
+
+class TestFlagSpace:
+    """Every command line exits 0, 2 or 3, with no traceback and no warning;
+    exit 0 prints strict JSON, or CSV whose numbers are finite except the
+    inf thresholds scan documents."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(command_lines())
+    # a multiplier that overflows in the closed form
+    @example((["threshold", "--family", "ca_cfar", "--n", "1", "--pfa", "1e-320",
+               "--t", "1"], None))
+    # a finite multiplier whose threshold m * t overflows
+    @example((["threshold", "--family", "min_cfar", "--n", "1", "--pfa", "1e-300",
+               "--t", "1e300"], None))
+    # an infinite multiplier over zero windows
+    @example((["scan", "--family", "min_cfar", "--n", "3", "--pfa", "1e-320", "--profile",
+               PROFILE, "--leading", "3", "--trailing", "0"], [1, 0, 0, 0, 5, 0, 0, 0, 1]))
+    # draws beyond the float range
+    @example(([*SIMULATE, "--clutter", "pareto", "--alpha", "1e-12", "--beta", "1"], None))
+    @example(([*SIMULATE, "--lambda", "5e-324"], None))
+    # an --out file that opens but cannot be written
+    @example(([*SIMULATE, "--lambda", "1", "--out", "/dev/full"], None))
+    def test_every_command_line_keeps_the_exit_contract(self, profile_path, case):
+        argv, profile = case
+        if "/dev/full" in argv and not os.path.exists("/dev/full"):
+            return
+        if profile is not None:
+            profile_path.write_text("".join(f"{v!r}\n" for v in profile))
+            argv = [str(profile_path) if a == PROFILE else a for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            warnings.simplefilter("always")
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse rejected a flag
+                code = exc.code
+        assert code in (0, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+        assert [str(w.message) for w in caught] == []
+        if code != 0:
+            assert out.getvalue() == ""
+        elif argv[0] in ("threshold", "simulate"):
+            json.loads(out.getvalue(), parse_constant=reject_constant)
+        else:
+            assert_finite_csv(out.getvalue(), argv[0] == "scan")
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def assert_finite_csv(text, scan):
+    header, *rows = [line.split(",") for line in text.splitlines()]
+    for row in rows:
+        assert len(row) == len(header)
+        for column, field in zip(header, row):
+            if column == "verdict":
+                assert field in ("H0", "H1")
+            elif not (scan and column == "comparison_value" and field == "inf"):
+                assert math.isfinite(float(field)), (column, field)
 
 
 # commands that use no random stream, with the exit code and the sha256 of

@@ -2,22 +2,27 @@
 
 Expected values are frozen from independent evaluations: Pascal-triangle
 recursion for binomial coefficients and hand-done Gamma integrals for the
-quadrature cases.
+quadrature cases. The QAGP port is checked against scipy's QUADPACK
+(scipy.integrate.quad), which the library itself never imports.
 """
 
+import functools
 import math
 import random
 import subprocess
 import sys
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from child_env import child_env
 from scipy import integrate
 
+from bayescfar import numerics
 from bayescfar.numerics import (
     FirstPassRule,
     QuadratureError,
+    QuadratureResult,
     QuadratureSettings,
     RootFindingError,
     TargetUnreachableError,
@@ -123,39 +128,120 @@ class TestIntegrateSemiInfinite:
             QuadratureSettings(max_subdivisions=0)
 
     def test_package_import_leaves_scipy_unloaded(self):
-        # scipy is loaded by the first quadrature, not by importing the package
-        code = "import sys, bayescfar; print('scipy' in sys.modules)"
+        # no library call loads scipy: the OS quadrature oracle, a 1-D model
+        # and its Pfa, a declined first pass, and a quadrature that fails
         out = subprocess.run(
-            [sys.executable, "-c", code], capture_output=True, text=True,
-            env=child_env(), timeout=120,
+            [sys.executable, "-c", LIBRARY_CALLS_IN_FRESH_INTERPRETER], capture_output=True,
+            text=True, env=child_env(), timeout=120,
         )
         assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "False"
+        assert out.stdout.split() == ["False"] * 5
+
+
+LIBRARY_CALLS_IN_FRESH_INTERPRETER = """
+import math, sys
+import bayescfar
+from bayescfar import numerics, predictive
+print('scipy' in sys.modules)
+osd = predictive.OsPredictive(8, 6, 1.0)
+predictive.os_pfa_quadrature(2.0, osd)
+print('scipy' in sys.modules)
+model = predictive.PredictiveModel(
+    lambda z0, lam: lam * math.exp(-lam * z0),
+    lambda lam: predictive.posterior_lambda_os(lam, osd), 1)
+predictive.generic_pfa(2.0, model)
+print('scipy' in sys.modules)
+spike = lambda x: math.exp(-0.5 * ((x - 0.63) / 2e-3) ** 2) + math.exp(-x)
+rule = numerics.FirstPassRule([0.1, 1.0, 10.0])
+values = [spike(x) for x in rule.nodes]
+assert rule.first_pass(values) is None
+rule.integrate(values, spike)
+print('scipy' in sys.modules)
+try:
+    numerics.integrate_semi_infinite(lambda x: 1.0 / (1.0 + x))
+except numerics.QuadratureError:
+    print('scipy' in sys.modules)
+"""
+
+
+class Qagp(NamedTuple):
+    value: float
+    error_estimate: float
+    neval: int
+    last: int
+    converged: bool
+    intervals: int
+    info: dict
 
 
 def qagp_oracle(f, breakpoints, settings):
     """scipy's QAGP on the map u = x/(1+x), written out here.
 
-    Returns (value, error estimate, whether QAGP stopped after its first
-    pass of 21 nodes per interval with no warning).
+    The subdivision limit is integrate_semi_infinite's: the settings' limit,
+    raised to two per breakpoint interval. info is quad's infodict, whose
+    rlist, elist, iord and level show where a port parts from QUADPACK.
     """
     points = sorted({x / (1.0 + x) for x in breakpoints})
 
     def transformed(u):
+        # QUADPACK's nodes can round onto u = 1 in a tiny last interval
+        if not 0.0 < u < 1.0:
+            return 0.0
         w = 1.0 - u
         return f(u / w) / (w * w)
 
     out = integrate.quad(
         transformed, 0.0, 1.0, points=points, full_output=1,
         epsabs=settings.absolute_tolerance, epsrel=settings.relative_tolerance,
-        limit=settings.max_subdivisions,
+        limit=max(settings.max_subdivisions, 2 * (len(points) + 1)),
     )
-    first_pass = out[2]["neval"] == 21 * (len(points) + 1) and len(out) == 3
-    return out[0], out[1], first_pass
+    info = out[2]
+    return Qagp(out[0], out[1], info["neval"], info["last"], len(out) == 3,
+                len(points) + 1, info)
+
+
+def accepts_first_pass(oracle):
+    # QAGP stopped after its first pass of 21 nodes per interval, with no warning
+    return oracle.converged and oracle.neval == 21 * oracle.intervals
+
+
+def hexed(outcome):
+    # a result, or the estimates a QuadratureError carries, as exact hex
+    return tuple(x.hex() if isinstance(x, float) else x for x in outcome)
+
+
+def expected(oracle):
+    # what the library returns or raises where scipy reports this outcome
+    if oracle.converged:
+        return hexed(QuadratureResult(oracle.value, oracle.error_estimate))
+    return hexed(("QuadratureError", oracle.value, oracle.error_estimate))
 
 
 def random_breakpoints(rng, lo, hi):
     return sorted(10.0 ** rng.uniform(lo, hi) for _ in range(rng.randint(1, 60)))
+
+
+def random_law(rng, case):
+    """A unit-mass density, a Gamma law for odd case and a lognormal one for
+    even, with 1 to 60 random breakpoints over six decades around its bulk."""
+    if case % 2:
+        shape, rate = rng.uniform(0.5, 30.0), 10.0 ** rng.uniform(-3, 3)
+
+        def f(x):
+            log_val = (shape * math.log(rate) + (shape - 1.0) * math.log(x)
+                       - rate * x - math.lgamma(shape))
+            return math.exp(log_val) if log_val > -745.0 else 0.0
+
+        centre = math.log10(shape / rate)
+    else:
+        mu, sigma = rng.uniform(-5, 5), rng.uniform(0.05, 2.0)
+
+        def f(x):
+            z = (math.log(x) - mu) / sigma
+            return math.exp(-0.5 * z * z) / (x * sigma * math.sqrt(2 * math.pi))
+
+        centre = mu / math.log(10.0)
+    return f, random_breakpoints(rng, centre - 3.0, centre + 3.0)
 
 
 def outcome(call):
@@ -166,41 +252,45 @@ def outcome(call):
         return ("QuadratureError", err.best_estimate, err.error_estimate)
 
 
+def recorded(f):
+    # f, and a list of the points it is called at
+    points = []
+
+    def wrapper(x):
+        points.append(x)
+        return f(x)
+
+    return wrapper, points
+
+
+def counted(f):
+    # f, and a list whose one entry counts its calls
+    calls = [0]
+
+    def wrapper(x):
+        calls[0] += 1
+        return f(x)
+
+    return wrapper, calls
+
+
 class TestFirstPassRule:
     def test_agrees_with_qagp_on_random_gamma_and_lognormal_integrands(self):
         rng = random.Random(1983)
         settings = QuadratureSettings()
         accepted = declined = 0
         for case in range(120):
-            if case % 2:
-                shape, rate = rng.uniform(0.5, 30.0), 10.0 ** rng.uniform(-3, 3)
-
-                def f(x, shape=shape, rate=rate):
-                    log_val = (shape * math.log(rate) + (shape - 1.0) * math.log(x)
-                               - rate * x - math.lgamma(shape))
-                    return math.exp(log_val) if log_val > -745.0 else 0.0
-
-                centre = math.log10(shape / rate)
-            else:
-                mu, sigma = rng.uniform(-5, 5), rng.uniform(0.05, 2.0)
-
-                def f(x, mu=mu, sigma=sigma):
-                    z = (math.log(x) - mu) / sigma
-                    return math.exp(-0.5 * z * z) / (x * sigma * math.sqrt(2 * math.pi))
-
-                centre = mu / math.log(10.0)
-            breakpoints = random_breakpoints(rng, centre - 3.0, centre + 3.0)
+            f, breakpoints = random_law(rng, case)
             rule = FirstPassRule(breakpoints)
             values = np.array([f(x) for x in rule.nodes])
-            want, want_error, qagp_first_pass = qagp_oracle(f, breakpoints, settings)
+            oracle = qagp_oracle(f, breakpoints, settings)
             got = rule.first_pass(values, settings)
-            assert (got is not None) == qagp_first_pass, case
+            assert (got is not None) == accepts_first_pass(oracle), case
             if got is None:
                 declined += 1
                 continue
             accepted += 1
-            assert math.isclose(got.value, want, rel_tol=1e-15, abs_tol=1e-300), case
-            assert math.isclose(got.error_estimate, want_error, rel_tol=1e-12), case
+            assert hexed(got) == expected(oracle), case
             # every law here has unit mass
             assert math.isclose(got.value, 1.0, rel_tol=1e-9), case
         assert accepted >= 30 and declined >= 10, (accepted, declined)
@@ -252,30 +342,25 @@ class TestFirstPassRule:
             values = np.array([f(x) for x in rule.nodes])
             assert rule.first_pass(values, settings) is None, name
             got = outcome(lambda: rule.integrate(values, f, settings))
-            want = outcome(lambda: integrate_semi_infinite(f, settings, breakpoints))
-            assert got == want, name
+            assert hexed(got) == expected(qagp_oracle(f, breakpoints, settings)), name
 
     def test_declined_first_pass_calls_f_only_where_qagp_refines(self):
         # QAGP evaluates f once per point, neval in all; its first pass takes
         # the 21 nodes of each interval, whose values the rule already holds
         breakpoints = [0.1, 1.0, 10.0]
-        calls = [0]
 
-        def f(x):
-            calls[0] += 1
+        def spike(x):
             return math.exp(-0.5 * ((x - 0.63) / 2e-3) ** 2) + math.exp(-x)
 
-        want = integrate_semi_infinite(f, breakpoints=breakpoints)
-        neval = calls[0]
+        oracle = qagp_oracle(spike, breakpoints, QuadratureSettings())
         rule = FirstPassRule(breakpoints)
-        values = np.array([f(x) for x in rule.nodes])
-        calls[0] = 0
+        values = np.array([spike(x) for x in rule.nodes])
+        f, calls = counted(spike)
         got = rule.integrate(values, f)
         first_pass = 21 * (len(breakpoints) + 1)
-        assert neval > first_pass
-        assert calls[0] == neval - first_pass
-        assert (got.value.hex(), got.error_estimate.hex()) == (
-            want.value.hex(), want.error_estimate.hex())
+        assert oracle.neval > first_pass
+        assert calls[0] == oracle.neval - first_pass
+        assert hexed(got) == expected(oracle)
 
     def test_non_finite_values_fail_as_qagp_does(self):
         def f(x):
@@ -285,14 +370,116 @@ class TestFirstPassRule:
         values = np.array([f(x) for x in rule.nodes])
         assert rule.first_pass(values) is None
         got = outcome(lambda: rule.integrate(values, f))
-        want = outcome(lambda: integrate_semi_infinite(f, breakpoints=[0.5, 1.5, 4.0]))
-        assert got[0] == want[0] == "QuadratureError"
-        assert repr(got) == repr(want)
+        oracle = qagp_oracle(f, [0.5, 1.5, 4.0], QuadratureSettings())
+        assert not oracle.converged
+        assert got[0] == "QuadratureError"
+        assert hexed(got) == expected(oracle)
 
     def test_needs_a_breakpoint(self):
         for bad in ([], [0.0], [-1.0, math.inf, math.nan]):
             with pytest.raises(ValueError, match="breakpoint"):
                 FirstPassRule(bad)
+
+
+def spike(x):
+    # a spike at x = 0.63, far narrower than the interval (0.1, 1)
+    return math.exp(-0.5 * ((x - 0.63) / 2e-3) ** 2) + math.exp(-x)
+
+
+def crosscheck_integrals():
+    """The integrals the crosscheck benchmark's four shapes and three
+    thresholds make: os_pfa_quadrature's, and generic_pfa's outer one.
+
+    Each is recorded as (name, f, settings, breakpoints) as the library
+    calls integrate_semi_infinite, with f memoized, so integrating it again
+    costs no likelihood calls.
+    """
+    from bayescfar import predictive
+
+    recorded = []
+    original = predictive.integrate_semi_infinite
+
+    def recording(f, settings, breakpoints):
+        f = functools.cache(f)
+        recorded.append((f, settings, breakpoints))
+        return original(f, settings, breakpoints)
+
+    shapes = [((4, 2), 1e-2), ((8, 6), 1.0), ((16, 12), 1e2), ((24, 18), 1e4)]
+    cases = []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(predictive, "integrate_semi_infinite", recording)
+        for (n, k), t in shapes:
+            osd = predictive.OsPredictive(n, k, t)
+            model = predictive.PredictiveModel(
+                lambda z0, lam: lam * math.exp(-lam * z0),
+                lambda lam, osd=osd: predictive.posterior_lambda_os(lam, osd), 1,
+            )
+            for ratio in (0.5, 2.0, 6.0):
+                predictive.os_pfa_quadrature(ratio * t, osd)
+                predictive.generic_pfa(ratio * t, model)
+                for label, (f, settings, breakpoints) in zip(
+                    ("os_pfa_quadrature", "generic_pfa"), recorded[-2:]
+                ):
+                    cases.append((f"{label} n={n} k={k} tau={ratio}t", f, settings, breakpoints))
+    return cases
+
+
+def qagp_corpus():
+    """(name, f, settings, breakpoints): the integrals the port is held to
+    QUADPACK on, converging, declining their first pass, or failing."""
+    rng = random.Random(1983)
+    for case in range(180):
+        f, breakpoints = random_law(rng, case)
+        settings = QuadratureSettings(
+            relative_tolerance=10.0 ** rng.uniform(-13, -4),
+            absolute_tolerance=10.0 ** rng.uniform(-300, -10),
+            max_subdivisions=rng.choice([3, 10, 50, 200]),
+        )
+        yield f"random law {case}", f, settings, breakpoints
+    for settings in (QuadratureSettings(), QuadratureSettings(relative_tolerance=1e-15)):
+        yield f"spike at {settings.relative_tolerance}", spike, settings, [0.1, 1.0, 10.0]
+    divergent = lambda x: 1.0 / (1.0 + x)  # noqa: E731
+    yield "divergent", divergent, QuadratureSettings(), None
+    yield "divergent on a ladder", divergent, QuadratureSettings(), [10.0**e for e in range(-3, 4)]
+    yield ("nan on (1, 2)", lambda x: math.nan if 1.0 < x < 2.0 else math.exp(-x),
+           QuadratureSettings(), [0.5, 1.5, 4.0])
+    yield ("inf on (0.5, 0.6)", lambda x: math.inf if 0.5 < x < 0.6 else math.exp(-x),
+           QuadratureSettings(), [2.0])
+    yield from crosscheck_integrals()
+
+
+class TestQagpPort:
+    def test_matches_quadpack_bit_for_bit(self, monkeypatch):
+        # value and error estimate hex-equal to scipy's, f called at the same
+        # points, and as many qk21 passes (neval) and intervals (last)
+        passes = [0]
+        qk21 = numerics._qk21
+
+        def counting(*args):
+            passes[0] += 1
+            return qk21(*args)
+
+        monkeypatch.setattr(numerics, "_qk21", counting)
+        outcomes = {"accepted": 0, "refined": 0, "failed": 0}
+        for name, f, settings, breakpoints in qagp_corpus():
+            quadpack, want_points = recorded(f)
+            oracle = qagp_oracle(quadpack, breakpoints or [1.0], settings)
+            port, points = recorded(f)
+            passes[0] = 0
+            got = outcome(lambda: integrate_semi_infinite(port, settings, breakpoints))
+            assert hexed(got) == expected(oracle), name
+            assert sorted(points) == sorted(want_points), name
+            assert 21 * (oracle.intervals + passes[0]) == oracle.neval, name
+            assert oracle.intervals + passes[0] // 2 == oracle.last, name
+            kind = ("failed" if not oracle.converged
+                    else "accepted" if passes[0] == 0 else "refined")
+            outcomes[kind] += 1
+        assert sum(outcomes.values()) >= 200
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_default_breakpoint_is_the_midpoint(self):
+        f = lambda x: x * math.exp(-x)  # noqa: E731
+        assert integrate_semi_infinite(f) == integrate_semi_infinite(f, breakpoints=[1.0])
 
 
 def os_pfa_product_form(m: float, n: int, k: int) -> float:
