@@ -263,15 +263,9 @@ def recorded(f):
     return wrapper, points
 
 
-def counted(f):
-    # f, and a list whose one entry counts its calls
-    calls = [0]
-
-    def wrapper(x):
-        calls[0] += 1
-        return f(x)
-
-    return wrapper, calls
+def spike(x):
+    # a spike at x = 0.63, far narrower than the interval (0.1, 1)
+    return math.exp(-0.5 * ((x - 0.63) / 2e-3) ** 2) + math.exp(-x)
 
 
 class TestFirstPassRule:
@@ -332,11 +326,7 @@ class TestFirstPassRule:
     ])
     def test_declined_first_pass_returns_the_qagp_value_bit_for_bit(self, settings):
         breakpoints = [0.1, 1.0, 10.0]
-        cases = {
-            "gamma": lambda x: x * math.exp(-x),
-            # a spike at x = 0.63, far narrower than the interval (0.1, 1)
-            "spike": lambda x: math.exp(-0.5 * ((x - 0.63) / 2e-3) ** 2) + math.exp(-x),
-        }
+        cases = {"gamma": lambda x: x * math.exp(-x), "spike": spike}
         for name, f in cases.items():
             rule = FirstPassRule(breakpoints)
             values = np.array([f(x) for x in rule.nodes])
@@ -348,18 +338,14 @@ class TestFirstPassRule:
         # QAGP evaluates f once per point, neval in all; its first pass takes
         # the 21 nodes of each interval, whose values the rule already holds
         breakpoints = [0.1, 1.0, 10.0]
-
-        def spike(x):
-            return math.exp(-0.5 * ((x - 0.63) / 2e-3) ** 2) + math.exp(-x)
-
         oracle = qagp_oracle(spike, breakpoints, QuadratureSettings())
         rule = FirstPassRule(breakpoints)
         values = np.array([spike(x) for x in rule.nodes])
-        f, calls = counted(spike)
+        f, points = recorded(spike)
         got = rule.integrate(values, f)
         first_pass = 21 * (len(breakpoints) + 1)
         assert oracle.neval > first_pass
-        assert calls[0] == oracle.neval - first_pass
+        assert len(points) == oracle.neval - first_pass
         assert hexed(got) == expected(oracle)
 
     def test_non_finite_values_fail_as_qagp_does(self):
@@ -379,11 +365,6 @@ class TestFirstPassRule:
         for bad in ([], [0.0], [-1.0, math.inf, math.nan]):
             with pytest.raises(ValueError, match="breakpoint"):
                 FirstPassRule(bad)
-
-
-def spike(x):
-    # a spike at x = 0.63, far narrower than the interval (0.1, 1)
-    return math.exp(-0.5 * ((x - 0.63) / 2e-3) ** 2) + math.exp(-x)
 
 
 def crosscheck_integrals():
