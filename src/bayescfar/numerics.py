@@ -171,14 +171,25 @@ def _sequential_sum(rows: np.ndarray) -> np.ndarray:
     return np.add.reduce(rows, axis=0)
 
 
+# qk21 floors its error estimate at 50 epsilon times the integral of |f|,
+# where that integral is above _UFLOW / (50 epsilon)
+_ROUND_OFF = 50.0 * _EPMACH
+_NEGLIGIBLE = _UFLOW / _ROUND_OFF
+
+
 def _qk21_error(difference: float, magnitude: float, spread: float) -> float:
     # qk21's error estimate from |Kronrod - Gauss|, the integral of |f| and
-    # that of |f - mean| over the interval; ** is C's pow, as in QUADPACK
+    # that of |f - mean| over the interval; ** is C's pow, as in QUADPACK.
+    # QUADPACK's min and max written out, NaN falling as theirs do, since
+    # every interval of every first pass goes through here
     error = difference
     if spread != 0.0 and error != 0.0:
-        error = spread * min(1.0, 200.0 * error / spread) ** 1.5
-    if magnitude > _UFLOW / (50.0 * _EPMACH):
-        error = max(_EPMACH * 50.0 * magnitude, error)
+        ratio = 200.0 * error / spread
+        error = spread * ratio**1.5 if ratio < 1.0 else spread
+    if magnitude > _NEGLIGIBLE:
+        floor = _ROUND_OFF * magnitude
+        if not error > floor:
+            error = floor
     return error
 
 
@@ -566,7 +577,9 @@ class FirstPassRule:
     The breakpoints are mapped to u = x/(1+x), and each of the intervals
     they cut (0, 1) into carries QUADPACK's 21-point Gauss-Kronrod rule.
     nodes holds the 21 points of every interval in the original variable x,
-    where QAGP's first pass evaluates f. first_pass takes f's values there
+    where QAGP's first pass evaluates f, less any that round onto u = 1 in
+    a last interval a few ulp wide: there the integrand in u is 0 and f is
+    not called, as in QUADPACK's transformed integrand. first_pass takes f's values there
     and returns that pass's result, summed and error-estimated as qk21 and
     QAGP do it, when QAGP accepts it: the summed error estimate within
     max(absolute_tolerance, relative_tolerance * |value|). integrate goes on
@@ -588,9 +601,12 @@ class FirstPassRule:
         offset = self._half_length * _qk21_columns()[0]
         # rows: the centre, then centre - offset and centre + offset per abscissa
         u = np.concatenate((centre[None], centre - offset, centre + offset))
-        w = 1.0 - u
+        # in an interval a few ulp wide next to u = 1 (or u = 0) a node can
+        # round onto the end, where the integrand in u is 0 and f is not called
+        self._inside = (0.0 < u) & (u < 1.0)
+        w = 1.0 - u[self._inside]
         self.breakpoints = tuple(breakpoints)
-        self.nodes = (u / w).ravel()
+        self.nodes = u[self._inside] / w
         self._jacobian = w * w
         self._edges = edges.tolist()
 
@@ -605,7 +621,8 @@ class FirstPassRule:
         # non-finite values make a non-finite error estimate, which QAGP
         # declines, so their warnings are moot
         with np.errstate(all="ignore"):
-            f = np.reshape(values, self._jacobian.shape) / self._jacobian
+            f = np.zeros(self._inside.shape)
+            f[self._inside] = values / self._jacobian
             h = self._half_length
             # qk21's sums, in its order: the centre term, then the node pairs
             pair_sum = f[1:11] + f[11:]
@@ -621,21 +638,16 @@ class FirstPassRule:
             pairs = (kronrod_weights * (deviation[1:11] + deviation[11:]))[abscissa_order]
             pairs[0] += _WGK[10] * deviation[0]
             spread = _sequential_sum(pairs) * h
-            # _qk21_error on every interval; the power goes through C's pow,
-            # as QUADPACK's does, since numpy's may differ in the last bit
             difference = np.abs((kronrod - gauss) * h)
-            ratio = np.fmin(1.0, 200.0 * difference / spread)
-            powered = np.array([r ** 1.5 for r in ratio.tolist()])
-            error = np.where((spread != 0.0) & (difference != 0.0), spread * powered, difference)
-            error = np.where(
-                magnitude > _UFLOW / (50.0 * _EPMACH),
-                np.fmax(_EPMACH * 50.0 * magnitude, error),
-                error,
-            )
             area = kronrod * h
             value = float(np.cumsum(area)[-1])
-            error_estimate = float(np.cumsum(error)[-1])
-        intervals = (area, error, magnitude, spread)
+        # the error estimates in Python floats, whose ** is C's pow, as
+        # QUADPACK's is; numpy's may differ in the last bit
+        errors = list(map(_qk21_error, difference.tolist(), magnitude.tolist(), spread.tolist()))
+        error_estimate = 0.0
+        for error in errors:
+            error_estimate += error
+        intervals = (area, np.array(errors), magnitude, spread)
         bound = max(settings.absolute_tolerance, settings.relative_tolerance * abs(value))
         if not error_estimate <= bound:
             return None, intervals
@@ -668,25 +680,24 @@ class FirstPassRule:
 
 def integrate_semi_infinite(
     f: Callable[[float], float],
-    settings: QuadratureSettings = QuadratureSettings(),
-    breakpoints: Sequence[float] | None = None,
+    settings: QuadratureSettings,
+    breakpoints: Sequence[float],
 ) -> QuadratureResult:
     """Adaptive integral of f over (0, inf): QUADPACK's QAGP.
 
     Uses the substitution x = u/(1-u), which maps the domain to (0, 1) and
     tames both tails of Gamma-type integrands. Breakpoints (in the original
     variable) force subdivision there, which matters for integrands
-    concentrated on a region the global rule would step over; without them
-    the one breakpoint is x = 1, the map's midpoint. This is
+    concentrated on a region the global rule would step over. This is
     FirstPassRule(breakpoints).integrate on f's values at the rule's nodes.
 
     Raises QuadratureError, carrying the best estimate, if the requested
-    tolerance cannot be certified, and ValueError if breakpoints are given
-    but none lies in (0, inf).
+    tolerance cannot be certified, and ValueError if no breakpoint lies in
+    (0, inf).
     """
     import numpy as np
 
-    rule = FirstPassRule(breakpoints or (1.0,))
+    rule = FirstPassRule(breakpoints)
     values = np.fromiter(map(f, rule.nodes.tolist()), dtype=float, count=len(rule.nodes))
     return rule.integrate(values, f, settings)
 

@@ -264,7 +264,7 @@ def _theta_integral(model: PredictiveModel, f: Callable, values: np.ndarray) -> 
             return f((a, b))
 
         if row is None:
-            return integrate_semi_infinite(g, settings, rule.breakpoints).value
+            row = np.fromiter(map(g, rule.nodes.tolist()), dtype=float, count=len(rule.nodes))
         return rule.integrate(row, g, settings).value
 
     a_nodes = model._axes[0]

@@ -21,7 +21,7 @@ from bayescfar.clutter_models import (
     sample,
     window_sum,
 )
-from bayescfar.numerics import integrate_semi_infinite
+from bayescfar.numerics import QuadratureSettings, integrate_semi_infinite
 
 
 class TestModels:
@@ -201,6 +201,7 @@ class TestOsDensity:
                     scale = 1.0 / (n * lam)
                     out = integrate_semi_infinite(
                         lambda t, n=n, k=k, lam=lam: os_density(t, n, k, lam),
+                        QuadratureSettings(),
                         breakpoints=[scale * 10.0**e for e in range(-3, 4)],
                     )
                     assert math.isclose(out.value, 1.0, rel_tol=1e-9), (n, k, lam)

@@ -73,17 +73,19 @@ class TestBinom:
 
 class TestIntegrateSemiInfinite:
     def test_unit_exponential(self):
-        out = integrate_semi_infinite(lambda x: math.exp(-x))
+        out = integrate_semi_infinite(lambda x: math.exp(-x), QuadratureSettings(), [1.0])
         assert math.isclose(out.value, 1.0, rel_tol=1e-10)
         assert out.error_estimate < 1e-8
 
     def test_gamma_two_rate_two(self):
-        out = integrate_semi_infinite(lambda x: x * math.exp(-2.0 * x))
+        out = integrate_semi_infinite(lambda x: x * math.exp(-2.0 * x), QuadratureSettings(), [1.0])
         assert math.isclose(out.value, 0.25, rel_tol=1e-10)
 
     def test_binomial_expansion_case(self):
         # x(1-e^{-x})e^{-3x} = x e^{-3x} - x e^{-4x}; 1/9 - 1/16 = 7/144
-        out = integrate_semi_infinite(lambda x: x * (-math.expm1(-x)) * math.exp(-3.0 * x))
+        out = integrate_semi_infinite(
+            lambda x: x * (-math.expm1(-x)) * math.exp(-3.0 * x), QuadratureSettings(), [1.0]
+        )
         assert math.isclose(out.value, 7.0 / 144.0, rel_tol=1e-12)
 
     def test_gamma_family_within_ten_rel_tol(self):
@@ -91,7 +93,7 @@ class TestIntegrateSemiInfinite:
         for n in range(1, 7):
             for r in (0.5, 1.0, 2.0, 10.0):
                 out = integrate_semi_infinite(
-                    lambda x, n=n, r=r: x ** (n - 1) * math.exp(-r * x), settings
+                    lambda x, n=n, r=r: x ** (n - 1) * math.exp(-r * x), settings, [1.0]
                 )
                 want = math.gamma(n) / r**n
                 assert math.isclose(
@@ -109,13 +111,13 @@ class TestIntegrateSemiInfinite:
             )
 
         out = integrate_semi_infinite(
-            bump, breakpoints=[center - 10 * width, center, center + 10 * width]
+            bump, QuadratureSettings(), [center - 10 * width, center, center + 10 * width]
         )
         assert math.isclose(out.value, 1.0, rel_tol=1e-9)
 
     def test_divergent_integrand_raises_with_best_estimate(self):
         with pytest.raises(QuadratureError) as err:
-            integrate_semi_infinite(lambda x: 1.0 / (1.0 + x))
+            integrate_semi_infinite(lambda x: 1.0 / (1.0 + x), QuadratureSettings(), [1.0])
         assert hasattr(err.value, "best_estimate")
         assert err.value.best_estimate > 0
 
@@ -158,7 +160,7 @@ assert rule.first_pass(values) is None
 rule.integrate(values, spike)
 print('scipy' in sys.modules)
 try:
-    numerics.integrate_semi_infinite(lambda x: 1.0 / (1.0 + x))
+    numerics.integrate_semi_infinite(lambda x: 1.0 / (1.0 + x), numerics.QuadratureSettings(), [1.0])
 except numerics.QuadratureError:
     print('scipy' in sys.modules)
 """
@@ -181,7 +183,9 @@ def qagp_oracle(f, breakpoints, settings):
     raised to two per breakpoint interval. info is quad's infodict, whose
     rlist, elist, iord and level show where a port parts from QUADPACK.
     """
-    points = sorted({x / (1.0 + x) for x in breakpoints})
+    # quad keeps only the points inside (0, 1): a breakpoint past about 1e16
+    # maps onto u = 1 and adds no interval
+    points = [u for u in sorted({x / (1.0 + x) for x in breakpoints}) if 0.0 < u < 1.0]
 
     def transformed(u):
         # QUADPACK's nodes can round onto u = 1 in a tiny last interval
@@ -361,20 +365,26 @@ class TestFirstPassRule:
         assert got[0] == "QuadratureError"
         assert hexed(got) == expected(oracle)
 
+    def test_nodes_that_round_onto_u_one_are_dropped(self):
+        # the interval below u = 1 is a few ulp wide past x = 1e14; QUADPACK's
+        # integrand in u is 0 at a node that rounds onto u = 1, so f gets no
+        # point there, and the rule makes none (nor a divide-by-zero warning)
+        for top, nodes in ((1e13, 42), (1e14, 41), (1e15, 37)):
+            rule = FirstPassRule([top])
+            assert len(rule.nodes) == nodes, top
+            assert np.all(np.isfinite(rule.nodes)), top
+
     def test_needs_a_breakpoint(self):
         for bad in ([], [0.0], [-1.0, math.inf, math.nan]):
             with pytest.raises(ValueError, match="breakpoint"):
                 FirstPassRule(bad)
 
 
-def crosscheck_integrals():
-    """The integrals the crosscheck benchmark's four shapes and three
-    thresholds make: os_pfa_quadrature's, and generic_pfa's outer one.
-
-    Each is recorded as (name, f, settings, breakpoints) as the library
-    calls integrate_semi_infinite, with f memoized, so integrating it again
-    costs no likelihood calls.
-    """
+def library_integrals(run):
+    """The integrals run() makes through predictive.integrate_semi_infinite,
+    as (f, settings, breakpoints) in call order, with f memoized, so
+    integrating it again costs no likelihood calls. A call that raises
+    QuadratureError is recorded too."""
     from bayescfar import predictive
 
     recorded = []
@@ -385,23 +395,33 @@ def crosscheck_integrals():
         recorded.append((f, settings, breakpoints))
         return original(f, settings, breakpoints)
 
-    shapes = [((4, 2), 1e-2), ((8, 6), 1.0), ((16, 12), 1e2), ((24, 18), 1e4)]
-    cases = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(predictive, "integrate_semi_infinite", recording)
-        for (n, k), t in shapes:
-            osd = predictive.OsPredictive(n, k, t)
-            model = predictive.PredictiveModel(
-                lambda z0, lam: lam * math.exp(-lam * z0),
-                lambda lam, osd=osd: predictive.posterior_lambda_os(lam, osd), 1,
-            )
-            for ratio in (0.5, 2.0, 6.0):
-                predictive.os_pfa_quadrature(ratio * t, osd)
-                predictive.generic_pfa(ratio * t, model)
-                for label, (f, settings, breakpoints) in zip(
-                    ("os_pfa_quadrature", "generic_pfa"), recorded[-2:]
-                ):
-                    cases.append((f"{label} n={n} k={k} tau={ratio}t", f, settings, breakpoints))
+        outcome(run)
+    return recorded
+
+
+def crosscheck_integrals():
+    """The integrals the crosscheck benchmark's four shapes and three
+    thresholds make: os_pfa_quadrature's, and generic_pfa's outer one, each
+    as (name, f, settings, breakpoints)."""
+    from bayescfar import predictive
+
+    shapes = [((4, 2), 1e-2), ((8, 6), 1.0), ((16, 12), 1e2), ((24, 18), 1e4)]
+    cases = []
+    for (n, k), t in shapes:
+        osd = predictive.OsPredictive(n, k, t)
+        model = predictive.PredictiveModel(
+            lambda z0, lam: lam * math.exp(-lam * z0),
+            lambda lam, osd=osd: predictive.posterior_lambda_os(lam, osd), 1,
+        )
+        for ratio in (0.5, 2.0, 6.0):
+            for label, run in (
+                ("os_pfa_quadrature", lambda: predictive.os_pfa_quadrature(ratio * t, osd)),
+                ("generic_pfa", lambda: predictive.generic_pfa(ratio * t, model)),
+            ):
+                (integral,) = library_integrals(run)
+                cases.append((f"{label} n={n} k={k} tau={ratio}t", *integral))
     return cases
 
 
@@ -420,13 +440,23 @@ def qagp_corpus():
     for settings in (QuadratureSettings(), QuadratureSettings(relative_tolerance=1e-15)):
         yield f"spike at {settings.relative_tolerance}", spike, settings, [0.1, 1.0, 10.0]
     divergent = lambda x: 1.0 / (1.0 + x)  # noqa: E731
-    yield "divergent", divergent, QuadratureSettings(), None
+    yield "divergent", divergent, QuadratureSettings(), [1.0]
     yield "divergent on a ladder", divergent, QuadratureSettings(), [10.0**e for e in range(-3, 4)]
     yield ("nan on (1, 2)", lambda x: math.nan if 1.0 < x < 2.0 else math.exp(-x),
            QuadratureSettings(), [0.5, 1.5, 4.0])
     yield ("inf on (0.5, 0.6)", lambda x: math.inf if 0.5 < x < 0.6 else math.exp(-x),
            QuadratureSettings(), [2.0])
     yield from crosscheck_integrals()
+    # breakpoints far enough out that the last interval is a few ulp wide
+    # below u = 1, and some of its nodes round onto u = 1
+    for top in (1e14, 1e15):
+        yield f"exp(-x) on [{top:g}]", lambda x: math.exp(-x), QuadratureSettings(), [top]
+    from bayescfar import predictive
+
+    for t in (1e-8, 1e-9, 1e-12):
+        osd = predictive.OsPredictive(8, 6, t)
+        (integral,) = library_integrals(lambda: predictive.os_pfa_quadrature(2.0 * t, osd))
+        yield (f"os_pfa_quadrature n=8 k=6 t={t:g}", *integral)
 
 
 class TestQagpPort:
@@ -444,7 +474,7 @@ class TestQagpPort:
         outcomes = {"accepted": 0, "refined": 0, "failed": 0}
         for name, f, settings, breakpoints in qagp_corpus():
             quadpack, want_points = recorded(f)
-            oracle = qagp_oracle(quadpack, breakpoints or [1.0], settings)
+            oracle = qagp_oracle(quadpack, breakpoints, settings)
             port, points = recorded(f)
             passes[0] = 0
             got = outcome(lambda: integrate_semi_infinite(port, settings, breakpoints))
@@ -457,10 +487,6 @@ class TestQagpPort:
             outcomes[kind] += 1
         assert sum(outcomes.values()) >= 200
         assert min(outcomes.values()) >= 10, outcomes
-
-    def test_default_breakpoint_is_the_midpoint(self):
-        f = lambda x: x * math.exp(-x)  # noqa: E731
-        assert integrate_semi_infinite(f) == integrate_semi_infinite(f, breakpoints=[1.0])
 
 
 def os_pfa_product_form(m: float, n: int, k: int) -> float:

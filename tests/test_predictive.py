@@ -70,6 +70,7 @@ class TestPosterior:
             osd = OsPredictive(n, k, t)
             out = integrate_semi_infinite(
                 lambda lam: posterior_lambda_os(lam, osd),
+                QuadratureSettings(),
                 breakpoints=[10.0**e / t for e in range(-3, 4)],
             )
             assert math.isclose(out.value, 1.0, rel_tol=1e-9), (n, k, t)
@@ -130,6 +131,7 @@ class TestOsPredictiveDensity:
                     osd = OsPredictive(n, k, t)
                     out = integrate_semi_infinite(
                         lambda z, osd=osd: os_predictive_density(z, osd),
+                        QuadratureSettings(),
                         breakpoints=[0.1 * t, t, 10.0 * t],
                     )
                     worst = max(worst, abs(out.value - 1.0))
