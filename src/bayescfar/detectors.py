@@ -38,7 +38,8 @@ from .clutter_models import (
     window_sum_draws,
 )
 from .numerics import NumericsError, solve_monotone_decreasing
-from .predictive import _os_product, os_pfa  # noqa: F401  (perfbench traces os_pfa here)
+from .predictive import _os_product, _require_order_bound
+from .predictive import os_pfa  # noqa: F401  (perfbench traces os_pfa here)
 
 __all__ = [
     "FAMILIES",
@@ -113,6 +114,8 @@ class DetectorSpec:
             raise ValueError(f"{name} requires an order index k")
         if rule is KRule.REQUIRED and not (1 <= self.k <= self.n):
             raise ValueError(f"k={self.k} outside 1..{self.n}")
+        if rule is KRule.REQUIRED:
+            _require_order_bound(self.k)
         if rule is KRule.ONE and self.k not in (None, 1):
             raise ValueError(f"{name} is the k=1 rule; leave k unset or 1")
         if rule is KRule.NONE and self.k is not None:

@@ -16,7 +16,9 @@ products f(x) * g(x) with one fixed g evaluates g once. Where that pass
 does not meet QAGP's acceptance test, FirstPassRule.integrate continues the
 same adaptive state, seeded from the pass's per-interval results, and calls
 f only at the points QAGP adds. integrate_semi_infinite is that rule on f's
-values at its nodes.
+values at its nodes. One columnar qk21 serves the first pass and every
+bisection: it lays out the nodes of a set of intervals in u, and sums f's
+values there, interval by interval, in QUADPACK's order.
 
 Everything here is a pure function or a rule fixed when it is built;
 nothing holds state between calls. numpy is not imported with the module
@@ -140,8 +142,8 @@ _WG = (
     0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
     0.295524224714752870173892994651338,
 )
-# qk21 adds the Gauss-node pairs first, then the Kronrod-only pairs; a
-# FirstPassRule's rows are its centre, then centre - offset and
+# qk21 adds the Gauss-node pairs first, then the Kronrod-only pairs; the
+# rows of _Qk21Nodes are the centre, then centre - offset and
 # centre + offset for the abscissae _XGK[_QK21_ORDER]
 _QK21_ORDER = (1, 3, 5, 7, 9, 0, 2, 4, 6, 8)
 _EPMACH = sys.float_info.epsilon
@@ -151,8 +153,8 @@ _OFLOW = sys.float_info.max
 
 @cache
 def _qk21_columns() -> tuple[np.ndarray, ...]:
-    # the tables as the column arrays a FirstPassRule broadcasts against its
-    # intervals, made when the first rule is built: the abscissae and the
+    # the tables as the column arrays _Qk21Nodes broadcasts against its
+    # intervals, made when the first nodes are laid out: the abscissae and the
     # Kronrod weights in _QK21_ORDER, the Gauss weights, and the permutation
     # that puts pair rows back in abscissa order, as the spread term of
     # qk21's error estimate adds them
@@ -181,7 +183,7 @@ def _qk21_error(difference: float, magnitude: float, spread: float) -> float:
     # qk21's error estimate from |Kronrod - Gauss|, the integral of |f| and
     # that of |f - mean| over the interval; ** is C's pow, as in QUADPACK.
     # QUADPACK's min and max written out, NaN falling as theirs do, since
-    # every interval of every first pass goes through here
+    # every interval qk21 takes goes through here
     error = difference
     if spread != 0.0 and error != 0.0:
         ratio = 200.0 * error / spread
@@ -191,36 +193,6 @@ def _qk21_error(difference: float, magnitude: float, spread: float) -> float:
         if not error > floor:
             error = floor
     return error
-
-
-def _qk21(g: Callable[[float], float], a: float, b: float) -> tuple[float, float, float, float]:
-    # qk21 on (a, b): the result, its error estimate, and the integrals of |g|
-    # and of |g - mean|, evaluating g at the centre, then the Gauss pairs,
-    # then the Kronrod-only pairs, and adding in that order
-    centre = 0.5 * (a + b)
-    half = 0.5 * (b - a)
-    fc = g(centre)
-    gauss = 0.0
-    kronrod = _WGK[10] * fc
-    magnitude = abs(kronrod)
-    lower, upper = [0.0] * 10, [0.0] * 10
-    for j in _QK21_ORDER:
-        offset = half * _XGK[j]
-        f1 = lower[j] = g(centre - offset)
-        f2 = upper[j] = g(centre + offset)
-        if j % 2:
-            gauss += _WG[j // 2] * (f1 + f2)
-        kronrod += _WGK[j] * (f1 + f2)
-        magnitude += _WGK[j] * (abs(f1) + abs(f2))
-    mean = kronrod * 0.5
-    spread = _WGK[10] * abs(fc - mean)
-    for j in range(10):
-        spread += _WGK[j] * (abs(lower[j] - mean) + abs(upper[j] - mean))
-    size = abs(half)
-    magnitude *= size
-    spread *= size
-    return (kronrod * half, _qk21_error(abs((kronrod - gauss) * half), magnitude, spread),
-            magnitude, spread)
 
 
 def _divide(a: float, b: float) -> float:
@@ -344,20 +316,20 @@ _QAGP_FAILURES = {
 
 
 def _qagp(
-    g: Callable[[float], float],
+    f: Callable[[float], float],
     edges: list[float],
-    first_pass: tuple[np.ndarray, ...],
+    first_pass: tuple[list[float], ...],
     settings: QuadratureSettings,
 ) -> QuadratureResult:
-    # QUADPACK's dqagpe on (0, 1) from its first pass, which qk21 took on the
-    # intervals between edges: their results, error estimates and integrals
-    # of |g| and |g - mean|. Bisects the interval with the largest error
-    # estimate, extrapolating with qelg once the smallest intervals carry the
-    # largest errors, until the error estimate meets the tolerance; raises
-    # QuadratureError, with the best estimate, when dqagpe sets ier > 0.
+    # QUADPACK's dqagpe on (0, 1) in u from its first pass, which qk21 took
+    # on the intervals between edges: their results, error estimates and
+    # integrals of |f| and |f - mean|. Bisects the interval with the largest
+    # error estimate, extrapolating with qelg once the smallest intervals
+    # carry the largest errors, until the error estimate meets the tolerance;
+    # raises QuadratureError, with the best estimate, when dqagpe sets ier > 0.
     # Names are dqagpe's; indices count from 0 where QUADPACK's count from 1
     epsabs, epsrel = settings.absolute_tolerance, settings.relative_tolerance
-    rlist, elist, magnitudes, spreads = (column.tolist() for column in first_pass)
+    rlist, elist, magnitudes, spreads = first_pass
     nint = len(rlist)
     # at least two subintervals per interval, so dqagpe's own check that
     # the limit exceeds the breakpoints always passes
@@ -419,8 +391,7 @@ def _qagp(
         a2 = b1
         b2 = blist[maxerr]
         erlast = errmax
-        area1, error1, _, spread1 = _qk21(g, a1, b1)
-        area2, error2, _, spread2 = _qk21(g, a2, b2)
+        (area1, area2), (error1, error2), _, (spread1, spread2) = _bisected(f, a1, b1, b2)
         area12 = area1 + area2
         erro12 = error1 + error2
         errsum = errsum + erro12 - errmax
@@ -560,44 +531,17 @@ def _settled(result: float, abserr: float, ier: int) -> QuadratureResult:
     return QuadratureResult(result, abserr)
 
 
-def _on_unit_interval(f: Callable[[float], float]) -> Callable[[float], float]:
-    # f(x) dx on (0, inf) as an integrand in u = x/(1+x) on (0, 1)
-    def transformed(u: float) -> float:
-        if u <= 0.0 or u >= 1.0:
-            return 0.0
-        w = 1.0 - u
-        return f(u / w) / (w * w)
+class _Qk21Nodes:
+    # qk21 on the intervals (lower, upper) of (0, 1) in u: nodes holds the
+    # points in x = u/(1-u) where f is called, and columns turns f's values
+    # there into qk21's per-interval sums. The first pass lays out its
+    # breakpoint intervals, and each QAGP bisection the two halves it makes
 
-    return transformed
-
-
-class FirstPassRule:
-    """QAGP over (0, inf) on given breakpoints, from a first pass of fixed nodes.
-
-    The breakpoints are mapped to u = x/(1+x), and each of the intervals
-    they cut (0, 1) into carries QUADPACK's 21-point Gauss-Kronrod rule.
-    nodes holds the 21 points of every interval in the original variable x,
-    where QAGP's first pass evaluates f, less any that round onto u = 1 in
-    a last interval a few ulp wide: there the integrand in u is 0 and f is
-    not called, as in QUADPACK's transformed integrand. first_pass takes f's values there
-    and returns that pass's result, summed and error-estimated as qk21 and
-    QAGP do it, when QAGP accepts it: the summed error estimate within
-    max(absolute_tolerance, relative_tolerance * |value|). integrate goes on
-    where first_pass stops: when the pass is declined it continues QAGP's
-    adaptive bisection from that same pass, calling f only at the points
-    QAGP adds, so a caller that integrates many products f(x) * g(x) with
-    one fixed g evaluates g once.
-    """
-
-    def __init__(self, breakpoints: Sequence[float]):
+    def __init__(self, lower: np.ndarray, upper: np.ndarray):
         import numpy as np
 
-        points = _to_unit_interval(breakpoints)
-        if not points:
-            raise ValueError("the rule needs at least one finite breakpoint in (0, inf)")
-        edges = np.array([0.0, *points, 1.0])
-        centre = 0.5 * (edges[:-1] + edges[1:])
-        self._half_length = 0.5 * (edges[1:] - edges[:-1])
+        centre = 0.5 * (lower + upper)
+        self._half_length = 0.5 * (upper - lower)
         offset = self._half_length * _qk21_columns()[0]
         # rows: the centre, then centre - offset and centre + offset per abscissa
         u = np.concatenate((centre[None], centre - offset, centre + offset))
@@ -605,16 +549,12 @@ class FirstPassRule:
         # round onto the end, where the integrand in u is 0 and f is not called
         self._inside = (0.0 < u) & (u < 1.0)
         w = 1.0 - u[self._inside]
-        self.breakpoints = tuple(breakpoints)
         self.nodes = u[self._inside] / w
         self._jacobian = w * w
-        self._edges = edges.tolist()
 
-    def _first_pass(
-        self, values: np.ndarray, settings: QuadratureSettings
-    ) -> tuple[QuadratureResult | None, tuple[np.ndarray, ...]]:
-        # the accepted result or None, and qk21's per-interval result, error
-        # estimate, integral of |f| and integral of |f - mean|
+    def columns(self, values: np.ndarray) -> tuple[list[float], ...]:
+        # qk21's result, error estimate, integral of |f| and integral of
+        # |f - mean| on each interval, in u, from f's values at nodes
         import numpy as np
 
         _, kronrod_weights, gauss_weights, abscissa_order = _qk21_columns()
@@ -640,14 +580,65 @@ class FirstPassRule:
             spread = _sequential_sum(pairs) * h
             difference = np.abs((kronrod - gauss) * h)
             area = kronrod * h
-            value = float(np.cumsum(area)[-1])
+        magnitude, spread = magnitude.tolist(), spread.tolist()
         # the error estimates in Python floats, whose ** is C's pow, as
         # QUADPACK's is; numpy's may differ in the last bit
-        errors = list(map(_qk21_error, difference.tolist(), magnitude.tolist(), spread.tolist()))
-        error_estimate = 0.0
-        for error in errors:
+        errors = list(map(_qk21_error, difference.tolist(), magnitude, spread))
+        return area.tolist(), errors, magnitude, spread
+
+
+def _bisected(f: Callable[[float], float], a1: float, b1: float, b2: float
+              ) -> tuple[list[float], ...]:
+    # qk21's columns on the halves (a1, b1) and (b1, b2) of a bisected
+    # interval in u, calling f at their nodes
+    import numpy as np
+
+    halves = _Qk21Nodes(np.array([a1, b1]), np.array([b1, b2]))
+    nodes = halves.nodes
+    return halves.columns(np.fromiter(map(f, nodes.tolist()), dtype=float, count=len(nodes)))
+
+
+class FirstPassRule:
+    """QAGP over (0, inf) on given breakpoints, from a first pass of fixed nodes.
+
+    The breakpoints are mapped to u = x/(1+x), and each of the intervals
+    they cut (0, 1) into carries QUADPACK's 21-point Gauss-Kronrod rule.
+    nodes holds the 21 points of every interval in the original variable x,
+    where QAGP's first pass evaluates f, less any that round onto u = 1 in
+    a last interval a few ulp wide: there the integrand in u is 0 and f is
+    not called, as in QUADPACK's transformed integrand. first_pass takes f's values there
+    and returns that pass's result, summed and error-estimated as qk21 and
+    QAGP do it, when QAGP accepts it: the summed error estimate within
+    max(absolute_tolerance, relative_tolerance * |value|). integrate goes on
+    where first_pass stops: when the pass is declined it continues QAGP's
+    adaptive bisection from that same pass, calling f only at the points
+    QAGP adds, so a caller that integrates many products f(x) * g(x) with
+    one fixed g evaluates g once. The first pass and each bisection's two
+    halves go through the same qk21 code.
+    """
+
+    def __init__(self, breakpoints: Sequence[float]):
+        import numpy as np
+
+        points = _to_unit_interval(breakpoints)
+        if not points:
+            raise ValueError("the rule needs at least one finite breakpoint in (0, inf)")
+        edges = np.array([0.0, *points, 1.0])
+        self._qk21 = _Qk21Nodes(edges[:-1], edges[1:])
+        self.breakpoints = tuple(breakpoints)
+        self.nodes = self._qk21.nodes
+        self._edges = edges.tolist()
+
+    def _first_pass(
+        self, values: np.ndarray, settings: QuadratureSettings
+    ) -> tuple[QuadratureResult | None, tuple[list[float], ...]]:
+        # the accepted result or None, and qk21's per-interval result, error
+        # estimate, integral of |f| and integral of |f - mean|
+        intervals = self._qk21.columns(values)
+        value = error_estimate = 0.0
+        for area, error in zip(*intervals[:2]):
+            value += area
             error_estimate += error
-        intervals = (area, np.array(errors), magnitude, spread)
         bound = max(settings.absolute_tolerance, settings.relative_tolerance * abs(value))
         if not error_estimate <= bound:
             return None, intervals
@@ -674,7 +665,7 @@ class FirstPassRule:
         """
         result, intervals = self._first_pass(values, settings)
         if result is None:
-            result = _qagp(_on_unit_interval(f), self._edges, intervals, settings)
+            result = _qagp(f, self._edges, intervals, settings)
         return result
 
 

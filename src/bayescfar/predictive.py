@@ -54,6 +54,15 @@ _OS_QUAD = QuadratureSettings(
 
 _NORMALIZATION_TOLERANCE = 1e-6
 
+# the largest order index k: the order-statistic Pfa loops k times per
+# evaluation, and a threshold solve at k = 10**6 already takes about 4 s
+_MAX_ORDER = 10**6
+
+
+def _require_order_bound(k: int) -> None:
+    if k > _MAX_ORDER:
+        raise ValueError(f"k={k} above {_MAX_ORDER}, the largest order index")
+
 
 def _log_comb(n: int, k: int) -> float:
     # log C(n, k). Up to n = 62, where every C(n, r) fits 64 bits, the log of
@@ -86,6 +95,7 @@ class OsPredictive:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if not (1 <= self.k <= self.n):
             raise ValueError(f"k={self.k} outside 1..{self.n}")
+        _require_order_bound(self.k)
         if not (self.t > 0) or not math.isfinite(self.t):
             raise ValueError(f"observed order statistic must be positive, got {self.t}")
         # log k + log t, not log(k t): k t overflows for t near the float maximum
@@ -178,19 +188,26 @@ def os_pfa_quadrature(tau: float, os: OsPredictive) -> float:
 
     Integrates posterior_lambda_os(lambda) * e^{-lambda tau}, the chance the
     cell under test exceeds tau averaged over the posterior, over lambda in
-    (0, inf). The integrand is positive, so nothing cancels. The quadrature
+    (0, inf), written in s = lambda t:
+
+        k C(n,k) (1 - e^{-s})^{k-1} e^{-s (n-k+1)} e^{-s tau/t},
+
+    so the integral, its breakpoints and its accuracy do not depend on the
+    scale t. The integrand is positive, so nothing cancels. The quadrature
     tolerance is pure-relative so small probabilities keep full relative
     accuracy.
     """
     if not (tau >= 0):
         raise ValueError(f"tau must be nonnegative, got {tau}")
+    x = tau / os.t
+    # the posterior at t = 1 is the density of s
+    unit = OsPredictive(os.n, os.k, 1.0)
 
-    def f(rate_lambda: float) -> float:
-        log_val = _log_posterior_os(rate_lambda, os) - rate_lambda * tau
+    def f(s: float) -> float:
+        log_val = _log_posterior_os(s, unit) - s * x
         return math.exp(log_val) if log_val > -745.0 else 0.0
 
-    # integrand scale in lambda is set by 1/t
-    ladder = [10.0**e / os.t for e in range(-6, 7)]
+    ladder = [10.0**e for e in range(-6, 7)]
     value = integrate_semi_infinite(f, _OS_QUAD, breakpoints=ladder).value
     return min(max(value, 0.0), 1.0)
 

@@ -747,6 +747,9 @@ class TestFlagSpace:
     @example(([*SIMULATE, "--lambda", "5e-324"], None))
     # an --out file that opens but cannot be written
     @example(([*SIMULATE, "--lambda", "1", "--out", "/dev/full"], None))
+    # an order index whose Pfa product would loop 2^64 times
+    @example((["threshold", "--family", "bayes_os", "--n", "18446744073709551616", "--k",
+               "18446744073709551616", "--pfa", "0.1", "--t", "1"], None))
     def test_every_command_line_keeps_the_exit_contract(self, profile_path, case):
         argv, profile = case
         if "/dev/full" in argv and not os.path.exists("/dev/full"):

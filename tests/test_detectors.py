@@ -46,6 +46,11 @@ class TestDetectorSpec:
         with pytest.raises(ValueError):
             DetectorSpec(Family.BAYES_OS, 4, 0.1, k=0)
 
+    def test_order_index_is_bounded(self):
+        assert DetectorSpec(Family.BAYES_OS, 10**6, 0.1, k=10**6).k == 10**6
+        with pytest.raises(ValueError, match="above 1000000, the largest order index"):
+            DetectorSpec(Family.BAYES_OS, 2**64, 0.1, k=2**64)
+
     def test_min_cfar_k_is_fixed(self):
         assert DetectorSpec(Family.MIN_CFAR, 4, 0.1).k is None
         assert DetectorSpec(Family.MIN_CFAR, 4, 0.1, k=1).k == 1

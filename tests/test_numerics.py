@@ -462,15 +462,16 @@ def qagp_corpus():
 class TestQagpPort:
     def test_matches_quadpack_bit_for_bit(self, monkeypatch):
         # value and error estimate hex-equal to scipy's, f called at the same
-        # points, and as many qk21 passes (neval) and intervals (last)
+        # points, and as many qk21 passes (neval) and intervals (last); each
+        # bisection is two qk21 passes, one per half
         passes = [0]
-        qk21 = numerics._qk21
+        bisected = numerics._bisected
 
         def counting(*args):
-            passes[0] += 1
-            return qk21(*args)
+            passes[0] += 2
+            return bisected(*args)
 
-        monkeypatch.setattr(numerics, "_qk21", counting)
+        monkeypatch.setattr(numerics, "_bisected", counting)
         outcomes = {"accepted": 0, "refined": 0, "failed": 0}
         for name, f, settings, breakpoints in qagp_corpus():
             quadpack, want_points = recorded(f)

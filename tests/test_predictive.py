@@ -112,6 +112,14 @@ class TestPosterior:
         with pytest.raises(ValueError):
             posterior_lambda_os(0.0, OsPredictive(4, 2, 1.0))
 
+    def test_order_index_is_bounded(self):
+        # the Pfa product loops k times per evaluation; k = 10**6 is the largest
+        assert OsPredictive(10**6, 10**6, 1.0).k == 10**6
+        for n, k in ((10**6 + 1, 10**6 + 1), (2**64, 2**64), (2**64, 3 * 10**6)):
+            with pytest.raises(ValueError, match="above 1000000, the largest order index"):
+                OsPredictive(n, k, 1.0)
+        assert OsPredictive(2**64, 3, 1.0).k == 3
+
 
 class TestOsPredictiveDensity:
     def test_single_cell_at_origin(self):
@@ -286,6 +294,18 @@ class TestOsPfaQuadrature:
         a = os_pfa(11.1, osd)
         b = os_pfa_quadrature(11.1, osd)
         assert math.isclose(a, b, rel_tol=1e-8)
+
+    def test_scale_free_over_24_decades_of_clutter_power(self):
+        # the integrand depends on lambda t only, so the accuracy must not
+        # fall as t moves away from 1
+        for e in range(-12, 13):
+            t = 10.0**e
+            for n, k in ((8, 6), (4, 2), (24, 18)):
+                osd = OsPredictive(n, k, t)
+                for ratio in (0.5, 2.0, 6.0):
+                    want = os_pfa(ratio * t, osd)
+                    got = os_pfa_quadrature(ratio * t, osd)
+                    assert math.isclose(got, want, rel_tol=1e-10), (t, n, k, ratio)
 
 
 class TestPredictiveModel:
