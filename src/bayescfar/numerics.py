@@ -635,8 +635,9 @@ class FirstPassRule:
         # the accepted result or None, and qk21's per-interval result, error
         # estimate, integral of |f| and integral of |f - mean|
         intervals = self._qk21.columns(values)
+        areas, errors, _, _ = intervals
         value = error_estimate = 0.0
-        for area, error in zip(*intervals[:2]):
+        for area, error in zip(areas, errors):
             value += area
             error_estimate += error
         bound = max(settings.absolute_tolerance, settings.relative_tolerance * abs(value))
