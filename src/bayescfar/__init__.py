@@ -53,6 +53,7 @@ from .predictive import (
 from .simulate import (
     ConfigurationError,
     Scenario,
+    ScanResult,
     SimReport,
     TargetModel,
     WindowLayout,
@@ -84,6 +85,7 @@ __all__ = [
     "QuadratureResult",
     "QuadratureSettings",
     "RootFindingError",
+    "ScanResult",
     "Scenario",
     "SimReport",
     "TargetModel",

@@ -30,7 +30,7 @@ import sys
 from typing import Iterable, Sequence, TextIO
 
 from .clutter_models import ExponentialClutter, ParetoClutter
-from .detectors import DetectorSpec, Family, predictive_pfa, threshold
+from .detectors import DetectorSpec, Family, Verdict, predictive_pfa, threshold
 from .numerics import NumericsError
 from .predictive import OsPredictive, os_predictive_density
 from .simulate import (
@@ -315,10 +315,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
     _require(args, "profile", "leading", "trailing")
     profile = _read_profile(args.profile, bool(args.header))
     layout = WindowLayout(leading=args.leading, trailing=args.trailing)
-    decisions = scan_profile(profile, spec, layout)
+    result = scan_profile(profile, spec, layout)
+    verdicts = (Verdict.H0.value, Verdict.H1.value)
     _write_csv(sys.stdout, ("cell_index", "z0", "comparison_value", "verdict"),
-               ((index, d.statistic_z0, d.comparison_value, d.verdict.value)
-                for index, d in enumerate(decisions, start=layout.leading)))
+               zip(range(layout.leading, layout.leading + len(result)),
+                   result.statistic_z0.tolist(), result.comparison_value.tolist(),
+                   map(verdicts.__getitem__, result.h1.tolist())))
     return 0
 
 

@@ -127,8 +127,8 @@ class Decision(NamedTuple):
 
     comparison_value is the evaluated false-alarm probability on the
     pfa_comparison path and the threshold tau*g on the threshold path.
-    An immutable NamedTuple, so simulate.scan_profile can build a profile's
-    worth of them without a Python call per cell.
+    An immutable NamedTuple: a simulate.ScanResult builds one from its
+    columns, without a Python call, only when the Decision is read.
     """
 
     verdict: Verdict

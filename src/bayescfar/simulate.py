@@ -24,8 +24,9 @@ scan_profile is columnar too: the windows of a range profile are the rows
 of a sliding-window matrix, built SCAN_BLOCK_ROWS cells at a time, and
 detectors.scan_windows evaluates each block in one pass, with the same
 comparison values and verdicts as the per-cell decide functions, which stay
-as the tests' oracle. The immutable Decision NamedTuples are then built
-from the result columns without a Python call per cell. The scan also
+as the tests' oracle. Its result, a ScanResult, keeps those columns and
+builds a Decision only when one is read, so a scan makes no per-cell
+object for the cyclic garbage collector to count. The scan also
 answers the one window decide does not: a zero k-th order statistic under
 bayes_os takes the t -> 0+ limit (H1 for a positive cell, H0 for a zero
 one). A ca_cfar window sum beyond the float range gives, in the scan as in
@@ -44,8 +45,10 @@ import logging
 import math
 import os as _os
 from dataclasses import asdict, dataclass, replace
+import operator
+from collections.abc import Iterator, Sequence
 from itertools import repeat
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .clutter_models import (
     ClutterModel,
@@ -79,6 +82,7 @@ __all__ = [
     "cfar_sweep",
     "max_pairwise_deviation_se",
     "scan_profile",
+    "ScanResult",
 ]
 
 if TYPE_CHECKING:
@@ -374,14 +378,77 @@ class WindowLayout:
             raise ValueError("the window must contain at least one cell")
 
 
+@dataclass(frozen=True, eq=False)
+class ScanResult(Sequence):
+    """scan_profile's Decisions, held as columns and built only when read.
+
+    h1 (bool), statistic_z0 and comparison_value (float64) are read-only
+    arrays with one entry per eligible cell; path is the family's one
+    DecisionPath. An int index gives a Decision, a slice a list of them,
+    and iteration builds them one at a time by C-level iteration over the
+    columns, with Python floats. A reader that drops each Decision after
+    reading it leaves nothing for the cyclic garbage collector, and one that
+    reads the columns builds no Decision at all. list(result) is the list
+    of Decisions. A ScanResult equals a list or ScanResult holding equal
+    Decisions in the same order, and, like a list, it is unhashable.
+    """
+
+    __slots__ = ("h1", "statistic_z0", "comparison_value", "path")
+
+    h1: np.ndarray
+    statistic_z0: np.ndarray
+    comparison_value: np.ndarray
+    path: DecisionPath
+
+    def __post_init__(self) -> None:
+        for column in (self.h1, self.statistic_z0, self.comparison_value):
+            column.flags.writeable = False
+
+    def _decisions(self, cells: slice) -> Iterator[Decision]:
+        import numpy as np
+
+        # tuple.__new__ through map builds each Decision without a Python call
+        verdicts = np.array((Verdict.H0, Verdict.H1), dtype=object)[self.h1[cells].astype(np.intp)]
+        columns = (verdicts.tolist(), self.statistic_z0[cells].tolist(),
+                   self.comparison_value[cells].tolist(), repeat(self.path))
+        return map(tuple.__new__, repeat(Decision), zip(*columns))
+
+    def __len__(self) -> int:
+        return len(self.h1)
+
+    def __iter__(self) -> Iterator[Decision]:
+        return self._decisions(slice(None))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._decisions(index))
+        cell = operator.index(index)
+        if cell < 0:
+            cell += len(self)
+        if not 0 <= cell < len(self):
+            raise IndexError("ScanResult index out of range")
+        return next(self._decisions(slice(cell, cell + 1)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, ScanResult)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __reduce__(self):
+        # copy and pickle through __init__, which a frozen dataclass's slots need
+        return ScanResult, (self.h1, self.statistic_z0, self.comparison_value, self.path)
+
+
 def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
-                 window_layout: WindowLayout) -> list[Decision]:
+                 window_layout: WindowLayout) -> ScanResult:
     """Slide the detector across a range profile; one Decision per eligible cell.
 
     The window is the leading cells immediately before the cell under test
     plus the trailing cells immediately after, no guard cells. Cells without
     a full complement of neighbors are skipped, so a profile of exactly
-    leading + trailing cells yields an empty list; anything shorter cannot
+    leading + trailing cells yields an empty result; anything shorter cannot
     hold a single window and is a configuration error. The profile is a
     sequence of floats or a 1-D array; a value that is negative or not
     finite is a ValueError naming the first such value.
@@ -390,8 +457,9 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     time form the rows of one matrix, and detectors.scan_windows gives every
     comparison value and verdict of the block at once, with the same bits as
     the family's per-cell decide (for ca_cfar, the exactly rounded window
-    sums). The Decisions, immutable NamedTuples, are built from the result
-    columns by C-level iteration.
+    sums). Each block's output is written into the columns of the returned
+    ScanResult, and no per-cell object is built: a Decision is made when it
+    is read from the result.
 
     One case that decide does not answer has a defined outcome here:
     bayes_os at a window whose k-th order statistic is zero takes the
@@ -406,7 +474,8 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
-    values = np.asarray(profile, dtype=float)
+    # our own copy: the result's statistic_z0 column is a view of it
+    values = np.array(profile, dtype=float)
     if values.ndim != 1:
         raise ValueError(f"the profile must be one-dimensional, got shape {values.shape}")
     bad = ~(np.isfinite(values) & (values >= 0))
@@ -422,21 +491,16 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
         raise ConfigurationError(
             f"profile of {len(values)} cells cannot hold a {lead}+{trail} window"
         )
-    if len(values) == lead + trail:
-        return []
-    rows = sliding_window_view(values, spec.n + 1)
-    verdicts = np.array((Verdict.H0, Verdict.H1), dtype=object)
-    decisions: list[Decision] = []
-    for start in range(0, len(rows), SCAN_BLOCK_ROWS):
-        block = rows[start:start + SCAN_BLOCK_ROWS]
-        z0 = block[:, lead]
+    cells = len(values) - spec.n
+    h1 = np.empty(cells, dtype=bool)
+    comparison = np.empty(cells)
+    for start in range(0, cells, SCAN_BLOCK_ROWS):
+        block = sliding_window_view(values[start:start + SCAN_BLOCK_ROWS + spec.n], spec.n + 1)
         # the concatenated copy is ours: + 0.0 turns a -0.0 sample into 0.0, as
         # CrpWindow does, so the statistic's sign agrees with decide's
         windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
         windows += 0.0
-        comparison, h1, path = scan_windows(z0, windows, spec)
-        # tuple.__new__ through map builds each Decision without a Python call
-        columns = (verdicts[h1.astype(np.intp)].tolist(), z0.tolist(),
-                   comparison.tolist(), repeat(path))
-        decisions.extend(map(tuple.__new__, repeat(Decision), zip(*columns)))
-    return decisions
+        block_cells = slice(start, start + len(block))
+        comparison[block_cells], h1[block_cells], _ = scan_windows(
+            block[:, lead], windows, spec)
+    return ScanResult(h1, values[lead:lead + cells], comparison, FAMILIES[spec.family].path)

@@ -6,7 +6,10 @@ detection probability (1+s) / ((1+s) + (1/p - 1)), found by integrating the
 two competing exponentials directly.
 """
 
+import copy
+import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -32,6 +35,7 @@ from bayescfar.detectors import (
 from bayescfar.simulate import (
     SCAN_BLOCK_ROWS,
     ConfigurationError,
+    ScanResult,
     Scenario,
     SimReport,
     TargetModel,
@@ -617,7 +621,7 @@ class TestDecisionContract:
         want = _per_cell(profile, spec, WindowLayout(2, 0))
         assert got == want
         assert [hash(d) for d in got] == [hash(d) for d in want]
-        assert len(set(got + want)) == 2
+        assert len(set([*got, *want])) == 2
         d = got[0]
         assert repr(d) == ("Decision(verdict=<Verdict.H1: 'H1'>, statistic_z0=40.0, "
                            "comparison_value=%r, path=<DecisionPath.THRESHOLD: 'threshold'>)"
@@ -629,6 +633,111 @@ class TestDecisionContract:
             d.extra = 1.0
         assert Decision._fields == ("verdict", "statistic_z0", "comparison_value", "path")
 
+
+
+def _scan_case(family, cells=1024, n=16, seed=1024):
+    spec = DetectorSpec(family, n, 1e-3, k=12 if family is Family.BAYES_OS else None)
+    rng = np.random.default_rng(seed)
+    profile = rng.exponential(size=cells)
+    profile[rng.random(cells) < 0.02] *= 1000.0
+    return profile.tolist(), spec, WindowLayout(n // 2, n - n // 2)
+
+
+def _hex(decisions):
+    return [(d.verdict, d.statistic_z0.hex(), d.comparison_value.hex(), d.path)
+            for d in decisions]
+
+
+class TestScanResult:
+    @pytest.mark.parametrize("family", list(Family))
+    def test_iteration_indexing_and_slicing_equal_decide(self, family):
+        profile, spec, layout = _scan_case(family, cells=200)
+        result = scan_profile(profile, spec, layout)
+        want = _per_cell(profile, spec, layout)
+        assert isinstance(result, ScanResult) and len(result) == len(want) == 184
+        assert _hex(result) == _hex(want)
+        assert _hex(result[i] for i in range(len(result))) == _hex(want)
+        assert _hex(result[-i] for i in range(1, len(result) + 1)) == _hex(want[::-1])
+        for cells in (slice(None), slice(3, 40), slice(-5, None), slice(None, None, -3),
+                      slice(170, 500), slice(50, 10)):
+            assert _hex(result[cells]) == _hex(want[cells])
+            assert result[cells] == list(result)[cells]
+
+    def test_sequence_contract(self):
+        profile, spec, layout = _scan_case(Family.MIN_CFAR, cells=40, n=4)
+        result = scan_profile(profile, spec, layout)
+        decisions = list(result)
+        assert len(result) == 36
+        assert result[-1] == decisions[-1] and result[-36] == decisions[0]
+        for index in (36, -37, 10**20):
+            with pytest.raises(IndexError):
+                result[index]
+        with pytest.raises(TypeError):
+            result[1.0]
+        assert type(result[5].statistic_z0) is float and type(result[5].comparison_value) is float
+        assert all(type(d.statistic_z0) is float and type(d.comparison_value) is float
+                   for d in result)
+        assert result == decisions and decisions == result
+        assert result == scan_profile(profile, spec, layout)
+        assert not (result != decisions) and not (decisions != result)
+        other = decisions[:-1] + [decisions[-1]._replace(comparison_value=-1.0)]
+        assert result != other and other != result
+        assert result != decisions[:-1] and decisions[:-1] != result
+        assert result != tuple(decisions)
+        with pytest.raises(TypeError):
+            hash(result)
+        assert copy.deepcopy(result) == pickle.loads(pickle.dumps(result)) == decisions
+
+    def test_columns_are_read_only(self):
+        profile, spec, layout = _scan_case(Family.CA_CFAR, cells=40, n=4)
+        result = scan_profile(profile, spec, layout)
+        assert (result.h1.dtype, result.statistic_z0.dtype, result.comparison_value.dtype) == (
+            np.dtype(bool), np.dtype(float), np.dtype(float))
+        for column in (result.h1, result.statistic_z0, result.comparison_value):
+            assert not column.flags.writeable
+            with pytest.raises(ValueError):
+                column[0] = 0
+        assert result.path is DecisionPath.THRESHOLD
+        with pytest.raises(AttributeError):
+            result.h1 = np.ones(36, dtype=bool)
+        # the result holds its own copy of the profile
+        values = np.array(profile)
+        held = scan_profile(values, spec, layout)
+        values[:] = 0.0
+        assert held == result
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_exact_fit_is_empty(self, family):
+        profile, spec, layout = _scan_case(family, cells=16)
+        result = scan_profile(profile, spec, layout)
+        assert isinstance(result, ScanResult) and len(result) == 0
+        assert result == [] and [] == result and list(result) == [] and result[:] == []
+        assert result.path is FAMILIES[family].path
+
+
+class TestScanAllocations:
+    # a tracked allocation raises the collector's generation-0 count and
+    # freeing one lowers it, so with the collector off the count shows how
+    # many container objects a scan leaves behind
+    @pytest.mark.parametrize("family", list(Family))
+    def test_a_scan_builds_no_per_cell_objects(self, family):
+        profile, spec, layout = _scan_case(family)
+        scan_profile(profile, spec, layout)
+        gc.collect()
+        gc.disable()
+        try:
+            before = gc.get_count()[0]
+            result = scan_profile(profile, spec, layout)
+            scanned = gc.get_count()[0]
+            for decision in result:
+                assert decision.path is result.path
+            streamed = gc.get_count()[0]
+        finally:
+            gc.enable()
+        assert len(result) == 1008
+        assert scanned - before < 100
+        # each Decision is freed when the next one replaces it
+        assert streamed - scanned < 10
 
 def _per_cell(profile, spec, layout):
     """The per-cell decide of every eligible cell, the zero-statistic limit added."""
