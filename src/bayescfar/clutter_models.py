@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence, Union
 
-from .predictive import OsPredictive, _log_posterior_os
+from .predictive import OsPredictive, posterior_lambda_os
 
 __all__ = [
     "ExponentialClutter",
@@ -190,13 +190,16 @@ def os_density(t: float, n: int, k: int, rate_lambda: float) -> float:
         raise ValueError(f"rate_lambda must be finite and positive, got {rate_lambda}")
     if t == 0.0:
         return rate_lambda * n if k == 1 else 0.0
-    log_val = _log_posterior_os(t, OsPredictive(n, k, rate_lambda))
-    return math.exp(log_val) if log_val > -745.0 else 0.0
+    return posterior_lambda_os(t, OsPredictive(n, k, rate_lambda))
 
 
 def window_sum(window: CrpWindow) -> float:
-    """Sum of all window samples (the cell-averaging statistic up to 1/N)."""
-    return math.fsum(window.samples)
+    """Sum of all window samples (the cell-averaging statistic up to 1/N).
+
+    The exactly rounded sum, or inf where the exact sum is beyond the float
+    range.
+    """
+    return _scaled_window_sum(1.0, window.samples)
 
 
 def _scaled_window_sum(multiplier: float, samples: Sequence[float]) -> float:

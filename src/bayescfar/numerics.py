@@ -330,27 +330,30 @@ def _qagp(
     # Names are dqagpe's; indices count from 0 where QUADPACK's count from 1
     epsabs, epsrel = settings.absolute_tolerance, settings.relative_tolerance
     rlist, elist, magnitudes, spreads = first_pass
-    nint = len(rlist)
-    # at least two subintervals per interval, so dqagpe's own check that
-    # the limit exceeds the breakpoints always passes
-    limit = max(settings.max_subdivisions, 2 * nint)
-    alist, blist = edges[:-1], edges[1:]
     result = abserr = resabs = 0.0
     for area, error, magnitude in zip(rlist, elist, magnitudes):
         result += area
         abserr += error
         resabs += magnitude
+    dres = abs(result)
+    errbnd = max(epsabs, epsrel * dres)
+    # dqagpe accepts the first pass, or fails it to round-off, on these sums
+    # alone: nothing below changes them
+    ier = 2 if abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd else 0
+    if ier or abserr <= errbnd:
+        return _settled(result, abserr, ier)
+
+    nint = len(rlist)
+    # at least two subintervals per interval, so dqagpe's own check that
+    # the limit exceeds the breakpoints always passes
+    limit = max(settings.max_subdivisions, 2 * nint)
     # an interval whose error estimate is its spread takes the whole error
     errsum = 0.0
     for i, (error, spread) in enumerate(zip(elist, spreads)):
         if error == spread and error != 0.0:
             elist[i] = abserr
         errsum += elist[i]
-    level = [0] * nint
     last = nint
-    dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
-    ier = 2 if abserr <= 100.0 * _EPMACH * resabs and abserr > errbnd else 0
     # rank the intervals by error, a selection sort as dqagpe's
     iord = list(range(nint))
     for i in range(nint - 1):
@@ -359,8 +362,6 @@ def _qagp(
             if not elist[top] > elist[iord[j]]:
                 top, k = iord[j], j
         iord[k], iord[i] = iord[i], top
-    if ier or abserr <= errbnd:
-        return _settled(result, abserr, ier)
 
     # qelg's table: up to 50 partial sums and the two slots it works in
     table = [0.0] * 52
@@ -380,8 +381,9 @@ def _qagp(
     ksgn = 1 if dres >= (1.0 - 50.0 * _EPMACH) * resabs else -1
     # room for every interval the limit allows
     pad = limit - nint
-    alist, blist, rlist, elist = (column + [0.0] * pad for column in (alist, blist, rlist, elist))
-    level, iord = level + [0] * pad, iord + [0] * pad
+    alist, blist, rlist, elist = (column + [0.0] * pad
+                                  for column in (edges[:-1], edges[1:], rlist, elist))
+    level, iord = [0] * limit, iord + [0] * pad
 
     summed = False
     for last in range(nint + 1, limit + 1):
@@ -606,15 +608,13 @@ class FirstPassRule:
     nodes holds the 21 points of every interval in the original variable x,
     where QAGP's first pass evaluates f, less any that round onto u = 1 in
     a last interval a few ulp wide: there the integrand in u is 0 and f is
-    not called, as in QUADPACK's transformed integrand. first_pass takes f's values there
-    and returns that pass's result, summed and error-estimated as qk21 and
-    QAGP do it, when QAGP accepts it: the summed error estimate within
-    max(absolute_tolerance, relative_tolerance * |value|). integrate goes on
-    where first_pass stops: when the pass is declined it continues QAGP's
-    adaptive bisection from that same pass, calling f only at the points
-    QAGP adds, so a caller that integrates many products f(x) * g(x) with
-    one fixed g evaluates g once. The first pass and each bisection's two
-    halves go through the same qk21 code.
+    not called, as in QUADPACK's transformed integrand. integrate takes f's
+    values there and runs QAGP from that pass: it returns the pass's result,
+    summed and error-estimated as qk21 and QAGP do it, when QAGP accepts it,
+    and otherwise continues QAGP's adaptive bisection from that same pass,
+    calling f only at the points QAGP adds. So a caller that integrates many
+    products f(x) * g(x) with one fixed g evaluates g once. The first pass
+    and each bisection's two halves go through the same qk21 code.
     """
 
     def __init__(self, breakpoints: Sequence[float]):
@@ -629,28 +629,6 @@ class FirstPassRule:
         self.nodes = self._qk21.nodes
         self._edges = edges.tolist()
 
-    def _first_pass(
-        self, values: np.ndarray, settings: QuadratureSettings
-    ) -> tuple[QuadratureResult | None, tuple[list[float], ...]]:
-        # the accepted result or None, and qk21's per-interval result, error
-        # estimate, integral of |f| and integral of |f - mean|
-        intervals = self._qk21.columns(values)
-        areas, errors, _, _ = intervals
-        value = error_estimate = 0.0
-        for area, error in zip(areas, errors):
-            value += area
-            error_estimate += error
-        bound = max(settings.absolute_tolerance, settings.relative_tolerance * abs(value))
-        if not error_estimate <= bound:
-            return None, intervals
-        return QuadratureResult(value, error_estimate), intervals
-
-    def first_pass(
-        self, values: np.ndarray, settings: QuadratureSettings = QuadratureSettings()
-    ) -> QuadratureResult | None:
-        """The first-pass result for f's values at nodes, or None if QAGP would refine."""
-        return self._first_pass(values, settings)[0]
-
     def integrate(
         self,
         values: np.ndarray,
@@ -659,15 +637,12 @@ class FirstPassRule:
     ) -> QuadratureResult:
         """Integral of f over (0, inf), given f's values at nodes.
 
-        The first pass when QAGP accepts it; otherwise QAGP's bisection,
-        continued from that pass, which calls f only at the points it adds
-        and raises QuadratureError, carrying the best estimate, where QAGP
-        reports failure.
+        The first pass when QAGP accepts it, without calling f; otherwise
+        QAGP's bisection, continued from that pass, which calls f only at the
+        points it adds and raises QuadratureError, carrying the best
+        estimate, where QAGP reports failure.
         """
-        result, intervals = self._first_pass(values, settings)
-        if result is None:
-            result = _qagp(f, self._edges, intervals, settings)
-        return result
+        return _qagp(f, self._edges, self._qk21.columns(values), settings)
 
 
 def integrate_semi_infinite(

@@ -92,9 +92,10 @@ logger = logging.getLogger(__name__)
 
 WILSON_Z = 3.0
 BLOCK_SIZE = 65536
-# cells per window matrix in scan_profile: bounds its size for long profiles
-# and windows in the hundreds
+# cells per window matrix in scan_profile, which bounds its size for long
+# profiles; past 256-cell windows, _SCAN_BLOCK_FLOATS samples bound it instead
 SCAN_BLOCK_ROWS = 4096
+_SCAN_BLOCK_FLOATS = 2**20
 WORKERS_ENV_VAR = "BAYESCFAR_WORKERS"
 # give up if a block cannot produce nondegenerate windows
 _MAX_REDRAW_ROUNDS = 1000
@@ -454,12 +455,13 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     finite is a ValueError naming the first such value.
 
     Evaluation is columnar: the windows of up to SCAN_BLOCK_ROWS cells at a
-    time form the rows of one matrix, and detectors.scan_windows gives every
-    comparison value and verdict of the block at once, with the same bits as
-    the family's per-cell decide (for ca_cfar, the exactly rounded window
-    sums). Each block's output is written into the columns of the returned
-    ScanResult, and no per-cell object is built: a Decision is made when it
-    is read from the result.
+    time, and of no more than 2**20 samples in all, form the rows of one
+    matrix, and detectors.scan_windows gives every comparison value and
+    verdict of the block at once, with the same bits as the family's
+    per-cell decide (for ca_cfar, the exactly rounded window sums). Each
+    block's output is written into the columns of the returned ScanResult,
+    and no per-cell object is built: a Decision is made when it is read
+    from the result.
 
     One case that decide does not answer has a defined outcome here:
     bayes_os at a window whose k-th order statistic is zero takes the
@@ -494,8 +496,9 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     cells = len(values) - spec.n
     h1 = np.empty(cells, dtype=bool)
     comparison = np.empty(cells)
-    for start in range(0, cells, SCAN_BLOCK_ROWS):
-        block = sliding_window_view(values[start:start + SCAN_BLOCK_ROWS + spec.n], spec.n + 1)
+    rows = max(1, min(SCAN_BLOCK_ROWS, _SCAN_BLOCK_FLOATS // spec.n))
+    for start in range(0, cells, rows):
+        block = sliding_window_view(values[start:start + rows + spec.n], spec.n + 1)
         # the concatenated copy is ours: + 0.0 turns a -0.0 sample into 0.0, as
         # CrpWindow does, so the statistic's sign agrees with decide's
         windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)

@@ -260,6 +260,14 @@ class TestSimulate:
         b = run(*self.ARGS)
         assert a.stdout == b.stdout
 
+    @pytest.mark.parametrize("workers", ["abc", "0"])
+    def test_bad_worker_env_is_a_usage_error(self, run, monkeypatch, workers):
+        monkeypatch.setenv("BAYESCFAR_WORKERS", workers)
+        out = run(*self.ARGS)
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "error: BAYESCFAR_WORKERS" in out.stderr
+
     def test_pd_mode(self, run):
         out = run("simulate", "--family", "min_cfar", "--n", "4", "--pfa", "0.1",
                   "--lambda", "2", "--mode", "pd", "--snr", "10",

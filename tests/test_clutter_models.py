@@ -5,6 +5,7 @@ level so a correct implementation passes with margin on these seeds.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -141,6 +142,12 @@ class TestWindowStatistics:
     def test_window_sum_examples(self):
         assert window_sum(CrpWindow([1.0, 2.0, 3.5])) == 6.5
         assert window_sum(CrpWindow([0.0])) == 0.0
+        # an exact sum beyond the float range is inf, where fsum overflows;
+        # one just inside it keeps fsum's bits
+        assert window_sum(CrpWindow([1.7e308, 1.7e308])) == math.inf
+        top = sys.float_info.max
+        assert window_sum(CrpWindow([top, 2.0 ** 970])) == math.inf
+        assert window_sum(CrpWindow([top, 2.0 ** 969])) == top
 
     @settings(max_examples=60, deadline=None)
     @given(

@@ -539,17 +539,20 @@ class TestTwoParameterModel:
         generic_predictive_density(0.7, model)
         assert calls == {"likelihood": 714**2, "posterior": 0}
 
-    def test_declined_inner_passes_equal_nested_quadrature(self):
-        # a narrow bump in b that the inner first passes cannot resolve; each
-        # declined pass must go on as QAGP does from the values its first
-        # pass already holds, so the result is scipy's nested QAGP bit for bit
+    def nested_quadrature(self, axis, centre, width):
+        """generic_predictive_density at z0 = 0.5 with a narrow bump on one
+        axis of the likelihood, and scipy's nested QAGP of the same integral.
+
+        Returns both values, scipy's outer QAGP, and the likelihood and
+        posterior calls each made.
+        """
         from test_numerics import qagp_oracle
 
         calls = {"likelihood": 0, "posterior": 0}
 
         def likelihood(z0, theta):
             calls["likelihood"] += 1
-            bump = 1.0 + 50.0 * math.exp(-(((theta[1] - 2.0) / 0.05) ** 2))
+            bump = 1.0 + 50.0 * math.exp(-(((theta[axis] - centre) / width) ** 2))
             return self.likelihood(z0, theta) * bump
 
         def posterior(theta):
@@ -570,12 +573,30 @@ class TestTwoParameterModel:
             ))
 
         calls["likelihood"] = calls["posterior"] = 0
-        want = converged(qagp_oracle(marginal, a_points, settings))
+        outer = qagp_oracle(marginal, a_points, settings)
+        want = converged(outer)
         nested = dict(calls)
         calls["likelihood"] = calls["posterior"] = 0
         got = generic_predictive_density(z0, model)
+        return got, want, outer, nested, calls
+
+    def test_declined_inner_passes_equal_nested_quadrature(self):
+        # a narrow bump in b that the inner first passes cannot resolve; each
+        # declined pass must go on as QAGP does from the values its first
+        # pass already holds, so the result is scipy's nested QAGP bit for bit
+        got, want, _, nested, calls = self.nested_quadrature(1, 2.0, 0.05)
         assert got.hex() == want.hex()
         # the likelihood is called where the nested quadrature calls it; the
         # posterior only at the points the declined passes add to the samples
         assert nested == {"likelihood": 601_230, "posterior": 601_230}
         assert calls == {"likelihood": 601_230, "posterior": 91_434}
+
+    def test_declined_outer_pass_equals_nested_quadrature(self):
+        # a narrow bump in a declines the outer first pass: each a that QAGP
+        # adds gets its inner integral from scratch, as scipy's nested QAGP
+        # does, and the result is scipy's bit for bit
+        got, want, outer, nested, calls = self.nested_quadrature(0, 1.0, 0.02)
+        assert outer.neval > 21 * outer.intervals
+        assert got.hex() == want.hex()
+        assert calls["likelihood"] == nested["likelihood"]
+        assert calls["posterior"] < nested["posterior"]

@@ -10,6 +10,8 @@ import copy
 import gc
 import math
 import pickle
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -157,6 +159,19 @@ class TestEstimatePfa:
         base = estimate_pfa(sc, workers=1)
         monkeypatch.setenv("BAYESCFAR_WORKERS", "3")
         assert estimate_pfa(sc) == base
+
+    @pytest.mark.parametrize("workers, env, message", [
+        (0, None, "worker count must be at least 1, got 0"),
+        (None, "abc", "BAYESCFAR_WORKERS='abc' is not an integer"),
+        (None, "0", "BAYESCFAR_WORKERS must be at least 1, got 0"),
+    ])
+    def test_bad_worker_count_rejected(self, monkeypatch, workers, env, message):
+        if env is None:
+            monkeypatch.delenv("BAYESCFAR_WORKERS", raising=False)
+        else:
+            monkeypatch.setenv("BAYESCFAR_WORKERS", env)
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            estimate_pfa(scenario(trials=100, seed=5), workers=workers)
 
     def test_report_fields_round_trip(self):
         report = estimate_pfa(scenario(trials=1000, seed=5))
@@ -739,6 +754,32 @@ class TestScanAllocations:
         # each Decision is freed when the next one replaces it
         assert streamed - scanned < 10
 
+    @pytest.mark.parametrize("family", list(Family))
+    def test_long_windows_bound_the_window_matrix(self, family):
+        # a block of SCAN_BLOCK_ROWS windows of 4000 samples is 125 MiB, and a
+        # scan holds one or two such matrices; a block of at most 2**20
+        # samples (8 MiB) keeps the peak small whatever the window size
+        profile, spec, layout = _long_window_scan_case(family, SCAN_BLOCK_ROWS)
+        tracemalloc.start()
+        try:
+            result = scan_profile(profile, spec, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result) == SCAN_BLOCK_ROWS
+        assert peak < 32 * 2**20, peak
+
+
+def _long_window_scan_case(family, cells):
+    # windows of 4000 cells, 262 to a block, over a profile with outliers
+    n = 4000
+    spec = DetectorSpec(family, n, 1e-3, k=3000 if family is Family.BAYES_OS else None)
+    rng = np.random.default_rng(n)
+    profile = rng.exponential(size=cells + n)
+    profile[rng.random(profile.size) < 0.01] *= 1000.0
+    return profile, spec, WindowLayout(2500, n - 2500)
+
+
 def _per_cell(profile, spec, layout):
     """The per-cell decide of every eligible cell, the zero-statistic limit added."""
     decide = {Family.BAYES_OS: bayes_os_decide, Family.MIN_CFAR: min_cfar_decide,
@@ -842,6 +883,11 @@ class TestScanMatchesPerCell:
         profile = rng.exponential(size=2 * SCAN_BLOCK_ROWS + 37 + n)
         profile[rng.random(profile.size) < 0.01] *= 1000.0
         _assert_matches_per_cell(profile.tolist(), spec, WindowLayout(9, 7))
+
+    @pytest.mark.parametrize("family", list(Family))
+    def test_long_windows_across_a_block_edge(self, family):
+        profile, spec, layout = _long_window_scan_case(family, 300)
+        _assert_matches_per_cell(profile.tolist(), spec, layout)
 
     @pytest.mark.parametrize("profile, n, pfa", _adversarial_ca_cases())
     def test_adversarial_cell_averaging_windows(self, profile, n, pfa):
