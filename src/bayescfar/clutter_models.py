@@ -2,8 +2,9 @@
 
 Exponential and Pareto Type II (Lomax) intensity models, inverse-CDF
 sampling off a caller-supplied random stream, the order-statistic / sum
-statistics extracted from a clutter range profile window (one window or a
-whole window matrix), and direct draws of those statistics from their
+statistics extracted from a clutter range profile window (one window, or
+the sum or minimum of every window of a profile segment at once, from the
+segment's dyadic blocks), and direct draws of those statistics from their
 distributions for the Monte Carlo harness.
 
 Pareto convention used throughout: survival function (1 + t/beta)^(-alpha),
@@ -11,15 +12,15 @@ with shape alpha and scale beta. Conventions differ between texts, so tests
 pin this one down.
 
 The scalar statistics and densities are plain float arithmetic; numpy is
-imported by the array functions (the inverse-CDF transform and the window
-matrix sums) when they first run, not with the module.
+imported by the array functions (the inverse-CDF transform and the sliding
+window statistics) when they first run, not with the module.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence, Union
+from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .predictive import OsPredictive, posterior_lambda_os
 
@@ -39,6 +40,9 @@ __all__ = [
 
 if TYPE_CHECKING:
     import numpy as np
+
+# uniforms per chunk of a Pareto window_sum_draws
+_DRAW_CHUNK_FLOATS = 2**20
 
 
 @dataclass(frozen=True)
@@ -159,11 +163,22 @@ def window_sum_draws(model: ClutterModel, n: int,
     """size draws of the sum of n i.i.d. intensities of model.
 
     An exponential sum is Gamma(n, 1/lambda), one draw; a Pareto sum has no
-    closed form and is summed from n transformed uniforms on (0, 1].
+    closed form and is summed from n transformed uniforms on (0, 1]. Those
+    are drawn in chunks of at most 2**20 uniforms, and at least one row of n,
+    so memory does not grow with size; the stream yields the same uniforms
+    in chunks as in one draw, and each row is summed alike.
     """
     if isinstance(model, ExponentialClutter):
         return rng_stream.standard_gamma(n, size) / model.rate_lambda
-    return intensity_from_uniform(model, 1.0 - rng_stream.random((size, n))).sum(axis=1)
+    import numpy as np
+
+    sums = np.empty(size)
+    rows = max(1, _DRAW_CHUNK_FLOATS // n)
+    for start in range(0, size, rows):
+        chunk = min(rows, size - start)
+        uniforms = 1.0 - rng_stream.random((chunk, n))
+        sums[start:start + chunk] = intensity_from_uniform(model, uniforms).sum(axis=1)
+    return sums
 
 
 def kth_order_statistic(window: CrpWindow, k: int) -> float:
@@ -217,33 +232,82 @@ def _scaled_window_sum(multiplier: float, samples: Sequence[float]) -> float:
             return math.inf
 
 
-def _row_sums(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The sum of every row at once, and which rows it is certified exactly
-    # rounded for. A TwoSum cascade (Ogita, Rump & Oishi, "Accurate sum and dot
-    # product", SIAM J. Sci. Comput. 26(6), 2005) keeps the running sum s and
-    # each step's exact error e_j; the row sum is then exactly s + sum(e_j).
-    # c and a are the rounded sums of e_j and |e_j|, so c is off by at most
-    # gamma * a, and (r, d) = TwoSum(s, c) leaves the sum within |d| + gamma * a
-    # of r. That bound lies strictly inside r's rounding interval (the smaller
-    # half-spacing, below r) or is zero (c then exact, and r = fl(s + c) is the
-    # rounded sum); other rows, and any that overflowed, are not certified.
+def _window_fold(cells: tuple, lead: int, trail: int,
+                 join: Callable[[tuple, tuple], tuple]) -> tuple:
+    # The state of every window of a segment from the states of its cells:
+    # window i is the leading run of cells i .. i + lead - 1 joined with the
+    # trailing run i + lead + 1 .. i + lead + trail, for each i up to
+    # len(segment) - lead - trail. A state is a tuple of equal-length arrays,
+    # and join(x, y) is the state of run x followed by run y. Dyadic blocks
+    # B_0 = cells, B_{j+1}[i] = join(B_j[i], B_j[i + 2**j]) hold the runs of
+    # 2**j cells, and a run of length L joins the blocks named by L's binary
+    # digits, low first: O(log n) whole-array steps, not O(n)
+    rows = len(cells[0]) - lead - trail
+    # each run: [its next uncovered cell, its length, its state so far]
+    runs = [[0, lead, None], [lead + 1, trail, None]]
+    block, width = cells, 1
+    while True:
+        for run in runs:
+            first, length, state = run
+            if length & width:
+                part = tuple(a[first:first + rows] for a in block)
+                run[0], run[2] = first + width, part if state is None else join(state, part)
+        if 2 * width > max(lead, trail):
+            break
+        block = join(tuple(a[:-width] for a in block), tuple(a[width:] for a in block))
+        width *= 2
+    leading, trailing = runs[0][2], runs[1][2]
+    if leading is None or trailing is None:
+        return leading or trailing
+    return join(leading, trailing)
+
+
+def _window_minima(samples: np.ndarray, lead: int, trail: int) -> np.ndarray:
+    # the minimum of every window of a segment (see _window_fold); np.minimum
+    # is exact, so any grouping gives min's value
     import numpy as np
 
-    rows, n = windows.shape
+    return _window_fold((samples,), lead, trail,
+                        lambda x, y: (np.minimum(x[0], y[0]),))[0]
+
+
+def _two_sum_join(x: tuple, y: tuple) -> tuple:
+    # run x followed by run y, each a (sum, error sum, |error| sum) state: the
+    # sums by TwoSum (Knuth), whose error e is exact, and e added to both
+    import numpy as np
+
+    s1, c1, a1 = x
+    s2, c2, a2 = y
+    s = s1 + s2
+    z = s - s1
+    e = (s1 - (s - z)) + (s2 - z)
+    return s, c1 + c2 + e, a1 + a2 + np.abs(e)
+
+
+def _window_sums(samples: np.ndarray, lead: int, trail: int) -> tuple[np.ndarray, np.ndarray]:
+    # The sum of every window of a segment (see _window_fold), and which
+    # windows it is certified exactly rounded for. Each window's state comes
+    # from exactly n - 1 TwoSums (Ogita, Rump & Oishi, "Accurate sum and dot
+    # product", SIAM J. Sci. Comput. 26(6), 2005), one per join of two
+    # disjoint runs, whichever runs they are, so the window sum is exactly
+    # s + sum(e_j) over its n - 1 errors e_j. c and a are the rounded sums of
+    # e_j and |e_j| over the same joins; a single cell's c and a are 0, and
+    # adding 0 is exact, so c is a tree sum of n - 1 terms, with at most
+    # n - 2 roundings on the path of each, and is off by at most gamma * a,
+    # as a left-to-right sum would be. (r, d) = TwoSum(s, c) then leaves the
+    # sum within |d| + gamma * a of r. That bound lies strictly inside r's
+    # rounding interval (the smaller half-spacing, below r) or is zero (c
+    # then exact, and r = fl(s + c) is the rounded sum); other windows, and
+    # any that overflowed, are not certified
+    import numpy as np
+
+    n = lead + trail
     # c adds n - 1 errors with n - 2 roundings of unit roundoff 2**-53; the
     # factor 2 covers the rounding of a and of gamma * a
     gamma = 2.0 * max(n - 2, 0) * 2.0 ** -53
+    zeros = np.zeros(len(samples))
     with np.errstate(over="ignore", invalid="ignore"):
-        s = windows[:, 0]
-        c = np.zeros(rows)
-        a = np.zeros(rows)
-        for w in windows.T[1:]:
-            t = s + w
-            tw = t - s
-            e = (s - (t - tw)) + (w - tw)
-            s = t
-            c += e
-            a += np.abs(e)
+        s, c, a = _window_fold((samples, zeros, zeros), lead, trail, _two_sum_join)
         r = s + c
         rc = r - s
         d = (s - (r - rc)) + (c - rc)
@@ -253,17 +317,19 @@ def _row_sums(windows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return r, certified
 
 
-def _scaled_window_sums(multiplier: float, windows: np.ndarray) -> np.ndarray:
-    # _scaled_window_sum of every row, with its bits: certified rows take
-    # multiplier * the cascade sum, the rest (near ties, overflow) go through
-    # _scaled_window_sum
+def _scaled_window_sums(multiplier: float, samples: np.ndarray, lead: int,
+                        trail: int) -> np.ndarray:
+    # _scaled_window_sum of every window of a segment (see _window_fold), with
+    # its bits: certified windows take multiplier * their certified sum, the
+    # rest (near ties, overflow) go through _scaled_window_sum
     import numpy as np
 
-    sums, certified = _row_sums(windows)
-    # a multiplier that rounds to 0 times an overflowed sum is nan; that row
-    # is not certified and is redone below
+    sums, certified = _window_sums(samples, lead, trail)
+    # a multiplier that rounds to 0 times an overflowed sum is nan; that
+    # window is not certified and is redone below
     with np.errstate(invalid="ignore"):
         limit = multiplier * sums
     for i in np.flatnonzero(~certified).tolist():
-        limit[i] = _scaled_window_sum(multiplier, windows[i].tolist())
+        window = samples[i:i + lead].tolist() + samples[i + lead + 1:i + lead + 1 + trail].tolist()
+        limit[i] = _scaled_window_sum(multiplier, window)
     return limit

@@ -33,6 +33,7 @@ from .clutter_models import (
     CrpWindow,
     _scaled_window_sum,
     _scaled_window_sums,
+    _window_minima,
     kth_order_statistic,
     kth_smallest_draws,
     window_sum_draws,
@@ -64,6 +65,8 @@ __all__ = [
 
 if TYPE_CHECKING:
     import numpy as np
+
+    from .simulate import WindowLayout
 
 
 class Family(str, Enum):
@@ -152,10 +155,18 @@ def _order(spec: DetectorSpec) -> int:
     return spec.k or 1
 
 
-def _os_statistic_rows(m: float, windows: np.ndarray, spec: DetectorSpec) -> np.ndarray:
+def _os_statistic_rows(m: float, samples: np.ndarray, layout: WindowLayout,
+                       spec: DetectorSpec) -> np.ndarray:
     import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
 
-    k = _order(spec)
+    k, lead = _order(spec), layout.leading
+    if k == 1:
+        return m * _window_minima(samples, lead, layout.trailing)
+    # the segment's windows as the rows of a matrix, which scan_profile's
+    # blocks keep to at most 2**20 samples
+    block = sliding_window_view(samples, spec.n + 1)
+    windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
     return m * np.partition(windows, k - 1, axis=1)[:, k - 1]
 
 
@@ -163,8 +174,12 @@ class FamilyRow(NamedTuple):
     """A family as the note builds it: a clutter-level statistic g and Pfa(x).
 
     statistic(m, window, spec) is m * g of one CrpWindow in scalar code, the
-    per-cell reference (g itself is the m = 1 call); statistic_rows is the
-    same for every row of a (rows, n) window matrix, with the same bits.
+    per-cell reference (g itself is the m = 1 call); statistic_rows(m,
+    samples, layout, spec) is the same, with the same bits, for every window
+    of a 1-D segment of a profile (scan_windows says which). The sum and
+    the minimum are formed from the segment itself, with O(log n) array
+    steps and no window matrix; the k-th order statistic for k > 1
+    partitions a matrix of the segment's windows.
     draw(clutter, spec, rng, rows) gives rows draws of g over spec.n clutter
     samples straight from its law; pfa(x, spec) is the predictive Pfa at
     x = tau/g, for a float or an array; k_rule is the order index the family
@@ -175,7 +190,7 @@ class FamilyRow(NamedTuple):
     """
 
     statistic: Callable[[float, CrpWindow, DetectorSpec], float]
-    statistic_rows: Callable[[float, np.ndarray, DetectorSpec], np.ndarray]
+    statistic_rows: Callable[[float, np.ndarray, WindowLayout, DetectorSpec], np.ndarray]
     draw: Callable[[ClutterModel, DetectorSpec, np.random.Generator, int], np.ndarray]
     pfa: Callable[[Any, DetectorSpec], Any]
     k_rule: KRule
@@ -202,7 +217,8 @@ FAMILIES: dict[Family, FamilyRow] = {
                                path=DecisionPath.THRESHOLD),
     Family.CA_CFAR: FamilyRow(
         statistic=lambda m, window, spec: _scaled_window_sum(m, window.samples),
-        statistic_rows=lambda m, windows, spec: _scaled_window_sums(m, windows),
+        statistic_rows=lambda m, samples, layout, spec: _scaled_window_sums(
+            m, samples, layout.leading, layout.trailing),
         draw=lambda clutter, spec, rng, rows: window_sum_draws(clutter, spec.n, rng, rows),
         pfa=lambda x, spec: (1.0 + x) ** -spec.n,
         k_rule=KRule.NONE,
@@ -307,22 +323,28 @@ ca_cfar_decide = _decide(
 )
 
 
-def scan_windows(z0: np.ndarray, windows: np.ndarray,
+def scan_windows(samples: np.ndarray, layout: WindowLayout,
                  spec: DetectorSpec) -> tuple[np.ndarray, np.ndarray, DecisionPath]:
-    """decide for every row of a (rows, n) window matrix: comparison values, H1, path.
+    """decide for every cell of a segment with a full window: comparison values, H1, path.
 
-    The bits are decide's, cell by cell. A zero statistic on the
-    pfa_comparison path, where decide raises, takes the g -> 0+ limit:
-    Pfa 0 (H1) for z0 > 0 and Pfa 1 (H0) for z0 = 0.
+    samples is a 1-D stretch of a range profile, and cell i of the result
+    is samples[layout.leading + i], with the layout.leading samples before
+    it and the layout.trailing after it as its window, for every i below
+    len(samples) - spec.n. The samples are taken as they are: a -0.0 in a
+    window is the caller's to turn into 0.0, as CrpWindow does. The bits
+    are decide's, cell by cell. A zero statistic on the pfa_comparison
+    path, where decide raises, takes the g -> 0+ limit: Pfa 0 (H1) for
+    z0 > 0 and Pfa 1 (H0) for z0 = 0.
     """
     import numpy as np
 
     row = FAMILIES[spec.family]
+    z0 = samples[layout.leading:len(samples) - layout.trailing]
     if row.path is DecisionPath.THRESHOLD:
         with np.errstate(over="ignore"):
-            limit = row.statistic_rows(threshold_multiplier(spec), windows, spec)
+            limit = row.statistic_rows(threshold_multiplier(spec), samples, layout, spec)
         return limit, z0 > limit, row.path
-    g = row.statistic_rows(1.0, windows, spec)
+    g = row.statistic_rows(1.0, samples, layout, spec)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         x = np.where(z0 > 0.0, z0 / g, 0.0)
     pfa = row.pfa(x, spec)

@@ -151,12 +151,21 @@ def os_predictive_density(z0: float, os: OsPredictive) -> float:
 
 
 def _os_product(x, n: int, k: int):
-    # prod_{j=n-k+1}^{n} j/(j+x) in plain * and /, so that x may be a float
-    # or an ndarray and both give the same bits
-    value = 1.0
-    for j in range(n - k + 1, n + 1):
-        value *= j / (j + x)
-    return value
+    # prod_{j=n-k+1}^{n} j/(j+x) in plain * and /, multiplied left to right.
+    # A float takes a loop; an ndarray forms its k factors as one array and
+    # multiplies them with one reduce over axis 0, which numpy does row after
+    # row, in the loop's order, so both give the same bits
+    if isinstance(x, (int, float)):
+        value = 1.0
+        for j in range(n - k + 1, n + 1):
+            value *= j / (j + x)
+        return value
+    import numpy as np
+
+    j = np.arange(n - k + 1, n + 1, dtype=float).reshape((k,) + (1,) * np.ndim(x))
+    factors = j + x
+    np.divide(j, factors, out=factors)
+    return np.multiply.reduce(factors, axis=0)
 
 
 def os_pfa(tau: float, os: OsPredictive) -> float:

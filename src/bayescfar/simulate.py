@@ -20,23 +20,25 @@ order statistic), which by strict monotonicity of the predictive Pfa gives
 the same verdicts as the probability-comparison path; the equivalence is
 property-tested rather than assumed.
 
-scan_profile is columnar too: the windows of a range profile are the rows
-of a sliding-window matrix, built SCAN_BLOCK_ROWS cells at a time, and
-detectors.scan_windows evaluates each block in one pass, with the same
-comparison values and verdicts as the per-cell decide functions, which stay
-as the tests' oracle. Its result, a ScanResult, keeps those columns and
-builds a Decision only when one is read, so a scan makes no per-cell
-object for the cyclic garbage collector to count. The scan also
-answers the one window decide does not: a zero k-th order statistic under
-bayes_os takes the t -> 0+ limit (H1 for a positive cell, H0 for a zero
-one). A ca_cfar window sum beyond the float range gives, in the scan as in
-decide, an exact threshold, inf (H0) only when the threshold itself
-overflows; a Monte Carlo draw beyond the float range is inf, and takes the
-same rule.
+scan_profile is columnar too: it hands detectors.scan_windows the profile
+SCAN_BLOCK_ROWS cells at a time, each block as the 1-D segment its windows
+cover, and gets the block's comparison values and verdicts in one pass,
+with the same bits as the per-cell decide functions, which stay as the
+tests' oracle. The window sums and minima come from the segment itself
+(dyadic blocks, O(log n) array steps); only the k-th order statistic for
+k > 1 partitions a matrix of the block's windows. The result, a
+ScanResult, keeps those columns and builds a Decision only when one is
+read, so a scan makes no per-cell object for the cyclic garbage collector
+to count. The scan also answers the one window decide does not: a zero
+k-th order statistic under bayes_os takes the t -> 0+ limit (H1 for a
+positive cell, H0 for a zero one). A ca_cfar window sum beyond the float
+range gives, in the scan as in decide, an exact threshold, inf (H0) only
+when the threshold itself overflows; a Monte Carlo draw beyond the float
+range is inf, and takes the same rule.
 
 numpy is imported by the functions that make arrays (the block streams,
-a block's draws, scan_profile's window matrix) when they first run, not
-with the module.
+a block's draws, scan_profile's columns) when they first run, not with the
+module.
 """
 
 from __future__ import annotations
@@ -92,8 +94,9 @@ logger = logging.getLogger(__name__)
 
 WILSON_Z = 3.0
 BLOCK_SIZE = 65536
-# cells per window matrix in scan_profile, which bounds its size for long
-# profiles; past 256-cell windows, _SCAN_BLOCK_FLOATS samples bound it instead
+# cells per block in scan_profile, which bounds a block's arrays for long
+# profiles; past 256-cell windows, _SCAN_BLOCK_FLOATS samples bound the
+# window matrix an order statistic with k > 1 partitions
 SCAN_BLOCK_ROWS = 4096
 _SCAN_BLOCK_FLOATS = 2**20
 WORKERS_ENV_VAR = "BAYESCFAR_WORKERS"
@@ -454,14 +457,17 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     sequence of floats or a 1-D array; a value that is negative or not
     finite is a ValueError naming the first such value.
 
-    Evaluation is columnar: the windows of up to SCAN_BLOCK_ROWS cells at a
-    time, and of no more than 2**20 samples in all, form the rows of one
-    matrix, and detectors.scan_windows gives every comparison value and
-    verdict of the block at once, with the same bits as the family's
-    per-cell decide (for ca_cfar, the exactly rounded window sums). Each
-    block's output is written into the columns of the returned ScanResult,
-    and no per-cell object is built: a Decision is made when it is read
-    from the result.
+    Evaluation is columnar: up to SCAN_BLOCK_ROWS cells at a time, with
+    windows of no more than 2**20 samples in all, go to
+    detectors.scan_windows as the segment of the profile they span, and it
+    gives every comparison value and verdict of the block at once, with the
+    same bits as the family's per-cell decide (for ca_cfar, the exactly
+    rounded window sums). The sums and minima are formed from the segment
+    with no window matrix. -0.0 samples are 0.0 in the statistics, as in
+    CrpWindow, while statistic_z0 keeps the profile's values. Each block's
+    output is written into the columns of the returned ScanResult, and no
+    per-cell object is built: a Decision is made when it is read from the
+    result.
 
     One case that decide does not answer has a defined outcome here:
     bayes_os at a window whose k-th order statistic is zero takes the
@@ -474,7 +480,6 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     overflowing m * min).
     """
     import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
 
     # our own copy: the result's statistic_z0 column is a view of it
     values = np.array(profile, dtype=float)
@@ -493,17 +498,15 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
         raise ConfigurationError(
             f"profile of {len(values)} cells cannot hold a {lead}+{trail} window"
         )
+    # the statistics copy: + 0.0 turns a -0.0 sample into 0.0, as CrpWindow
+    # does, so the statistic's sign agrees with decide's
+    samples = values + 0.0
     cells = len(values) - spec.n
     h1 = np.empty(cells, dtype=bool)
     comparison = np.empty(cells)
     rows = max(1, min(SCAN_BLOCK_ROWS, _SCAN_BLOCK_FLOATS // spec.n))
     for start in range(0, cells, rows):
-        block = sliding_window_view(values[start:start + rows + spec.n], spec.n + 1)
-        # the concatenated copy is ours: + 0.0 turns a -0.0 sample into 0.0, as
-        # CrpWindow does, so the statistic's sign agrees with decide's
-        windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
-        windows += 0.0
-        block_cells = slice(start, start + len(block))
+        block_cells = slice(start, min(start + rows, cells))
         comparison[block_cells], h1[block_cells], _ = scan_windows(
-            block[:, lead], windows, spec)
+            samples[start:start + rows + spec.n], window_layout, spec)
     return ScanResult(h1, values[lead:lead + cells], comparison, FAMILIES[spec.family].path)

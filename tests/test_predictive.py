@@ -7,10 +7,13 @@ binomial series it multiplies out from, evaluated here in exact rationals,
 and the quadrature route os_pfa_quadrature.
 """
 
+import functools
 import math
+import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -18,6 +21,7 @@ from bayescfar.numerics import QuadratureError, QuadratureSettings, integrate_se
 from bayescfar.predictive import (
     OsPredictive,
     PredictiveModel,
+    _os_product,
     generic_pfa,
     generic_predictive_density,
     os_pfa,
@@ -278,6 +282,46 @@ class TestOsProductEdges:
         assert vals[-1] == 0.0
         densities = [os_predictive_density(1.01**i, osd) for i in range(1400)]
         assert all(math.isfinite(d) and d >= 0.0 for d in densities)
+
+    @pytest.mark.parametrize("n, k", [(16, 12), (16, 1), (5, 5), (300, 200), (4000, 3000)])
+    def test_array_product_equals_the_float_loop(self, n, k):
+        # the scan evaluates the curve on arrays in one reduce; every element
+        # must keep the bits of the float loop that decide runs
+        rng = np.random.default_rng(n + k)
+        x = np.concatenate(([0.0, 1.0, 1e300, math.inf, 5e-324],
+                            10.0 ** rng.uniform(-6, 6, 40) * rng.random(40)))
+        got = _os_product(x, n, k)
+        want = [_os_product(v, n, k) for v in x.tolist()]
+        assert got.shape == x.shape
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+        square = _os_product(x[:36].reshape(6, 6), n, k)
+        assert [v.hex() for v in square.ravel().tolist()] == [v.hex() for v in want[:36]]
+        assert _os_product(np.float64(2.5), n, k) == _os_product(2.5, n, k)
+
+
+def _pairwise(op, terms):
+    # terms combined by halves, as numpy sums along a contiguous axis
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    return op(_pairwise(op, terms[:half]), _pairwise(op, terms[half:]))
+
+
+@pytest.mark.parametrize("ufunc, op", [(np.add, operator.add), (np.multiply, operator.mul)])
+def test_axis_zero_reductions_run_left_to_right(ufunc, op):
+    # _os_product and numerics' sequential sums rely on numpy reducing over
+    # axis 0 of a C-order matrix one row after another, bit for bit as a loop
+    rng = np.random.default_rng(53)
+    rows = np.vstack((np.ones(40), rng.uniform(0.5, 2.0, (199, 40))))
+    if ufunc is np.add:
+        rows[1:, :20] = 2.0 ** -53
+    columns = rows.T.tolist()
+    sequential = [functools.reduce(op, column) for column in columns]
+    pairwise = [_pairwise(op, column) for column in columns]
+    # the data tell the orders apart
+    assert sum(a != b for a, b in zip(sequential, pairwise)) > 10
+    got = ufunc.reduce(np.ascontiguousarray(rows), axis=0)
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in sequential]
 
 
 class TestOsPfaQuadrature:

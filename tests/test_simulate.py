@@ -20,7 +20,15 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 from scipy.special import betainc, gammainc
 
-from bayescfar.clutter_models import CrpWindow, ExponentialClutter, ParetoClutter
+from bayescfar.clutter_models import (
+    CrpWindow,
+    ExponentialClutter,
+    ParetoClutter,
+    _scaled_window_sum,
+    _scaled_window_sums,
+    _window_minima,
+    _window_sums,
+)
 from bayescfar.detectors import (
     FAMILIES,
     Decision,
@@ -363,6 +371,47 @@ class TestStatisticDraws:
         report = estimate_pfa(scenario(family=family, n=256, k=k, pfa=0.01,
                                        trials=1_000_000, seed=256))
         assert abs(report.estimate - 0.01) < 3.0 * report.standard_error()
+
+
+class TestParetoWindowSumChunks:
+    # window_sum_draws sums Pareto windows from chunks of at most 2**20
+    # uniforms, and at least one row; the oracle draws every row at once
+    @staticmethod
+    def one_shot(alpha, beta, n, seed, size):
+        rng = np.random.Generator(np.random.Philox(seed))
+        window = beta * ((1.0 - rng.random((size, n))) ** (-1.0 / alpha) - 1.0)
+        return window.sum(axis=1), rng
+
+    @pytest.mark.parametrize("n, size, cap", [
+        (3, 1000, 2**20), (3000, 1000, 2**20), (37, 500, 1000), (300, 77, 1000), (37, 9, 10),
+    ], ids=["one-chunk", "3-chunks", "19-chunks", "one-row-chunks", "row-wider-than-cap"])
+    def test_chunks_equal_one_draw(self, monkeypatch, n, size, cap):
+        import bayescfar.clutter_models as clutter_models
+
+        monkeypatch.setattr(clutter_models, "_DRAW_CHUNK_FLOATS", cap)
+        alpha, beta, seed = 2.5, 3.0, 100 + n
+        rng = np.random.Generator(np.random.Philox(seed))
+        got = clutter_models.window_sum_draws(ParetoClutter(alpha, beta), n, rng, size)
+        want, after = self.one_shot(alpha, beta, n, seed, size)
+        assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+        # and the stream is left where one draw leaves it
+        assert rng.random(4).tolist() == after.random(4).tolist()
+
+    @pytest.mark.parametrize("n, trials", [(2000, 2000), (20_000, 600)])
+    def test_estimate_memory_is_bounded(self, n, trials):
+        # drawing every window at once holds trials * n floats two or three
+        # times over, and peaked at 68 MiB for n = 2000 with 2000 trials and
+        # at 92 MiB for n = 20000 with only 300; a chunk of 2**20 uniforms is
+        # 8 MiB, and the transform holds three at a time
+        sc = Scenario(ParetoClutter(3.0, 2.0), DetectorSpec(Family.CA_CFAR, n, 1e-3), trials, 7)
+        tracemalloc.start()
+        try:
+            report = estimate_pfa(sc, workers=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.trials == trials
+        assert peak < 40 * 2**20, peak
 
 
 class TestDegenerateRedraws:
@@ -769,6 +818,20 @@ class TestScanAllocations:
         assert len(result) == SCAN_BLOCK_ROWS
         assert peak < 32 * 2**20, peak
 
+    @pytest.mark.parametrize("family", [Family.CA_CFAR, Family.MIN_CFAR])
+    def test_sums_and_minima_build_no_window_matrix(self, family):
+        # one 262 x 4000 block of windows is 8 MiB; the sums and minima are
+        # formed from each block's segment of 4262 samples instead
+        profile, spec, layout = _long_window_scan_case(family, SCAN_BLOCK_ROWS)
+        tracemalloc.start()
+        try:
+            result = scan_profile(profile, spec, layout)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(result) == SCAN_BLOCK_ROWS
+        assert peak < 2 * 2**20, peak
+
 
 def _long_window_scan_case(family, cells):
     # windows of 4000 cells, 262 to a block, over a profile with outliers
@@ -816,8 +879,9 @@ def _scan_cases(draw):
     spread = st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 10.0), st.integers(-150, 150))
     pool = draw(st.lists(spread, min_size=1, max_size=3))
     value = st.one_of(spread, st.sampled_from(pool), st.just(0.0), st.just(-0.0))
-    # from 0 to 300 eligible cells; the ca_cfar scan sums every block with its
-    # certified cascade and redoes with fsum only the rows it cannot certify
+    # from 0 to 300 eligible cells; the ca_cfar scan sums every window of a
+    # block from dyadic TwoSum blocks and redoes with fsum only the windows
+    # whose sum it cannot certify
     cells = draw(st.integers(n, n + 300))
     profile = draw(st.lists(value, min_size=cells, max_size=cells))
     return profile, spec, WindowLayout(lead, n - lead)
@@ -830,14 +894,11 @@ def _long_window_case():
     return profile, DetectorSpec(Family.BAYES_OS, 256, 1e-3, k=200), WindowLayout(128, 128)
 
 
-def _adversarial_ca_cases():
+def _near_tie_patterns(rng):
     # windows whose exactly rounded sum a plain or compensated running sum
-    # gets wrong, or whose sum the certified cascade cannot vouch for; with
-    # the (n, 0) layout every window of a repeated pattern is a rotation of
-    # it, repeated over 300 cells
+    # gets wrong, or whose sum the scan's certificate cannot vouch for
     tiny = 2.0 ** -113
-    rng = np.random.default_rng(8)
-    cases = {
+    return {
         "tie-to-even": [1.0, 2.0 ** -53],
         "near-tie-above-power-of-two": [1.0, 2.0 ** -53, tiny],
         "near-tie-split": [1.0, 2.0 ** -54, 2.0 ** -54, tiny],
@@ -845,7 +906,7 @@ def _adversarial_ca_cases():
         "near-tie-many-terms": [1.0] + [2.0 ** -57] * 8 + [tiny],
         "just-below-power-of-two": [0.5, 0.5 - 2.0 ** -54, 2.0 ** -110],
         # the sum is 1 - 2**-54 - 2**-108, so it rounds down to 1 - 2**-53,
-        # while the cascade's c rounds up and fl(s + c) is 1.0
+        # while a left-to-right TwoSum cascade's c rounds up and fl(s + c) is 1.0
         "below-power-of-two-lost-error": [1.0 - 2.0 ** -53, 2.0 ** -55, 2.0 ** -55 - 2.0 ** -108],
         "just-below-tie": [0.5, 0.5 - 2.0 ** -54, 0.0],
         "below-power-of-two-many-terms": [1.0 - 2.0 ** -53] + [2.0 ** -58] * 15,
@@ -855,6 +916,14 @@ def _adversarial_ca_cases():
         "mixed-1e300-1e-300": rng.choice([1e300, 1e-300, 3e300, 7e-301], 12).tolist(),
         "sum-overflows": [1e308, 1e308, 1.0, 5e-324],
     }
+
+
+def _adversarial_ca_cases():
+    # the near-tie patterns; with the (n, 0) layout every window of a
+    # repeated pattern is a rotation of it, repeated over 300 cells
+    tiny = 2.0 ** -113
+    rng = np.random.default_rng(8)
+    cases = _near_tie_patterns(rng)
     params = [pytest.param((p * 300)[:300], len(p), 1e-3, id=name) for name, p in cases.items()]
     # a multiplier below one keeps an overflowing sum's threshold finite
     params.append(pytest.param([1e308] * 300, 4, 0.9, id="sum-overflows-threshold-finite"))
@@ -864,6 +933,55 @@ def _adversarial_ca_cases():
         profile = np.where(rng.random(2 * n) < 0.1, near_ties, rng.exponential(size=2 * n) * scale)
         params.append(pytest.param(profile.tolist(), n, 1e-3, id=f"n={n}"))
     return params
+
+
+def _window_list(samples, lead, trail, i):
+    return samples[i:i + lead] + samples[i + lead + 1:i + lead + 1 + trail]
+
+
+@st.composite
+def _segments(draw):
+    # a segment of rows + lead + trail samples: values over 600 decades with
+    # ties, or a near-tie pattern repeated, either with 0.0 and -0.0 mixed in
+    lead = draw(st.one_of(st.just(0), st.integers(0, 600)))
+    trail = draw(st.one_of(st.just(0), st.integers(0, 600)).filter(lambda t: lead + t > 0))
+    rows = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    size = rows + lead + trail
+    patterns = _near_tie_patterns(np.random.default_rng(8))
+    name = draw(st.sampled_from([None, *patterns]))
+    if name is None:
+        values = rng.exponential(size=size) * 10.0 ** rng.uniform(-300, 300, size)
+        pool = rng.choice(values, 3)
+        values = np.where(rng.random(size) < 0.3, rng.choice(pool, size), values)
+    else:
+        values = np.resize(patterns[name], size)
+    zeros = rng.random(size) < draw(st.sampled_from([0.0, 0.05, 0.5]))
+    values[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    return values, lead, trail
+
+
+class TestSlidingStatistics:
+    # the scan's window sums and minima come from dyadic blocks of a
+    # segment; each window's is checked here against the window written out
+    @settings(max_examples=200, deadline=None)
+    @given(_segments())
+    def test_certified_sums_are_fsum_and_minima_are_min(self, case):
+        samples, lead, trail = case
+        sums, certified = _window_sums(samples, lead, trail)
+        minima = _window_minima(samples, lead, trail)
+        limits = _scaled_window_sums(0.75, samples, lead, trail)
+        values = samples.tolist()
+        assert len(sums) == len(minima) == len(limits) == len(values) - lead - trail
+        for i in range(len(sums)):
+            window = _window_list(values, lead, trail, i)
+            # a -0.0 sample is the caller's to turn into 0.0, so zeros are
+            # compared without their sign
+            assert (minima[i] + 0.0).hex() == (min(window) + 0.0).hex()
+            if certified[i]:
+                assert (sums[i] + 0.0).hex() == (math.fsum(window) + 0.0).hex()
+            want = _scaled_window_sum(0.75, [x + 0.0 for x in window])
+            assert limits[i].hex() == want.hex()
 
 
 class TestScanMatchesPerCell:
