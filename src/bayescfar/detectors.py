@@ -44,6 +44,7 @@ from .predictive import os_pfa  # noqa: F401  (perfbench traces os_pfa here)
 
 __all__ = [
     "FAMILIES",
+    "SCAN_BLOCK_ROWS",
     "Family",
     "FamilyRow",
     "KRule",
@@ -155,6 +156,14 @@ def _order(spec: DetectorSpec) -> int:
     return spec.k or 1
 
 
+# cells per block of scan_windows: sums and minima take arrays of about
+# cells + n samples, but a k-th order statistic with k > 1 partitions a
+# (cells, n) window matrix and takes (k, cells) Pfa factors, so its blocks
+# hold at most _SCAN_BLOCK_FLOATS samples (and at least one cell)
+SCAN_BLOCK_ROWS = 4096
+_SCAN_BLOCK_FLOATS = 2**20
+
+
 def _os_statistic_rows(m: float, samples: np.ndarray, layout: WindowLayout,
                        spec: DetectorSpec) -> np.ndarray:
     import numpy as np
@@ -163,8 +172,8 @@ def _os_statistic_rows(m: float, samples: np.ndarray, layout: WindowLayout,
     k, lead = _order(spec), layout.leading
     if k == 1:
         return m * _window_minima(samples, lead, layout.trailing)
-    # the segment's windows as the rows of a matrix, which scan_profile's
-    # blocks keep to at most 2**20 samples
+    # the segment's windows as the rows of a matrix, which scan_windows'
+    # blocks keep to at most _SCAN_BLOCK_FLOATS samples
     block = sliding_window_view(samples, spec.n + 1)
     windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
     return m * np.partition(windows, k - 1, axis=1)[:, k - 1]
@@ -176,10 +185,10 @@ class FamilyRow(NamedTuple):
     statistic(m, window, spec) is m * g of one CrpWindow in scalar code, the
     per-cell reference (g itself is the m = 1 call); statistic_rows(m,
     samples, layout, spec) is the same, with the same bits, for every window
-    of a 1-D segment of a profile (scan_windows says which). The sum and
-    the minimum are formed from the segment itself, with O(log n) array
-    steps and no window matrix; the k-th order statistic for k > 1
-    partitions a matrix of the segment's windows.
+    of a 1-D segment of a profile, a block of scan_windows. The sum and the
+    minimum are formed from the segment with O(log n) array steps and no
+    window matrix; the k-th order statistic for k > 1 partitions a matrix
+    of the segment's windows, which scan_windows' blocks bound.
     draw(clutter, spec, rng, rows) gives rows draws of g over spec.n clutter
     samples straight from its law; pfa(x, spec) is the predictive Pfa at
     x = tau/g, for a float or an array; k_rule is the order index the family
@@ -324,31 +333,41 @@ ca_cfar_decide = _decide(
 
 
 def scan_windows(samples: np.ndarray, layout: WindowLayout,
-                 spec: DetectorSpec) -> tuple[np.ndarray, np.ndarray, DecisionPath]:
-    """decide for every cell of a segment with a full window: comparison values, H1, path.
+                 spec: DetectorSpec) -> tuple[np.ndarray, np.ndarray]:
+    """decide for every cell of a profile with a full window: comparison values and H1.
 
-    samples is a 1-D stretch of a range profile, and cell i of the result
-    is samples[layout.leading + i], with the layout.leading samples before
-    it and the layout.trailing after it as its window, for every i below
-    len(samples) - spec.n. The samples are taken as they are: a -0.0 in a
-    window is the caller's to turn into 0.0, as CrpWindow does. The bits
-    are decide's, cell by cell. A zero statistic on the pfa_comparison
-    path, where decide raises, takes the g -> 0+ limit: Pfa 0 (H1) for
-    z0 > 0 and Pfa 1 (H0) for z0 = 0.
+    samples is a 1-D float array of at least spec.n values, and cell i of
+    the result is samples[layout.leading + i], with the layout.leading
+    samples before it and the layout.trailing after it as its window, for
+    every i below len(samples) - spec.n. Statistics are formed a block of
+    cells at a time (see SCAN_BLOCK_ROWS) from the segment its windows
+    span, with -0.0 turned into 0.0 as in CrpWindow. The bits are decide's,
+    cell by cell. A zero statistic on the pfa_comparison path, where decide
+    raises, takes the g -> 0+ limit: Pfa 0 (H1) for z0 > 0 and Pfa 1 (H0)
+    for z0 = 0.
     """
     import numpy as np
 
     row = FAMILIES[spec.family]
-    z0 = samples[layout.leading:len(samples) - layout.trailing]
-    if row.path is DecisionPath.THRESHOLD:
-        with np.errstate(over="ignore"):
-            limit = row.statistic_rows(threshold_multiplier(spec), samples, layout, spec)
-        return limit, z0 > limit, row.path
-    g = row.statistic_rows(1.0, samples, layout, spec)
+    cells = len(samples) - spec.n
+    z0 = samples[layout.leading:layout.leading + cells]
+    comparison = np.empty(cells)
+    rows = (SCAN_BLOCK_ROWS if spec.k in (None, 1)
+            else max(1, min(SCAN_BLOCK_ROWS, _SCAN_BLOCK_FLOATS // spec.n)))
+    # an overflowing threshold is inf (H0); z0 / g at g = 0 is replaced by the limit
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        x = np.where(z0 > 0.0, z0 / g, 0.0)
-    pfa = row.pfa(x, spec)
-    return pfa, pfa < spec.design_pfa, row.path
+        for start in range(0, cells, rows):
+            block = slice(start, min(start + rows, cells))
+            segment = samples[start:block.stop + spec.n] + 0.0
+            if row.path is DecisionPath.THRESHOLD:
+                comparison[block] = row.statistic_rows(
+                    threshold_multiplier(spec), segment, layout, spec)
+            else:
+                g = row.statistic_rows(1.0, segment, layout, spec)
+                comparison[block] = row.pfa(np.where(z0[block] > 0.0, z0[block] / g, 0.0), spec)
+    if row.path is DecisionPath.THRESHOLD:
+        return comparison, z0 > comparison
+    return comparison, comparison < spec.design_pfa
 
 
 def custom_g_decide(z0: float, window: CrpWindow, tau: float,

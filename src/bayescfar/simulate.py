@@ -20,24 +20,21 @@ order statistic), which by strict monotonicity of the predictive Pfa gives
 the same verdicts as the probability-comparison path; the equivalence is
 property-tested rather than assumed.
 
-scan_profile is columnar too: it hands detectors.scan_windows the profile
-SCAN_BLOCK_ROWS cells at a time, each block as the 1-D segment its windows
-cover, and gets the block's comparison values and verdicts in one pass,
-with the same bits as the per-cell decide functions, which stay as the
-tests' oracle. The window sums and minima come from the segment itself
-(dyadic blocks, O(log n) array steps); only the k-th order statistic for
-k > 1 partitions a matrix of the block's windows. The result, a
-ScanResult, keeps those columns and builds a Decision only when one is
-read, so a scan makes no per-cell object for the cyclic garbage collector
-to count. The scan also answers the one window decide does not: a zero
-k-th order statistic under bayes_os takes the t -> 0+ limit (H1 for a
-positive cell, H0 for a zero one). A ca_cfar window sum beyond the float
-range gives, in the scan as in decide, an exact threshold, inf (H0) only
-when the threshold itself overflows; a Monte Carlo draw beyond the float
-range is inf, and takes the same rule.
+scan_profile is columnar too: it validates the profile, copies it once and
+hands it to detectors.scan_windows, which gives every comparison value and
+verdict with the same bits as the per-cell decide functions (they stay as
+the tests' oracle), in blocks it sizes itself, since it builds the arrays
+they bound. The result, a ScanResult, keeps those columns and builds a
+Decision only when one is read, so a scan makes no per-cell object for the
+cyclic garbage collector to count. The scan also answers the one window
+decide does not: a zero k-th order statistic under bayes_os takes the
+t -> 0+ limit (H1 for a positive cell, H0 for a zero one). A ca_cfar window
+sum beyond the float range gives, in the scan as in decide, an exact
+threshold, inf (H0) only when the threshold itself overflows; a Monte Carlo
+draw beyond the float range is inf, and takes the same rule.
 
 numpy is imported by the functions that make arrays (the block streams,
-a block's draws, scan_profile's columns) when they first run, not with the
+a block's draws, scan_profile's copy) when they first run, not with the
 module.
 """
 
@@ -76,7 +73,6 @@ __all__ = [
     "WindowLayout",
     "WILSON_Z",
     "BLOCK_SIZE",
-    "SCAN_BLOCK_ROWS",
     "WORKERS_ENV_VAR",
     "wilson_interval",
     "estimate_pfa",
@@ -94,11 +90,6 @@ logger = logging.getLogger(__name__)
 
 WILSON_Z = 3.0
 BLOCK_SIZE = 65536
-# cells per block in scan_profile, which bounds a block's arrays for long
-# profiles; past 256-cell windows, _SCAN_BLOCK_FLOATS samples bound the
-# window matrix an order statistic with k > 1 partitions
-SCAN_BLOCK_ROWS = 4096
-_SCAN_BLOCK_FLOATS = 2**20
 WORKERS_ENV_VAR = "BAYESCFAR_WORKERS"
 # give up if a block cannot produce nondegenerate windows
 _MAX_REDRAW_ROUNDS = 1000
@@ -457,17 +448,13 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     sequence of floats or a 1-D array; a value that is negative or not
     finite is a ValueError naming the first such value.
 
-    Evaluation is columnar: up to SCAN_BLOCK_ROWS cells at a time, with
-    windows of no more than 2**20 samples in all, go to
-    detectors.scan_windows as the segment of the profile they span, and it
-    gives every comparison value and verdict of the block at once, with the
-    same bits as the family's per-cell decide (for ca_cfar, the exactly
-    rounded window sums). The sums and minima are formed from the segment
-    with no window matrix. -0.0 samples are 0.0 in the statistics, as in
-    CrpWindow, while statistic_z0 keeps the profile's values. Each block's
-    output is written into the columns of the returned ScanResult, and no
-    per-cell object is built: a Decision is made when it is read from the
-    result.
+    Evaluation is columnar: detectors.scan_windows takes the whole profile
+    and gives every comparison value and verdict at once, with the same
+    bits as the family's per-cell decide (for ca_cfar, the exactly rounded
+    window sums), in blocks it sizes itself. -0.0 samples are 0.0 in the
+    statistics, as in CrpWindow, while statistic_z0 keeps the profile's
+    values. No per-cell object is built: a Decision is made when it is
+    read from the returned ScanResult.
 
     One case that decide does not answer has a defined outcome here:
     bayes_os at a window whose k-th order statistic is zero takes the
@@ -498,15 +485,6 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
         raise ConfigurationError(
             f"profile of {len(values)} cells cannot hold a {lead}+{trail} window"
         )
-    # the statistics copy: + 0.0 turns a -0.0 sample into 0.0, as CrpWindow
-    # does, so the statistic's sign agrees with decide's
-    samples = values + 0.0
-    cells = len(values) - spec.n
-    h1 = np.empty(cells, dtype=bool)
-    comparison = np.empty(cells)
-    rows = max(1, min(SCAN_BLOCK_ROWS, _SCAN_BLOCK_FLOATS // spec.n))
-    for start in range(0, cells, rows):
-        block_cells = slice(start, min(start + rows, cells))
-        comparison[block_cells], h1[block_cells], _ = scan_windows(
-            samples[start:start + rows + spec.n], window_layout, spec)
-    return ScanResult(h1, values[lead:lead + cells], comparison, FAMILIES[spec.family].path)
+    comparison, h1 = scan_windows(values, window_layout, spec)
+    return ScanResult(h1, values[lead:len(values) - trail], comparison,
+                      FAMILIES[spec.family].path)

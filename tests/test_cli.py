@@ -102,6 +102,12 @@ class TestThreshold:
         assert out.returncode == 2
         assert "--t" in out.stderr
 
+    def test_missing_pfa_is_usage_error(self, run):
+        out = run("threshold", "--family", "min_cfar", "--n", "4", "--t", "1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "missing required option --pfa" in out.stderr
+
     def test_unknown_family_is_usage_error(self):
         for family in ("median", "custom_g"):
             out = run_module("threshold", "--family", family, "--n", "4",
@@ -380,6 +386,13 @@ class TestSweep:
                   "--lambda-grid", "1,-2", "--trials", "100", "--seed", "1")
         assert out.returncode == 2
 
+    def test_unparsable_rate_is_usage_error(self, run):
+        out = run("sweep", "--family", "ca_cfar", "--n", "8", "--pfa", "0.05",
+                  "--lambda-grid", "1,x", "--trials", "100", "--seed", "1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "could not parse list" in out.stderr
+
 
 class TestScan:
     @staticmethod
@@ -449,6 +462,13 @@ class TestScan:
                   "--header")
         assert out.returncode == 0
         assert len(out.stdout.splitlines()) == 5
+
+    def test_blank_line_is_skipped(self, run, tmp_path):
+        path = self.write_profile(tmp_path, [1.0, 2.0, "", 3.0, 4.0, 5.0, 6.0])
+        out = run("scan", "--family", "ca_cfar", "--n", "4", "--pfa", "0.1",
+                  "--profile", path, "--leading", "2", "--trailing", "2")
+        assert out.returncode == 0, out.stderr
+        assert [r.split(",")[:2] for r in out.stdout.splitlines()[1:]] == [["2", "3"], ["3", "4"]]
 
     def test_negative_value_names_its_line(self, run, tmp_path):
         path = self.write_profile(tmp_path, [1.0, 2.0, -3.0, 4.0, 5.0, 6.0])
@@ -525,6 +545,15 @@ class TestConfigFile:
         out = run("threshold", "--config", str(cfg), "--family", "min_cfar",
                   "--n", "4", "--pfa", "0.1", "--t", "1")
         assert out.returncode == 2
+
+    def test_config_without_a_section_header_rejected(self, run, tmp_path):
+        cfg = tmp_path / "detector.ini"
+        cfg.write_text("family = min_cfar\n")
+        out = run("threshold", "--config", str(cfg), "--family", "min_cfar",
+                  "--n", "4", "--pfa", "0.1", "--t", "1")
+        assert out.returncode == 2
+        assert out.stdout == ""
+        assert "could not parse config" in out.stderr
 
     def test_missing_config_file_rejected(self, run, tmp_path):
         # neither may be skipped, as ConfigParser.read skips what it cannot open
@@ -697,6 +726,9 @@ def command_lines(draw):
             words += ["--clutter", "pareto"]
             numbers["--alpha"] = [draw(st.floats(0.5, 10))]
             numbers["--beta"] = [draw(positive)]
+            # Pareto window sums are drawn in bounded chunks, so windows of
+            # thousands of cells cost time, not memory
+            numbers["--n"] = [draw(st.sampled_from([n, 2000, 20000]))]
         else:
             numbers["--lambda"] = [draw(positive)]
         if draw(st.booleans()):
@@ -704,8 +736,10 @@ def command_lines(draw):
             numbers["--snr"] = [draw(st.floats(0, 100))]
     if command == "sweep":
         numbers["--lambda-grid"] = draw(st.lists(positive, min_size=1, max_size=3))
+    # at most 2 * 10**7 Pareto uniforms a command line
+    max_trials = 10**3 if numbers["--n"][0] > 40 else 10**4
     if command in ("simulate", "sweep"):
-        numbers["--trials"] = [draw(st.integers(1, 10**4))]
+        numbers["--trials"] = [draw(st.integers(1, max_trials))]
         numbers["--seed"] = [draw(st.integers(0, 2**64 - 1))]
     profile = draw(st.lists(positive, max_size=40)) if command == "scan" else None
     places = [(flag, i) for flag, values in numbers.items() for i in range(len(values))]
@@ -715,7 +749,7 @@ def command_lines(draw):
         extreme = EXTREME_COUNTS if isinstance(values[i], int) else EXTREME_FLOATS
         values[i] = draw(extreme)
         if flag == "--trials":
-            values[i] = min(values[i], 10**4)
+            values[i] = min(values[i], max_trials)
     argv = [command, "--family", family, *words]
     for flag, values in numbers.items():
         joiner = "," if flag == "--lambda-grid" else ":"
@@ -753,6 +787,10 @@ class TestFlagSpace:
     # draws beyond the float range
     @example(([*SIMULATE, "--clutter", "pareto", "--alpha", "1e-12", "--beta", "1"], None))
     @example(([*SIMULATE, "--lambda", "5e-324"], None))
+    # the widest Pareto window sums, drawn in chunks
+    @example((["simulate", "--family", "ca_cfar", "--n", "20000", "--pfa", "0.1",
+               "--clutter", "pareto", "--alpha", "3", "--beta", "1",
+               "--trials", "1000", "--seed", "3"], None))
     # an --out file that opens but cannot be written
     @example(([*SIMULATE, "--lambda", "1", "--out", "/dev/full"], None))
     # an order index whose Pfa product would loop 2^64 times

@@ -17,6 +17,7 @@ from bayescfar.clutter_models import (
     CrpWindow,
     ExponentialClutter,
     ParetoClutter,
+    intensity_from_uniform,
     kth_order_statistic,
     os_density,
     sample,
@@ -43,6 +44,11 @@ class TestModels:
         assert m.mean() == 1.0
         assert ParetoClutter(1.0, 5.0).mean() == math.inf
 
+    @pytest.mark.parametrize("model", [ExponentialClutter(2.0), ParetoClutter(3.0, 2.0)])
+    def test_no_mass_below_zero(self, model):
+        assert model.pdf(-1.0) == 0.0
+        assert model.cdf(0.0) == 0.0
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             ExponentialClutter(0.0)
@@ -64,6 +70,12 @@ class TestModels:
 
 
 class TestSampling:
+    def test_unsupported_model_and_empty_draw_rejected(self):
+        with pytest.raises(TypeError, match="unsupported clutter model"):
+            intensity_from_uniform(object(), np.array([0.5]))
+        with pytest.raises(ValueError, match="count must be at least 1"):
+            sample(ExponentialClutter(1.0), 0, np.random.default_rng(1))
+
     def test_deterministic_given_stream(self):
         m = ExponentialClutter(1.5)
         a = sample(m, 16, np.random.default_rng(99))

@@ -20,6 +20,7 @@ from scipy import integrate
 
 from bayescfar import numerics
 from bayescfar.numerics import (
+    EvaluationError,
     FirstPassRule,
     QuadratureError,
     QuadratureResult,
@@ -531,6 +532,10 @@ def os_pfa_product_form(m: float, n: int, k: int) -> float:
 
 
 class TestSolveMonotoneDecreasing:
+    def test_non_finite_curve_raises(self):
+        with pytest.raises(EvaluationError):
+            solve_monotone_decreasing(lambda x: math.nan, 0.5)
+
     def test_reciprocal_curve(self):
         root = solve_monotone_decreasing(lambda t: 1.0 / (1.0 + t), 0.5)
         assert math.isclose(root, 1.0, rel_tol=1e-9)

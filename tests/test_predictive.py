@@ -69,6 +69,10 @@ class TestPosterior:
         got = posterior_lambda_os(1.0, OsPredictive(1, 1, 1.0))
         assert math.isclose(got, math.exp(-1.0), rel_tol=1e-15)
 
+    def test_underflowing_growth_term_gives_zero(self):
+        # lambda t rounds to 0, so 1 - e^{-lambda t} is 0 and k > 1 takes log 0
+        assert posterior_lambda_os(5e-324, OsPredictive(4, 2, 1e-300)) == 0.0
+
     def test_normalizes_for_any_conditioning(self):
         for n, k, t in [(1, 1, 1.0), (4, 2, 0.3), (8, 8, 2.0), (32, 17, 10.0), (12, 1, 0.05)]:
             osd = OsPredictive(n, k, t)
@@ -329,6 +333,10 @@ class TestOsPfaQuadrature:
         got = os_pfa_quadrature(1.0, OsPredictive(2, 2, 1.0))
         assert math.isclose(got, 1.0 / 3.0, rel_tol=1e-9)
 
+    def test_negative_threshold_rejected(self):
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            os_pfa_quadrature(-1.0, OsPredictive(4, 2, 1.0))
+
     def test_zero_threshold(self):
         got = os_pfa_quadrature(0.0, OsPredictive(6, 4, 0.5))
         assert math.isclose(got, 1.0, rel_tol=1e-9)
@@ -358,6 +366,29 @@ class TestPredictiveModel:
             PredictiveModel(
                 likelihood=lambda z0, lam: lam * math.exp(-lam * z0),
                 posterior=lambda lam: 2.0 * math.exp(-lam),
+                parameter_dimension=1,
+            )
+
+    def test_rejects_negative_arguments(self):
+        model = PredictiveModel(
+            likelihood=lambda z0, lam: lam * math.exp(-lam * z0),
+            posterior=lambda lam: math.exp(-lam),
+            parameter_dimension=1,
+        )
+        with pytest.raises(ValueError, match="tau must be nonnegative"):
+            generic_pfa(-1.0, model)
+        with pytest.raises(ValueError, match="z0 must be nonnegative"):
+            generic_predictive_density(-1.0, model)
+
+    @pytest.mark.parametrize("value, message", [
+        (math.nan, "non-finite value during support scan"),
+        (0.0, "posterior support not found"),
+    ])
+    def test_rejects_posterior_without_a_support(self, value, message):
+        with pytest.raises(ValueError, match=message):
+            PredictiveModel(
+                likelihood=lambda z0, lam: 1.0,
+                posterior=lambda lam: value,
                 parameter_dimension=1,
             )
 

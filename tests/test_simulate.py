@@ -31,6 +31,7 @@ from bayescfar.clutter_models import (
 )
 from bayescfar.detectors import (
     FAMILIES,
+    SCAN_BLOCK_ROWS,
     Decision,
     DecisionPath,
     DegenerateWindowError,
@@ -43,7 +44,6 @@ from bayescfar.detectors import (
     threshold_multiplier,
 )
 from bayescfar.simulate import (
-    SCAN_BLOCK_ROWS,
     ConfigurationError,
     ScanResult,
     Scenario,
@@ -805,9 +805,10 @@ class TestScanAllocations:
 
     @pytest.mark.parametrize("family", list(Family))
     def test_long_windows_bound_the_window_matrix(self, family):
-        # a block of SCAN_BLOCK_ROWS windows of 4000 samples is 125 MiB, and a
-        # scan holds one or two such matrices; a block of at most 2**20
-        # samples (8 MiB) keeps the peak small whatever the window size
+        # a matrix of SCAN_BLOCK_ROWS windows of 4000 samples is 125 MiB;
+        # bayes_os at k = 3000 partitions blocks of at most 2**20 samples
+        # (8 MiB), and the sums and minima build no matrix, so the peak
+        # stays small whatever the window size
         profile, spec, layout = _long_window_scan_case(family, SCAN_BLOCK_ROWS)
         tracemalloc.start()
         try:
@@ -820,8 +821,9 @@ class TestScanAllocations:
 
     @pytest.mark.parametrize("family", [Family.CA_CFAR, Family.MIN_CFAR])
     def test_sums_and_minima_build_no_window_matrix(self, family):
-        # one 262 x 4000 block of windows is 8 MiB; the sums and minima are
-        # formed from each block's segment of 4262 samples instead
+        # a matrix of this scan's 4096 windows of 4000 samples would be
+        # 125 MiB; the sums and minima are formed from one block's segment
+        # of 8096 samples instead
         profile, spec, layout = _long_window_scan_case(family, SCAN_BLOCK_ROWS)
         tracemalloc.start()
         try:
@@ -833,8 +835,35 @@ class TestScanAllocations:
         assert peak < 2 * 2**20, peak
 
 
+class TestScanBlocks:
+    # a block of scan_windows is SCAN_BLOCK_ROWS cells, and only a k-th
+    # order statistic with k > 1, which partitions a matrix of the block's
+    # windows, caps it at 2**20 // n cells
+    @pytest.mark.parametrize("family, k, blocks", [
+        (Family.CA_CFAR, None, 1),
+        (Family.MIN_CFAR, None, 1),
+        (Family.BAYES_OS, 1, 1),
+        (Family.BAYES_OS, 3000, 16),
+    ])
+    def test_blocks_per_scan(self, monkeypatch, family, k, blocks):
+        row = FAMILIES[family]
+        cells = []
+
+        def statistic_rows(m, samples, layout, spec):
+            cells.append(len(samples) - spec.n)
+            return row.statistic_rows(m, samples, layout, spec)
+
+        monkeypatch.setitem(FAMILIES, family, row._replace(statistic_rows=statistic_rows))
+        profile, _, layout = _long_window_scan_case(family, SCAN_BLOCK_ROWS)
+        scan_profile(profile, DetectorSpec(family, 4000, 1e-3, k=k), layout)
+        assert len(cells) == blocks
+        assert sum(cells) == SCAN_BLOCK_ROWS
+        assert max(cells) <= (SCAN_BLOCK_ROWS if blocks == 1 else 2**20 // 4000)
+
+
 def _long_window_scan_case(family, cells):
-    # windows of 4000 cells, 262 to a block, over a profile with outliers
+    # windows of 4000 cells over a profile with outliers; bayes_os at
+    # k = 3000 takes them 262 to a block
     n = 4000
     spec = DetectorSpec(family, n, 1e-3, k=3000 if family is Family.BAYES_OS else None)
     rng = np.random.default_rng(n)
@@ -1006,6 +1035,17 @@ class TestScanMatchesPerCell:
     def test_long_windows_across_a_block_edge(self, family):
         profile, spec, layout = _long_window_scan_case(family, 300)
         _assert_matches_per_cell(profile.tolist(), spec, layout)
+
+    @pytest.mark.parametrize("family", [Family.CA_CFAR, Family.MIN_CFAR])
+    def test_sums_and_minima_across_a_scan_block_edge(self, family):
+        # sums and minima take SCAN_BLOCK_ROWS cells to a block at any n, so
+        # these 600-cell windows cross one block edge
+        n = 600
+        spec = DetectorSpec(family, n, 1e-3)
+        rng = np.random.default_rng(n)
+        profile = rng.exponential(size=SCAN_BLOCK_ROWS + 37 + n)
+        profile[rng.random(profile.size) < 0.01] *= 1000.0
+        _assert_matches_per_cell(profile.tolist(), spec, WindowLayout(350, 250))
 
     @pytest.mark.parametrize("profile, n, pfa", _adversarial_ca_cases())
     def test_adversarial_cell_averaging_windows(self, profile, n, pfa):
