@@ -16,17 +16,21 @@ from .clutter_models import (
     window_sum,
 )
 from .detectors import (
+    ConfigurationError,
     Decision,
     DecisionPath,
     DegenerateWindowError,
     DetectorSpec,
     Family,
+    ScanResult,
     Verdict,
+    WindowLayout,
     bayes_os_decide,
     bayes_os_threshold,
     ca_cfar_decide,
     custom_g_decide,
     min_cfar_decide,
+    scan_profile,
     threshold_multiplier,
 )
 from .numerics import (
@@ -51,17 +55,13 @@ from .predictive import (
     posterior_lambda_os,
 )
 from .simulate import (
-    ConfigurationError,
     Scenario,
-    ScanResult,
     SimReport,
     TargetModel,
-    WindowLayout,
     cfar_sweep,
     estimate_pd,
     estimate_pfa,
     max_pairwise_deviation_se,
-    scan_profile,
     wilson_interval,
 )
 

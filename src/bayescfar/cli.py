@@ -30,19 +30,25 @@ import sys
 from typing import Iterable, Sequence, TextIO
 
 from .clutter_models import ExponentialClutter, ParetoClutter
-from .detectors import DetectorSpec, Family, Verdict, predictive_pfa, threshold
+from .detectors import (
+    ConfigurationError,
+    DetectorSpec,
+    Family,
+    Verdict,
+    WindowLayout,
+    predictive_pfa,
+    scan_profile,
+    threshold,
+)
 from .numerics import NumericsError
 from .predictive import OsPredictive, os_predictive_density
 from .simulate import (
-    ConfigurationError,
     Scenario,
     TargetModel,
-    WindowLayout,
     cfar_sweep,
     estimate_pd,
     estimate_pfa,
     max_pairwise_deviation_se,
-    scan_profile,
 )
 
 __all__ = ["main"]

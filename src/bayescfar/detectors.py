@@ -6,8 +6,8 @@ cell under test, which under the reciprocal prior depends only on x = tau/g.
 bayes_os takes the k-th order statistic, with Pfa(x) = prod_{j=n-k+1}^{n}
 j/(j+x); min_cfar is its k = 1 case (criterion 2); ca_cfar takes the window
 sum, with Pfa(x) = (1 + x)^-n. A FamilyRow in FAMILIES holds just these
-ingredients, and decide, the columnar scan_windows, the multiplier and the
-threshold are built from them once, for every family.
+ingredients, and decide, the scan, the multiplier and the threshold are
+built from them once, for every family.
 
 A threshold-path rule declares a detection when the cell under test strictly
 exceeds m * g. The Bayesian order-statistic rule compares Pfa(z0/g) against
@@ -15,17 +15,24 @@ the design value instead, which avoids inverting the curve; strict
 monotonicity makes the two phrasings equivalent. Ties sit with H0
 everywhere: H1 requires a strict inequality.
 
+scan_profile, the scan's one home, checks a profile and its WindowLayout,
+slides a rule along it a block of cells at a time and returns a ScanResult,
+which builds a Decision only when one is read; decide stays its oracle.
+
 A decision and a threshold are float arithmetic on the rows' scalar
-entries; numpy is imported by the columnar entries and scan_windows when
+entries; numpy is imported by the columnar entries and scan_profile when
 they first run, not with the module.
 """
 
 from __future__ import annotations
 
 import math
+import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
+from itertools import repeat
 from typing import TYPE_CHECKING, Any, Callable, NamedTuple
 
 from .clutter_models import (
@@ -45,6 +52,7 @@ from .predictive import os_pfa  # noqa: F401  (perfbench traces os_pfa here)
 __all__ = [
     "FAMILIES",
     "SCAN_BLOCK_ROWS",
+    "ConfigurationError",
     "Family",
     "FamilyRow",
     "KRule",
@@ -59,15 +67,15 @@ __all__ = [
     "ca_cfar_decide",
     "custom_g_decide",
     "predictive_pfa",
-    "scan_windows",
+    "scan_profile",
+    "ScanResult",
     "threshold",
     "threshold_multiplier",
+    "WindowLayout",
 ]
 
 if TYPE_CHECKING:
     import numpy as np
-
-    from .simulate import WindowLayout
 
 
 class Family(str, Enum):
@@ -98,6 +106,17 @@ class DegenerateWindowError(ValueError):
     """The window statistic is zero where the rule needs it positive."""
 
 
+class ConfigurationError(ValueError):
+    """A scenario or profile request that cannot be run as configured."""
+
+
+def _require_integer(name: str, value: Any) -> None:
+    try:  # an int or a numpy integer, as a sequence index takes
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class DetectorSpec:
     """Detector family, window size, order index (OS families), design Pfa."""
@@ -109,6 +128,9 @@ class DetectorSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", Family(self.family))
+        _require_integer("window size n", self.n)
+        if self.k is not None:
+            _require_integer("order index k", self.k)
         if self.n < 1:
             raise ValueError(f"window size n must be at least 1, got {self.n}")
         if not (0.0 < self.design_pfa < 1.0):
@@ -126,12 +148,28 @@ class DetectorSpec:
             raise ValueError(f"{name} takes no order index k")
 
 
+@dataclass(frozen=True)
+class WindowLayout:
+    """How many neighbors on each side of the cell under test form the window."""
+
+    leading: int
+    trailing: int
+
+    def __post_init__(self) -> None:
+        _require_integer("leading", self.leading)
+        _require_integer("trailing", self.trailing)
+        if self.leading < 0 or self.trailing < 0:
+            raise ValueError("leading and trailing counts must be nonnegative")
+        if self.leading + self.trailing < 1:
+            raise ValueError("the window must contain at least one cell")
+
+
 class Decision(NamedTuple):
     """One verdict with the quantity the cell was compared against.
 
     comparison_value is the evaluated false-alarm probability on the
     pfa_comparison path and the threshold tau*g on the threshold path.
-    An immutable NamedTuple: a simulate.ScanResult builds one from its
+    An immutable NamedTuple: a ScanResult builds one from its
     columns, without a Python call, only when the Decision is read.
     """
 
@@ -156,7 +194,7 @@ def _order(spec: DetectorSpec) -> int:
     return spec.k or 1
 
 
-# cells per block of scan_windows: sums and minima take arrays of about
+# cells per block of scan_profile: sums and minima take arrays of about
 # cells + n samples, but a k-th order statistic with k > 1 partitions a
 # (cells, n) window matrix and takes (k, cells) Pfa factors, so its blocks
 # hold at most _SCAN_BLOCK_FLOATS samples (and at least one cell)
@@ -172,7 +210,7 @@ def _os_statistic_rows(m: float, samples: np.ndarray, layout: WindowLayout,
     k, lead = _order(spec), layout.leading
     if k == 1:
         return m * _window_minima(samples, lead, layout.trailing)
-    # the segment's windows as the rows of a matrix, which scan_windows'
+    # the segment's windows as the rows of a matrix, which scan_profile's
     # blocks keep to at most _SCAN_BLOCK_FLOATS samples
     block = sliding_window_view(samples, spec.n + 1)
     windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
@@ -185,10 +223,10 @@ class FamilyRow(NamedTuple):
     statistic(m, window, spec) is m * g of one CrpWindow in scalar code, the
     per-cell reference (g itself is the m = 1 call); statistic_rows(m,
     samples, layout, spec) is the same, with the same bits, for every window
-    of a 1-D segment of a profile, a block of scan_windows. The sum and the
-    minimum are formed from the segment with O(log n) array steps and no
-    window matrix; the k-th order statistic for k > 1 partitions a matrix
-    of the segment's windows, which scan_windows' blocks bound.
+    of a 1-D segment of a profile, one block of scan_profile. The sum and
+    the minimum are formed from the segment with O(log n) array steps and
+    no window matrix; the k-th order statistic for k > 1 partitions a
+    matrix of the segment's windows, which scan_profile's blocks bound.
     draw(clutter, spec, rng, rows) gives rows draws of g over spec.n clutter
     samples straight from its law; pfa(x, spec) is the predictive Pfa at
     x = tau/g, for a float or an array; k_rule is the order index the family
@@ -332,25 +370,116 @@ ca_cfar_decide = _decide(
 )
 
 
-def scan_windows(samples: np.ndarray, layout: WindowLayout,
-                 spec: DetectorSpec) -> tuple[np.ndarray, np.ndarray]:
-    """decide for every cell of a profile with a full window: comparison values and H1.
+@dataclass(frozen=True, eq=False)
+class ScanResult(Sequence):
+    """scan_profile's Decisions, held as columns and built only when read.
 
-    samples is a 1-D float array of at least spec.n values, and cell i of
-    the result is samples[layout.leading + i], with the layout.leading
-    samples before it and the layout.trailing after it as its window, for
-    every i below len(samples) - spec.n. Statistics are formed a block of
-    cells at a time (see SCAN_BLOCK_ROWS) from the segment its windows
-    span, with -0.0 turned into 0.0 as in CrpWindow. The bits are decide's,
-    cell by cell. A zero statistic on the pfa_comparison path, where decide
-    raises, takes the g -> 0+ limit: Pfa 0 (H1) for z0 > 0 and Pfa 1 (H0)
-    for z0 = 0.
+    h1 (bool), statistic_z0 and comparison_value (float64) are read-only
+    arrays with one entry per eligible cell; path is the family's one
+    DecisionPath. An int index gives a Decision, a slice a list of them,
+    and iteration builds them one at a time by C-level iteration over the
+    columns, with Python floats. A reader that drops each Decision after
+    reading it leaves nothing for the cyclic garbage collector, and one that
+    reads the columns builds no Decision at all. list(result) is the list
+    of Decisions. A ScanResult equals a list or ScanResult holding equal
+    Decisions in the same order, and, like a list, it is unhashable.
+    """
+
+    __slots__ = ("h1", "statistic_z0", "comparison_value", "path")
+
+    h1: np.ndarray
+    statistic_z0: np.ndarray
+    comparison_value: np.ndarray
+    path: DecisionPath
+
+    def __post_init__(self) -> None:
+        for column in (self.h1, self.statistic_z0, self.comparison_value):
+            column.flags.writeable = False
+
+    def _decisions(self, cells: slice) -> Iterator[Decision]:
+        import numpy as np
+
+        # tuple.__new__ through map builds each Decision without a Python call
+        verdicts = np.array((Verdict.H0, Verdict.H1), dtype=object)[self.h1[cells].astype(np.intp)]
+        columns = (verdicts.tolist(), self.statistic_z0[cells].tolist(),
+                   self.comparison_value[cells].tolist(), repeat(self.path))
+        return map(tuple.__new__, repeat(Decision), zip(*columns))
+
+    def __len__(self) -> int:
+        return len(self.h1)
+
+    def __iter__(self) -> Iterator[Decision]:
+        return self._decisions(slice(None))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return list(self._decisions(index))
+        cell = operator.index(index)
+        if cell < 0:
+            cell += len(self)
+        if not 0 <= cell < len(self):
+            raise IndexError("ScanResult index out of range")
+        return next(self._decisions(slice(cell, cell + 1)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (list, ScanResult)):
+            return NotImplemented
+        return list(self) == list(other)
+
+    __hash__ = None
+
+    def __reduce__(self):
+        # copy and pickle through __init__, which a frozen dataclass's slots need
+        return ScanResult, (self.h1, self.statistic_z0, self.comparison_value, self.path)
+
+
+def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
+                 window_layout: WindowLayout) -> ScanResult:
+    """Slide the detector across a range profile; one Decision per eligible cell.
+
+    The window is the leading cells immediately before the cell under test
+    plus the trailing cells immediately after, no guard cells. Cells without
+    a full window are skipped, so a profile of exactly leading + trailing
+    cells yields an empty result. A shorter profile, or a layout that does
+    not supply spec.n cells, is a ConfigurationError. The profile is a
+    sequence of floats or a 1-D array; a value that is negative or not
+    finite is a ValueError naming the first such value.
+
+    Statistics are formed a block of cells at a time (see SCAN_BLOCK_ROWS)
+    from the segment its windows span, with -0.0 turned into 0.0 as in
+    CrpWindow; statistic_z0 keeps the profile's values. Comparison values
+    and verdicts have decide's bits, cell by cell (for ca_cfar, the exactly
+    rounded window sums), and a Decision is built only when one is read.
+
+    Where decide raises, at a zero k-th order statistic under bayes_os, the
+    scan takes the t -> 0+ limit of the false-alarm probability: comparison
+    value 0.0 and H1 for z0 > 0, 1.0 and H0 for z0 = 0 (as min_cfar's m * t
+    is 0 there). ca_cfar at a window sum beyond the float range forms
+    m * sum exactly, as ca_cfar_decide does; it is inf, so H0, only if that
+    product overflows.
     """
     import numpy as np
 
+    # our own copy: the result's statistic_z0 column is a view of it
+    values = np.array(profile, dtype=float)
+    if values.ndim != 1:
+        raise ValueError(f"the profile must be one-dimensional, got shape {values.shape}")
+    bad = ~(np.isfinite(values) & (values >= 0))
+    if bad.any():
+        first = float(values[np.argmax(bad)])
+        raise ValueError(f"profile values must be finite and nonnegative, got {first}")
+    lead, trail = window_layout.leading, window_layout.trailing
+    if lead + trail != spec.n:
+        raise ConfigurationError(
+            f"window layout supplies {lead + trail} cells but the detector expects {spec.n}"
+        )
+    if len(values) < lead + trail:
+        raise ConfigurationError(
+            f"profile of {len(values)} cells cannot hold a {lead}+{trail} window"
+        )
     row = FAMILIES[spec.family]
-    cells = len(samples) - spec.n
-    z0 = samples[layout.leading:layout.leading + cells]
+    cells = len(values) - spec.n
+    z0 = values[lead:lead + cells]
     comparison = np.empty(cells)
     rows = (SCAN_BLOCK_ROWS if spec.k in (None, 1)
             else max(1, min(SCAN_BLOCK_ROWS, _SCAN_BLOCK_FLOATS // spec.n)))
@@ -358,16 +487,18 @@ def scan_windows(samples: np.ndarray, layout: WindowLayout,
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for start in range(0, cells, rows):
             block = slice(start, min(start + rows, cells))
-            segment = samples[start:block.stop + spec.n] + 0.0
+            segment = values[start:block.stop + spec.n] + 0.0
             if row.path is DecisionPath.THRESHOLD:
                 comparison[block] = row.statistic_rows(
-                    threshold_multiplier(spec), segment, layout, spec)
+                    threshold_multiplier(spec), segment, window_layout, spec)
             else:
-                g = row.statistic_rows(1.0, segment, layout, spec)
+                g = row.statistic_rows(1.0, segment, window_layout, spec)
                 comparison[block] = row.pfa(np.where(z0[block] > 0.0, z0[block] / g, 0.0), spec)
     if row.path is DecisionPath.THRESHOLD:
-        return comparison, z0 > comparison
-    return comparison, comparison < spec.design_pfa
+        h1 = z0 > comparison
+    else:
+        h1 = comparison < spec.design_pfa
+    return ScanResult(h1, z0, comparison, row.path)
 
 
 def custom_g_decide(z0: float, window: CrpWindow, tau: float,

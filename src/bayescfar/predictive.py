@@ -155,7 +155,7 @@ def _os_product(x, n: int, k: int):
     # A float takes a loop; an ndarray forms its k factors as one array and
     # multiplies them with one reduce over axis 0, which numpy does row after
     # row, in the loop's order, so both give the same bits. A scan's x is one
-    # block of detectors.scan_windows, which keeps the factors to 2**20 floats
+    # block of detectors.scan_profile, which keeps the factors to 2**20 floats
     if isinstance(x, (int, float)):
         value = 1.0
         for j in range(n - k + 1, n + 1):

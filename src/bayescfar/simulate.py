@@ -20,22 +20,11 @@ order statistic), which by strict monotonicity of the predictive Pfa gives
 the same verdicts as the probability-comparison path; the equivalence is
 property-tested rather than assumed.
 
-scan_profile is columnar too: it validates the profile, copies it once and
-hands it to detectors.scan_windows, which gives every comparison value and
-verdict with the same bits as the per-cell decide functions (they stay as
-the tests' oracle), in blocks it sizes itself, since it builds the arrays
-they bound. The result, a ScanResult, keeps those columns and builds a
-Decision only when one is read, so a scan makes no per-cell object for the
-cyclic garbage collector to count. The scan also answers the one window
-decide does not: a zero k-th order statistic under bayes_os takes the
-t -> 0+ limit (H1 for a positive cell, H0 for a zero one). A ca_cfar window
-sum beyond the float range gives, in the scan as in decide, an exact
-threshold, inf (H0) only when the threshold itself overflows; a Monte Carlo
-draw beyond the float range is inf, and takes the same rule.
-
 numpy is imported by the functions that make arrays (the block streams,
-a block's draws, scan_profile's copy) when they first run, not with the
-module.
+a block's draws) when they first run, not with the module.
+
+scan_profile, WindowLayout, ScanResult and ConfigurationError are detectors'
+objects, exported here too under the names this module has always had.
 """
 
 from __future__ import annotations
@@ -43,10 +32,8 @@ from __future__ import annotations
 import logging
 import math
 import os as _os
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
-import operator
-from collections.abc import Iterator, Sequence
-from itertools import repeat
 from typing import TYPE_CHECKING
 
 from .clutter_models import (
@@ -57,11 +44,13 @@ from .clutter_models import (
 )
 from .detectors import (
     FAMILIES,
-    Decision,
+    ConfigurationError,
     DecisionPath,
     DetectorSpec,
-    Verdict,
-    scan_windows,
+    ScanResult,
+    WindowLayout,
+    _require_integer,
+    scan_profile,
     threshold_multiplier,
 )
 
@@ -95,10 +84,6 @@ WORKERS_ENV_VAR = "BAYESCFAR_WORKERS"
 _MAX_REDRAW_ROUNDS = 1000
 
 
-class ConfigurationError(ValueError):
-    """A scenario or profile request that cannot be run as configured."""
-
-
 @dataclass(frozen=True)
 class TargetModel:
     """Swerling-1 point target: received power exponential, mean scaled by 1 + SNR."""
@@ -119,6 +104,8 @@ class Scenario:
     target: TargetModel | None = None
 
     def __post_init__(self) -> None:
+        _require_integer("trials", self.trials)
+        _require_integer("seed", self.seed)
         if self.trials < 1:
             raise ValueError(f"trials must be at least 1, got {self.trials}")
         if not (0 <= self.seed < 2**64):
@@ -357,134 +344,3 @@ def cfar_sweep(scenario: Scenario, lambda_grid: Sequence[float],
         len(reports), max_pairwise_deviation_se(reports),
     )
     return reports
-
-
-@dataclass(frozen=True)
-class WindowLayout:
-    """How many neighbors on each side of the cell under test form the window."""
-
-    leading: int
-    trailing: int
-
-    def __post_init__(self) -> None:
-        if self.leading < 0 or self.trailing < 0:
-            raise ValueError("leading and trailing counts must be nonnegative")
-        if self.leading + self.trailing < 1:
-            raise ValueError("the window must contain at least one cell")
-
-
-@dataclass(frozen=True, eq=False)
-class ScanResult(Sequence):
-    """scan_profile's Decisions, held as columns and built only when read.
-
-    h1 (bool), statistic_z0 and comparison_value (float64) are read-only
-    arrays with one entry per eligible cell; path is the family's one
-    DecisionPath. An int index gives a Decision, a slice a list of them,
-    and iteration builds them one at a time by C-level iteration over the
-    columns, with Python floats. A reader that drops each Decision after
-    reading it leaves nothing for the cyclic garbage collector, and one that
-    reads the columns builds no Decision at all. list(result) is the list
-    of Decisions. A ScanResult equals a list or ScanResult holding equal
-    Decisions in the same order, and, like a list, it is unhashable.
-    """
-
-    __slots__ = ("h1", "statistic_z0", "comparison_value", "path")
-
-    h1: np.ndarray
-    statistic_z0: np.ndarray
-    comparison_value: np.ndarray
-    path: DecisionPath
-
-    def __post_init__(self) -> None:
-        for column in (self.h1, self.statistic_z0, self.comparison_value):
-            column.flags.writeable = False
-
-    def _decisions(self, cells: slice) -> Iterator[Decision]:
-        import numpy as np
-
-        # tuple.__new__ through map builds each Decision without a Python call
-        verdicts = np.array((Verdict.H0, Verdict.H1), dtype=object)[self.h1[cells].astype(np.intp)]
-        columns = (verdicts.tolist(), self.statistic_z0[cells].tolist(),
-                   self.comparison_value[cells].tolist(), repeat(self.path))
-        return map(tuple.__new__, repeat(Decision), zip(*columns))
-
-    def __len__(self) -> int:
-        return len(self.h1)
-
-    def __iter__(self) -> Iterator[Decision]:
-        return self._decisions(slice(None))
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return list(self._decisions(index))
-        cell = operator.index(index)
-        if cell < 0:
-            cell += len(self)
-        if not 0 <= cell < len(self):
-            raise IndexError("ScanResult index out of range")
-        return next(self._decisions(slice(cell, cell + 1)))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, (list, ScanResult)):
-            return NotImplemented
-        return list(self) == list(other)
-
-    __hash__ = None
-
-    def __reduce__(self):
-        # copy and pickle through __init__, which a frozen dataclass's slots need
-        return ScanResult, (self.h1, self.statistic_z0, self.comparison_value, self.path)
-
-
-def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
-                 window_layout: WindowLayout) -> ScanResult:
-    """Slide the detector across a range profile; one Decision per eligible cell.
-
-    The window is the leading cells immediately before the cell under test
-    plus the trailing cells immediately after, no guard cells. Cells without
-    a full complement of neighbors are skipped, so a profile of exactly
-    leading + trailing cells yields an empty result; anything shorter cannot
-    hold a single window and is a configuration error. The profile is a
-    sequence of floats or a 1-D array; a value that is negative or not
-    finite is a ValueError naming the first such value.
-
-    Evaluation is columnar: detectors.scan_windows takes the whole profile
-    and gives every comparison value and verdict at once, with the same
-    bits as the family's per-cell decide (for ca_cfar, the exactly rounded
-    window sums), in blocks it sizes itself. -0.0 samples are 0.0 in the
-    statistics, as in CrpWindow, while statistic_z0 keeps the profile's
-    values. No per-cell object is built: a Decision is made when it is
-    read from the returned ScanResult.
-
-    One case that decide does not answer has a defined outcome here:
-    bayes_os at a window whose k-th order statistic is zero takes the
-    t -> 0+ limit of its false-alarm probability. A cell z0 > 0 gets
-    comparison value 0.0 and H1, a cell z0 = 0 gets 1.0 and H0 (the
-    threshold form m * t is 0 there, as for min_cfar at a zero minimum).
-    ca_cfar at a window whose sum exceeds the float range forms the
-    threshold m * sum exactly, as ca_cfar_decide does, and it is inf, so
-    H0, only if that product overflows (as min_cfar prints for an
-    overflowing m * min).
-    """
-    import numpy as np
-
-    # our own copy: the result's statistic_z0 column is a view of it
-    values = np.array(profile, dtype=float)
-    if values.ndim != 1:
-        raise ValueError(f"the profile must be one-dimensional, got shape {values.shape}")
-    bad = ~(np.isfinite(values) & (values >= 0))
-    if bad.any():
-        first = float(values[np.argmax(bad)])
-        raise ValueError(f"profile values must be finite and nonnegative, got {first}")
-    lead, trail = window_layout.leading, window_layout.trailing
-    if lead + trail != spec.n:
-        raise ConfigurationError(
-            f"window layout supplies {lead + trail} cells but the detector expects {spec.n}"
-        )
-    if len(values) < lead + trail:
-        raise ConfigurationError(
-            f"profile of {len(values)} cells cannot hold a {lead}+{trail} window"
-        )
-    comparison, h1 = scan_windows(values, window_layout, spec)
-    return ScanResult(h1, values[lead:len(values) - trail], comparison,
-                      FAMILIES[spec.family].path)

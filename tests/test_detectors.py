@@ -3,6 +3,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from bayescfar.clutter_models import CrpWindow, window_sum
@@ -69,6 +70,24 @@ class TestDetectorSpec:
     def test_window_size_bounds(self):
         with pytest.raises(ValueError):
             DetectorSpec(Family.CA_CFAR, 0, 0.1)
+
+    @pytest.mark.parametrize("family, n, k, field", [
+        (Family.CA_CFAR, 2.5, None, "window size n"),
+        (Family.CA_CFAR, 4.0, None, "window size n"),
+        (Family.MIN_CFAR, "4", None, "window size n"),
+        (Family.BAYES_OS, 4, 2.5, "order index k"),
+        (Family.BAYES_OS, 4, 2.0, "order index k"),
+        (Family.BAYES_OS, 4.5, 2, "window size n"),
+    ])
+    def test_sizes_must_be_integers(self, family, n, k, field):
+        # unchecked, a fractional n gives a threshold for a window of 2.5
+        # cells, and a fractional k a TypeError from range() inside threshold
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            DetectorSpec(family, n, 0.1, k=k)
+        # numpy integers are sizes too, and are stored as given
+        spec = DetectorSpec(family, np.int64(4), 0.1, k=None if k is None else np.int32(2))
+        assert type(spec.n) is np.int64
+        assert threshold(spec, 1.0) == threshold(DetectorSpec(family, 4, 0.1, k=spec.k and 2), 1.0)
 
 
 class TestBayesOsDecide:

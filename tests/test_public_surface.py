@@ -57,3 +57,17 @@ def test_names_the_benchmark_harness_uses_exist():
     assert ("bayescfar.detectors", "bayes_os_threshold") in refs
     missing = [f"{m}.{n}" for m, n in refs if not hasattr(importlib.import_module(m), n)]
     assert missing == []
+
+
+@pytest.mark.parametrize("name", ["scan_profile", "ScanResult", "WindowLayout",
+                                  "ConfigurationError"])
+def test_the_scan_is_one_object_under_every_path(name):
+    # the scan lives in detectors; simulate and the package export the same
+    # objects, so an `except simulate.ConfigurationError` still catches
+    # what scan_profile raises
+    import bayescfar
+    from bayescfar import detectors, simulate
+
+    assert getattr(simulate, name) is getattr(detectors, name)
+    assert getattr(bayescfar, name) is getattr(detectors, name)
+    assert name in simulate.__all__ and name in detectors.__all__ and name in bayescfar.__all__

@@ -104,6 +104,18 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             scenario(seed=2**64)
 
+    @pytest.mark.parametrize("field, value", [
+        ("trials", 10.5), ("trials", 10.0), ("seed", 1.5), ("seed", "7"),
+    ])
+    def test_trials_and_seed_must_be_integers(self, field, value):
+        # unchecked, a fractional count fails only inside estimate_pfa, as a TypeError
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            scenario(**{field: value})
+        # numpy integers are counts too: stored as given, with the same digest
+        sc = scenario(trials=np.int64(1000), seed=np.uint64(7))
+        assert type(sc.trials) is np.int64
+        assert estimate_pfa(sc) == estimate_pfa(scenario(trials=1000, seed=7))
+
     def test_target_kind(self):
         with pytest.raises(ValueError):
             TargetModel(snr_linear=0.0)
@@ -626,6 +638,19 @@ class TestScanProfile:
         with pytest.raises(ValueError, match="one-dimensional"):
             scan_profile([[1.0] * 6] * 4, self.SPEC, self.LAYOUT)
 
+    @pytest.mark.parametrize("leading, trailing, field", [
+        (1.5, 2.5, "leading"), (2, 2.0, "trailing"), ("2", 2, "leading"),
+    ])
+    def test_layout_sizes_must_be_integers(self, leading, trailing, field):
+        # unchecked, a fractional layout fails only inside the scan's slicing
+        with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+            WindowLayout(leading, trailing)
+        layout = WindowLayout(np.int64(2), np.int32(2))
+        assert type(layout.leading) is np.int64
+        profile = [1.0, 3.0, 2.0, 40.0, 1.0, 0.5, 2.0, 1.0]
+        assert (scan_profile(profile, self.SPEC, layout)
+                == scan_profile(profile, self.SPEC, self.LAYOUT))
+
     def test_sequences_and_arrays_scan_alike(self):
         values = [1.0, 3.0, 2.0, 40.0, 1.0, 0.5, 2.0, 1.0]
         want = scan_profile(values, self.SPEC, self.LAYOUT)
@@ -836,9 +861,9 @@ class TestScanAllocations:
 
 
 class TestScanBlocks:
-    # a block of scan_windows is SCAN_BLOCK_ROWS cells, and only a k-th
+    # scan_profile takes SCAN_BLOCK_ROWS cells to a block, and only a k-th
     # order statistic with k > 1, which partitions a matrix of the block's
-    # windows, caps it at 2**20 // n cells
+    # windows, caps a block at 2**20 // n cells
     @pytest.mark.parametrize("family, k, blocks", [
         (Family.CA_CFAR, None, 1),
         (Family.MIN_CFAR, None, 1),
