@@ -7,6 +7,11 @@ for any worker count and any scheduling order. Grid sweeps derive one child
 seed per grid point from SeedSequence((s, 1, i)) so the points are
 independent but still reproducible from the master seed alone.
 
+One call schedules all of its blocks at once: a sweep puts every block of
+every grid point into one job list, run in one thread pool for the call
+(none when one worker or one block is enough), and sums each point's
+blocks afterwards, so no point waits on the slowest block of the one before.
+
 A trial never builds its window: a block of m trials draws m window
 statistics straight from their distribution (the family's draw entry in
 detectors.FAMILIES: clutter_models.kth_smallest_draws or window_sum_draws),
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import os as _os
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
@@ -170,6 +176,12 @@ def _scenario_digest(scenario: Scenario) -> str:
 
 def _worker_count(workers: int | None) -> int:
     if workers is not None:
+        try:  # an int or a numpy integer, not 1.5 or "2"
+            workers = operator.index(workers)
+        except TypeError:
+            raise ConfigurationError(
+                f"worker count must be an integer, got {workers!r}"
+            ) from None
         if workers < 1:
             raise ConfigurationError(f"worker count must be at least 1, got {workers}")
         return workers
@@ -197,13 +209,15 @@ def _child_seed(seed: int, grid_index: int) -> int:
     return int(np.random.SeedSequence((seed, 1, grid_index)).generate_state(1, np.uint64)[0])
 
 
-def _run_block(scenario: Scenario, multiplier: float, cut_scale: float,
-               block_index: int, size: int) -> tuple[int, int]:
+def _run_block(scenario: Scenario, multiplier: float, block_index: int,
+               size: int) -> tuple[int, int]:
     import numpy as np
 
     spec = scenario.detector
     row = FAMILIES[spec.family]
     rng = _block_generator(scenario.seed, block_index)
+    # a Swerling-1 cell under test is clutter scaled by 1 + snr
+    cut_scale = 1.0 if scenario.target is None else 1.0 + scenario.target.snr_linear
 
     def draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
         stat = row.draw(scenario.clutter, spec, rng, rows)
@@ -235,31 +249,33 @@ def _run_block(scenario: Scenario, multiplier: float, cut_scale: float,
     return hits, redraws
 
 
-def _run_blocks(scenario: Scenario, cut_scale: float, workers: int | None) -> tuple[int, int]:
-    multiplier = threshold_multiplier(scenario.detector)
-    trials = scenario.trials
-    sizes = [
-        min(BLOCK_SIZE, trials - start) for start in range(0, trials, BLOCK_SIZE)
+def _run_blocks(points: Sequence[Scenario], workers: int | None) -> list[tuple[int, int]]:
+    """(hits, redraws) of each point, from one schedule of all their blocks."""
+    multipliers = [threshold_multiplier(point.detector) for point in points]
+    jobs = [
+        (i, b, min(BLOCK_SIZE, point.trials - start))
+        for i, point in enumerate(points)
+        for b, start in enumerate(range(0, point.trials, BLOCK_SIZE))
     ]
-    nworkers = min(_worker_count(workers), len(sizes))
+
+    def run(job: tuple[int, int, int]) -> tuple[int, int]:
+        i, block_index, size = job
+        return _run_block(points[i], multipliers[i], block_index, size)
+
+    nworkers = min(_worker_count(workers), len(jobs))
     if nworkers == 1:
-        results = [
-            _run_block(scenario, multiplier, cut_scale, b, size)
-            for b, size in enumerate(sizes)
-        ]
+        results = [run(job) for job in jobs]
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(
-                pool.map(
-                    lambda item: _run_block(scenario, multiplier, cut_scale, *item),
-                    enumerate(sizes),
-                )
-            )
-    hits = sum(r[0] for r in results)
-    redraws = sum(r[1] for r in results)
-    return hits, redraws
+            results = list(pool.map(run, jobs))
+    hits = [0] * len(points)
+    redraws = [0] * len(points)
+    for (i, _, _), (block_hits, block_redraws) in zip(jobs, results):
+        hits[i] += block_hits
+        redraws[i] += block_redraws
+    return list(zip(hits, redraws))
 
 
 def _report(scenario: Scenario, hits: int, redraws: int) -> SimReport:
@@ -284,7 +300,7 @@ def estimate_pfa(scenario: Scenario, workers: int | None = None) -> SimReport:
     """
     if scenario.target is not None:
         raise ConfigurationError("estimate_pfa runs clutter-only trials; drop the target")
-    hits, redraws = _run_blocks(scenario, cut_scale=1.0, workers=workers)
+    [(hits, redraws)] = _run_blocks([scenario], workers)
     return _report(scenario, hits, redraws)
 
 
@@ -300,8 +316,7 @@ def estimate_pd(scenario: Scenario, workers: int | None = None) -> SimReport:
         raise ConfigurationError(
             "the swerling1 target is defined against exponential clutter only"
         )
-    scale = 1.0 + scenario.target.snr_linear
-    hits, redraws = _run_blocks(scenario, cut_scale=scale, workers=workers)
+    [(hits, redraws)] = _run_blocks([scenario], workers)
     return _report(scenario, hits, redraws)
 
 
@@ -322,7 +337,10 @@ def cfar_sweep(scenario: Scenario, lambda_grid: Sequence[float],
     """estimate_pfa at each clutter power; the estimates should not move.
 
     Each grid point gets an independent child seed derived from the master
-    seed, so the whole sweep is reproducible from (seed, grid).
+    seed, so the whole sweep is reproducible from (seed, grid): report i
+    equals estimate_pfa of point i. The blocks of every point run in one
+    schedule (one thread pool for the call, none at one worker), and the
+    reports do not depend on the worker count or on the order blocks finish.
     """
     if not isinstance(scenario.clutter, ExponentialClutter):
         raise ConfigurationError("cfar_sweep varies the exponential rate; use exponential clutter")
@@ -331,14 +349,20 @@ def cfar_sweep(scenario: Scenario, lambda_grid: Sequence[float],
     for rate in lambda_grid:
         if not (0 < rate < math.inf):
             raise ConfigurationError(f"clutter rates must be finite and positive, got {rate}")
-    reports = []
-    for i, rate in enumerate(lambda_grid):
-        point = replace(
+    if scenario.target is not None:
+        raise ConfigurationError("estimate_pfa runs clutter-only trials; drop the target")
+    points = [
+        replace(
             scenario,
             clutter=ExponentialClutter(rate_lambda=float(rate)),
             seed=_child_seed(scenario.seed, i),
         )
-        reports.append(estimate_pfa(point, workers=workers))
+        for i, rate in enumerate(lambda_grid)
+    ]
+    reports = [
+        _report(point, hits, redraws)
+        for point, (hits, redraws) in zip(points, _run_blocks(points, workers))
+    ]
     logger.info(
         "cfar_sweep over %d rates: max pairwise deviation %.3f SE",
         len(reports), max_pairwise_deviation_se(reports),

@@ -370,6 +370,16 @@ class TestSweep:
         assert [r.split(",")[0] for r in rows[1:]] == ["0.5", "1", "2"]
         assert "max pairwise deviation" in out.stderr
 
+    def test_worker_count_does_not_change_output(self, run, monkeypatch):
+        args = ["sweep", "--family", "bayes_os", "--n", "8", "--k", "5", "--pfa", "0.05",
+                "--lambda-grid", "0.5,1,2", "--trials", "131089", "--seed", "23"]
+        monkeypatch.setenv("BAYESCFAR_WORKERS", "1")
+        a = run(*args)
+        monkeypatch.setenv("BAYESCFAR_WORKERS", "4")
+        b = run(*args)
+        assert a.returncode == b.returncode == 0
+        assert a.stdout == b.stdout
+
     def test_single_rate(self, run):
         out = run("sweep", "--family", "min_cfar", "--n", "4", "--pfa", "0.1",
                   "--lambda-grid", "2", "--trials", "10000", "--seed", "5")

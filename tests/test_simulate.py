@@ -12,6 +12,7 @@ import math
 import pickle
 import re
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 from scipy.special import betainc, gammainc
 
+from bayescfar import simulate
 from bayescfar.clutter_models import (
     CrpWindow,
     ExponentialClutter,
@@ -184,6 +186,9 @@ class TestEstimatePfa:
         (0, None, "worker count must be at least 1, got 0"),
         (None, "abc", "BAYESCFAR_WORKERS='abc' is not an integer"),
         (None, "0", "BAYESCFAR_WORKERS must be at least 1, got 0"),
+        (1.5, None, "worker count must be an integer, got 1.5"),
+        ("2", None, "worker count must be an integer, got '2'"),
+        (2.0, "2", "worker count must be an integer, got 2.0"),
     ])
     def test_bad_worker_count_rejected(self, monkeypatch, workers, env, message):
         if env is None:
@@ -577,6 +582,45 @@ class TestCfarSweep:
         )
         with pytest.raises(ConfigurationError):
             cfar_sweep(pareto, [1.0])
+
+    def test_target_is_rejected_before_any_block(self, monkeypatch):
+        def no_block(*args):
+            raise AssertionError("a block ran")
+
+        monkeypatch.setattr(simulate, "_run_block", no_block)
+        sc = scenario(trials=200_000, seed=3, target=TargetModel(snr_linear=2.0))
+        with pytest.raises(ConfigurationError,
+                           match=re.escape("estimate_pfa runs clutter-only trials; drop the target")):
+            cfar_sweep(sc, [0.5, 1.0, 2.0], workers=2)
+
+    @pytest.mark.parametrize("trials", [100, 65_536, 2 * 65_536 + 17])
+    @pytest.mark.parametrize("grid", [[2.0], [0.5, 1.0, 4.0], [0.25, 1.0, 3.0, 9.0]])
+    def test_reports_do_not_depend_on_schedule(self, grid, trials):
+        sc = scenario(family=Family.BAYES_OS, n=8, k=5, pfa=0.05, trials=trials, seed=4242)
+        want = [
+            estimate_pfa(replace(sc, clutter=ExponentialClutter(rate),
+                                 seed=simulate._child_seed(sc.seed, i)), workers=1)
+            for i, rate in enumerate(grid)
+        ]
+        for workers in (1, 2, 3, 4):
+            assert cfar_sweep(sc, grid, workers=workers) == want, workers
+
+    @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
+    def test_one_pool_per_sweep(self, monkeypatch, workers, pools):
+        import concurrent.futures
+
+        built = []
+
+        class CountingPool(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+        sc = scenario(trials=2 * 65_536 + 17, seed=8)
+        reports = cfar_sweep(sc, [0.5, 1.0, 2.0, 10.0], workers=workers)
+        assert len(reports) == 4
+        assert len(built) == pools
 
 
 class TestScanProfile:
