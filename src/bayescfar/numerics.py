@@ -51,8 +51,7 @@ __all__ = [
 ]
 
 # solve_monotone_decreasing bisects until its bracket is narrower than
-# _ROOT_TOLERANCE relative to the root; _ROOT_MAX_ITERATIONS bounds both the
-# doublings that bracket the root and the bisection steps
+# _ROOT_TOLERANCE relative to the root, in at most _ROOT_MAX_ITERATIONS steps
 _ROOT_TOLERANCE = 1e-12
 _ROOT_MAX_ITERATIONS = 200
 
@@ -672,10 +671,12 @@ def integrate_semi_infinite(
 def solve_monotone_decreasing(f: Callable[[float], float], target: float) -> float:
     """Solve f(tau) = target for a strictly decreasing f on [0, inf).
 
-    Brackets the root by doubling from [0, 1], then bisects until the bracket
-    is narrower than 1e-12 relative to the root. Requires f(0) >= target;
-    raises TargetUnreachableError otherwise and RootFindingError if 200
-    doublings do not enclose the root.
+    Brackets the root by doubling from [0, 1] while the bracket is finite,
+    then bisects until the bracket is narrower than 1e-12 relative to the
+    root. Requires f(0) >= target; raises TargetUnreachableError otherwise,
+    and RootFindingError for a root past 2**1023 and for a subnormal target,
+    whose few significant bits, like those of f near it, define no root to
+    that width.
     """
     f0 = f(0.0)
     if not math.isfinite(f0):
@@ -686,17 +687,16 @@ def solve_monotone_decreasing(f: Callable[[float], float], target: float) -> flo
         )
     if f0 == target:
         return 0.0
+    if 0.0 < target < _UFLOW:
+        raise RootFindingError(f"target {target!r} is subnormal; no root is solved for it")
 
     lo, hi = 0.0, 1.0
-    expansions = 0
     while f(hi) > target:
         lo = hi
         hi *= 2.0
-        expansions += 1
-        if expansions > _ROOT_MAX_ITERATIONS or not math.isfinite(hi):
+        if not math.isfinite(hi):
             raise RootFindingError(
-                f"bracket expansion exceeded {_ROOT_MAX_ITERATIONS} doublings "
-                f"without enclosing target {target!r}"
+                f"bracket expansion reached the float range without enclosing target {target!r}"
             )
 
     # invariant: f(lo) > target >= f(hi)

@@ -1,11 +1,16 @@
 """Detector decision rule tests."""
 
+import contextlib
+import io
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from bayescfar import cli
 from bayescfar.clutter_models import CrpWindow, window_sum
 from bayescfar.detectors import (
     FAMILIES,
@@ -347,6 +352,80 @@ class TestThresholdMultiplier:
         spec = DetectorSpec(Family.MIN_CFAR, 1, 1e-300)
         assert math.isclose(threshold_multiplier(spec), 1e300, rel_tol=1e-15)
         assert threshold(spec, 1e300) == math.inf
+
+
+def _log_inverse_pfa(x, family, n, k):
+    # -log Pfa(x) by log1p and fsum, sharing no code with the curves or the
+    # solve: n log1p(x) for ca_cfar, sum_{j=n-k+1}^{n} log1p(x/j) otherwise
+    if family is Family.CA_CFAR:
+        return n * math.log1p(x)
+    return math.fsum(math.log1p(x / j) for j in range(n - k + 1, n + 1))
+
+
+@st.composite
+def _design_points(draw):
+    family = draw(st.sampled_from(list(Family)))
+    n = draw(st.integers(1, 500))
+    k = draw(st.integers(1, n)) if family is Family.BAYES_OS else None
+    # log-uniform on [1e-300, 1 - 2**-53], both ends included
+    log_pfa = draw(st.floats(math.log(1e-300), math.log1p(-(2.0 ** -53))))
+    pfa = min(max(math.exp(log_pfa), 1e-300), 1.0 - 2.0 ** -53)
+    return family, n, k, pfa
+
+
+class TestEveryFiniteMultiplier:
+    """threshold_multiplier reaches the multiplier at every normal design Pfa.
+
+    The oracle shares no code with the library. Every OS factor j/(j+x) lies
+    between (n-k+1)/(n-k+1+x) and n/(n+x), so m lies in [(n-k+1) e, n e]
+    with e = p^(-1/k) - 1; ca_cfar's m is e at k = n. The curves are
+    evaluated in floats, with at most 3k roundings of 2**-53 in the product
+    and |log p| + 2n in ca_cfar's power, below 1e-12 relative for n, k <= 500
+    and p >= 1e-300: so m is checked as the multiplier of a design value
+    within 1e-12 of p, to the solve's width (1e-11 covers its 1e-12). Near
+    p = 1 that is loose, as it must be: there m moves by (1 - p)^-1 times
+    any relative change of p.
+    """
+
+    ROUNDING = 1e-12
+    WIDTH = 1e-11
+
+    @settings(max_examples=200, deadline=None)
+    @given(_design_points())
+    @example((Family.BAYES_OS, 4, 2, 1e-300))
+    @example((Family.BAYES_OS, 8, 4, 1e-300))
+    @example((Family.BAYES_OS, 500, 2, 1e-300))
+    @example((Family.CA_CFAR, 200, None, 1.0 - 2.0 ** -53))
+    @example((Family.MIN_CFAR, 500, None, 1e-300))
+    def test_multiplier_brackets_the_design_value(self, point):
+        family, n, k, pfa = point
+        spec = DetectorSpec(family, n, pfa, k=k)
+        m = threshold_multiplier(spec)
+        assert math.isfinite(m) and m >= 0.0
+        order = n if family is Family.CA_CFAR else (k or 1)
+        low, high = (math.expm1(-math.log(pfa * (1.0 + s * self.ROUNDING)) / order)
+                     for s in (1.0, -1.0))
+        if family is not Family.CA_CFAR:
+            low, high = (n - order + 1) * low, n * high
+        assert low * (1.0 - self.WIDTH) <= m <= high * (1.0 + self.WIDTH), (low, m, high)
+        curve = (_log_inverse_pfa(m * (1.0 + s * self.WIDTH), family, n, order)
+                 for s in (-1.0, 1.0))
+        assert next(curve) < -math.log(pfa * (1.0 - self.ROUNDING))
+        assert next(curve) > -math.log(pfa * (1.0 + self.ROUNDING))
+        argv = ["threshold", "--family", family.value, "--n", str(n),
+                *(["--k", str(k)] if k else []), "--pfa", repr(pfa), "--t", "1"]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            assert cli.main(argv) == 0
+
+    @pytest.mark.parametrize("pfa", [5e-324, 1e-320, 2.0 ** -1022 - 5e-324])
+    def test_subnormal_design_value_has_no_solved_multiplier(self, pfa):
+        # the solved curve near a subnormal value has fewer than 53
+        # significant bits, so the solve refuses it (CLI exit 3); the closed
+        # forms take it as it is
+        with pytest.raises(NumericsError, match="subnormal"):
+            threshold_multiplier(DetectorSpec(Family.BAYES_OS, 4, pfa, k=2))
+        m = threshold_multiplier(DetectorSpec(Family.CA_CFAR, 4, pfa))
+        assert m == pfa ** -0.25 - 1.0
 
 
 class TestFamilyTable:

@@ -574,7 +574,21 @@ class TestSolveMonotoneDecreasing:
     def test_target_equal_to_f0_returns_zero(self):
         assert solve_monotone_decreasing(lambda t: 1.0 / (1.0 + t), 1.0) == 0.0
 
+    def test_bracket_expansion_reaches_every_finite_doubling(self):
+        # the root is 1e300, about 997 doublings out, past 2**200
+        root = solve_monotone_decreasing(lambda t: 1.0 / (1.0 + 1e-300 * t), 0.5)
+        assert math.isclose(root, 1e300, rel_tol=1e-11)
+
     def test_bracket_expansion_gives_up(self):
-        # the root is 1e300, about 997 doublings out; the limit is 200
-        with pytest.raises(RootFindingError, match="200 doublings"):
-            solve_monotone_decreasing(lambda t: 1.0 / (1.0 + 1e-300 * t), 0.5)
+        # the root is 1e310, past the float maximum: doubling reaches inf first
+        with pytest.raises(RootFindingError, match="reached the float range"):
+            solve_monotone_decreasing(lambda t: 1.0 / (1.0 + 1e-310 * t), 0.5)
+
+    @pytest.mark.parametrize("target", [5e-324, 1e-320, 2.0 ** -1022 - 5e-324])
+    def test_subnormal_target_is_refused(self, target):
+        # a subnormal target has fewer than 53 significant bits, and so has
+        # the curve near it; 2**-1022, the smallest normal float, is solved
+        with pytest.raises(RootFindingError, match="subnormal"):
+            solve_monotone_decreasing(lambda t: 1.0 / (1.0 + t), target)
+        root = solve_monotone_decreasing(lambda t: 1.0 / (1.0 + t), 2.0 ** -1022)
+        assert math.isclose(root, 2.0 ** 1022, rel_tol=1e-11)

@@ -21,7 +21,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 from scipy.special import betainc, gammainc
 
-from bayescfar import simulate
+from bayescfar import detectors, simulate
 from bayescfar.clutter_models import (
     CrpWindow,
     ExponentialClutter,
@@ -906,8 +906,9 @@ class TestScanAllocations:
 
 class TestScanBlocks:
     # scan_profile takes SCAN_BLOCK_ROWS cells to a block, and only a k-th
-    # order statistic with k > 1, which partitions a matrix of the block's
-    # windows, caps a block at 2**20 // n cells
+    # order statistic with k > 1 over runs too long for sorting networks,
+    # which partitions a matrix of the block's windows, caps a block at
+    # 2**20 // n cells
     @pytest.mark.parametrize("family, k, blocks", [
         (Family.CA_CFAR, None, 1),
         (Family.MIN_CFAR, None, 1),
@@ -1082,6 +1083,67 @@ class TestSlidingStatistics:
             assert limits[i].hex() == want.hex()
 
 
+def _comparators(length):
+    # the comparators of Batcher's network on one run: both parts' and the merge
+    if length < 2:
+        return 0
+    half = 1 << (length - 1).bit_length() - 1
+    return _comparators(half) + _comparators(length - half) + len(detectors._merge_network(length))
+
+
+class TestSortingNetwork:
+    # the networks a bayes_os scan sorts its short runs with
+    @pytest.mark.parametrize("length", range(1, detectors._NETWORK_MAX_RUN + 1))
+    def test_sorts_every_zero_one_row(self, length):
+        # by the 0-1 principle (Knuth, TAOCP vol. 3, 5.3.4) a comparator
+        # network that sorts every row of zeros and ones sorts any input. The
+        # 2**length rows are laid end to end, so the runs starting at
+        # multiples of length are the rows, and every run is a column of the
+        # wires
+        rows = (np.arange(2 ** length)[:, None] >> np.arange(length)) & 1
+        wires = detectors._sorted_runs(rows.ravel().astype(float), length, {})
+        assert len(wires) == length
+        assert (np.diff(wires, axis=0) >= 0).all()
+        assert np.array_equal(np.sum(wires, axis=0)[::length], rows.sum(axis=1))
+
+    def test_batcher_sizes(self):
+        # 12 is one short of the padded 16-wire network's 42: its parts are
+        # sorted as 8 and 4 wires, and the 4 need no fifth-wire comparator
+        assert [_comparators(n) for n in (8, 12, 16)] == [19, 41, 63]
+        for n in range(2, detectors._NETWORK_MAX_RUN + 1):
+            for i, j in detectors._merge_network(n):
+                assert 0 <= i < j < n
+
+    def test_each_length_is_built_once_and_merged_once_a_block(self):
+        detectors._merge_network.cache_clear()
+        profile = np.random.default_rng(3).exponential(size=200).tolist()
+        for _ in range(2):
+            for lead, trail in ((8, 8), (5, 7)):
+                spec = DetectorSpec(Family.BAYES_OS, lead + trail, 1e-3, k=lead + 2)
+                scan_profile(profile, spec, WindowLayout(lead, trail))
+        # a (8, 8) scan merges lengths 8, 4 and 2; a (5, 7) scan 5, 4, 2, 7
+        # and 3, each once, though both sides hold runs of 4
+        info = detectors._merge_network.cache_info()
+        assert (info.misses, info.hits) == (6, 10)
+
+
+@st.composite
+def _short_run_cases(draw):
+    # bayes_os at k >= 2 on both sides of the sorting-network crossover, with
+    # any layout, over integer-valued profiles (ties), zeros and -0.0; one
+    # profile in a few spans more than one scan block
+    n = draw(st.integers(2, 2 * detectors._NETWORK_MAX_RUN + 2))
+    k = draw(st.integers(2, n))
+    lead = draw(st.one_of(st.just(0), st.just(n), st.just(n // 2), st.integers(0, n)))
+    cells = draw(st.one_of(st.integers(1, 300), st.just(SCAN_BLOCK_ROWS + 37)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    profile = rng.integers(0, draw(st.sampled_from([1, 2, 4, 50])), cells + n).astype(float)
+    zeros = rng.random(profile.size) < draw(st.sampled_from([0.0, 0.1, 0.5]))
+    profile[zeros] = rng.choice([0.0, -0.0], int(zeros.sum()))
+    spec = DetectorSpec(Family.BAYES_OS, n, 0.05, k=k)
+    return profile.tolist(), spec, WindowLayout(lead, n - lead)
+
+
 class TestScanMatchesPerCell:
     # ties, zeros (with and without a zero statistic), one-sided layouts and
     # values over 300 decades; every Decision must equal the per-cell one
@@ -1089,6 +1151,12 @@ class TestScanMatchesPerCell:
     @given(_scan_cases())
     @example(_long_window_case())
     def test_random_profiles(self, case):
+        _assert_matches_per_cell(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_short_run_cases())
+    def test_short_runs_against_sorted_windows(self, case):
+        # the per-cell oracle takes sorted(window)[k - 1]
         _assert_matches_per_cell(*case)
 
     @pytest.mark.parametrize("family", list(Family))
