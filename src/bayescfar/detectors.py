@@ -301,6 +301,26 @@ class FamilyRow(NamedTuple):
     multiplier: Callable[[DetectorSpec], float | None]
 
 
+# Near design Pfa 1 the closed forms subtract nearly equal numbers: pfa**(-1/n)
+# - 1 lost every digit at pfa = 1 - 2**-53, n = 200, giving m = 0.0. Where
+# that difference is below 2**-10, forms without the subtraction take over;
+# above it the ordinary forms stand, so printed thresholds keep their bytes
+_CANCELLATION = 2.0**-10
+
+
+def _ca_multiplier(spec: DetectorSpec) -> float:
+    # (1 + m)^-n = pfa
+    m = spec.design_pfa ** (-1.0 / spec.n) - 1.0
+    return m if m >= _CANCELLATION else math.expm1(-math.log(spec.design_pfa) / spec.n)
+
+
+def _odds(pfa: float) -> float:
+    # 1/pfa - 1, the reciprocal rule's multiplier over n; 1 - pfa is exact
+    # for pfa above 1/2
+    odds = 1.0 / pfa - 1.0
+    return odds if odds >= _CANCELLATION else (1.0 - pfa) / pfa
+
+
 # bayes_os and min_cfar share the k-th order statistic, its draws, the curve
 # prod j/(j+x) and, at k = 1 where that curve is n/(n+x), the closed form
 _ORDER_STATISTIC = dict(
@@ -309,8 +329,7 @@ _ORDER_STATISTIC = dict(
     draw=lambda clutter, spec, rng, rows: kth_smallest_draws(
         clutter, spec.n, _order(spec), rng, rows),
     pfa=lambda x, spec: _os_product(x, spec.n, _order(spec)),
-    multiplier=lambda spec: (spec.n * (1.0 / spec.design_pfa - 1.0)
-                             if _order(spec) == 1 else None),
+    multiplier=lambda spec: spec.n * _odds(spec.design_pfa) if _order(spec) == 1 else None,
 )
 
 FAMILIES: dict[Family, FamilyRow] = {
@@ -326,7 +345,7 @@ FAMILIES: dict[Family, FamilyRow] = {
         pfa=lambda x, spec: (1.0 + x) ** -spec.n,
         k_rule=KRule.NONE,
         path=DecisionPath.THRESHOLD,
-        multiplier=lambda spec: spec.design_pfa ** (-1.0 / spec.n) - 1.0,
+        multiplier=_ca_multiplier,
     ),
 }
 
@@ -367,7 +386,7 @@ def threshold(spec: DetectorSpec, t: float) -> float:
     # which rounds differently from m * t on about 31% of inputs, and keeps it
     # so that its printed thresholds do not move
     if spec.family is Family.BAYES_OS and spec.k == 1:
-        return t * spec.n * (1.0 / spec.design_pfa - 1.0)
+        return t * spec.n * _odds(spec.design_pfa)
     return m * t
 
 

@@ -20,6 +20,16 @@ values at its nodes. One columnar qk21 serves the first pass and every
 bisection: it lays out the nodes of a set of intervals in u, and sums f's
 values there, interval by interval, in QUADPACK's order.
 
+Inside this module every integrand takes an array of points and returns
+the array of its values there, so each bisection makes one call for the 42
+nodes of its two halves. A scalar callable is wrapped once, where it comes
+in: at integrate_semi_infinite and FirstPassRule.integrate, which call it
+at each point in turn, in QUADPACK's order. The rule's private rows entry
+takes many integrals at once, one per row of a matrix of values, and forms
+qk21's sums for a chunk of rows in one set of array operations; a row whose
+pass a rounded-up bound on QAGP's error estimate certifies keeps the pass's
+sum, and every other row runs QAGP exactly as FirstPassRule.integrate does.
+
 Everything here is a pure function or a rule fixed when it is built;
 nothing holds state between calls. numpy is not imported with the module
 but by the first FirstPassRule built, so the closed-form chain and the
@@ -164,12 +174,13 @@ def _qk21_columns() -> tuple[np.ndarray, ...]:
             np.array(_WG)[:, None], np.argsort(order))
 
 
-def _sequential_sum(rows: np.ndarray) -> np.ndarray:
-    # rows[0] + rows[1] + ... left to right, as QUADPACK's loops add: numpy
-    # sums pairwise only along the contiguous axis, never across C-order rows
+def _sequential_sum(terms: np.ndarray) -> np.ndarray:
+    # terms[..., 0] + terms[..., 1] + ... left to right, as QAGP's loops
+    # add: an accumulation forms every partial sum in turn, where numpy
+    # would reduce this contiguous axis pairwise
     import numpy as np
 
-    return np.add.reduce(rows, axis=0)
+    return np.add.accumulate(terms, axis=-1)[..., -1]
 
 
 # qk21 floors its error estimate at 50 epsilon times the integral of |f|,
@@ -192,6 +203,13 @@ def _qk21_error(difference: float, magnitude: float, spread: float) -> float:
         if not error > floor:
             error = floor
     return error
+
+
+# the rows pass bounds ratio**1.5 from above with numpy's power, which may
+# differ from C's pow by an ulp: scaled up by 8 ulps, and raised by 16 of
+# the subnormal spacing where the power is subnormal
+_POW_SLACK = 1.0 + 2.0**-49
+_POW_LIFT = 2.0**-1070
 
 
 def _divide(a: float, b: float) -> float:
@@ -228,9 +246,12 @@ def _qelg(n: int, table: list[float], last3: list[float], calls: int
             err3 = abs(delta3)
             tol3 = max(e1abs, abs(e0)) * _EPMACH
             if not (err2 > tol2 or err3 > tol3):
-                # e0, e1 and e2 agree to machine accuracy: converged
+                # e0, e1 and e2 agree to machine accuracy: converged. qelg
+                # leaves a full table full here, and the next call would write
+                # past it (NaN sums get here every time, and scipy's QUADPACK
+                # then crashes); the table is cut as the loop's end cuts it
                 result, error = res, err2 + err3
-                return result, max(error, 5.0 * _EPMACH * abs(result)), n, calls
+                return result, max(error, 5.0 * _EPMACH * abs(result)), min(n, 49), calls
             e3 = table[k1 - 1]
             table[k1 - 1] = e1
             delta1 = e1 - e3
@@ -315,7 +336,7 @@ _QAGP_FAILURES = {
 
 
 def _qagp(
-    f: Callable[[float], float],
+    f: Callable[[np.ndarray], np.ndarray],
     edges: list[float],
     first_pass: tuple[list[float], ...],
     settings: QuadratureSettings,
@@ -326,7 +347,8 @@ def _qagp(
     # error estimate, extrapolating with qelg once the smallest intervals
     # carry the largest errors, until the error estimate meets the tolerance;
     # raises QuadratureError, with the best estimate, when dqagpe sets ier > 0.
-    # Names are dqagpe's; indices count from 0 where QUADPACK's count from 1
+    # f takes an array of points. Names are dqagpe's; indices count from 0
+    # where QUADPACK's count from 1
     epsabs, epsrel = settings.absolute_tolerance, settings.relative_tolerance
     rlist, elist, magnitudes, spreads = first_pass
     result = abserr = resabs = 0.0
@@ -549,54 +571,110 @@ class _Qk21Nodes:
         # in an interval a few ulp wide next to u = 1 (or u = 0) a node can
         # round onto the end, where the integrand in u is 0 and f is not called
         self._inside = (0.0 < u) & (u < 1.0)
+        self._all_inside = bool(self._inside.all())
         w = 1.0 - u[self._inside]
         self.nodes = u[self._inside] / w
         self._jacobian = w * w
 
-    def columns(self, values: np.ndarray) -> tuple[list[float], ...]:
-        # qk21's result, error estimate, integral of |f| and integral of
-        # |f - mean| on each interval, in u, from f's values at nodes
+    def _sums(self, values: np.ndarray) -> tuple[np.ndarray, ...]:
+        # qk21's result, |Kronrod - Gauss|, integral of |f| and integral of
+        # |f - mean| on each interval, in u, from f's values at nodes: one
+        # function's values give (interval,) arrays and a (row, node) matrix
+        # of many functions' gives (row, interval) arrays. qk21 sums over
+        # the node pairs, axis -2 of a (pair, interval) or (row, pair,
+        # interval) array, which numpy adds one pair after another: the
+        # contiguous axis after it, the intervals (two at least), is not
+        # reduced. So each row takes the operations it would take alone
         import numpy as np
 
         _, kronrod_weights, gauss_weights, abscissa_order = _qk21_columns()
         # non-finite values make a non-finite error estimate, which QAGP
         # declines, so their warnings are moot
         with np.errstate(all="ignore"):
-            f = np.zeros(self._inside.shape)
-            f[self._inside] = values / self._jacobian
+            scaled = values / self._jacobian
+            shape = scaled.shape[:-1] + self._inside.shape
+            if self._all_inside:
+                f = scaled.reshape(shape)
+            else:
+                f = np.zeros(shape)
+                f[..., self._inside] = scaled
             h = self._half_length
             # qk21's sums, in its order: the centre term, then the node pairs
-            pair_sum = f[1:11] + f[11:]
+            centre = f[..., 0, :]
+            pair_sum = f[..., 1:11, :] + f[..., 11:, :]
             pairs = kronrod_weights * pair_sum
-            pairs[0] += _WGK[10] * f[0]
-            kronrod = _sequential_sum(pairs)
-            gauss = _sequential_sum(gauss_weights * pair_sum[:5])
+            pairs[..., 0, :] += _WGK[10] * centre
+            kronrod = np.add.reduce(pairs, axis=-2)
+            gauss = np.add.reduce(gauss_weights * pair_sum[..., :5, :], axis=-2)
             size = np.abs(f)
-            pairs = kronrod_weights * (size[1:11] + size[11:])
-            pairs[0] += np.abs(_WGK[10] * f[0])
-            magnitude = _sequential_sum(pairs) * h
-            deviation = np.abs(f - 0.5 * kronrod)
-            pairs = (kronrod_weights * (deviation[1:11] + deviation[11:]))[abscissa_order]
-            pairs[0] += _WGK[10] * deviation[0]
-            spread = _sequential_sum(pairs) * h
+            pairs = kronrod_weights * (size[..., 1:11, :] + size[..., 11:, :])
+            pairs[..., 0, :] += np.abs(_WGK[10] * centre)
+            magnitude = np.add.reduce(pairs, axis=-2) * h
+            deviation = np.abs(f - 0.5 * kronrod[..., None, :])
+            pairs = kronrod_weights * (deviation[..., 1:11, :] + deviation[..., 11:, :])
+            pairs = pairs[..., abscissa_order, :]
+            pairs[..., 0, :] += _WGK[10] * deviation[..., 0, :]
+            spread = np.add.reduce(pairs, axis=-2) * h
             difference = np.abs((kronrod - gauss) * h)
-            area = kronrod * h
-        magnitude, spread = magnitude.tolist(), spread.tolist()
+            return kronrod * h, difference, magnitude, spread
+
+    def columns(self, values: np.ndarray) -> tuple[list[float], ...]:
+        # qk21's result, error estimate, integral of |f| and integral of
+        # |f - mean| on each interval, in u, from f's values at nodes
+        area, difference, magnitude, spread = (column.tolist() for column in self._sums(values))
         # the error estimates in Python floats, whose ** is C's pow, as
         # QUADPACK's is; numpy's may differ in the last bit
-        errors = list(map(_qk21_error, difference.tolist(), magnitude, spread))
-        return area.tolist(), errors, magnitude, spread
+        return area, list(map(_qk21_error, difference, magnitude, spread)), magnitude, spread
+
+    def certified(self, values: np.ndarray, settings: QuadratureSettings
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        # the first pass's sum for each row of values, and whether QAGP is
+        # sure to accept that pass. _qagp accepts when its abserr, the sum
+        # of _qk21_error over the intervals, is within max(epsabs, epsrel *
+        # |result|). Here each term is bounded from above: the same
+        # operations, with numpy's power rounded up, and the floor taken by
+        # a maximum, which is monotone; the terms are added in _qagp's order,
+        # and rounding is monotone, so the sum bounds abserr too. A bound
+        # within the tolerance certifies the row; NaN, inf and a bound past
+        # the tolerance leave it to _qagp
+        import numpy as np
+
+        area, difference, magnitude, spread = self._sums(values)
+        with np.errstate(all="ignore"):
+            # _qagp adds from 0.0, which turns an all -0.0 sum into 0.0
+            result = _sequential_sum(area) + 0.0
+            ratio = 200.0 * difference / spread
+            scaled = spread * (np.power(ratio, 1.5) * _POW_SLACK + _POW_LIFT)
+            error = np.where(ratio < 1.0, scaled, spread)
+            error = np.where((spread != 0.0) & (difference != 0.0), error, difference)
+            error = np.where(magnitude > _NEGLIGIBLE,
+                             np.maximum(error, _ROUND_OFF * magnitude), error)
+            bound = _sequential_sum(error)
+            tolerance = np.maximum(settings.absolute_tolerance,
+                                   settings.relative_tolerance * np.abs(result))
+        return result, np.isfinite(result) & (bound <= tolerance)
 
 
-def _bisected(f: Callable[[float], float], a1: float, b1: float, b2: float
+def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
+    # a scalar integrand as this module's array one: f at each point in turn
+    import numpy as np
+
+    return lambda x: np.fromiter(map(f, x.tolist()), dtype=float, count=len(x))
+
+
+def _bisected(f: Callable[[np.ndarray], np.ndarray], a1: float, b1: float, b2: float
               ) -> tuple[list[float], ...]:
     # qk21's columns on the halves (a1, b1) and (b1, b2) of a bisected
-    # interval in u, calling f at their nodes
+    # interval in u, from one call of f at their nodes
     import numpy as np
 
     halves = _Qk21Nodes(np.array([a1, b1]), np.array([b1, b2]))
-    nodes = halves.nodes
-    return halves.columns(np.fromiter(map(f, nodes.tolist()), dtype=float, count=len(nodes)))
+    return halves.columns(f(halves.nodes))
+
+
+# rows per chunk of the rows pass: a chunk's (row, node, interval) arrays
+# stay within a few hundred KiB at 50 intervals
+_ROW_CHUNK = 32
 
 
 class FirstPassRule:
@@ -614,6 +692,15 @@ class FirstPassRule:
     calling f only at the points QAGP adds. So a caller that integrates many
     products f(x) * g(x) with one fixed g evaluates g once. The first pass
     and each bisection's two halves go through the same qk21 code.
+
+    A private rows entry integrates many functions, one per row of a matrix
+    of their values at nodes, with the results integrate gives each row.
+    It forms qk21's sums for up to 32 rows in one set of array operations,
+    and decides acceptance for them in arrays too, so a pass takes about a
+    quarter of the time integrate takes row by row; only rows whose pass it
+    cannot certify as accepted go through QAGP one by one. It calls no
+    integrand for a certified row, and the rest call theirs at the points
+    integrate would, so call counts do not change.
     """
 
     def __init__(self, breakpoints: Sequence[float]):
@@ -641,7 +728,28 @@ class FirstPassRule:
         points it adds and raises QuadratureError, carrying the best
         estimate, where QAGP reports failure.
         """
+        return self._integrate(values, _elementwise(f), settings)
+
+    def _integrate(self, values: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
+                   settings: QuadratureSettings) -> QuadratureResult:
+        # integrate for an f that takes an array of points
         return _qagp(f, self._edges, self._qk21.columns(values), settings)
+
+    def _integrate_rows(self, values: np.ndarray, integrand: Callable[[int], Callable],
+                        settings: QuadratureSettings) -> np.ndarray:
+        # integrate(values[i], integrand(i), settings).value for each row i
+        # of the (row, node) matrix values, in row order: the first pass's
+        # sum where the bound certifies that QAGP accepts it, and integrate
+        # itself for every other row, which raises as it would alone
+        import numpy as np
+
+        out = np.empty(len(values))
+        for start in range(0, len(values), _ROW_CHUNK):
+            chunk = values[start:start + _ROW_CHUNK]
+            out[start:start + len(chunk)], certified = self._qk21.certified(chunk, settings)
+            for i in np.flatnonzero(~certified).tolist():
+                out[start + i] = self.integrate(chunk[i], integrand(start + i), settings).value
+        return out
 
 
 def integrate_semi_infinite(
@@ -661,11 +769,18 @@ def integrate_semi_infinite(
     tolerance cannot be certified, and ValueError if no breakpoint lies in
     (0, inf).
     """
-    import numpy as np
+    return _integrate_array(_elementwise(f), settings, breakpoints)
 
+
+def _integrate_array(
+    f: Callable[[np.ndarray], np.ndarray],
+    settings: QuadratureSettings,
+    breakpoints: Sequence[float],
+) -> QuadratureResult:
+    # integrate_semi_infinite for an f that takes an array of points: one
+    # call for the first pass's nodes, and one per bisection
     rule = FirstPassRule(breakpoints)
-    values = np.fromiter(map(f, rule.nodes.tolist()), dtype=float, count=len(rule.nodes))
-    return rule.integrate(values, f, settings)
+    return rule._integrate(f(rule.nodes), f, settings)
 
 
 def solve_monotone_decreasing(f: Callable[[float], float], target: float) -> float:

@@ -19,17 +19,26 @@ quadrature, when they first run, so it does not load with the module.
 Every quadrature here is numerics' port of QUADPACK's QAGP; scipy is never
 imported. A θ integral whose first pass QAGP declines continues the same
 adaptive state from that pass, so it calls the likelihood and the
-posterior only at the points QAGP adds.
+posterior only at the points QAGP adds. θ integrals are taken many at a
+time, through the rules' rows entry: the 714 marginals of a 2-D integral
+together, and in 1-D the densities at every z0 node of one pass of
+generic_pfa's outer integral, filled and integrated 32 at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product, repeat
+from itertools import product, repeat, starmap
 from typing import TYPE_CHECKING, Callable, Iterator
 
-from .numerics import FirstPassRule, QuadratureSettings, integrate_semi_infinite
+from .numerics import (
+    _ROW_CHUNK,
+    FirstPassRule,
+    QuadratureSettings,
+    _integrate_array,
+    integrate_semi_infinite,
+)
 
 __all__ = [
     "OsPredictive",
@@ -278,27 +287,65 @@ def _locate_support(density: Callable, dimension: int) -> list[list[float]]:
 def _theta_integral(model: PredictiveModel, f: Callable, values: np.ndarray) -> float:
     # nested QAGP of f(theta), the innermost axis first, given f at the
     # model's nodes: each pass is its rule's first pass where QAGP accepts
-    # it, and QAGP's bisection continued from it where QAGP declines it; an
-    # outer bisection's new a nodes get their inner integrals from scratch
+    # it, and QAGP's bisection continued from it where QAGP declines it. In
+    # 2-D the marginals at every a node of a pass go through the inner
+    # rule's rows entry together; an outer bisection's new a nodes get their
+    # rows from f, a after a, before any of them is integrated
     import numpy as np
 
     settings = model.integration
     *outer, rule = model._rules
     if not outer:
         return rule.integrate(values, f, settings).value
+    b_nodes = model._axes[1]
 
-    def marginal(a: float, row: np.ndarray | None = None) -> float:
-        def g(b: float) -> float:
-            return f((a, b))
+    def marginals(a: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+        a = a.tolist()
+        if rows is None:
+            rows = np.fromiter(map(f, product(a, b_nodes)), dtype=float,
+                               count=len(a) * len(b_nodes))
+        return rule._integrate_rows(np.reshape(rows, (len(a), -1)),
+                                    lambda i: lambda b: f((a[i], b)), settings)
 
-        if row is None:
-            row = np.fromiter(map(g, rule.nodes.tolist()), dtype=float, count=len(rule.nodes))
-        return rule.integrate(row, g, settings).value
+    return outer[0]._integrate(marginals(outer[0].nodes, values), marginals, settings).value
 
-    a_nodes = model._axes[0]
-    rows = np.reshape(values, (len(a_nodes), -1))
-    marginals = np.fromiter(map(marginal, a_nodes, rows), dtype=float, count=len(rows))
-    return outer[0].integrate(marginals, marginal, settings).value
+
+def _densities(z0s: list[float], model: PredictiveModel) -> np.ndarray:
+    # generic_predictive_density at each z0, calling the likelihood z0 after
+    # z0 and θ node after θ node. In 1-D the rows of one chunk of the rows
+    # pass, 32 z0, are filled, weighed by the posterior samples and
+    # integrated before the next chunk is filled; in 2-D each z0's 714² grid
+    # is one rows pass, as generic_predictive_density takes it. A declined
+    # row calls likelihood and posterior at the points QAGP adds once its
+    # chunk is filled
+    import numpy as np
+
+    likelihood, posterior, sampled = model.likelihood, model.posterior, model._posterior_at_nodes
+
+    def integrand(z0: float) -> Callable[..., float]:
+        return lambda th: likelihood(z0, th) * posterior(th)
+
+    if model.parameter_dimension == 2:
+        out = []
+        for z0 in z0s:
+            values = np.fromiter(map(likelihood, repeat(z0), _theta_nodes(model._axes)),
+                                 dtype=float, count=len(sampled))
+            # a non-finite product sends the integral to QAGP, as its warning would
+            with np.errstate(all="ignore"):
+                values *= sampled
+            out.append(_theta_integral(model, integrand(z0), values))
+        return np.array(out)
+    (rule,), (axis,) = model._rules, model._axes
+    out = np.empty(len(z0s))
+    for start in range(0, len(z0s), _ROW_CHUNK):
+        chunk = z0s[start:start + _ROW_CHUNK]
+        values = np.fromiter(starmap(likelihood, product(chunk, axis)), dtype=float,
+                             count=len(chunk) * len(axis)).reshape(len(chunk), -1)
+        with np.errstate(all="ignore"):
+            values *= sampled
+        out[start:start + len(chunk)] = rule._integrate_rows(
+            values, lambda i: integrand(chunk[i]), model.integration)
+    return out
 
 
 class PredictiveModel:
@@ -324,6 +371,11 @@ class PredictiveModel:
     times for the scan and 1 050 for the samples (49 breakpoints); with two,
     129² per scan round and 714² for the samples (33 breakpoints per axis).
     Only an integral whose first pass QAGP would refine calls it again.
+
+    The θ integrals go through the rules' rows entry, many at a time: a
+    2-D normalization is one rows pass over its 714 marginals, in about a
+    third of the time that one marginal at a time took. Every call count
+    stays as it was with one integral at a time.
     """
 
     def __init__(
@@ -364,19 +416,13 @@ def generic_predictive_density(z0: float, model: PredictiveModel) -> float:
     In either dimension this calls the likelihood once per rule node and
     weighs it by the posterior samples taken when the model was built; the
     posterior is called again only where QAGP would refine a first pass.
+    In 1-D that is 1 050 likelihood calls and one θ integral; in 2-D it is
+    714² calls and one rows pass over the 714 marginals, which holds the
+    714² grid and a chunk of 32 rows of qk21 sums at a time.
     """
     if not (z0 >= 0):
         raise ValueError(f"z0 must be nonnegative, got {z0}")
-    import numpy as np
-
-    likelihood, posterior, sampled = model.likelihood, model.posterior, model._posterior_at_nodes
-    values = np.fromiter(
-        map(likelihood, repeat(z0), _theta_nodes(model._axes)), dtype=float, count=len(sampled)
-    )
-    # a non-finite product sends the integral to QAGP, as its warning would
-    with np.errstate(all="ignore"):
-        values *= sampled
-    return _theta_integral(model, lambda th: likelihood(z0, th) * posterior(th), values)
+    return _densities([z0], model).item()
 
 
 # z0-axis subdivision hints for the tail integral; spans any desk-scale unit.
@@ -392,6 +438,17 @@ def generic_pfa(tau: float, model: PredictiveModel) -> float:
     integral is adaptive; each inner one reuses the model's posterior
     samples (see generic_predictive_density), so a call costs likelihood
     evaluations and no posterior ones.
+
+    Each pass of the outer integral takes the densities at all its z0
+    nodes at once: the first pass's 420, then 42 per bisection. In 1-D a
+    pass fills its likelihood matrix in chunks of 32 z0 rows, z0 after z0,
+    and integrates each chunk's rows together, so the first pass costs its
+    441 000 likelihood calls and a few milliseconds of array work. The
+    likelihood is called as often, with the same arguments and in the same
+    order, as with one density at a time, and the posterior only where an
+    inner pass is declined. Such a pass's added calls come once its chunk
+    is filled, not before the next z0's row; and where an inner integral
+    raises, the rest of its chunk has been filled first.
     """
     if not (tau >= 0):
         raise ValueError(f"tau must be nonnegative, got {tau}")
@@ -401,8 +458,8 @@ def generic_pfa(tau: float, model: PredictiveModel) -> float:
         absolute_tolerance=inner.absolute_tolerance,
         max_subdivisions=inner.max_subdivisions,
     )
-    value = integrate_semi_infinite(
-        lambda x: generic_predictive_density(tau + x, model),
+    value = _integrate_array(
+        lambda x: _densities((tau + x).tolist(), model),
         outer,
         breakpoints=_Z0_LADDER,
     ).value

@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import random
+from decimal import Decimal, localcontext
 
 import numpy as np
 import pytest
@@ -352,6 +353,64 @@ class TestThresholdMultiplier:
         spec = DetectorSpec(Family.MIN_CFAR, 1, 1e-300)
         assert math.isclose(threshold_multiplier(spec), 1e300, rel_tol=1e-15)
         assert threshold(spec, 1e300) == math.inf
+
+
+def _decimal_multiplier(family, n, pfa):
+    """The closed-form multiplier in 50-digit decimal arithmetic: m with
+    (1 + m)^-n = pfa for ca_cfar, n (1/pfa - 1) for the reciprocal rules."""
+    with localcontext() as ctx:
+        ctx.prec = 50
+        p = Decimal(pfa)
+        if family is Family.CA_CFAR:
+            return float((-p.ln() / n).exp() - 1)
+        return float(n * (1 / p - 1))
+
+
+NEAR_ONE = [1.0 - 2.0**-j for j in range(10, 54)] + [1.0 - 3.0 * 2.0**-40, 0.999999, 0.9999999999]
+RECIPROCAL = [(Family.CA_CFAR, None), (Family.MIN_CFAR, None), (Family.BAYES_OS, 1)]
+
+
+class TestClosedFormsNearPfaOne:
+    """The closed-form multipliers at design Pfa up to 1 - 2^-53."""
+
+    @pytest.mark.parametrize("family, k", RECIPROCAL)
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 16, 100, 200, 500])
+    def test_hold_a_decimal_oracle(self, family, k, n):
+        for pfa in NEAR_ONE:
+            spec = DetectorSpec(family, n, pfa, k=k)
+            want = _decimal_multiplier(family, n, pfa)
+            # the difference that cancels in the ordinary form: m, or m / n
+            difference = want if family is Family.CA_CFAR else want / n
+            # below 2^-10 the forms without it are good to a few ulps; above,
+            # the ordinary form loses at most 10 bits
+            bound = 2.0**-50 if difference < 2.0**-10 * (1.0 - 2.0**-20) else 2.0**-40
+            got = threshold_multiplier(spec)
+            assert abs(got - want) <= bound * want, (pfa, got, want)
+            t = 3.7
+            assert abs(threshold(spec, t) - t * want) <= 2.0 * bound * t * want, pfa
+
+    def test_no_multiplier_rounds_to_zero(self):
+        # pfa**(-1/n) - 1 gave m = 0.0 here, so every positive cell was H1
+        spec = DetectorSpec(Family.CA_CFAR, 200, 1.0 - 2.0**-53)
+        assert math.isclose(threshold_multiplier(spec), 2.0**-53 / 200, rel_tol=1e-15)
+        # the threshold over a window sum of 200 is 2^-53: a cell below it is H0
+        window = CrpWindow([1.0] * 200)
+        assert ca_cfar_decide(1e-17, window, spec).verdict is Verdict.H0
+        assert ca_cfar_decide(1e-15, window, spec).verdict is Verdict.H1
+
+    @pytest.mark.parametrize("n", [1, 2, 16, 100, 500])
+    def test_ordinary_forms_keep_their_bits(self, n):
+        # printed thresholds at ordinary design values do not move: the
+        # reciprocal rules' forms at every pfa up to 1 - 2^-10, and ca_cfar's
+        # wherever its multiplier is 2^-10 or more
+        for pfa in (1e-300, 1e-6, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0 - 2.0**-10):
+            odds = 1.0 / pfa - 1.0
+            assert threshold_multiplier(DetectorSpec(Family.MIN_CFAR, n, pfa)) == n * odds
+            assert threshold_multiplier(DetectorSpec(Family.BAYES_OS, n, pfa, k=1)) == n * odds
+            assert threshold(DetectorSpec(Family.BAYES_OS, n, pfa, k=1), 2.3) == 2.3 * n * odds
+            m = pfa ** (-1.0 / n) - 1.0
+            if m >= 2.0**-10:
+                assert threshold_multiplier(DetectorSpec(Family.CA_CFAR, n, pfa)) == m
 
 
 def _log_inverse_pfa(x, family, n, k):

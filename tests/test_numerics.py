@@ -16,6 +16,8 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 from child_env import child_env
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from bayescfar import numerics
@@ -121,6 +123,20 @@ class TestIntegrateSemiInfinite:
             integrate_semi_infinite(lambda x: 1.0 / (1.0 + x), QuadratureSettings(), [1.0])
         assert hasattr(err.value, "best_estimate")
         assert err.value.best_estimate > 0
+
+    def test_nan_partial_sums_fail_inside_the_extrapolation_table(self):
+        # NaN on (500, 1000) makes every extrapolated value NaN, which qelg
+        # takes as converged while its table fills; QUADPACK then writes past
+        # the table's 52 entries (scipy's quad crashes on this integral)
+        def f(x):
+            if 500.0 < x < 1000.0:
+                return math.nan
+            log_val = 0.5 * math.log(1e-3) - 0.5 * math.log(x) - 1e-3 * x - math.lgamma(0.5)
+            return math.exp(log_val)
+
+        settings = QuadratureSettings(relative_tolerance=1e-4, absolute_tolerance=1e-10)
+        with pytest.raises(QuadratureError):
+            integrate_semi_infinite(f, settings, [1.0])
 
     def test_settings_validation(self):
         with pytest.raises(ValueError):
@@ -409,22 +425,31 @@ class TestFirstPassRule:
 
 
 def library_integrals(run):
-    """The integrals run() makes through predictive.integrate_semi_infinite,
-    as (f, settings, breakpoints) in call order, with f memoized, so
+    """The integrals run() makes through predictive's integrate_semi_infinite
+    or its array entry numerics._integrate_array, as (f, settings,
+    breakpoints) in call order, with f a memoized scalar function, so
     integrating it again costs no likelihood calls. A call that raises
     QuadratureError is recorded too."""
     from bayescfar import predictive
 
     recorded = []
-    original = predictive.integrate_semi_infinite
 
-    def recording(f, settings, breakpoints):
-        f = functools.cache(f)
-        recorded.append((f, settings, breakpoints))
-        return original(f, settings, breakpoints)
+    def recording(original, scalar=lambda f: f, array=lambda f: f):
+        # the library's run fills the memo through array(memoized)
+        def integrate(f, settings, breakpoints):
+            memoized = functools.cache(scalar(f))
+            recorded.append((memoized, settings, breakpoints))
+            return original(array(memoized), settings, breakpoints)
+
+        return integrate
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(predictive, "integrate_semi_infinite", recording)
+        patch.setattr(predictive, "integrate_semi_infinite",
+                      recording(predictive.integrate_semi_infinite))
+        # an array integrand, one point at a time
+        patch.setattr(predictive, "_integrate_array", recording(
+            predictive._integrate_array, lambda f: lambda x: f(np.array([x])).item(),
+            lambda f: lambda x: np.array(list(map(f, x.tolist())))))
         outcome(run)
     return recorded
 
@@ -516,6 +541,155 @@ class TestQagpPort:
             outcomes[kind] += 1
         assert sum(outcomes.values()) >= 200
         assert min(outcomes.values()) >= 10, outcomes
+
+
+def row_law(kind, a, b):
+    """One function of the rows pass, from two parameters in [0, 1]: a
+    smooth law, a spike QAGP refines, NaN or inf on an interval, or a
+    constant -0.0 or 0.0."""
+    if kind in ("gamma", "nan", "inf", "negative"):
+        shape, rate = 0.5 + 30.0 * a, 10.0 ** (6.0 * b - 3.0)
+
+        def f(x):
+            log_val = (shape * math.log(rate) + (shape - 1.0) * math.log(x)
+                       - rate * x - math.lgamma(shape))
+            return math.exp(log_val) if log_val > -745.0 else 0.0
+
+        centre = shape / rate
+        if kind == "nan":
+            return lambda x: math.nan if centre < x < 2.0 * centre else f(x)
+        if kind == "inf":
+            return lambda x: math.inf if centre < x < 1.1 * centre else f(x)
+        if kind == "negative":
+            return lambda x: -1e-3 * f(x)
+        return f
+    if kind == "lognormal":
+        mu, sigma = 10.0 * a - 5.0, 0.05 + 2.0 * b
+        return lambda x: math.exp(-0.5 * ((math.log(x) - mu) / sigma) ** 2) / (x * sigma)
+    if kind == "spike":
+        centre = 10.0 ** (4.0 * a - 2.0)
+        width = centre * 10.0 ** (-2.0 - 2.0 * b)
+        return lambda x: math.exp(-0.5 * ((x - centre) / width) ** 2) + math.exp(-x)
+    return {"negzero": lambda x: -0.0, "zeros": lambda x: 0.0}[kind]
+
+
+ROW_KINDS = ["gamma", "gamma", "lognormal", "negative", "spike", "nan", "inf", "negzero", "zeros"]
+
+
+@st.composite
+def rows_cases(draw):
+    """(breakpoints, settings, functions) for the rows pass. In half the
+    cases each row is a random law under random tolerances; in the other
+    half the rows are one smooth law scaled by 1 + i 2^-52, under a
+    relative tolerance that puts that law's first pass on QAGP's
+    acceptance boundary, so the rows fall either side of it."""
+    unit = st.floats(0.0, 1.0)
+    breakpoints = draw(st.lists(st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+                                min_size=1, max_size=12))
+    if draw(st.booleans()):
+        laws = draw(st.lists(st.tuples(st.sampled_from(ROW_KINDS), unit, unit),
+                             min_size=1, max_size=40))
+        tolerances = QuadratureSettings(
+            relative_tolerance=10.0 ** draw(st.floats(-13.0, -4.0)),
+            absolute_tolerance=10.0 ** draw(st.floats(-300.0, -10.0)))
+        return breakpoints, tolerances, [row_law(*law) for law in laws]
+    base = row_law(draw(st.sampled_from(["gamma", "lognormal"])), draw(unit), draw(unit))
+    rule = FirstPassRule(breakpoints)
+    loose = QuadratureSettings(relative_tolerance=1.0, absolute_tolerance=1e300)
+    accepted = first_pass(rule, [base(x) for x in rule.nodes], loose)
+    if accepted is None or not (math.isfinite(accepted.value) and accepted.value != 0.0
+                                and accepted.error_estimate > 0.0):
+        return breakpoints, QuadratureSettings(), [base]
+    value, error = accepted
+    tolerances = QuadratureSettings(relative_tolerance=error / abs(value),
+                                    absolute_tolerance=1e-300)
+    steps = draw(st.lists(st.integers(-64, 64), min_size=1, max_size=40))
+    scales = [1.0 + i * 2.0**-52 for i in steps]
+    return breakpoints, tolerances, [lambda x, c=c: c * base(x) for c in scales]
+
+
+class TestRowsPass:
+    """FirstPassRule's rows entry against FirstPassRule.integrate, row by row."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows_cases())
+    def test_equals_integrate_row_by_row(self, case):
+        breakpoints, tolerances, functions = case
+        rule = FirstPassRule(breakpoints)
+        values = np.array([[f(x) for x in rule.nodes.tolist()] for f in functions])
+        want, want_points, exact = [], [], set()
+        for i, (f, row) in enumerate(zip(functions, values)):
+            counted, points = recorded(f)
+            want.append(hexed(outcome(lambda: rule.integrate(row, counted, tolerances))))
+            want_points.append(points)
+            # declined, failed or non-finite: such a row must take QAGP itself
+            if points or want[-1][0] == "QuadratureError" or not np.all(np.isfinite(row)):
+                exact.add(i)
+        got_points = [[] for _ in functions]
+        taken = set()
+
+        def integrand(i):
+            taken.add(i)
+            counted, got_points[i] = recorded(functions[i])
+            return counted
+
+        failures = [w for w in want if w[0] == "QuadratureError"]
+        got = outcome(lambda: rule._integrate_rows(values, integrand, tolerances))
+        if failures:
+            # rows go in order, so the first failing row's error is raised
+            assert hexed(got) == failures[0]
+            return
+        assert [v.hex() for v in got.tolist()] == [w[0] for w in want]
+        assert got_points == want_points
+        assert exact <= taken
+
+    def test_chunks_take_the_bits_of_single_rows(self):
+        # 70 rows are chunks of 32, 32 and 6; each row alone is a chunk of
+        # one, whose sums over intervals numpy would otherwise add pairwise
+        rule = FirstPassRule([10.0**e for e in range(-3, 4)])
+        laws = [row_law("gamma", a, b) for a in np.linspace(0, 1, 7) for b in np.linspace(0, 1, 10)]
+        values = np.array([[f(x) for x in rule.nodes.tolist()] for f in laws])
+        together = rule._integrate_rows(values, lambda i: laws[i], QuadratureSettings())
+        alone = [rule._integrate_rows(row[None], lambda i, f=f: f, QuadratureSettings()).item()
+                 for f, row in zip(laws, values)]
+        want = [rule.integrate(row, laws[i]).value for i, row in enumerate(values)]
+        assert [v.hex() for v in together.tolist()] == [v.hex() for v in want]
+        assert [v.hex() for v in alone] == [v.hex() for v in want]
+
+
+def _pairwise(terms):
+    # terms summed by halves, as numpy reduces a contiguous axis
+    if len(terms) == 1:
+        return terms[0]
+    half = len(terms) // 2
+    return _pairwise(terms[:half]) + _pairwise(terms[half:])
+
+
+def test_qk21_sums_run_left_to_right():
+    # the rows pass sums node pairs over axis -2 of (row, pair, interval)
+    # arrays, and intervals through numerics._sequential_sum; both must add
+    # term after term, as QUADPACK's loops do, for one row or many
+    rng = np.random.default_rng(21)
+    terms = rng.uniform(0.5, 2.0, (3, 200, 40))
+    terms[:, 0] = 1.0
+    terms[:, 1:, :20] = 2.0**-53
+    sequential = [[functools.reduce(float.__add__, terms[r, :, c].tolist()) for c in range(40)]
+                  for r in range(3)]
+    pairwise = [[_pairwise(terms[r, :, c].tolist()) for c in range(40)] for r in range(3)]
+    # the data tell the orders apart
+    assert sequential != pairwise
+    for rows in (slice(0, 3), slice(0, 1)):
+        for columns in (slice(0, 40), slice(0, 2)):
+            got = np.add.reduce(np.ascontiguousarray(terms[rows, :, columns]), axis=-2)
+            want = [row[columns] for row in sequential[rows]]
+            assert [[v.hex() for v in row] for row in got.tolist()] == \
+                [[v.hex() for v in row] for row in want]
+    for rows in (slice(0, 3), slice(0, 1)):
+        # a (row, interval) array, whose contiguous axis numpy reduces pairwise
+        along = np.ascontiguousarray(terms[rows, :, 0])
+        got = numerics._sequential_sum(along)
+        want = [row[0] for row in sequential[rows]]
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
 
 
 def os_pfa_product_form(m: float, n: int, k: int) -> float:

@@ -11,6 +11,7 @@ import functools
 import math
 import operator
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -313,7 +314,7 @@ def _pairwise(op, terms):
 
 @pytest.mark.parametrize("ufunc, op", [(np.add, operator.add), (np.multiply, operator.mul)])
 def test_axis_zero_reductions_run_left_to_right(ufunc, op):
-    # _os_product and numerics' sequential sums rely on numpy reducing over
+    # _os_product and numerics' qk21 pair sums rely on numpy reducing over
     # axis 0 of a C-order matrix one row after another, bit for bit as a loop
     rng = np.random.default_rng(53)
     rows = np.vstack((np.ones(40), rng.uniform(0.5, 2.0, (199, 40))))
@@ -562,6 +563,138 @@ class TestPredictiveModel:
             assert abs(got - want) / want < 1e-3, z0
 
 
+# generic_pfa on the crosscheck benchmark's four shapes, (n, k) with t =
+# 1.37 * 10**decade, as one density at a time gave them before outer passes
+# were batched: the first and last θ node, and per tau = ratio * t the value
+# and each outer pass's first and last z0, all in hex
+GENERIC_PFA_PINS = {
+    (4, 2, -2): ("0x1.19799812de065p-41", "0x1.5cac5189105c1p+15", {
+        0.5: ("0x1.8618618618622p-1", [
+            ("0x1.c0ebf020057b7p-8", "0x1.51e432a8e2bfdp+31"),
+        ]),
+        2.0: ("0x1.99999999999a1p-2", [
+            ("0x1.c0ebee83b45dbp-6", "0x1.51e432a8ed456p+31"),
+        ]),
+        6.0: ("0x1.1111111111114p-3", [
+            ("0x1.50b0f29e0f16ap-4", "0x1.51e432a909542p+31"),
+        ]),
+    }),
+    (8, 6, 0): ("0x1.19799812de065p-41", "0x1.c2211660cb9f2p+8", {
+        0.5: ("0x1.1f8e8cc27746fp-1", [
+            ("0x1.5eb851efd0a1cp-1", "0x1.51e432aa3df65p+31"),
+        ]),
+        2.0: ("0x1.1111111111112p-3", [
+            ("0x1.5eb851ec97ff8p+1", "0x1.51e432ae5a1f4p+31"),
+        ]),
+        6.0: ("0x1.3187758e9ebb9p-7", [
+            ("0x1.070a3d70e88f4p+3", "0x1.51e432b94fe1dp+31"),
+        ]),
+    }),
+    (16, 12, 2): ("0x1.19799812de065p-41", "0x1.22ce6a2548153p+2", {
+        0.5: ("0x1.10d3289f81ba9p-1", [
+            ("0x1.1200000008970p+6", "0x1.51e43331df3e0p+31"),
+            ("0x1.469c88f7d8dddp+6", "0x1.b359db10589e6p+6"),
+            ("0x1.8b91d07eae2e9p+7", "0x1.c8b4f508eb532p+8"),
+            ("0x1.180ea0ea0ea0fp+6", "0x1.268760f4f6e4cp+6"),
+        ]),
+        2.0: ("0x1.9191919191942p-4", [
+            ("0x1.120000000225cp+8", "0x1.51e434ccdf3e0p+31"),
+            ("0x1.1f27223df6377p+8", "0x1.3a5676c41627ap+8"),
+            ("0x1.9348e83f57174p+8", "0x1.4b1a7a8475a99p+9"),
+            ("0x1.1383a83a83a84p+8", "0x1.1721d83d3db93p+8"),
+            ("0x1.29d3aa30a02dcp+8", "0x1.4baa34db2f0b0p+8"),
+        ]),
+        6.0: ("0x1.70e7b7f2be14cp-9", [
+            ("0x1.9b0000000112ep+9", "0x1.51e43914df3e0p+31"),
+            ("0x1.dba4741fab8bap+9", "0x1.2e8d3d423ad4cp+10"),
+            ("0x1.a193911efb1bcp+9", "0x1.af2b3b620b13dp+9"),
+            ("0x1.9bc1d41d41d42p+9", "0x1.9d90ec1e9edc9p+9"),
+        ]),
+    }),
+    (24, 18, 4): ("0x1.19799812de065p-41", "0x1.da9b0b67e790fp+0", {
+        0.5: ("0x1.0b77c59406cf1p-1", [
+            ("0x1.ac20000000227p+12", "0x1.51e4682cdf3e0p+31"),
+            ("0x1.b4348e83f5718p+12", "0x1.c4634f508eb54p+12"),
+            ("0x1.fcc934e0b8edep+12", "0x1.4ee28ae26a852p+13"),
+            ("0x1.acf27223df638p+12", "0x1.aea5676c41629p+12"),
+            ("0x1.34a5ea271a671p+14", "0x1.6372bbefb036dp+15"),
+            ("0x1.ba78f9deb9112p+12", "0x1.cf17c897add28p+12"),
+            ("0x1.1d85a5acb1d0bp+13", "0x1.84560bff2ffe0p+13"),
+        ]),
+        2.0: ("0x1.60e2dafa7c701p-4", [
+            ("0x1.ac2000000008ap+14", "0x1.51e508b8df3e0p+31"),
+            ("0x1.ae2523a0fd5c7p+14", "0x1.b230d3d423ad6p+14"),
+            ("0x1.c04a4d382e3b8p+14", "0x1.e88945713542ap+14"),
+            ("0x1.ac549c88f7d8fp+14", "0x1.acc159db1058bp+14"),
+            ("0x1.3adef5138d339p+15", "0x1.01ff5df7d81b7p+16"),
+            ("0x1.afb63e77ae445p+14", "0x1.b4ddf225eb74bp+14"),
+            ("0x1.cfdad2d658e86p+14", "0x1.01a182ffcbff8p+15"),
+        ]),
+        6.0: ("0x1.97ef1f9b7707ap-10", [
+            ("0x1.4118000000023p+16", "0x1.51e6b4d8df3e0p+31"),
+            ("0x1.419948e83f572p+16", "0x1.429c34f508eb6p+16"),
+            ("0x1.4622934e0b8efp+16", "0x1.5032515c4d50bp+16"),
+            ("0x1.737f7a89c699dp+16", "0x1.d80f5df7d81b8p+16"),
+            ("0x1.412527223df64p+16", "0x1.41405676c4163p+16"),
+            ("0x1.41fd8f9deb912p+16", "0x1.43477c897add3p+16"),
+            ("0x1.4a06b4b5963a2p+16", "0x1.56e0c17fe5ffdp+16"),
+        ]),
+    }),
+}
+# likelihood calls per op, the three generic_pfa calls together
+GENERIC_PFA_LIKELIHOOD_CALLS = {
+    (4, 2): 1_323_000,
+    (8, 6): 1_323_000,
+    (16, 12): 1_764_000,
+    (24, 18): 2_116_800,
+}
+
+
+class TestGenericPfaPinned:
+    """generic_pfa's outer passes take their densities many z0 at a time;
+    the values, the call counts and the order of likelihood calls stay as
+    they were with one density at a time."""
+
+    @pytest.mark.parametrize("n, k, decade", list(GENERIC_PFA_PINS))
+    def test_values_calls_and_pass_order(self, n, k, decade):
+        theta_first, theta_last, pinned = GENERIC_PFA_PINS[n, k, decade]
+        t = 1.37 * 10.0**decade
+        osd = OsPredictive(n, k, t)
+        calls = {"likelihood": 0, "posterior": 0}
+        # likelihood arguments at the call indices in ends, in hex
+        ends, seen = set(), {}
+
+        def likelihood(z0, lam):
+            if calls["likelihood"] in ends:
+                seen[calls["likelihood"]] = (z0.hex(), lam.hex())
+            calls["likelihood"] += 1
+            return lam * math.exp(-lam * z0)
+
+        def posterior(lam):
+            calls["posterior"] += 1
+            return posterior_lambda_os(lam, osd)
+
+        model = PredictiveModel(likelihood, posterior, parameter_dimension=1)
+        assert calls["posterior"] == 131_073 + 1_050
+        op_calls = 0
+        for ratio, (value, passes) in pinned.items():
+            # a pass over r z0 nodes calls the likelihood at r * 1 050 (z0,
+            # θ) pairs, z0 after z0: 420 nodes, then 42 per outer bisection
+            starts = np.cumsum([0, 420] + [42] * (len(passes) - 1)) * 1_050
+            ends.clear()
+            ends.update(starts[:-1].tolist() + (starts[1:] - 1).tolist())
+            seen.clear()
+            calls["likelihood"] = 0
+            assert generic_pfa(ratio * t, model).hex() == value
+            assert calls["likelihood"] == starts[-1]
+            op_calls += calls["likelihood"]
+            got = [(seen[a], seen[b - 1]) for a, b in zip(starts[:-1].tolist(), starts[1:].tolist())]
+            assert got == [((first, theta_first), (last, theta_last)) for first, last in passes]
+        assert op_calls == GENERIC_PFA_LIKELIHOOD_CALLS[n, k]
+        # the three integrals call the posterior nowhere: no inner pass is declined
+        assert calls["posterior"] == 131_073 + 1_050
+
+
 class TestTwoParameterModel:
     """The 2-D route against the closed form of a Gamma x Gamma posterior.
 
@@ -613,6 +746,20 @@ class TestTwoParameterModel:
         calls["likelihood"] = calls["posterior"] = 0
         generic_predictive_density(0.7, model)
         assert calls == {"likelihood": 714**2, "posterior": 0}
+
+    def test_density_holds_one_grid_of_likelihoods(self, counted):
+        # the 714² likelihood products take 3.9 MiB; the marginals are
+        # integrated 32 rows at a time, whose qk21 sums are 0.2 MiB each, so
+        # the peak stays well under two grids, as no (z0 or row) x 714²
+        # stack of them could
+        model = counted[0]
+        tracemalloc.start()
+        try:
+            generic_predictive_density(0.7, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 714**2 * 8, peak
 
     def nested_quadrature(self, axis, centre, width):
         """generic_predictive_density at z0 = 0.5 with a narrow bump on one
