@@ -286,10 +286,11 @@ class FamilyRow(NamedTuple):
     draw(clutter, spec, rng, rows) gives rows draws of g over spec.n clutter
     samples straight from its law; pfa(x, spec) is the predictive Pfa at
     x = tau/g, for a float or an array; k_rule is the order index the family
-    takes; multiplier(spec) is the closed-form m with pfa(m) = design_pfa,
-    or None to solve for it. path says how decide compares: z0 against the
-    threshold m * g, or pfa(z0/g) against the design value, the one path
-    that divides by g and so needs it positive.
+    takes; multiplier(spec) is the m with pfa(m) = design_pfa where the
+    family forms it itself, or None to solve the curve for it. path says
+    how decide compares: z0 against the threshold m * g, or pfa(z0/g)
+    against the design value, the one path that divides by g and so needs
+    it positive.
     """
 
     statistic: Callable[[float, CrpWindow, DetectorSpec], float]
@@ -321,6 +322,20 @@ def _odds(pfa: float) -> float:
     return odds if odds >= _CANCELLATION else (1.0 - pfa) / pfa
 
 
+def _os_multiplier(spec: DetectorSpec) -> float | None:
+    # n (1/pfa - 1) at k = 1, else None to solve the curve prod j/(j+x); but
+    # where 1/pfa - 1 < _CANCELLATION, whose steps of 2**-53 put the solve off
+    # by 0.57 at n = 5, k = 3, pfa = 1 - 2**-53, its log against log1p(pfa - 1)
+    k, pfa = _order(spec), spec.design_pfa
+    if k == 1:
+        return spec.n * _odds(pfa)
+    if 1.0 / pfa - 1.0 >= _CANCELLATION:
+        return None
+    j = range(spec.n - k + 1, spec.n + 1)
+    return solve_monotone_decreasing(lambda x: -sum(math.log1p(x / i) for i in j),
+                                     math.log1p(pfa - 1.0))
+
+
 # bayes_os and min_cfar share the k-th order statistic, its draws, the curve
 # prod j/(j+x) and, at k = 1 where that curve is n/(n+x), the closed form
 _ORDER_STATISTIC = dict(
@@ -329,7 +344,7 @@ _ORDER_STATISTIC = dict(
     draw=lambda clutter, spec, rng, rows: kth_smallest_draws(
         clutter, spec.n, _order(spec), rng, rows),
     pfa=lambda x, spec: _os_product(x, spec.n, _order(spec)),
-    multiplier=lambda spec: spec.n * _odds(spec.design_pfa) if _order(spec) == 1 else None,
+    multiplier=_os_multiplier,
 )
 
 FAMILIES: dict[Family, FamilyRow] = {
@@ -354,11 +369,12 @@ FAMILIES: dict[Family, FamilyRow] = {
 def threshold_multiplier(spec: DetectorSpec) -> float:
     """The m with Pfa(m) = design_pfa, so that the threshold is m * g.
 
-    The family's closed form where it has one, else the Pfa curve inverted
-    by bisection; cached per spec. A closed form that overflows or is not
-    finite raises NumericsError, as bisection does when it cannot reach the
-    design value: 0 < pfa < 1 is valid input, and a multiplier beyond the
-    float range is a numeric failure, not a usage error.
+    The family's closed form where it has one, else the Pfa curve (near
+    design Pfa 1 its log) inverted by bisection; cached per spec. A closed
+    form that overflows or is not finite raises NumericsError, as bisection
+    does when it cannot reach the design value: 0 < pfa < 1 is valid input,
+    and a multiplier beyond the float range is a numeric failure, not a
+    usage error.
     """
     row = FAMILIES[spec.family]
     try:

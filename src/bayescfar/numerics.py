@@ -13,22 +13,22 @@ failures are QUADPACK's bit for bit; scipy is never imported. The first
 pass of QAGP is a fixed rule on the breakpoint intervals, FirstPassRule: it
 takes the integrand's values at its nodes, so a caller that integrates many
 products f(x) * g(x) with one fixed g evaluates g once. Where that pass
-does not meet QAGP's acceptance test, FirstPassRule.integrate continues the
-same adaptive state, seeded from the pass's per-interval results, and calls
-f only at the points QAGP adds. integrate_semi_infinite is that rule on f's
-values at its nodes. One columnar qk21 serves the first pass and every
-bisection: it lays out the nodes of a set of intervals in u, and sums f's
-values there, interval by interval, in QUADPACK's order.
+does not meet QAGP's acceptance test, QAGP continues from it, seeded with
+the pass's per-interval results, and calls f only at the points it adds.
+One columnar qk21 serves the first pass and every bisection: it lays out
+the nodes of a set of intervals in u, and sums f's values there, interval
+by interval, in QUADPACK's order.
 
 Inside this module every integrand takes an array of points and returns
 the array of its values there, so each bisection makes one call for the 42
-nodes of its two halves. A scalar callable is wrapped once, where it comes
-in: at integrate_semi_infinite and FirstPassRule.integrate, which call it
-at each point in turn, in QUADPACK's order. The rule's private rows entry
-takes many integrals at once, one per row of a matrix of values, and forms
-qk21's sums for a chunk of rows in one set of array operations; a row whose
-pass a rounded-up bound on QAGP's error estimate certifies keeps the pass's
-sum, and every other row runs QAGP exactly as FirstPassRule.integrate does.
+nodes of its two halves. The scalar API, integrate_semi_infinite and
+FirstPassRule.integrate, wraps a scalar callable once, where it comes in,
+calling it at each point in turn, in QUADPACK's order. Every other integral
+goes through the rule's one private rows entry: many integrals at once, one
+per row of a matrix of values, whose qk21 sums it forms for a chunk of rows
+in one set of array operations. A row whose pass a rounded-up bound on
+QAGP's error estimate certifies keeps the pass's sum, and every other row
+runs QAGP from its pass, exactly as FirstPassRule.integrate does.
 
 Everything here is a pure function or a rule fixed when it is built;
 nothing holds state between calls. numpy is not imported with the module
@@ -39,6 +39,7 @@ bisection run without it.
 from __future__ import annotations
 
 import math
+import operator
 import sys
 from dataclasses import dataclass
 from functools import cache
@@ -99,8 +100,9 @@ class TargetUnreachableError(RootFindingError):
 class QuadratureSettings:
     """Tolerances for adaptive quadrature.
 
-    relative_tolerance and absolute_tolerance mirror the usual epsrel/epsabs
-    pair; max_subdivisions bounds the adaptive refinement.
+    relative_tolerance and absolute_tolerance, finite and positive, mirror
+    the usual epsrel/epsabs pair; max_subdivisions, an integer, bounds the
+    adaptive refinement.
     """
 
     relative_tolerance: float = 1e-10
@@ -108,10 +110,14 @@ class QuadratureSettings:
     max_subdivisions: int = 200
 
     def __post_init__(self) -> None:
-        if not (self.relative_tolerance > 0):
-            raise ValueError("relative_tolerance must be positive")
-        if not (self.absolute_tolerance > 0):
-            raise ValueError("absolute_tolerance must be positive")
+        for name in ("relative_tolerance", "absolute_tolerance"):
+            if not (0.0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
+        try:  # an int or a numpy integer, as a list's repetition takes
+            operator.index(self.max_subdivisions)
+        except TypeError:
+            raise ValueError(
+                f"max_subdivisions must be an integer, got {self.max_subdivisions!r}") from None
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be at least 1")
 
@@ -694,13 +700,14 @@ class FirstPassRule:
     and each bisection's two halves go through the same qk21 code.
 
     A private rows entry integrates many functions, one per row of a matrix
-    of their values at nodes, with the results integrate gives each row.
-    It forms qk21's sums for up to 32 rows in one set of array operations,
-    and decides acceptance for them in arrays too, so a pass takes about a
-    quarter of the time integrate takes row by row; only rows whose pass it
-    cannot certify as accepted go through QAGP one by one. It calls no
-    integrand for a certified row, and the rest call theirs at the points
-    integrate would, so call counts do not change.
+    of their values at nodes, each function taking an array of points, with
+    the results integrate gives each row. It forms qk21's sums for up to 32
+    rows in one set of array operations, and decides acceptance for them in
+    arrays too, so a pass takes about a quarter of the time integrate takes
+    row by row; only rows whose pass it cannot certify as accepted go
+    through QAGP one by one. It calls no integrand for a certified row, and
+    the rest call theirs at the points integrate would, so call counts do
+    not change.
     """
 
     def __init__(self, breakpoints: Sequence[float]):
@@ -728,19 +735,15 @@ class FirstPassRule:
         points it adds and raises QuadratureError, carrying the best
         estimate, where QAGP reports failure.
         """
-        return self._integrate(values, _elementwise(f), settings)
+        return _qagp(_elementwise(f), self._edges, self._qk21.columns(values), settings)
 
-    def _integrate(self, values: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
-                   settings: QuadratureSettings) -> QuadratureResult:
-        # integrate for an f that takes an array of points
-        return _qagp(f, self._edges, self._qk21.columns(values), settings)
-
-    def _integrate_rows(self, values: np.ndarray, integrand: Callable[[int], Callable],
+    def _integrate_rows(self, values: np.ndarray,
+                        integrand: Callable[[int], Callable[[np.ndarray], np.ndarray]],
                         settings: QuadratureSettings) -> np.ndarray:
-        # integrate(values[i], integrand(i), settings).value for each row i
-        # of the (row, node) matrix values, in row order: the first pass's
-        # sum where the bound certifies that QAGP accepts it, and integrate
-        # itself for every other row, which raises as it would alone
+        # integrate's value for each row i of the (row, node) matrix values,
+        # in row order, integrand(i) taking arrays: the first pass's sum where
+        # the bound certifies that QAGP accepts it, else QAGP from that pass,
+        # which raises where integrate would
         import numpy as np
 
         out = np.empty(len(values))
@@ -748,7 +751,8 @@ class FirstPassRule:
             chunk = values[start:start + _ROW_CHUNK]
             out[start:start + len(chunk)], certified = self._qk21.certified(chunk, settings)
             for i in np.flatnonzero(~certified).tolist():
-                out[start + i] = self.integrate(chunk[i], integrand(start + i), settings).value
+                out[start + i] = _qagp(integrand(start + i), self._edges,
+                                       self._qk21.columns(chunk[i]), settings).value
         return out
 
 
@@ -769,18 +773,8 @@ def integrate_semi_infinite(
     tolerance cannot be certified, and ValueError if no breakpoint lies in
     (0, inf).
     """
-    return _integrate_array(_elementwise(f), settings, breakpoints)
-
-
-def _integrate_array(
-    f: Callable[[np.ndarray], np.ndarray],
-    settings: QuadratureSettings,
-    breakpoints: Sequence[float],
-) -> QuadratureResult:
-    # integrate_semi_infinite for an f that takes an array of points: one
-    # call for the first pass's nodes, and one per bisection
     rule = FirstPassRule(breakpoints)
-    return rule._integrate(f(rule.nodes), f, settings)
+    return rule.integrate(_elementwise(f)(rule.nodes), f, settings)
 
 
 def solve_monotone_decreasing(f: Callable[[float], float], target: float) -> float:

@@ -19,26 +19,20 @@ quadrature, when they first run, so it does not load with the module.
 Every quadrature here is numerics' port of QUADPACK's QAGP; scipy is never
 imported. A θ integral whose first pass QAGP declines continues the same
 adaptive state from that pass, so it calls the likelihood and the
-posterior only at the points QAGP adds. θ integrals are taken many at a
-time, through the rules' rows entry: the 714 marginals of a 2-D integral
-together, and in 1-D the densities at every z0 node of one pass of
-generic_pfa's outer integral, filled and integrated 32 at a time.
+posterior only at the points QAGP adds. Every θ integral, in one or two
+dimensions, is one nested pass of the rules' rows entry over as many
+integrands as fill one 2-D grid: every z0 node of one pass of generic_pfa's
+outer integral in 1-D, one z0 in 2-D.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product, repeat, starmap
-from typing import TYPE_CHECKING, Callable, Iterator
+from itertools import chain, product, repeat, starmap
+from typing import TYPE_CHECKING, Callable
 
-from .numerics import (
-    _ROW_CHUNK,
-    FirstPassRule,
-    QuadratureSettings,
-    _integrate_array,
-    integrate_semi_infinite,
-)
+from .numerics import FirstPassRule, QuadratureSettings, integrate_semi_infinite
 
 __all__ = [
     "OsPredictive",
@@ -247,10 +241,14 @@ def _scan_axis(values: np.ndarray, grid: np.ndarray) -> tuple[float, float]:
 _SUPPORT_SCAN = {1: (131073, 1, 49), 2: (129, 4, 33)}
 
 
-def _theta_nodes(axes: list[list[float]]) -> Iterator:
-    # theta at every node: floats in 1-D, (a, b) pairs with b fastest in 2-D,
-    # made as they are consumed rather than held as 714² tuples
-    return iter(axes[0]) if len(axes) == 1 else product(*axes)
+def _at_nodes(f: Callable, axes: list[list[float]]) -> np.ndarray:
+    # f at every theta node of axes, as one array: at floats in 1-D, at (a,
+    # b) pairs with b fastest in 2-D, made as they are consumed rather than
+    # held as 714² tuples
+    import numpy as np
+
+    nodes = iter(axes[0]) if len(axes) == 1 else product(*axes)
+    return np.fromiter(map(f, nodes), dtype=float, count=math.prod(map(len, axes)))
 
 
 def _locate_support(density: Callable, dimension: int) -> list[list[float]]:
@@ -263,10 +261,7 @@ def _locate_support(density: Callable, dimension: int) -> list[list[float]]:
     lo, hi = [1e-12] * dimension, [1e12] * dimension
     for _ in range(rounds):
         grids = [np.geomspace(a, b, points) for a, b in zip(lo, hi)]
-        vals = np.fromiter(
-            map(density, _theta_nodes([grid.tolist() for grid in grids])),
-            dtype=float, count=points**dimension,
-        ).reshape((points,) * dimension)
+        vals = _at_nodes(density, [grid.tolist() for grid in grids]).reshape((points,) * dimension)
         if not np.all(np.isfinite(vals)):
             raise ValueError("posterior evaluated to a non-finite value during support scan")
         if vals.max() <= 0.0:
@@ -284,68 +279,63 @@ def _locate_support(density: Callable, dimension: int) -> list[list[float]]:
     return [list(np.geomspace(a, b, breakpoints)) for a, b in zip(lo, hi)]
 
 
-def _theta_integral(model: PredictiveModel, f: Callable, values: np.ndarray) -> float:
-    # nested QAGP of f(theta), the innermost axis first, given f at the
-    # model's nodes: each pass is its rule's first pass where QAGP accepts
-    # it, and QAGP's bisection continued from it where QAGP declines it. In
-    # 2-D the marginals at every a node of a pass go through the inner
-    # rule's rows entry together; an outer bisection's new a nodes get their
-    # rows from f, a after a, before any of them is integrated
-    import numpy as np
-
+def _theta_integrals(model: PredictiveModel, values: np.ndarray,
+                     functions: list[Callable]) -> np.ndarray:
+    # the nested QAGP over theta of each functions[r], from its values at
+    # the model's nodes in row r of values, shaped (row, *node axes): the
+    # innermost axis of every row by its rule's rows entry, then in 2-D the
+    # marginals by the outer rule's. A declined pass goes on as QAGP does;
+    # an outer bisection's new a nodes get their rows from f, a after a,
+    # before any of them is integrated
     settings = model.integration
     *outer, rule = model._rules
+
+    def section(f: Callable, lead: list[list[float]]) -> Callable:
+        # f along the innermost axis, at the outer coordinate in lead in 2-D
+        return lambda x: _at_nodes(f, [*lead, x.tolist()])
+
     if not outer:
-        return rule.integrate(values, f, settings).value
-    b_nodes = model._axes[1]
+        return rule._integrate_rows(values, lambda r: section(functions[r], []), settings)
+    (outer,), (a_nodes, b_nodes) = outer, model._axes
 
-    def marginals(a: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    def marginals(f: Callable, a: np.ndarray) -> np.ndarray:
         a = a.tolist()
-        if rows is None:
-            rows = np.fromiter(map(f, product(a, b_nodes)), dtype=float,
-                               count=len(a) * len(b_nodes))
-        return rule._integrate_rows(np.reshape(rows, (len(a), -1)),
-                                    lambda i: lambda b: f((a[i], b)), settings)
+        rows = _at_nodes(f, [a, b_nodes]).reshape(len(a), -1)
+        return rule._integrate_rows(rows, lambda i: section(f, [[a[i]]]), settings)
 
-    return outer[0]._integrate(marginals(outer[0].nodes, values), marginals, settings).value
+    width = len(a_nodes)
+    inner = rule._integrate_rows(values.reshape(-1, len(b_nodes)), lambda j: section(
+        functions[j // width], [[a_nodes[j % width]]]), settings)
+    return outer._integrate_rows(inner.reshape(-1, width),
+                                 lambda r: lambda a: marginals(functions[r], a), settings)
 
 
 def _densities(z0s: list[float], model: PredictiveModel) -> np.ndarray:
-    # generic_predictive_density at each z0, calling the likelihood z0 after
-    # z0 and θ node after θ node. In 1-D the rows of one chunk of the rows
-    # pass, 32 z0, are filled, weighed by the posterior samples and
-    # integrated before the next chunk is filled; in 2-D each z0's 714² grid
-    # is one rows pass, as generic_predictive_density takes it. A declined
-    # row calls likelihood and posterior at the points QAGP adds once its
-    # chunk is filled
+    # generic_predictive_density at each z0. The likelihood products of as
+    # many z0 as one 2-D grid's floats, 714² ≈ 2**19, hold (every z0 node of
+    # a 1-D outer pass) are filled z0 after z0 and θ node after θ node,
+    # weighed by the posterior samples and integrated in one nested pass; a
+    # declined integral calls likelihood and posterior at the points QAGP
+    # adds once its fill is made
     import numpy as np
 
-    likelihood, posterior, sampled = model.likelihood, model.posterior, model._posterior_at_nodes
-
-    def integrand(z0: float) -> Callable[..., float]:
-        return lambda th: likelihood(z0, th) * posterior(th)
-
-    if model.parameter_dimension == 2:
-        out = []
-        for z0 in z0s:
-            values = np.fromiter(map(likelihood, repeat(z0), _theta_nodes(model._axes)),
-                                 dtype=float, count=len(sampled))
-            # a non-finite product sends the integral to QAGP, as its warning would
-            with np.errstate(all="ignore"):
-                values *= sampled
-            out.append(_theta_integral(model, integrand(z0), values))
-        return np.array(out)
-    (rule,), (axis,) = model._rules, model._axes
-    out = np.empty(len(z0s))
-    for start in range(0, len(z0s), _ROW_CHUNK):
-        chunk = z0s[start:start + _ROW_CHUNK]
-        values = np.fromiter(starmap(likelihood, product(chunk, axis)), dtype=float,
-                             count=len(chunk) * len(axis)).reshape(len(chunk), -1)
+    likelihood, posterior, axes = model.likelihood, model.posterior, model._axes
+    sampled = model._posterior_at_nodes
+    fill = max(1, 2**19 // sampled.size)
+    out = []
+    for start in range(0, len(z0s), fill):
+        chunk = z0s[start:start + fill]
+        # product, the fastest pairing, holds its inputs: in 2-D only the axes
+        pairs = (product(chunk, axes[0]) if len(axes) == 1 else
+                 chain.from_iterable(zip(repeat(z0), product(*axes)) for z0 in chunk))
+        values = np.fromiter(starmap(likelihood, pairs), dtype=float,
+                             count=len(chunk) * sampled.size).reshape(len(chunk), *sampled.shape)
+        # a non-finite product sends the integral to QAGP, as its warning would
         with np.errstate(all="ignore"):
             values *= sampled
-        out[start:start + len(chunk)] = rule._integrate_rows(
-            values, lambda i: integrand(chunk[i]), model.integration)
-    return out
+        out.append(_theta_integrals(model, values, [
+            lambda th, z0=z0: likelihood(z0, th) * posterior(th) for z0 in chunk]))
+    return np.concatenate(out)
 
 
 class PredictiveModel:
@@ -372,10 +362,10 @@ class PredictiveModel:
     129² per scan round and 714² for the samples (33 breakpoints per axis).
     Only an integral whose first pass QAGP would refine calls it again.
 
-    The θ integrals go through the rules' rows entry, many at a time: a
-    2-D normalization is one rows pass over its 714 marginals, in about a
-    third of the time that one marginal at a time took. Every call count
-    stays as it was with one integral at a time.
+    Every θ integral, the normalization and each density in either
+    dimension, is one nested pass of the rules' rows entry: the innermost
+    axis of every integrand at once, then in 2-D the outer axis over their
+    marginals. Every call count stays as it was with one integral at a time.
     """
 
     def __init__(
@@ -385,8 +375,6 @@ class PredictiveModel:
         parameter_dimension: int,
         integration: QuadratureSettings = QuadratureSettings(),
     ):
-        import numpy as np
-
         if parameter_dimension not in (1, 2):
             raise ValueError(
                 f"parameter_dimension must be 1 or 2, got {parameter_dimension}"
@@ -397,11 +385,10 @@ class PredictiveModel:
         self.integration = integration
         self._rules = tuple(map(FirstPassRule, _locate_support(posterior, parameter_dimension)))
         self._axes = [rule.nodes.tolist() for rule in self._rules]
-        self._posterior_at_nodes = np.fromiter(
-            map(posterior, _theta_nodes(self._axes)), dtype=float,
-            count=math.prod(map(len, self._axes)),
-        )
-        norm = _theta_integral(self, posterior, self._posterior_at_nodes)
+        # shaped (*node axes), b varying fastest in 2-D
+        self._posterior_at_nodes = _at_nodes(posterior, self._axes).reshape(
+            tuple(map(len, self._axes)))
+        norm = _theta_integrals(self, self._posterior_at_nodes[None], [posterior]).item()
         tol = max(_NORMALIZATION_TOLERANCE, 100.0 * integration.relative_tolerance)
         if abs(norm - 1.0) > tol:
             raise ValueError(
@@ -416,9 +403,9 @@ def generic_predictive_density(z0: float, model: PredictiveModel) -> float:
     In either dimension this calls the likelihood once per rule node and
     weighs it by the posterior samples taken when the model was built; the
     posterior is called again only where QAGP would refine a first pass.
-    In 1-D that is 1 050 likelihood calls and one θ integral; in 2-D it is
-    714² calls and one rows pass over the 714 marginals, which holds the
-    714² grid and a chunk of 32 rows of qk21 sums at a time.
+    In 1-D that is 1 050 likelihood calls and one θ integral; in 2-D 714²
+    calls, a rows pass over the grid's 714 rows and one over their
+    marginals, holding the grid and one chunk of rows' qk21 sums at a time.
     """
     if not (z0 >= 0):
         raise ValueError(f"z0 must be nonnegative, got {z0}")
@@ -439,16 +426,15 @@ def generic_pfa(tau: float, model: PredictiveModel) -> float:
     samples (see generic_predictive_density), so a call costs likelihood
     evaluations and no posterior ones.
 
-    Each pass of the outer integral takes the densities at all its z0
-    nodes at once: the first pass's 420, then 42 per bisection. In 1-D a
-    pass fills its likelihood matrix in chunks of 32 z0 rows, z0 after z0,
-    and integrates each chunk's rows together, so the first pass costs its
-    441 000 likelihood calls and a few milliseconds of array work. The
-    likelihood is called as often, with the same arguments and in the same
-    order, as with one density at a time, and the posterior only where an
-    inner pass is declined. Such a pass's added calls come once its chunk
-    is filled, not before the next z0's row; and where an inner integral
-    raises, the rest of its chunk has been filled first.
+    The outer integral is one row of the rules' rows entry, whose passes
+    take the densities at all their z0 nodes at once: the first pass's 420,
+    then 42 per bisection. A pass fills the likelihood products of as many
+    z0 as one 2-D grid holds, z0 after z0: in 1-D all of them, 441 000
+    calls for the first pass; in 2-D one z0. The likelihood is called as
+    often, with the same arguments and in the same order, as with one
+    density at a time, and the posterior only where an inner pass is
+    declined. Such a pass's added calls come once its fill is made; and
+    where an inner integral raises, the rest of its fill has been made.
     """
     if not (tau >= 0):
         raise ValueError(f"tau must be nonnegative, got {tau}")
@@ -458,9 +444,9 @@ def generic_pfa(tau: float, model: PredictiveModel) -> float:
         absolute_tolerance=inner.absolute_tolerance,
         max_subdivisions=inner.max_subdivisions,
     )
-    value = _integrate_array(
-        lambda x: _densities((tau + x).tolist(), model),
-        outer,
-        breakpoints=_Z0_LADDER,
-    ).value
+    def densities(x: np.ndarray) -> np.ndarray:
+        return _densities((tau + x).tolist(), model)
+
+    rule = FirstPassRule(_Z0_LADDER)
+    value = rule._integrate_rows(densities(rule.nodes)[None], lambda _: densities, outer).item()
     return min(max(value, 0.0), 1.0)

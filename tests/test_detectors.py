@@ -355,15 +355,27 @@ class TestThresholdMultiplier:
         assert threshold(spec, 1e300) == math.inf
 
 
-def _decimal_multiplier(family, n, pfa):
-    """The closed-form multiplier in 50-digit decimal arithmetic: m with
-    (1 + m)^-n = pfa for ca_cfar, n (1/pfa - 1) for the reciprocal rules."""
+def _decimal_multiplier(family, n, pfa, k=1):
+    """The multiplier in 50-digit decimal arithmetic: m with (1 + m)^-n =
+    pfa for ca_cfar, n (1/pfa - 1) for the reciprocal rules, and for
+    bayes_os at k > 1 the root of sum_{j=n-k+1}^{n} ln(1 + m/j) = -ln pfa by
+    Newton's method, which rises to it from m = -ln pfa / sum 1/j, where
+    the concave left side's tangent at 0 meets it."""
     with localcontext() as ctx:
         ctx.prec = 50
         p = Decimal(pfa)
         if family is Family.CA_CFAR:
             return float((-p.ln() / n).exp() - 1)
-        return float(n * (1 / p - 1))
+        if k == 1:
+            return float(n * (1 / p - 1))
+        target, j = -p.ln(), [Decimal(j) for j in range(n - k + 1, n + 1)]
+        m = target / sum(1 / i for i in j)
+        for _ in range(100):
+            step = (sum((1 + m / i).ln() for i in j) - target) / sum(1 / (i + m) for i in j)
+            m -= step
+            if abs(step) <= Decimal(10) ** -30 * m:
+                return float(m)
+        raise AssertionError("Newton's method did not settle")
 
 
 NEAR_ONE = [1.0 - 2.0**-j for j in range(10, 54)] + [1.0 - 3.0 * 2.0**-40, 0.999999, 0.9999999999]
@@ -384,6 +396,21 @@ class TestClosedFormsNearPfaOne:
             # below 2^-10 the forms without it are good to a few ulps; above,
             # the ordinary form loses at most 10 bits
             bound = 2.0**-50 if difference < 2.0**-10 * (1.0 - 2.0**-20) else 2.0**-40
+            got = threshold_multiplier(spec)
+            assert abs(got - want) <= bound * want, (pfa, got, want)
+            t = 3.7
+            assert abs(threshold(spec, t) - t * want) <= 2.0 * bound * t * want, pfa
+
+    @pytest.mark.parametrize("n, k", [(2, 2), (5, 3), (16, 12), (100, 50)])
+    def test_bayes_os_solve_holds_a_decimal_oracle(self, n, k):
+        # the curve prod j/(j+x) steps by 2^-53 next to 1, so its solve was
+        # off by 0.57 relative at n = 5, k = 3, pfa = 1 - 2^-53. Where 1/pfa
+        # - 1 is below 2^-10 the log is solved, and held to its bisection's
+        # width of 1e-12 and k roundings of 2^-53 in the log sum
+        bound = 1e-12 + 2.0 * k * 2.0**-53
+        for pfa in [p for p in NEAR_ONE if 1.0 / p - 1.0 < 2.0**-10]:
+            spec = DetectorSpec(Family.BAYES_OS, n, pfa, k=k)
+            want = _decimal_multiplier(Family.BAYES_OS, n, pfa, k)
             got = threshold_multiplier(spec)
             assert abs(got - want) <= bound * want, (pfa, got, want)
             t = 3.7

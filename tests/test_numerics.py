@@ -145,6 +145,23 @@ class TestIntegrateSemiInfinite:
             QuadratureSettings(absolute_tolerance=-1.0)
         with pytest.raises(ValueError):
             QuadratureSettings(max_subdivisions=0)
+        # a float limit reached QAGP's bisection, whose first declined
+        # integral raised TypeError, and an infinite tolerance accepted the
+        # divergent integral of 1/(1+x) as 8.41
+        for bad, name in ((dict(max_subdivisions=200.0), "integer"),
+                          (dict(max_subdivisions="200"), "integer"),
+                          (dict(relative_tolerance=math.inf), "finite"),
+                          (dict(relative_tolerance=math.nan), "finite"),
+                          (dict(absolute_tolerance=math.inf), "finite")):
+            with pytest.raises(ValueError, match=name):
+                QuadratureSettings(**bad)
+        # a numpy integer is an integer, and bisects as an int does
+        bump = lambda x: math.exp(-(((x - 3.0) / 1e-2) ** 2))  # noqa: E731
+        got = integrate_semi_infinite(bump, QuadratureSettings(max_subdivisions=np.int64(200)),
+                                      [3.0])
+        want = integrate_semi_infinite(bump, QuadratureSettings(max_subdivisions=200), [3.0])
+        assert got == want
+        assert math.isclose(got.value, math.sqrt(math.pi) * 1e-2, rel_tol=1e-10)
 
     def test_package_import_leaves_scipy_unloaded(self):
         # no library call loads scipy: the OS quadrature oracle, a 1-D model
@@ -300,6 +317,11 @@ def outcome(call):
         return ("QuadratureError", err.best_estimate, err.error_estimate)
 
 
+def elementwise(f):
+    """f as an array integrand, the rows pass's contract: f at each point in turn."""
+    return lambda x: np.array([f(v) for v in x.tolist()], dtype=float)
+
+
 def recorded(f):
     # f, and a list of the points it is called at
     points = []
@@ -425,31 +447,40 @@ class TestFirstPassRule:
 
 
 def library_integrals(run):
-    """The integrals run() makes through predictive's integrate_semi_infinite
-    or its array entry numerics._integrate_array, as (f, settings,
-    breakpoints) in call order, with f a memoized scalar function, so
-    integrating it again costs no likelihood calls. A call that raises
-    QuadratureError is recorded too."""
+    """The integrals run() makes through predictive's integrate_semi_infinite,
+    and generic_pfa's outer ones, each a rows pass of one row on the rule
+    over predictive._Z0_LADDER, as (f, settings, breakpoints) in call order.
+    f is a memoized scalar function that holds the values the library
+    computed, so integrating it again costs no likelihood calls. A call
+    that raises QuadratureError is recorded too."""
     from bayescfar import predictive
 
     recorded = []
+    semi_infinite, rows_pass = predictive.integrate_semi_infinite, FirstPassRule._integrate_rows
 
-    def recording(original, scalar=lambda f: f, array=lambda f: f):
-        # the library's run fills the memo through array(memoized)
-        def integrate(f, settings, breakpoints):
-            memoized = functools.cache(scalar(f))
-            recorded.append((memoized, settings, breakpoints))
-            return original(array(memoized), settings, breakpoints)
+    def recording_semi_infinite(f, settings, breakpoints):
+        memoized = functools.cache(f)
+        recorded.append((memoized, settings, breakpoints))
+        return semi_infinite(memoized, settings, breakpoints)
 
-        return integrate
+    def recording_rows_pass(rule, values, integrand, settings):
+        if rule.breakpoints != tuple(predictive._Z0_LADDER):
+            return rows_pass(rule, values, integrand, settings)
+        (row,), array = values, integrand(0)
+        # the first pass's values, then one point at a time
+        memo = dict(zip(rule.nodes.tolist(), row.tolist()))
+
+        def memoized(x):
+            if x not in memo:
+                memo[x] = array(np.array([x])).item()
+            return memo[x]
+
+        recorded.append((memoized, settings, list(rule.breakpoints)))
+        return rows_pass(rule, values, lambda i: elementwise(memoized), settings)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(predictive, "integrate_semi_infinite",
-                      recording(predictive.integrate_semi_infinite))
-        # an array integrand, one point at a time
-        patch.setattr(predictive, "_integrate_array", recording(
-            predictive._integrate_array, lambda f: lambda x: f(np.array([x])).item(),
-            lambda f: lambda x: np.array(list(map(f, x.tolist())))))
+        patch.setattr(predictive, "integrate_semi_infinite", recording_semi_infinite)
+        patch.setattr(FirstPassRule, "_integrate_rows", recording_rows_pass)
         outcome(run)
     return recorded
 
@@ -631,7 +662,7 @@ class TestRowsPass:
         def integrand(i):
             taken.add(i)
             counted, got_points[i] = recorded(functions[i])
-            return counted
+            return elementwise(counted)
 
         failures = [w for w in want if w[0] == "QuadratureError"]
         got = outcome(lambda: rule._integrate_rows(values, integrand, tolerances))
@@ -649,8 +680,10 @@ class TestRowsPass:
         rule = FirstPassRule([10.0**e for e in range(-3, 4)])
         laws = [row_law("gamma", a, b) for a in np.linspace(0, 1, 7) for b in np.linspace(0, 1, 10)]
         values = np.array([[f(x) for x in rule.nodes.tolist()] for f in laws])
-        together = rule._integrate_rows(values, lambda i: laws[i], QuadratureSettings())
-        alone = [rule._integrate_rows(row[None], lambda i, f=f: f, QuadratureSettings()).item()
+        together = rule._integrate_rows(values, lambda i: elementwise(laws[i]),
+                                        QuadratureSettings())
+        alone = [rule._integrate_rows(row[None], lambda i, f=f: elementwise(f),
+                                      QuadratureSettings()).item()
                  for f, row in zip(laws, values)]
         want = [rule.integrate(row, laws[i]).value for i, row in enumerate(values)]
         assert [v.hex() for v in together.tolist()] == [v.hex() for v in want]

@@ -56,6 +56,24 @@ def alternating_series_exact(m: Fraction, n: int, k: int, power: int) -> Fractio
     return k * math.comb(n, k) * total
 
 
+def built_normalization(likelihood, posterior, dimension):
+    """The θ integral of the posterior that building a model checks
+    against 1, as the model's nested θ pass returns it."""
+    from bayescfar import predictive
+
+    seen, nested = [], predictive._theta_integrals
+
+    def recording(*args):
+        seen.append(nested(*args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(predictive, "_theta_integrals", recording)
+        PredictiveModel(likelihood, posterior, parameter_dimension=dimension)
+    (normalization,) = seen
+    return normalization.item()
+
+
 def log_gamma_pdf(x: float, shape: float, rate: float) -> float:
     return (
         shape * math.log(rate)
@@ -641,6 +659,14 @@ GENERIC_PFA_PINS = {
         ]),
     }),
 }
+# the normalization of each shape's posterior, as built before the θ
+# integrals of both dimensions went through one nested pass
+NORMALIZATION_PINS = {
+    (4, 2, -2): "0x1.0000000000008p+0",
+    (8, 6, 0): "0x1.0000000000001p+0",
+    (16, 12, 2): "0x1.0000000000007p+0",
+    (24, 18, 4): "0x1.fffffffffffe3p-1",
+}
 # likelihood calls per op, the three generic_pfa calls together
 GENERIC_PFA_LIKELIHOOD_CALLS = {
     (4, 2): 1_323_000,
@@ -694,6 +720,13 @@ class TestGenericPfaPinned:
         # the three integrals call the posterior nowhere: no inner pass is declined
         assert calls["posterior"] == 131_073 + 1_050
 
+    @pytest.mark.parametrize("n, k, decade", list(NORMALIZATION_PINS))
+    def test_normalization(self, n, k, decade):
+        osd = OsPredictive(n, k, 1.37 * 10.0**decade)
+        got = built_normalization(lambda z0, lam: lam * math.exp(-lam * z0),
+                                  lambda lam: posterior_lambda_os(lam, osd), 1)
+        assert got.hex() == NORMALIZATION_PINS[n, k, decade]
+
 
 class TestTwoParameterModel:
     """The 2-D route against the closed form of a Gamma x Gamma posterior.
@@ -729,6 +762,24 @@ class TestTwoParameterModel:
             return self.posterior(theta)
 
         return PredictiveModel(likelihood, posterior, parameter_dimension=2), calls
+
+    # the densities and the normalization, in hex, as they were before the
+    # θ integrals of both dimensions went through one nested pass
+    DENSITY_PINS = {
+        0.0: "0x1.8000000000008p+1",
+        0.3: "0x1.261a51af20d1bp+0",
+        2.0: "0x1.4078b271c0743p-6",
+        10.0: "0x1.4cf0440c58902p-19",
+    }
+    NORMALIZATION_PIN = "0x1.0000000000006p+0"
+
+    @pytest.mark.parametrize("z0", list(DENSITY_PINS))
+    def test_density_is_pinned(self, counted, z0):
+        assert generic_predictive_density(z0, counted[0]).hex() == self.DENSITY_PINS[z0]
+
+    def test_normalization_is_pinned(self):
+        got = built_normalization(self.likelihood, self.posterior, 2)
+        assert got.hex() == self.NORMALIZATION_PIN
 
     @pytest.mark.parametrize("z0", [0.0, 0.3, 2.0, 10.0])
     def test_density_matches_closed_form(self, counted, z0):
