@@ -124,19 +124,29 @@ class CrpWindow:
         return len(self.samples)
 
 
-def intensity_from_uniform(model: ClutterModel, u: np.ndarray) -> np.ndarray:
+def intensity_from_uniform(model: ClutterModel, u: np.ndarray,
+                           out: np.ndarray | None = None) -> np.ndarray:
     """Inverse-CDF transform of uniforms on (0, 1] to intensities of model.
 
     Exponential uses -ln(U)/lambda and Pareto Type II uses beta*(U^(-1/alpha) - 1).
     The (0, 1] convention keeps ln and the negative power finite; U = 1 maps
     to the distribution's lower endpoint 0.
+
+    As with numpy's ufuncs, out (which may be u itself) receives the result
+    and is returned; without it a new array is. The bits are those of the
+    formulas above either way: ln(U) divided by -lambda is -ln(U)/lambda, as
+    negation is exact, and the Pareto power is taken as u ** (-1/alpha), so
+    numpy's scalar-power paths stay the same.
     """
     import numpy as np
 
     if isinstance(model, ExponentialClutter):
-        return -np.log(u) / model.rate_lambda
+        x = np.log(u, out=out)
+        return np.divide(x, -model.rate_lambda, out=x)
     if isinstance(model, ParetoClutter):
-        return model.scale_beta * (u ** (-1.0 / model.shape_alpha) - 1.0)
+        x = u ** (-1.0 / model.shape_alpha)
+        np.subtract(x, 1.0, out=x)
+        return np.multiply(x, model.scale_beta, out=x if out is None else out)
     raise TypeError(f"unsupported clutter model: {type(model).__name__}")
 
 
@@ -155,7 +165,9 @@ def kth_smallest_draws(model: ClutterModel, n: int, k: int,
     Order Statistics), and intensity_from_uniform is decreasing, so it maps
     that uniform to the k-th smallest intensity: one draw instead of n.
     """
-    return intensity_from_uniform(model, rng_stream.beta(n - k + 1, k, size))
+    # Generator.beta has no out=, so its array is the one this allocates
+    u = rng_stream.beta(n - k + 1, k, size)
+    return intensity_from_uniform(model, u, out=u)
 
 
 def window_sum_draws(model: ClutterModel, n: int,
@@ -168,16 +180,19 @@ def window_sum_draws(model: ClutterModel, n: int,
     so memory does not grow with size; the stream yields the same uniforms
     in chunks as in one draw, and each row is summed alike.
     """
-    if isinstance(model, ExponentialClutter):
-        return rng_stream.standard_gamma(n, size) / model.rate_lambda
     import numpy as np
+
+    if isinstance(model, ExponentialClutter):
+        sums = rng_stream.standard_gamma(n, size)
+        return np.divide(sums, model.rate_lambda, out=sums)
 
     sums = np.empty(size)
     rows = max(1, _DRAW_CHUNK_FLOATS // n)
     for start in range(0, size, rows):
         chunk = min(rows, size - start)
-        uniforms = 1.0 - rng_stream.random((chunk, n))
-        sums[start:start + chunk] = intensity_from_uniform(model, uniforms).sum(axis=1)
+        u = rng_stream.random((chunk, n))
+        np.subtract(1.0, u, out=u)
+        sums[start:start + chunk] = intensity_from_uniform(model, u).sum(axis=1)
     return sums
 
 

@@ -7,10 +7,12 @@ for any worker count and any scheduling order. Grid sweeps derive one child
 seed per grid point from SeedSequence((s, 1, i)) so the points are
 independent but still reproducible from the master seed alone.
 
-One call schedules all of its blocks at once: a sweep puts every block of
-every grid point into one job list, run in one thread pool for the call
-(none when one worker or one block is enough), and sums each point's
-blocks afterwards, so no point waits on the slowest block of the one before.
+One call schedules all of its blocks at once: a sweep's worker loops, one
+per worker up to the number of blocks, take every block of every grid point
+from one shared queue, in one thread pool for the call (the calling thread
+alone at one worker), and add each block's counts to its point as it
+finishes, so no point waits on the slowest block of the one before and
+memory does not grow with the number of blocks.
 
 A trial never builds its window: a block of m trials draws m window
 statistics straight from their distribution (the family's draw entry in
@@ -18,6 +20,13 @@ detectors.FAMILIES: clutter_models.kth_smallest_draws or window_sum_draws),
 then m cells under test as intensity_from_uniform of 1 - U[0, 1). Under the
 pfa-comparison rule, which divides by the statistic, trials whose statistic
 is zero are redrawn the same way, statistics first, from the same stream.
+
+A block runs in place: its cells are drawn, reflected and transformed in a
+buffer its worker loop owns, its threshold is formed in the statistic
+array, and its redraw and hit flags go to a second buffer of the loop's,
+so the per-element operations are those of the formulas, without a new
+array for each. Redraws take fresh arrays, never the buffers they are
+scattered into.
 
 Detector evaluation inside a block is vectorized: the Bayesian OS rule is
 applied through its threshold multiplier (threshold = multiplier * observed
@@ -38,8 +47,10 @@ import logging
 import math
 import operator
 import os as _os
+import threading
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, replace
+from time import perf_counter
 from typing import TYPE_CHECKING
 
 from .clutter_models import (
@@ -210,29 +221,35 @@ def _child_seed(seed: int, grid_index: int) -> int:
 
 
 def _run_block(scenario: Scenario, multiplier: float, block_index: int,
-               size: int) -> tuple[int, int]:
+               size: int, cells: np.ndarray, flags: np.ndarray) -> tuple[int, int]:
+    # cells (float) and flags (bool) are the worker's own buffers of at least
+    # size elements; the block writes only their first size
     import numpy as np
 
     spec = scenario.detector
     row = FAMILIES[spec.family]
+    clutter = scenario.clutter
     rng = _block_generator(scenario.seed, block_index)
-    # a Swerling-1 cell under test is clutter scaled by 1 + snr
-    cut_scale = 1.0 if scenario.target is None else 1.0 + scenario.target.snr_linear
 
-    def draw(rows: int) -> tuple[np.ndarray, np.ndarray]:
-        stat = row.draw(scenario.clutter, spec, rng, rows)
-        cut = intensity_from_uniform(scenario.clutter, 1.0 - rng.random(rows))
-        return stat, cut * cut_scale
+    def draw_cells(u: np.ndarray) -> np.ndarray:
+        # U[0, 1) in u becomes 1 - U, then the cell's intensity, in place
+        np.subtract(1.0, u, out=u)
+        u = intensity_from_uniform(clutter, u, out=u)
+        if scenario.target is not None:
+            # a Swerling-1 cell under test is clutter scaled by 1 + snr
+            u *= 1.0 + scenario.target.snr_linear
+        return u
 
     # a draw beyond the float range (the Pareto power, or a divide by a tiny
     # rate) is inf, and an inf statistic makes an inf threshold, so H0, the
     # rule scan_profile applies to an overflowing ca_cfar sum; a multiplier
     # that rounds to 0 times inf is nan, also H0
     with np.errstate(over="ignore", invalid="ignore"):
-        stat, cut = draw(size)
+        stat = row.draw(clutter, spec, rng, size)
+        cut = draw_cells(rng.random(size, out=cells[:size]))
         redraws = 0
         if row.path is DecisionPath.PFA_COMPARISON:
-            bad = stat <= 0.0
+            bad = np.less_equal(stat, 0.0, out=flags[:size])
             rounds = 0
             while bad.any():
                 rounds += 1
@@ -243,38 +260,66 @@ def _run_block(scenario: Scenario, multiplier: float, block_index: int,
                     )
                 count = int(bad.sum())
                 redraws += count
-                stat[bad], cut[bad] = draw(count)
-                bad = stat <= 0.0
-        hits = int(np.count_nonzero(cut > multiplier * stat))
+                # fresh arrays, never the buffers indexed here
+                stat[bad] = row.draw(clutter, spec, rng, count)
+                cut[bad] = draw_cells(rng.random(count))
+                bad = np.less_equal(stat, 0.0, out=flags[:size])
+        threshold = np.multiply(stat, multiplier, out=stat)
+        hits = int(np.count_nonzero(np.greater(cut, threshold, out=flags[:size])))
     return hits, redraws
 
 
 def _run_blocks(points: Sequence[Scenario], workers: int | None) -> list[tuple[int, int]]:
     """(hits, redraws) of each point, from one schedule of all their blocks."""
+    import numpy as np
+
+    start = perf_counter()
     multipliers = [threshold_multiplier(point.detector) for point in points]
-    jobs = [
-        (i, b, min(BLOCK_SIZE, point.trials - start))
+    blocks = sum(-(-point.trials // BLOCK_SIZE) for point in points)
+    jobs = (
+        (i, b, min(BLOCK_SIZE, point.trials - first))
         for i, point in enumerate(points)
-        for b, start in enumerate(range(0, point.trials, BLOCK_SIZE))
-    ]
+        for b, first in enumerate(range(0, point.trials, BLOCK_SIZE))
+    )
+    hits = [0] * len(points)
+    redraws = [0] * len(points)
+    lock = threading.Lock()
 
-    def run(job: tuple[int, int, int]) -> tuple[int, int]:
-        i, block_index, size = job
-        return _run_block(points[i], multipliers[i], block_index, size)
+    def worker_loop() -> None:
+        # takes blocks until none are left, in buffers of its own
+        cells = np.empty(BLOCK_SIZE)
+        flags = np.empty(BLOCK_SIZE, dtype=bool)
+        while True:
+            with lock:
+                job = next(jobs, None)
+            if job is None:
+                return
+            i, block_index, size = job
+            block_hits, block_redraws = _run_block(
+                points[i], multipliers[i], block_index, size, cells, flags
+            )
+            with lock:
+                hits[i] += block_hits
+                redraws[i] += block_redraws
 
-    nworkers = min(_worker_count(workers), len(jobs))
+    nworkers = min(_worker_count(workers), blocks)
     if nworkers == 1:
-        results = [run(job) for job in jobs]
+        worker_loop()
     else:
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            results = list(pool.map(run, jobs))
-    hits = [0] * len(points)
-    redraws = [0] * len(points)
-    for (i, _, _), (block_hits, block_redraws) in zip(jobs, results):
-        hits[i] += block_hits
-        redraws[i] += block_redraws
+            loops = [pool.submit(worker_loop) for _ in range(nworkers)]
+            for loop in loops:
+                loop.result()
+    if logger.isEnabledFor(logging.DEBUG):
+        seconds = perf_counter() - start
+        trials = sum(point.trials for point in points)
+        logger.debug(
+            "%d points, %d blocks, %d workers: %.3f s, %.4g trials/s, %d redraws",
+            len(points), blocks, nworkers, seconds,
+            trials / seconds if seconds > 0 else math.inf, sum(redraws),
+        )
     return list(zip(hits, redraws))
 
 
@@ -363,8 +408,9 @@ def cfar_sweep(scenario: Scenario, lambda_grid: Sequence[float],
         _report(point, hits, redraws)
         for point, (hits, redraws) in zip(points, _run_blocks(points, workers))
     ]
-    logger.info(
-        "cfar_sweep over %d rates: max pairwise deviation %.3f SE",
-        len(reports), max_pairwise_deviation_se(reports),
-    )
+    if logger.isEnabledFor(logging.INFO):
+        logger.info(
+            "cfar_sweep over %d rates: max pairwise deviation %.3f SE",
+            len(reports), max_pairwise_deviation_se(reports),
+        )
     return reports

@@ -10,6 +10,7 @@ import contextlib
 import hashlib
 import io
 import json
+import logging
 import math
 import os
 import subprocess
@@ -244,6 +245,18 @@ class TestSimulate:
     def test_byte_identical_reruns(self, run):
         a, b = run(*self.ARGS), run(*self.ARGS)
         assert a.stdout == b.stdout
+
+    def test_debug_log_leaves_stdout_alone(self, run, caplog):
+        # criterion 9's command prints the same bytes with the simulate
+        # logger at DEBUG, which then records the run
+        argv = ["simulate", "--family", "bayes_os", "--n", "8", "--k", "6", "--pfa", "0.05",
+                "--lambda", "1", "--trials", "1000000", "--seed", "42"]
+        quiet = run(*argv)
+        caplog.set_level(logging.DEBUG, logger="bayescfar.simulate")
+        loud = run(*argv)
+        assert quiet.returncode == loud.returncode == 0
+        assert loud.stdout == quiet.stdout
+        assert [r.levelno for r in caplog.records] == [logging.DEBUG]
 
     def test_json_reparses_to_report_values(self, run):
         from bayescfar.clutter_models import ExponentialClutter

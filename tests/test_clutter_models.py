@@ -111,6 +111,60 @@ class TestSampling:
         assert out.statistic < 1.628 / math.sqrt(100_000)
 
 
+class TestTransformBits:
+    # intensity_from_uniform against the formulas written out here, byte for
+    # byte, whichever array receives the result: a new one, u itself, or a
+    # view one element into a larger buffer
+    DESTINATIONS = ["none", "fresh", "u", "offset"]
+    LENGTHS = [1, 7, 65_536]
+
+    @staticmethod
+    def uniforms(length):
+        u = 1.0 - np.random.default_rng(length).random(length)
+        if length > 2:
+            # the lower endpoint, and the smallest uniform a float holds
+            u[0], u[1] = 1.0, 5e-324
+        return u
+
+    @staticmethod
+    def transform(model, u, destination):
+        if destination == "none":
+            return intensity_from_uniform(model, u)
+        if destination == "fresh":
+            out = np.empty_like(u)
+        elif destination == "u":
+            out = u
+        else:
+            big = np.full(len(u) + 2, np.nan)
+            out = big[1:-1]
+        result = intensity_from_uniform(model, u, out=out)
+        assert result is out
+        if destination == "offset":
+            assert np.isnan(big[0]) and np.isnan(big[-1])
+        return result
+
+    @pytest.mark.parametrize("destination", DESTINATIONS)
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("lam", [1e-300, 0.1, 1.0, 3.7e200])
+    def test_exponential(self, lam, length, destination):
+        u = self.uniforms(length)
+        want = -np.log(u) / lam
+        result = self.transform(ExponentialClutter(lam), u, destination)
+        assert result.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("destination", DESTINATIONS)
+    @pytest.mark.parametrize("length", LENGTHS)
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 2.0, 3.0])
+    def test_pareto(self, alpha, length, destination):
+        u = self.uniforms(length)
+        beta = 2.5
+        # the smallest uniform's power overflows to inf at alpha = 0.5
+        with np.errstate(over="ignore"):
+            want = beta * (u ** (-1 / alpha) - 1.0)
+            result = self.transform(ParetoClutter(alpha, beta), u, destination)
+        assert result.tobytes() == want.tobytes()
+
+
 class TestWindowStatistics:
     def test_crp_window_validation(self):
         w = CrpWindow([3.0, 1.0, 2.0])

@@ -8,9 +8,12 @@ two competing exponentials directly.
 
 import copy
 import gc
+import logging
 import math
 import pickle
 import re
+import sys
+import threading
 import tracemalloc
 from dataclasses import replace
 
@@ -439,9 +442,11 @@ class TestDegenerateRedraws:
 
         original = clutter_models.intensity_from_uniform
 
-        def lossy(model, u):
-            x = original(model, u)
-            x[u > 0.9] = 0.0
+        def lossy(model, u, out=None):
+            # the mask is taken first: out may be u itself
+            lost = u > 0.9
+            x = original(model, u, out=out)
+            x[lost] = 0.0
             return x
 
         monkeypatch.setattr(clutter_models, "intensity_from_uniform", lossy)
@@ -456,11 +461,60 @@ class TestDegenerateRedraws:
         import bayescfar.clutter_models as clutter_models
 
         monkeypatch.setattr(
-            clutter_models, "intensity_from_uniform", lambda model, u: np.zeros_like(u)
+            clutter_models, "intensity_from_uniform",
+            lambda model, u, out=None: np.zeros_like(u)
         )
         sc = scenario(family=Family.BAYES_OS, n=4, k=1, pfa=0.1, trials=10, seed=3)
         with pytest.raises(ConfigurationError):
             estimate_pfa(sc)
+
+    @pytest.mark.parametrize("zeroed", [slice(None), slice(None, None, 2)],
+                             ids=["every-trial", "every-other-trial"])
+    def test_redraws_land_on_the_trials_they_replace(self, monkeypatch, zeroed):
+        # every block's first statistic draw is zero on the zeroed trials
+        # (on all of them, the redraw has the block's size), and the report's
+        # hits are those of the stream replicated here: each zeroed trial
+        # takes the redraw's statistic and cell in turn (k = 1: the largest
+        # of n uniforms is Beta(n, 1), and the multiplier is n (1/p - 1)).
+        # A redraw drawn into the buffer it is scattered into gives others
+        n, p, lam, trials, seed = 4, 0.1, 2.0, 2 * 65_536 + 17, 6
+        row = FAMILIES[Family.BAYES_OS]
+        seen = set()
+        lock = threading.Lock()
+
+        def zero_first(clutter, spec, rng, rows):
+            stat = row.draw(clutter, spec, rng, rows)
+            # a block's stream is the only one with its Philox key
+            key = tuple(rng.bit_generator.state["state"]["key"].tolist())
+            with lock:
+                first = key not in seen
+                seen.add(key)
+            if first:
+                stat[zeroed] = 0.0
+            return stat
+
+        monkeypatch.setitem(FAMILIES, Family.BAYES_OS, row._replace(draw=zero_first))
+        sc = scenario(family=Family.BAYES_OS, n=n, k=1, pfa=p, trials=trials,
+                      seed=seed, rate=lam)
+        report = estimate_pfa(sc, workers=1)
+        seen.clear()
+        assert estimate_pfa(sc, workers=4) == report
+
+        hits = redraws = 0
+        for size, rng in TestEstimatePfa.block_streams(seed, trials):
+            t = -np.log(rng.beta(n, 1, size)) / lam
+            cut = -np.log(1.0 - rng.random(size)) / lam
+            lost = np.zeros(size, dtype=bool)
+            lost[zeroed] = True
+            count = int(lost.sum())
+            t[lost] = -np.log(rng.beta(n, 1, count)) / lam
+            cut[lost] = -np.log(1.0 - rng.random(count)) / lam
+            hits += int(np.count_nonzero(cut > n * (1.0 / p - 1.0) * t))
+            redraws += count
+        assert report.degenerate_redraws == redraws
+        if zeroed == slice(None):
+            assert redraws == trials
+        assert report.estimate == hits / trials
 
     def test_clean_streams_never_redraw(self):
         report = estimate_pfa(scenario(family=Family.BAYES_OS, n=4, k=1,
@@ -604,6 +658,39 @@ class TestCfarSweep:
         ]
         for workers in (1, 2, 3, 4):
             assert cfar_sweep(sc, grid, workers=workers) == want, workers
+
+    def test_one_debug_record_per_call(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="bayescfar.simulate")
+        cfar_sweep(scenario(trials=2 * 65_536 + 17, seed=8), [0.5, 1.0], workers=2)
+        [record] = [r for r in caplog.records if r.levelno == logging.DEBUG]
+        assert record.name == "bayescfar.simulate"
+        assert re.fullmatch(r"2 points, 6 blocks, 2 workers: \d+\.\d{3} s, \S+ trials/s, "
+                            r"0 redraws", record.getMessage()), record.getMessage()
+        [info] = [r for r in caplog.records if r.levelno == logging.INFO]
+        assert info.getMessage().startswith("cfar_sweep over 2 rates: max pairwise deviation")
+
+    def test_deviation_is_formed_only_for_its_record(self, monkeypatch, caplog):
+        def unused(reports):
+            raise AssertionError("formed with INFO disabled")
+
+        monkeypatch.setattr(simulate, "max_pairwise_deviation_se", unused)
+        caplog.set_level(logging.WARNING, logger="bayescfar.simulate")
+        assert len(cfar_sweep(scenario(trials=1000, seed=8), [0.5, 1.0])) == 2
+        assert caplog.records == []
+
+    def test_many_worker_loops_lose_no_block(self):
+        # more worker loops than cores, switching threads every microsecond:
+        # a block taken twice or a lost update of a point's counts would show
+        sc = scenario(family=Family.MIN_CFAR, n=16, pfa=0.05, trials=2 * 65_536 + 17, seed=21)
+        grid = [0.25 * (i + 1) for i in range(12)]
+        want = cfar_sweep(sc, grid, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = cfar_sweep(sc, grid, workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
 
     @pytest.mark.parametrize("workers, pools", [(1, 0), (2, 1)])
     def test_one_pool_per_sweep(self, monkeypatch, workers, pools):
