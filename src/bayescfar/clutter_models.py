@@ -260,16 +260,16 @@ def _window_fold(cells: tuple, lead: int, trail: int,
     rows = len(cells[0]) - lead - trail
     # each run: [its next uncovered cell, its length, its state so far]
     runs = [[0, lead, None], [lead + 1, trail, None]]
-    block, width = cells, 1
+    block, width, longest = cells, 1, max(lead, trail)
     while True:
         for run in runs:
-            first, length, state = run
-            if length & width:
-                part = tuple(a[first:first + rows] for a in block)
+            if run[1] & width:
+                first, state = run[0], run[2]
+                part = tuple([a[first:first + rows] for a in block])
                 run[0], run[2] = first + width, part if state is None else join(state, part)
-        if 2 * width > max(lead, trail):
+        if 2 * width > longest:
             break
-        block = join(tuple(a[:-width] for a in block), tuple(a[width:] for a in block))
+        block = join(tuple([a[:-width] for a in block]), tuple([a[width:] for a in block]))
         width *= 2
     leading, trailing = runs[0][2], runs[1][2]
     if leading is None or trailing is None:
@@ -287,48 +287,74 @@ def _window_minima(samples: np.ndarray, lead: int, trail: int) -> np.ndarray:
 
 
 def _two_sum_join(x: tuple, y: tuple) -> tuple:
-    # run x followed by run y, each a (sum, error sum, |error| sum) state: the
-    # sums by TwoSum (Knuth), whose error e is exact, and e added to both
-    import numpy as np
-
-    s1, c1, a1 = x
-    s2, c2, a2 = y
+    # run x followed by run y, each a (sum, error sum) state: the sums by
+    # TwoSum (Knuth), whose error e is exact, and e added to the error sums.
+    # A single cell's state is (sample,), its error sum an implicit zero
+    s1, s2 = x[0], y[0]
     s = s1 + s2
     z = s - s1
     e = (s1 - (s - z)) + (s2 - z)
-    return s, c1 + c2 + e, a1 + a2 + np.abs(e)
+    for c in x[1:] + y[1:]:
+        e += c
+    return s, e
 
 
 def _window_sums(samples: np.ndarray, lead: int, trail: int) -> tuple[np.ndarray, np.ndarray]:
     # The sum of every window of a segment (see _window_fold), and which
-    # windows it is certified exactly rounded for. Each window's state comes
-    # from exactly n - 1 TwoSums (Ogita, Rump & Oishi, "Accurate sum and dot
-    # product", SIAM J. Sci. Comput. 26(6), 2005), one per join of two
-    # disjoint runs, whichever runs they are, so the window sum is exactly
-    # s + sum(e_j) over its n - 1 errors e_j. c and a are the rounded sums of
-    # e_j and |e_j| over the same joins; a single cell's c and a are 0, and
-    # adding 0 is exact, so c is a tree sum of n - 1 terms, with at most
-    # n - 2 roundings on the path of each, and is off by at most gamma * a,
-    # as a left-to-right sum would be. (r, d) = TwoSum(s, c) then leaves the
-    # sum within |d| + gamma * a of r. That bound lies strictly inside r's
-    # rounding interval (the smaller half-spacing, below r) or is zero (c
-    # then exact, and r = fl(s + c) is the rounded sum); other windows, and
-    # any that overflowed, are not certified
+    # windows it is certified exactly rounded for. Samples must be >= 0,
+    # which scan_profile guarantees. Each window's (s, c) comes from exactly
+    # n - 1 TwoSums (Ogita, Rump & Oishi, "Accurate sum and dot product",
+    # SIAM J. Sci. Comput. 26(6), 2005), one per join of two disjoint runs,
+    # so the window sum is exactly S = s + sum(e_j) over its n - 1 errors,
+    # and c sums the e_j by a tree of n - 2 additions. With u = 2**-53:
+    # - Samples are >= 0 and rounding is monotone, so every partial sum s_j
+    #   of the join tree is <= the root s, and |e_j| <= u * s_j <= u * s:
+    #   sum |e_j| <= (n - 1) * u * s, which bounds every exact partial sum
+    #   of c.
+    # - Every sample is a multiple of q, the ulp of the least nonzero
+    #   sample, and so is every rounded sum of multiples of q: one under
+    #   2**53 * q is a float, and a float above that has a spacing that q
+    #   divides. So every e_j is a multiple of q, and where
+    #   (n - 1) * u * s < 2**53 * q every partial sum of c is exact, c =
+    #   sum(e_j), and r = fl(s + c) is S rounded, ties included. These
+    #   windows, all-zero ones among them, are certified outright below
+    #   q * 2**(106 - bit_length(n - 2)), a power of two at most that bound,
+    #   and below 2**1023, so that r cannot overflow where fsum would not.
+    # - Elsewhere c is off by at most B = gamma_{n-2} * (n - 1) * u * s, with
+    #   gamma_m = m * u / (1 - m * u) (Higham, Accuracy and Stability of
+    #   Numerical Algorithms, 2nd ed., section 4.2).
+    # - |c| <= n * u * s <= s, so (r, d) = FastTwoSum(s, c) (Dekker) is
+    #   exact, r + d = s + c, and |S - r| <= |d| + B.
+    # - h, half the spacing below r, is a power of two, so if |d| +
+    #   fl(kappa * s) rounds to less than h, then |d| + B < h provided
+    #   fl(kappa * s) >= B, and r is S rounded. kappa = 4 (n - 2)(n - 1) u**2
+    #   has a factor 2 over B, far more than a normal product's rounding
+    #   takes; and outside the outright windows kappa * s >= 2**-1073, so a
+    #   subnormal product is off by at most a quarter of it.
+    # Other exact ties (|d| = h), overflowed sums and NaN fail both tests
+    # and are not certified
     import numpy as np
 
     n = lead + trail
-    # c adds n - 1 errors with n - 2 roundings of unit roundoff 2**-53; the
-    # factor 2 covers the rounding of a and of gamma * a
-    gamma = 2.0 * max(n - 2, 0) * 2.0 ** -53
-    zeros = np.zeros(len(samples))
+    kappa = 4.0 * max(n - 2, 0) * (n - 1) * 2.0 ** -106
+    least = samples.min()
+    if least == 0.0:
+        least = np.min(samples, where=samples > 0.0, initial=math.inf)
+    q = math.ulp(least)
+    exact = min(q * 2.0 ** (106 - (n - 2).bit_length()), 2.0 ** 1023)
     with np.errstate(over="ignore", invalid="ignore"):
-        s, c, a = _window_fold((samples, zeros, zeros), lead, trail, _two_sum_join)
+        s, *c = _window_fold((samples,), lead, trail, _two_sum_join)
+        c = c[0] if c else 0.0
         r = s + c
-        rc = r - s
-        d = (s - (r - rc)) + (c - rc)
-        bound = gamma * a
-        half_spacing = 0.5 * (r - np.nextafter(r, 0.0))
-        certified = ((bound == 0.0) | (np.abs(d) + bound < half_spacing)) & np.isfinite(r)
+        certified = s < exact
+        # the bound on c's rounding, for windows whose c may have rounded
+        if not certified.all():
+            d = c - (r - s)
+            # the float below a positive r has r's bits less 1; at r = 0
+            # this is NaN, and such windows rest on the test of s
+            below = (r.view(np.int64) - 1).view(np.float64)
+            half_spacing = 0.5 * (r - below)
+            certified |= np.abs(d) + kappa * s < half_spacing
     return r, certified
 
 

@@ -246,7 +246,6 @@ def _sorted_runs(samples: np.ndarray, length: int, memo: dict) -> list[np.ndarra
 def _os_statistic_rows(m: float, samples: np.ndarray, layout: WindowLayout,
                        spec: DetectorSpec) -> np.ndarray:
     import numpy as np
-    from numpy.lib.stride_tricks import sliding_window_view
 
     k, lead, trail = _order(spec), layout.leading, layout.trailing
     if k == 1:
@@ -255,6 +254,8 @@ def _os_statistic_rows(m: float, samples: np.ndarray, layout: WindowLayout,
     if max(lead, trail) > _NETWORK_MAX_RUN:
         # the segment's windows as the rows of a matrix, which scan_profile's
         # blocks keep to at most _SCAN_BLOCK_FLOATS samples
+        from numpy.lib.stride_tricks import sliding_window_view
+
         block = sliding_window_view(samples, spec.n + 1)
         windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
         return m * np.partition(windows, k - 1, axis=1)[:, k - 1]

@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 from scipy.special import betainc, gammainc
 
-from bayescfar import detectors, simulate
+from bayescfar import clutter_models, detectors, simulate
 from bayescfar.clutter_models import (
     CrpWindow,
     ExponentialClutter,
@@ -1168,6 +1168,101 @@ class TestSlidingStatistics:
                 assert (sums[i] + 0.0).hex() == (math.fsum(window) + 0.0).hex()
             want = _scaled_window_sum(0.75, [x + 0.0 for x in window])
             assert limits[i].hex() == want.hex()
+
+    def test_rounded_error_sum_is_not_certified(self):
+        # the errors of 3 + x1 and x2 + x3 (x2 + x3 rounds up) and of their
+        # join are 2**-60 + 3 * 2**-107, -5 * 2**-108 and 2**-52 - 2**-60, and
+        # sum to just over half an ulp of s = 3 + 2**-10; their rounded sum c
+        # is 2**-52 - 2**-105, just under it, so fl(s + c) = s and |d| is
+        # under half an ulp: only the bound on c's rounding withholds the
+        # certificate, and the sum rounds up
+        window = [3.0, 2.0 ** -60 + 3 * 2.0 ** -107,
+                  2.0 ** -10 + 2.0 ** -52 - 2.0 ** -60 - 2.0 ** -62, 2.0 ** -62 - 5 * 2.0 ** -108]
+        samples = np.array(window + [0.0])
+        sums, certified = _window_sums(samples, 4, 0)
+        assert sums[0] == 3.0 + 2.0 ** -10 and not certified[0]
+        assert _scaled_window_sums(1.0, samples, 4, 0)[0] == math.fsum(window) == 3.0 + 2.0 ** -10 + 2.0 ** -51
+
+    @pytest.mark.parametrize("tail", [[], [0.0]], ids=["no-zero", "zero"])
+    def test_exact_ties_are_certified_where_the_error_sum_is_exact(self, tail):
+        # every sample is a multiple of 2**-105, the ulp of the least nonzero
+        # one, so the error sum of 1 + 2**-53 is exact and its tie rounds to
+        # even: 1.0
+        samples = np.array(np.resize([1.0, 2.0 ** -53], 9).tolist() + tail)
+        sums, certified = _window_sums(samples, 2, 0)
+        assert certified.all() and (sums == 1.0).all()
+
+    def test_overflowing_rounded_sum_is_not_certified(self):
+        # s is the largest float and c = 2**970 exactly, so fl(s + c) is inf
+        # while fsum overflows and the scaled sum is finite; the samples'
+        # ulp would certify the sum outright below 2**1023, so only that
+        # cap withholds it
+        window = [2.0 ** 1022 + 2.0 ** 970, 2.0 ** 1022, 2.0 ** 1022, 2.0 ** 1022 - 2.0 ** 971]
+        samples = np.array(window + [2.0 ** 1022])
+        sums, certified = _window_sums(samples, 4, 0)
+        assert sums[0] == math.inf and not certified[0]
+        assert _scaled_window_sums(0.5, samples, 4, 0)[0] == _scaled_window_sum(0.5, window) < math.inf
+
+
+def _fallback_profiles():
+    # n = 4000 profiles whose every window sum the certificate vouches for
+    rng = np.random.default_rng(5)
+    size = 4000 + 1024
+    return {
+        "exponential": rng.standard_exponential(size),
+        "constant": np.full(size, 0.1),
+        "16-decade-mixture": rng.standard_exponential(size) * 10.0 ** rng.uniform(-8, 8, size),
+        "dyadic-ties": rng.integers(0, 2**20, size) * 2.0 ** -10,
+        "one-and-2**-53": np.resize([1.0, 2.0 ** -53], size),
+    }
+
+
+class TestWindowSumFallbacks:
+    # how many ca_cfar window sums a scan leaves to _scaled_window_sum, the
+    # fsum fallback for windows the certificate does not vouch for
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        calls = []
+        real = clutter_models._scaled_window_sum
+
+        def counted(multiplier, samples):
+            calls.append(len(samples))
+            return real(multiplier, samples)
+
+        monkeypatch.setattr(clutter_models, "_scaled_window_sum", counted)
+
+        def scan(profile, lead, trail):
+            calls.clear()
+            spec = DetectorSpec(Family.CA_CFAR, lead + trail, 1e-3)
+            scan_profile(profile, spec, WindowLayout(leading=lead, trailing=trail))
+            return len(calls)
+
+        return scan
+
+    @pytest.mark.parametrize("lead, trail", [(8, 8), (2000, 2000), (4000, 0)])
+    def test_none_on_zero_and_subnormal_stretches(self, fallbacks, lead, trail):
+        size = lead + trail + 1024
+        # subnormals up to the largest, whose sums pass 2**-1021
+        subnormal = np.random.default_rng(6).integers(0, 2**52, size) * 5e-324
+        assert fallbacks(np.zeros(size), lead, trail) == 0
+        assert fallbacks(subnormal, lead, trail) == 0
+
+    @pytest.mark.parametrize("name", list(_fallback_profiles()))
+    @pytest.mark.parametrize("lead, trail", [(2000, 2000), (4000, 0), (1, 3999)])
+    def test_none_on_long_windows(self, fallbacks, name, lead, trail):
+        assert fallbacks(_fallback_profiles()[name], lead, trail) == 0
+
+    def test_few_on_exponential_profiles(self, fallbacks):
+        # at n = 16 about 0.4% of these windows are exact ties, |c| = half
+        # an ulp of s; they fall back unless c is known to be exact
+        rng = np.random.default_rng(7)
+        windows = calls = 0
+        for _ in range(20):
+            profile = rng.standard_exponential(1024) * 10.0 ** (2.0 * rng.random())
+            calls += fallbacks(profile, 8, 8)
+            windows += 1024 - 16
+        assert calls <= 0.01 * windows
 
 
 def _comparators(length):
