@@ -150,11 +150,23 @@ def intensity_from_uniform(model: ClutterModel, u: np.ndarray,
     raise TypeError(f"unsupported clutter model: {type(model).__name__}")
 
 
+def _draw_intensities(model: ClutterModel, rng_stream: np.random.Generator,
+                      shape: int | tuple[int, ...], out: np.ndarray | None = None) -> np.ndarray:
+    # clutter's one sampling transform: intensity_from_uniform of 1 - U for
+    # U[0, 1) of the given shape, drawn into out (or a new array) and
+    # transformed there in place
+    import numpy as np
+
+    u = rng_stream.random(shape, out=out)
+    np.subtract(1.0, u, out=u)
+    return intensity_from_uniform(model, u, out=u)
+
+
 def sample(model: ClutterModel, count: int, rng_stream: np.random.Generator) -> list[float]:
     """Draw count i.i.d. intensities from model: intensity_from_uniform of 1 - U[0, 1)."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
-    return intensity_from_uniform(model, 1.0 - rng_stream.random(count)).tolist()
+    return _draw_intensities(model, rng_stream, count).tolist()
 
 
 def kth_smallest_draws(model: ClutterModel, n: int, k: int,
@@ -190,9 +202,7 @@ def window_sum_draws(model: ClutterModel, n: int,
     rows = max(1, _DRAW_CHUNK_FLOATS // n)
     for start in range(0, size, rows):
         chunk = min(rows, size - start)
-        u = rng_stream.random((chunk, n))
-        np.subtract(1.0, u, out=u)
-        sums[start:start + chunk] = intensity_from_uniform(model, u).sum(axis=1)
+        sums[start:start + chunk] = _draw_intensities(model, rng_stream, (chunk, n)).sum(axis=1)
     return sums
 
 

@@ -21,14 +21,14 @@ by interval, in QUADPACK's order.
 
 Inside this module every integrand takes an array of points and returns
 the array of its values there, so each bisection makes one call for the 42
-nodes of its two halves. The scalar API, integrate_semi_infinite and
-FirstPassRule.integrate, wraps a scalar callable once, where it comes in,
-calling it at each point in turn, in QUADPACK's order. Every other integral
-goes through the rule's one private rows entry: many integrals at once, one
-per row of a matrix of values, whose qk21 sums it forms for a chunk of rows
-in one set of array operations. A row whose pass a rounded-up bound on
-QAGP's error estimate certifies keeps the pass's sum, and every other row
-runs QAGP from its pass, exactly as FirstPassRule.integrate does.
+nodes of its two halves. There are two entries. integrate_semi_infinite,
+the scalar one, wraps a scalar callable where it comes in, calling it at
+each point in turn, in QUADPACK's order, and returns QAGP's value and error
+estimate. FirstPassRule.integrate_rows, the array one, takes many integrals
+at once, one per row of a matrix of values, and forms their qk21 sums for a
+chunk of rows in one set of array operations. A row whose pass a rounded-up
+bound on QAGP's error estimate certifies keeps the pass's sum, and every
+other row runs QAGP from its pass, as integrate_semi_infinite does.
 
 Everything here is a pure function or a rule fixed when it is built;
 nothing holds state between calls. numpy is not imported with the module
@@ -211,7 +211,7 @@ def _qk21_error(difference: float, magnitude: float, spread: float) -> float:
     return error
 
 
-# the rows pass bounds ratio**1.5 from above with numpy's power, which may
+# integrate_rows bounds ratio**1.5 from above with numpy's power, which may
 # differ from C's pow by an ulp: scaled up by 8 ulps, and raised by 16 of
 # the subnormal spacing where the power is subnormal
 _POW_SLACK = 1.0 + 2.0**-49
@@ -661,13 +661,6 @@ class _Qk21Nodes:
         return result, np.isfinite(result) & (bound <= tolerance)
 
 
-def _elementwise(f: Callable[[float], float]) -> Callable[[np.ndarray], np.ndarray]:
-    # a scalar integrand as this module's array one: f at each point in turn
-    import numpy as np
-
-    return lambda x: np.fromiter(map(f, x.tolist()), dtype=float, count=len(x))
-
-
 def _bisected(f: Callable[[np.ndarray], np.ndarray], a1: float, b1: float, b2: float
               ) -> tuple[list[float], ...]:
     # qk21's columns on the halves (a1, b1) and (b1, b2) of a bisected
@@ -678,7 +671,7 @@ def _bisected(f: Callable[[np.ndarray], np.ndarray], a1: float, b1: float, b2: f
     return halves.columns(f(halves.nodes))
 
 
-# rows per chunk of the rows pass: a chunk's (row, node, interval) arrays
+# rows per chunk of integrate_rows: a chunk's (row, node, interval) arrays
 # stay within a few hundred KiB at 50 intervals
 _ROW_CHUNK = 32
 
@@ -691,23 +684,11 @@ class FirstPassRule:
     nodes holds the 21 points of every interval in the original variable x,
     where QAGP's first pass evaluates f, less any that round onto u = 1 in
     a last interval a few ulp wide: there the integrand in u is 0 and f is
-    not called, as in QUADPACK's transformed integrand. integrate takes f's
-    values there and runs QAGP from that pass: it returns the pass's result,
-    summed and error-estimated as qk21 and QAGP do it, when QAGP accepts it,
-    and otherwise continues QAGP's adaptive bisection from that same pass,
-    calling f only at the points QAGP adds. So a caller that integrates many
-    products f(x) * g(x) with one fixed g evaluates g once. The first pass
-    and each bisection's two halves go through the same qk21 code.
-
-    A private rows entry integrates many functions, one per row of a matrix
-    of their values at nodes, each function taking an array of points, with
-    the results integrate gives each row. It forms qk21's sums for up to 32
-    rows in one set of array operations, and decides acceptance for them in
-    arrays too, so a pass takes about a quarter of the time integrate takes
-    row by row; only rows whose pass it cannot certify as accepted go
-    through QAGP one by one. It calls no integrand for a certified row, and
-    the rest call theirs at the points integrate would, so call counts do
-    not change.
+    not called, as in QUADPACK's transformed integrand. integrate_rows takes
+    many functions' values there, one row each, and runs QAGP from that
+    pass for each: the pass's result, summed as qk21 and QAGP do it, when
+    QAGP accepts it, and otherwise QAGP's adaptive bisection continued from
+    that same pass, calling the function only at the points QAGP adds.
     """
 
     def __init__(self, breakpoints: Sequence[float]):
@@ -722,37 +703,38 @@ class FirstPassRule:
         self.nodes = self._qk21.nodes
         self._edges = edges.tolist()
 
-    def integrate(
-        self,
-        values: np.ndarray,
-        f: Callable[[float], float],
-        settings: QuadratureSettings = QuadratureSettings(),
-    ) -> QuadratureResult:
-        """Integral of f over (0, inf), given f's values at nodes.
+    def _qagp_from_pass(self, values: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
+                        settings: QuadratureSettings) -> QuadratureResult:
+        # QAGP on f, an array integrand, from the first pass of its values at nodes
+        return _qagp(f, self._edges, self._qk21.columns(values), settings)
 
-        The first pass when QAGP accepts it, without calling f; otherwise
-        QAGP's bisection, continued from that pass, which calls f only at the
-        points it adds and raises QuadratureError, carrying the best
-        estimate, where QAGP reports failure.
+    def integrate_rows(self, values: np.ndarray,
+                       integrand: Callable[[int], Callable[[np.ndarray], np.ndarray]],
+                       settings: QuadratureSettings) -> np.ndarray:
+        """The integral over (0, inf) of each row's function, in row order.
+
+        Row i of the (row, node) matrix values holds function i's values at
+        nodes, and integrand(i) is that function, on an array of points. Each
+        row gets the value integrate_semi_infinite gives its function: the
+        first pass's sum, calling nothing, where a rounded-up bound on QAGP's
+        error estimate certifies that QAGP accepts the pass; else QAGP from
+        the pass, calling integrand(i) only at the points it adds, and raising
+        the first failing row's QuadratureError. qk21's sums and the
+        certificate are formed for up to 32 rows in one set of array operations.
         """
-        return _qagp(_elementwise(f), self._edges, self._qk21.columns(values), settings)
-
-    def _integrate_rows(self, values: np.ndarray,
-                        integrand: Callable[[int], Callable[[np.ndarray], np.ndarray]],
-                        settings: QuadratureSettings) -> np.ndarray:
-        # integrate's value for each row i of the (row, node) matrix values,
-        # in row order, integrand(i) taking arrays: the first pass's sum where
-        # the bound certifies that QAGP accepts it, else QAGP from that pass,
-        # which raises where integrate would
         import numpy as np
 
+        shape = np.shape(values)
+        if len(shape) != 2 or shape[1] != len(self.nodes):
+            raise ValueError(f"values must be a (rows, {len(self.nodes)}) matrix, "
+                             f"one row of values at nodes per integral; got shape {shape}")
         out = np.empty(len(values))
         for start in range(0, len(values), _ROW_CHUNK):
             chunk = values[start:start + _ROW_CHUNK]
             out[start:start + len(chunk)], certified = self._qk21.certified(chunk, settings)
             for i in np.flatnonzero(~certified).tolist():
-                out[start + i] = _qagp(integrand(start + i), self._edges,
-                                       self._qk21.columns(chunk[i]), settings).value
+                out[start + i] = self._qagp_from_pass(chunk[i], integrand(start + i),
+                                                      settings).value
         return out
 
 
@@ -766,15 +748,21 @@ def integrate_semi_infinite(
     Uses the substitution x = u/(1-u), which maps the domain to (0, 1) and
     tames both tails of Gamma-type integrands. Breakpoints (in the original
     variable) force subdivision there, which matters for integrands
-    concentrated on a region the global rule would step over. This is
-    FirstPassRule(breakpoints).integrate on f's values at the rule's nodes.
+    concentrated on a region the global rule would step over. f is called
+    at FirstPassRule(breakpoints)'s nodes, then at each point QAGP adds.
 
     Raises QuadratureError, carrying the best estimate, if the requested
     tolerance cannot be certified, and ValueError if no breakpoint lies in
     (0, inf).
     """
+    import numpy as np
+
+    def at_points(x: np.ndarray) -> np.ndarray:
+        # f at each point in turn, as this module's integrands take arrays
+        return np.fromiter(map(f, x.tolist()), dtype=float, count=len(x))
+
     rule = FirstPassRule(breakpoints)
-    return rule.integrate(_elementwise(f)(rule.nodes), f, settings)
+    return rule._qagp_from_pass(at_points(rule.nodes), at_points, settings)
 
 
 def solve_monotone_decreasing(f: Callable[[float], float], target: float) -> float:

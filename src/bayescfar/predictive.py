@@ -20,7 +20,7 @@ Every quadrature here is numerics' port of QUADPACK's QAGP; scipy is never
 imported. A θ integral whose first pass QAGP declines continues the same
 adaptive state from that pass, so it calls the likelihood and the
 posterior only at the points QAGP adds. Every θ integral, in one or two
-dimensions, is one nested pass of the rules' rows entry over as many
+dimensions, is one nested pass of FirstPassRule.integrate_rows over as many
 integrands as fill one 2-D grid: every z0 node of one pass of generic_pfa's
 outer integral in 1-D, one z0 in 2-D.
 """
@@ -283,8 +283,8 @@ def _theta_integrals(model: PredictiveModel, values: np.ndarray,
                      functions: list[Callable]) -> np.ndarray:
     # the nested QAGP over theta of each functions[r], from its values at
     # the model's nodes in row r of values, shaped (row, *node axes): the
-    # innermost axis of every row by its rule's rows entry, then in 2-D the
-    # marginals by the outer rule's. A declined pass goes on as QAGP does;
+    # innermost axis of every row by its rule's integrate_rows, then in 2-D
+    # the marginals by the outer rule's. A declined pass goes on as QAGP does;
     # an outer bisection's new a nodes get their rows from f, a after a,
     # before any of them is integrated
     settings = model.integration
@@ -295,19 +295,19 @@ def _theta_integrals(model: PredictiveModel, values: np.ndarray,
         return lambda x: _at_nodes(f, [*lead, x.tolist()])
 
     if not outer:
-        return rule._integrate_rows(values, lambda r: section(functions[r], []), settings)
+        return rule.integrate_rows(values, lambda r: section(functions[r], []), settings)
     (outer,), (a_nodes, b_nodes) = outer, model._axes
 
     def marginals(f: Callable, a: np.ndarray) -> np.ndarray:
         a = a.tolist()
         rows = _at_nodes(f, [a, b_nodes]).reshape(len(a), -1)
-        return rule._integrate_rows(rows, lambda i: section(f, [[a[i]]]), settings)
+        return rule.integrate_rows(rows, lambda i: section(f, [[a[i]]]), settings)
 
     width = len(a_nodes)
-    inner = rule._integrate_rows(values.reshape(-1, len(b_nodes)), lambda j: section(
+    inner = rule.integrate_rows(values.reshape(-1, len(b_nodes)), lambda j: section(
         functions[j // width], [[a_nodes[j % width]]]), settings)
-    return outer._integrate_rows(inner.reshape(-1, width),
-                                 lambda r: lambda a: marginals(functions[r], a), settings)
+    return outer.integrate_rows(inner.reshape(-1, width),
+                                lambda r: lambda a: marginals(functions[r], a), settings)
 
 
 def _densities(z0s: list[float], model: PredictiveModel) -> np.ndarray:
@@ -363,8 +363,8 @@ class PredictiveModel:
     Only an integral whose first pass QAGP would refine calls it again.
 
     Every θ integral, the normalization and each density in either
-    dimension, is one nested pass of the rules' rows entry: the innermost
-    axis of every integrand at once, then in 2-D the outer axis over their
+    dimension, is one nested integrate_rows pass: the innermost axis of
+    every integrand at once, then in 2-D the outer axis over their
     marginals. Every call count stays as it was with one integral at a time.
     """
 
@@ -404,7 +404,7 @@ def generic_predictive_density(z0: float, model: PredictiveModel) -> float:
     weighs it by the posterior samples taken when the model was built; the
     posterior is called again only where QAGP would refine a first pass.
     In 1-D that is 1 050 likelihood calls and one θ integral; in 2-D 714²
-    calls, a rows pass over the grid's 714 rows and one over their
+    calls, one integrate_rows over the grid's 714 rows and one over their
     marginals, holding the grid and one chunk of rows' qk21 sums at a time.
     """
     if not (z0 >= 0):
@@ -426,15 +426,15 @@ def generic_pfa(tau: float, model: PredictiveModel) -> float:
     samples (see generic_predictive_density), so a call costs likelihood
     evaluations and no posterior ones.
 
-    The outer integral is one row of the rules' rows entry, whose passes
-    take the densities at all their z0 nodes at once: the first pass's 420,
-    then 42 per bisection. A pass fills the likelihood products of as many
-    z0 as one 2-D grid holds, z0 after z0: in 1-D all of them, 441 000
-    calls for the first pass; in 2-D one z0. The likelihood is called as
-    often, with the same arguments and in the same order, as with one
-    density at a time, and the posterior only where an inner pass is
-    declined. Such a pass's added calls come once its fill is made; and
-    where an inner integral raises, the rest of its fill has been made.
+    The outer integral is one row of FirstPassRule.integrate_rows, whose
+    passes take the densities at all their z0 nodes at once: the first
+    pass's 420, then 42 per bisection. A pass fills the likelihood
+    products of as many z0 as one 2-D grid holds, z0 after z0: in 1-D all
+    of them, 441 000 calls for the first pass; in 2-D one z0. The
+    likelihood is called as often, with the same arguments and in the same
+    order, as with one density at a time, and the posterior only where an
+    inner pass is declined, once its fill is made; where an inner integral
+    raises, the rest of its fill has been made.
     """
     if not (tau >= 0):
         raise ValueError(f"tau must be nonnegative, got {tau}")
@@ -448,5 +448,5 @@ def generic_pfa(tau: float, model: PredictiveModel) -> float:
         return _densities((tau + x).tolist(), model)
 
     rule = FirstPassRule(_Z0_LADDER)
-    value = rule._integrate_rows(densities(rule.nodes)[None], lambda _: densities, outer).item()
+    value = rule.integrate_rows(densities(rule.nodes)[None], lambda _: densities, outer).item()
     return min(max(value, 0.0), 1.0)

@@ -57,7 +57,7 @@ from .clutter_models import (
     ClutterModel,
     ExponentialClutter,
     ParetoClutter,
-    intensity_from_uniform,
+    _draw_intensities,
 )
 from .detectors import (
     FAMILIES,
@@ -231,10 +231,9 @@ def _run_block(scenario: Scenario, multiplier: float, block_index: int,
     clutter = scenario.clutter
     rng = _block_generator(scenario.seed, block_index)
 
-    def draw_cells(u: np.ndarray) -> np.ndarray:
-        # U[0, 1) in u becomes 1 - U, then the cell's intensity, in place
-        np.subtract(1.0, u, out=u)
-        u = intensity_from_uniform(clutter, u, out=u)
+    def draw_cells(count: int, out: np.ndarray | None = None) -> np.ndarray:
+        # count cells' intensities, drawn and transformed in out if given
+        u = _draw_intensities(clutter, rng, count, out)
         if scenario.target is not None:
             # a Swerling-1 cell under test is clutter scaled by 1 + snr
             u *= 1.0 + scenario.target.snr_linear
@@ -246,7 +245,7 @@ def _run_block(scenario: Scenario, multiplier: float, block_index: int,
     # that rounds to 0 times inf is nan, also H0
     with np.errstate(over="ignore", invalid="ignore"):
         stat = row.draw(clutter, spec, rng, size)
-        cut = draw_cells(rng.random(size, out=cells[:size]))
+        cut = draw_cells(size, cells[:size])
         redraws = 0
         if row.path is DecisionPath.PFA_COMPARISON:
             bad = np.less_equal(stat, 0.0, out=flags[:size])
@@ -262,7 +261,7 @@ def _run_block(scenario: Scenario, multiplier: float, block_index: int,
                 redraws += count
                 # fresh arrays, never the buffers indexed here
                 stat[bad] = row.draw(clutter, spec, rng, count)
-                cut[bad] = draw_cells(rng.random(count))
+                cut[bad] = draw_cells(count)
                 bad = np.less_equal(stat, 0.0, out=flags[:size])
         threshold = np.multiply(stat, multiplier, out=stat)
         hits = int(np.count_nonzero(np.greater(cut, threshold, out=flags[:size])))

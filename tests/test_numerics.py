@@ -187,18 +187,20 @@ model = predictive.PredictiveModel(
     lambda lam: predictive.posterior_lambda_os(lam, osd), 1)
 predictive.generic_pfa(2.0, model)
 print('scipy' in sys.modules)
+import numpy as np
 spike = lambda x: math.exp(-0.5 * ((x - 0.63) / 2e-3) ** 2) + math.exp(-x)
 rule = numerics.FirstPassRule([0.1, 1.0, 10.0])
-values = [spike(x) for x in rule.nodes]
+values = np.array([[spike(x) for x in rule.nodes]])
+settings = numerics.QuadratureSettings()
 def refuse(x):
     raise LookupError(x)
 try:
-    rule.integrate(values, refuse)
+    rule.integrate_rows(values, lambda i: refuse, settings)
 except LookupError:
     pass
 else:
     raise AssertionError('the first pass was accepted')
-rule.integrate(values, spike)
+rule.integrate_rows(values, lambda i: lambda x: np.array([spike(v) for v in x]), settings)
 print('scipy' in sys.modules)
 try:
     numerics.integrate_semi_infinite(lambda x: 1.0 / (1.0 + x), numerics.QuadratureSettings(), [1.0])
@@ -258,6 +260,22 @@ def refuse(x):
     raise Refused(x)
 
 
+def integrate_from(rule, values, f, settings=QuadratureSettings()):
+    """QAGP on f from the rule's first pass of values: integrate_semi_infinite
+    on the rule's breakpoints, given values at the first pass's nodes, which
+    QAGP takes first and in order, and f at each point QAGP adds."""
+    pending = iter(zip(rule.nodes.tolist(), list(values)))
+
+    def integrand(x):
+        node = next(pending, None)
+        if node is None:
+            return f(x)
+        assert x == node[0]
+        return node[1]
+
+    return integrate_semi_infinite(integrand, settings, rule.breakpoints)
+
+
 def first_pass(rule, values, settings=QuadratureSettings()):
     """The rule's result when QAGP accepts its first pass, else None.
 
@@ -265,7 +283,7 @@ def first_pass(rule, values, settings=QuadratureSettings()):
     before any call fails the pass, so it counts as declined.
     """
     try:
-        return rule.integrate(values, refuse, settings)
+        return integrate_from(rule, values, refuse, settings)
     except (Refused, QuadratureError):
         return None
 
@@ -318,7 +336,7 @@ def outcome(call):
 
 
 def elementwise(f):
-    """f as an array integrand, the rows pass's contract: f at each point in turn."""
+    """f as an array integrand, integrate_rows' contract: f at each point in turn."""
     return lambda x: np.array([f(v) for v in x.tolist()], dtype=float)
 
 
@@ -355,6 +373,9 @@ class TestFirstPassRule:
                 continue
             accepted += 1
             assert hexed(got) == expected(oracle), case
+            # integrate_rows certifies each of these passes: it asks for no integrand
+            (value,) = rule.integrate_rows(values[None], refuse, settings).tolist()
+            assert value.hex() == got.value.hex(), case
             # every law here has unit mass
             assert math.isclose(got.value, 1.0, rel_tol=1e-9), case
         assert accepted >= 30 and declined >= 10, (accepted, declined)
@@ -401,7 +422,7 @@ class TestFirstPassRule:
             rule = FirstPassRule(breakpoints)
             values = np.array([f(x) for x in rule.nodes])
             assert first_pass(rule, values, settings) is None, name
-            got = outcome(lambda: rule.integrate(values, f, settings))
+            got = outcome(lambda: integrate_from(rule, values, f, settings))
             assert hexed(got) == expected(qagp_oracle(f, breakpoints, settings)), name
 
     def test_declined_first_pass_calls_f_only_where_qagp_refines(self):
@@ -412,7 +433,7 @@ class TestFirstPassRule:
         rule = FirstPassRule(breakpoints)
         values = np.array([spike(x) for x in rule.nodes])
         f, points = recorded(spike)
-        got = rule.integrate(values, f)
+        got = integrate_from(rule, values, f)
         pass_nodes = 21 * (len(breakpoints) + 1)
         assert oracle.neval > pass_nodes
         assert len(points) == oracle.neval - pass_nodes
@@ -425,7 +446,7 @@ class TestFirstPassRule:
         rule = FirstPassRule([0.5, 1.5, 4.0])
         values = np.array([f(x) for x in rule.nodes])
         assert first_pass(rule, values) is None
-        got = outcome(lambda: rule.integrate(values, f))
+        got = outcome(lambda: integrate_from(rule, values, f))
         oracle = qagp_oracle(f, [0.5, 1.5, 4.0], QuadratureSettings())
         assert not oracle.converged
         assert got[0] == "QuadratureError"
@@ -448,7 +469,7 @@ class TestFirstPassRule:
 
 def library_integrals(run):
     """The integrals run() makes through predictive's integrate_semi_infinite,
-    and generic_pfa's outer ones, each a rows pass of one row on the rule
+    and generic_pfa's outer ones, each an integrate_rows of one row on the rule
     over predictive._Z0_LADDER, as (f, settings, breakpoints) in call order.
     f is a memoized scalar function that holds the values the library
     computed, so integrating it again costs no likelihood calls. A call
@@ -456,7 +477,7 @@ def library_integrals(run):
     from bayescfar import predictive
 
     recorded = []
-    semi_infinite, rows_pass = predictive.integrate_semi_infinite, FirstPassRule._integrate_rows
+    semi_infinite, rows_pass = predictive.integrate_semi_infinite, FirstPassRule.integrate_rows
 
     def recording_semi_infinite(f, settings, breakpoints):
         memoized = functools.cache(f)
@@ -480,7 +501,7 @@ def library_integrals(run):
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(predictive, "integrate_semi_infinite", recording_semi_infinite)
-        patch.setattr(FirstPassRule, "_integrate_rows", recording_rows_pass)
+        patch.setattr(FirstPassRule, "integrate_rows", recording_rows_pass)
         outcome(run)
     return recorded
 
@@ -640,7 +661,7 @@ def rows_cases(draw):
 
 
 class TestRowsPass:
-    """FirstPassRule's rows entry against FirstPassRule.integrate, row by row."""
+    """FirstPassRule.integrate_rows against integrate_semi_infinite, row by row."""
 
     @settings(max_examples=200, deadline=None)
     @given(rows_cases())
@@ -651,7 +672,7 @@ class TestRowsPass:
         want, want_points, exact = [], [], set()
         for i, (f, row) in enumerate(zip(functions, values)):
             counted, points = recorded(f)
-            want.append(hexed(outcome(lambda: rule.integrate(row, counted, tolerances))))
+            want.append(hexed(outcome(lambda: integrate_from(rule, row, counted, tolerances))))
             want_points.append(points)
             # declined, failed or non-finite: such a row must take QAGP itself
             if points or want[-1][0] == "QuadratureError" or not np.all(np.isfinite(row)):
@@ -665,7 +686,7 @@ class TestRowsPass:
             return elementwise(counted)
 
         failures = [w for w in want if w[0] == "QuadratureError"]
-        got = outcome(lambda: rule._integrate_rows(values, integrand, tolerances))
+        got = outcome(lambda: rule.integrate_rows(values, integrand, tolerances))
         if failures:
             # rows go in order, so the first failing row's error is raised
             assert hexed(got) == failures[0]
@@ -680,14 +701,27 @@ class TestRowsPass:
         rule = FirstPassRule([10.0**e for e in range(-3, 4)])
         laws = [row_law("gamma", a, b) for a in np.linspace(0, 1, 7) for b in np.linspace(0, 1, 10)]
         values = np.array([[f(x) for x in rule.nodes.tolist()] for f in laws])
-        together = rule._integrate_rows(values, lambda i: elementwise(laws[i]),
-                                        QuadratureSettings())
-        alone = [rule._integrate_rows(row[None], lambda i, f=f: elementwise(f),
-                                      QuadratureSettings()).item()
+        together = rule.integrate_rows(values, lambda i: elementwise(laws[i]),
+                                       QuadratureSettings())
+        alone = [rule.integrate_rows(row[None], lambda i, f=f: elementwise(f),
+                                     QuadratureSettings()).item()
                  for f, row in zip(laws, values)]
-        want = [rule.integrate(row, laws[i]).value for i, row in enumerate(values)]
+        want = [integrate_semi_infinite(f, QuadratureSettings(), rule.breakpoints).value
+                for f in laws]
         assert [v.hex() for v in together.tolist()] == [v.hex() for v in want]
         assert [v.hex() for v in alone] == [v.hex() for v in want]
+
+    def test_values_must_be_a_row_per_integral_at_every_node(self):
+        # a 1-D row or a short one had failed inside numpy, on shapes that
+        # could not be broadcast together
+        rule = FirstPassRule([1.0, 3.0])
+        row = np.exp(-rule.nodes)
+        for bad in (row, row[None, :-1], row[None, None], np.append(row, 0.0)[None]):
+            with pytest.raises(ValueError, match=rf"\(rows, {len(rule.nodes)}\) matrix"):
+                rule.integrate_rows(bad, lambda i: refuse, QuadratureSettings())
+        got = rule.integrate_rows(np.empty((0, len(rule.nodes))), lambda i: refuse,
+                                  QuadratureSettings())
+        assert got.shape == (0,)
 
 
 def _pairwise(terms):

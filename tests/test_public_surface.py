@@ -71,3 +71,40 @@ def test_the_scan_is_one_object_under_every_path(name):
     assert getattr(simulate, name) is getattr(detectors, name)
     assert getattr(bayescfar, name) is getattr(detectors, name)
     assert name in simulate.__all__ and name in detectors.__all__ and name in bayescfar.__all__
+
+
+SOURCE = Path(__file__).resolve().parent.parent / "src" / "bayescfar"
+
+
+def _numerics_private_names():
+    # the private names numerics defines at module level and on FirstPassRule,
+    # with the QAGP entry points that other modules once reached into
+    names = {"_integrate_rows", "_qk21", "_edges", "_qagp"}
+    tree = ast.parse((SOURCE / "numerics.py").read_text())
+    rule = next(node for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "FirstPassRule")
+    for node in (*tree.body, *ast.walk(rule)):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def test_numerics_is_reached_only_through_its_public_entries():
+    # the θ integrals reach QAGP through FirstPassRule.integrate_rows and
+    # integrate_semi_infinite alone, never through numerics' private parts
+    private = _numerics_private_names()
+    seams = []
+    for path in sorted(SOURCE.glob("*.py")):
+        if path.name == "numerics.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").endswith("numerics"):
+                seams += [f"{path.name}: imports {a.name}" for a in node.names
+                          if a.name.startswith("_")]
+            elif isinstance(node, ast.Attribute) and node.attr in private:
+                seams.append(f"{path.name}:{node.lineno}: reads {node.attr}")
+    assert seams == []
