@@ -3,9 +3,9 @@
 Exponential and Pareto Type II (Lomax) intensity models, inverse-CDF
 sampling off a caller-supplied random stream, the order-statistic / sum
 statistics extracted from a clutter range profile window (one window, or
-the sum or minimum of every window of a profile segment at once, from the
-segment's dyadic blocks), and direct draws of those statistics from their
-distributions for the Monte Carlo harness.
+the sum, minimum or k-th smallest of every window of a profile segment at
+once, from one fold over the segment's dyadic runs), and direct draws of
+those statistics from their distributions for the Monte Carlo harness.
 
 Pareto convention used throughout: survival function (1 + t/beta)^(-alpha),
 with shape alpha and scale beta. Conventions differ between texts, so tests
@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, Sequence, Union
 
 from .predictive import OsPredictive, posterior_lambda_os
@@ -257,60 +258,57 @@ def _scaled_window_sum(multiplier: float, samples: Sequence[float]) -> float:
             return math.inf
 
 
-def _window_fold(cells: tuple, lead: int, trail: int,
-                 join: Callable[[tuple, tuple], tuple]) -> tuple:
-    # The state of every window of a segment from the states of its cells:
-    # window i is the leading run of cells i .. i + lead - 1 joined with the
-    # trailing run i + lead + 1 .. i + lead + trail, for each i up to
-    # len(segment) - lead - trail. A state is a tuple of equal-length arrays,
-    # and join(x, y) is the state of run x followed by run y. Dyadic blocks
+def _window_runs(cells: list, lead: int, trail: int,
+                 join: Callable[[list, list], list]) -> tuple:
+    # The states of every window's leading run, cells i .. i + lead - 1, and
+    # trailing run, i + lead + 1 .. i + lead + trail, for each i up to
+    # len(segment) - lead - trail, from the states of a segment's cells; an
+    # empty side's is None. A state is a list of equal-length arrays, and
+    # join(x, y) is the state of run x followed by run y. Dyadic blocks
     # B_0 = cells, B_{j+1}[i] = join(B_j[i], B_j[i + 2**j]) hold the runs of
     # 2**j cells, and a run of length L joins the blocks named by L's binary
-    # digits, low first: O(log n) whole-array steps, not O(n)
+    # digits, low first: O(log n) whole-array steps, not O(n). Equal sides
+    # are one run, read lead + 1 apart, where they take joins: a power of two
+    # is a slice of one block, with no join to share
     rows = len(cells[0]) - lead - trail
+    shared = lead == trail and lead & (lead - 1)
     # each run: [its next uncovered cell, its length, its state so far]
-    runs = [[0, lead, None], [lead + 1, trail, None]]
+    if shared:
+        runs, span = [[0, lead, None]], rows + lead + 1
+    else:
+        runs, span = [[0, lead, None], [lead + 1, trail, None]], rows
     block, width, longest = cells, 1, max(lead, trail)
     while True:
         for run in runs:
             if run[1] & width:
                 first, state = run[0], run[2]
-                part = tuple([a[first:first + rows] for a in block])
+                part = [a[first:first + span] for a in block]
                 run[0], run[2] = first + width, part if state is None else join(state, part)
         if 2 * width > longest:
             break
-        block = join(tuple([a[:-width] for a in block]), tuple([a[width:] for a in block]))
+        block = join([a[:-width] for a in block], [a[width:] for a in block])
         width *= 2
-    leading, trailing = runs[0][2], runs[1][2]
-    if leading is None or trailing is None:
-        return leading or trailing
-    return join(leading, trailing)
+    if not shared:
+        return runs[0][2], runs[1][2]
+    run = runs[0][2]
+    return [a[:rows] for a in run], [a[lead + 1:] for a in run]
 
 
-def _window_minima(samples: np.ndarray, lead: int, trail: int) -> np.ndarray:
-    # the minimum of every window of a segment (see _window_fold); np.minimum
-    # is exact, so any grouping gives min's value
-    import numpy as np
-
-    return _window_fold((samples,), lead, trail,
-                        lambda x, y: (np.minimum(x[0], y[0]),))[0]
-
-
-def _two_sum_join(x: tuple, y: tuple) -> tuple:
+def _two_sum_join(x: list, y: list) -> list:
     # run x followed by run y, each a (sum, error sum) state: the sums by
     # TwoSum (Knuth), whose error e is exact, and e added to the error sums.
-    # A single cell's state is (sample,), its error sum an implicit zero
+    # A single cell's state is [sample], its error sum an implicit zero
     s1, s2 = x[0], y[0]
     s = s1 + s2
     z = s - s1
     e = (s1 - (s - z)) + (s2 - z)
     for c in x[1:] + y[1:]:
         e += c
-    return s, e
+    return [s, e]
 
 
 def _window_sums(samples: np.ndarray, lead: int, trail: int) -> tuple[np.ndarray, np.ndarray]:
-    # The sum of every window of a segment (see _window_fold), and which
+    # The sum of every window of a segment (see _window_runs), and which
     # windows it is certified exactly rounded for. Samples must be >= 0,
     # which scan_profile guarantees. Each window's (s, c) comes from exactly
     # n - 1 TwoSums (Ogita, Rump & Oishi, "Accurate sum and dot product",
@@ -353,7 +351,8 @@ def _window_sums(samples: np.ndarray, lead: int, trail: int) -> tuple[np.ndarray
     q = math.ulp(least)
     exact = min(q * 2.0 ** (106 - (n - 2).bit_length()), 2.0 ** 1023)
     with np.errstate(over="ignore", invalid="ignore"):
-        s, *c = _window_fold((samples,), lead, trail, _two_sum_join)
+        leading, trailing = _window_runs([samples], lead, trail, _two_sum_join)
+        s, *c = _two_sum_join(leading, trailing) if lead and trail else leading or trailing
         c = c[0] if c else 0.0
         r = s + c
         certified = s < exact
@@ -370,7 +369,7 @@ def _window_sums(samples: np.ndarray, lead: int, trail: int) -> tuple[np.ndarray
 
 def _scaled_window_sums(multiplier: float, samples: np.ndarray, lead: int,
                         trail: int) -> np.ndarray:
-    # _scaled_window_sum of every window of a segment (see _window_fold), with
+    # _scaled_window_sum of every window of a segment (see _window_runs), with
     # its bits: certified windows take multiplier * their certified sum, the
     # rest (near ties, overflow) go through _scaled_window_sum
     import numpy as np
@@ -384,3 +383,63 @@ def _scaled_window_sums(multiplier: float, samples: np.ndarray, lead: int,
         window = samples[i:i + lead].tolist() + samples[i + lead + 1:i + lead + 1 + trail].tolist()
         limit[i] = _scaled_window_sum(multiplier, window)
     return limit
+
+
+# the longest run sorted by networks: the largest that beat np.partition in
+# every repeat on 1 008 and 4 096 cells (at 13 and 14 the two tie in noise)
+_NETWORK_MAX_RUN = 12
+
+
+@lru_cache(maxsize=None)
+def _merge_network(length: int) -> tuple[tuple[int, int], ...]:
+    # the last stage of Batcher's odd-even merge sort (AFIPS 1968) on length
+    # wires: it merges the sorted first `half` with the sorted rest, as
+    # comparators (i, j), i < j, that put the smaller value on wire i, less
+    # those that touch padding (+inf, which none moves)
+    half = 1 << (length - 1).bit_length() - 1
+    pairs, k = [], half
+    while k:
+        pairs += [(i, i + k) for j in range(k % half, 2 * half - k, 2 * k)
+                  for i in range(j, min(j + k, 2 * half - k)) if i + k < length]
+        k //= 2
+    return tuple(pairs)
+
+
+def _merge_join(x: list, y: list) -> list:
+    # sorted runs x and y as one sorted run: wire i holds its (i+1)-th
+    # smallest. In every join of _window_runs, y is a dyadic block of the
+    # largest power of two below the total length, Batcher's sorted first
+    # `half`, so it takes the first wires; order does not change a sorted run
+    import numpy as np
+
+    wires = y + x
+    for i, j in _merge_network(len(wires)):
+        wires[i], wires[j] = np.minimum(wires[i], wires[j]), np.maximum(wires[i], wires[j])
+    return wires
+
+
+def _window_kth_smallest(samples: np.ndarray, lead: int, trail: int, k: int) -> np.ndarray:
+    # The k-th smallest of every window of a segment (see _window_runs), with
+    # sorted(window)[k - 1]'s bits: np.minimum, np.maximum and np.partition
+    # each return one of their inputs, so any grouping gives its value
+    import numpy as np
+
+    if k > 1 and max(lead, trail) > _NETWORK_MAX_RUN:
+        # the segment's windows as the rows of a matrix, which scan_profile's
+        # blocks keep to at most 2**20 samples
+        from numpy.lib.stride_tricks import sliding_window_view
+
+        block = sliding_window_view(samples, lead + trail + 1)
+        windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
+        return np.partition(windows, k - 1, axis=1)[:, k - 1]
+    # each side's run sorted by networks, or at k = 1 its least alone, on one
+    # wire. The k-th smallest of sorted runs A and B together is the least
+    # max(A_i, B_{k-i}) over the splits i, with A_0 = B_0 = -inf
+    join = _merge_join if k > 1 else lambda x, y: [np.minimum(x[0], y[0])]
+    leading, trailing = _window_runs([samples], lead, trail, join)
+    least = None
+    for i in range(max(0, k - trail), min(lead, k) + 1):
+        split = (trailing[k - 1] if i == 0 else leading[k - 1] if i == k
+                 else np.maximum(leading[i - 1], trailing[k - i - 1]))
+        least = split if least is None else np.minimum(least, split)
+    return least

@@ -16,10 +16,10 @@ monotonicity makes the two phrasings equivalent. Ties sit with H0
 everywhere: H1 requires a strict inequality.
 
 scan_profile, the scan's one home, checks a profile and its WindowLayout,
-slides a rule along it a block of cells at a time, with a window matrix only
-for order statistics of runs past _NETWORK_MAX_RUN cells, and returns a
-ScanResult, which builds a Decision only when one is read; decide stays its
-oracle.
+slides a rule along it a block of cells at a time, with each block's
+window statistics from clutter_models' one engine of dyadic runs, and
+returns a ScanResult, which builds a Decision only when one is read; decide
+stays its oracle.
 
 A decision and a threshold are float arithmetic on the rows' scalar
 entries; numpy is imported by the columnar entries and scan_profile when
@@ -42,7 +42,7 @@ from .clutter_models import (
     CrpWindow,
     _scaled_window_sum,
     _scaled_window_sums,
-    _window_minima,
+    _window_kth_smallest,
     kth_order_statistic,
     kth_smallest_draws,
     window_sum_draws,
@@ -197,79 +197,11 @@ def _order(spec: DetectorSpec) -> int:
 
 
 # cells per block of scan_profile: its statistics take arrays of about
-# cells + n samples, but np.partition of a (cells, n) window matrix, for
-# runs longer than _NETWORK_MAX_RUN, keeps its blocks (and their (k, cells)
-# Pfa factors) to at most _SCAN_BLOCK_FLOATS samples and at least one cell
+# cells + n samples, but the k-th smallest for k > 1 (over long runs, from a
+# (cells, n) window matrix) keeps its blocks (and their (k, cells) Pfa
+# factors) to at most _SCAN_BLOCK_FLOATS samples and at least one cell
 SCAN_BLOCK_ROWS = 4096
 _SCAN_BLOCK_FLOATS = 2**20
-
-# the longest run sorted by networks: the largest that beat np.partition in
-# every repeat on 1 008 and 4 096 cells (at 13 and 14 the two tie in noise)
-_NETWORK_MAX_RUN = 12
-
-
-@lru_cache(maxsize=None)
-def _merge_network(length: int) -> tuple[tuple[int, int], ...]:
-    # the last stage of Batcher's odd-even merge sort (AFIPS 1968) on length
-    # wires: it merges the sorted first `half` with the sorted rest, as
-    # comparators (i, j), i < j, that put the smaller value on wire i, less
-    # those that touch padding (+inf, which none moves)
-    half = 1 << (length - 1).bit_length() - 1
-    pairs, k = [], half
-    while k:
-        pairs += [(i, i + k) for j in range(k % half, 2 * half - k, 2 * k)
-                  for i in range(j, min(j + k, 2 * half - k)) if i + k < length]
-        k //= 2
-    return tuple(pairs)
-
-
-def _sorted_runs(samples: np.ndarray, length: int, memo: dict) -> list[np.ndarray]:
-    # every run of length cells, sorted: wire i holds each run's (i+1)-th
-    # smallest, with its own bits, as np.minimum and np.maximum return one of
-    # their inputs. A run's two sorted parts are shorter sorted runs at two
-    # offsets, merged once per length (memo): 13 comparators at 8 cells, not 19
-    import numpy as np
-
-    if length < 2:  # no run, or each cell its own
-        return [samples][:length]
-    if length not in memo:
-        half = 1 << (length - 1).bit_length() - 1
-        count = len(samples) - length + 1
-        wires = ([w[:count] for w in _sorted_runs(samples, half, memo)]
-                 + [w[half:half + count] for w in _sorted_runs(samples, length - half, memo)])
-        for i, j in _merge_network(length):
-            wires[i], wires[j] = np.minimum(wires[i], wires[j]), np.maximum(wires[i], wires[j])
-        memo[length] = wires
-    return memo[length]
-
-
-def _os_statistic_rows(m: float, samples: np.ndarray, layout: WindowLayout,
-                       spec: DetectorSpec) -> np.ndarray:
-    import numpy as np
-
-    k, lead, trail = _order(spec), layout.leading, layout.trailing
-    if k == 1:
-        return m * _window_minima(samples, lead, trail)
-    rows = len(samples) - spec.n
-    if max(lead, trail) > _NETWORK_MAX_RUN:
-        # the segment's windows as the rows of a matrix, which scan_profile's
-        # blocks keep to at most _SCAN_BLOCK_FLOATS samples
-        from numpy.lib.stride_tricks import sliding_window_view
-
-        block = sliding_window_view(samples, spec.n + 1)
-        windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
-        return m * np.partition(windows, k - 1, axis=1)[:, k - 1]
-    memo: dict = {}  # the sides share the sorted runs of every length
-    leading = [w[:rows] for w in _sorted_runs(samples, lead, memo)]
-    trailing = [w[lead + 1:lead + 1 + rows] for w in _sorted_runs(samples, trail, memo)]
-    # the k-th smallest of sorted runs A and B together is the least
-    # max(A_i, B_{k-i}) over the splits i, with A_0 = B_0 = -inf
-    least = None
-    for i in range(max(0, k - trail), min(lead, k) + 1):
-        split = (trailing[k - 1] if i == 0 else leading[k - 1] if i == k
-                 else np.maximum(leading[i - 1], trailing[k - i - 1]))
-        least = split if least is None else np.minimum(least, split)
-    return m * least
 
 
 class FamilyRow(NamedTuple):
@@ -278,12 +210,12 @@ class FamilyRow(NamedTuple):
     statistic(m, window, spec) is m * g of one CrpWindow in scalar code, the
     per-cell reference (g itself is the m = 1 call); statistic_rows(m,
     samples, layout, spec) is the same, with the same bits, for every window
-    of a 1-D segment of a profile, one block of scan_profile. The sum and
-    the minimum are formed from the segment with O(log n) array steps and
-    no window matrix; the k-th order statistic for k > 1 merges the leading
-    and trailing runs sorted by comparator networks, or past
-    _NETWORK_MAX_RUN cells partitions a matrix of the segment's windows,
-    which scan_profile's blocks bound.
+    of a 1-D segment of a profile, one block of scan_profile. It points at
+    clutter_models, where one fold over dyadic runs of the segment's cells
+    gives each window's sum, minimum or sorted runs in O(log n) array steps
+    and no window matrix; only the k-th smallest for k > 1 over long runs
+    selects from a matrix of the segment's windows, which scan_profile's
+    blocks bound.
     draw(clutter, spec, rng, rows) gives rows draws of g over spec.n clutter
     samples straight from its law; pfa(x, spec) is the predictive Pfa at
     x = tau/g, for a float or an array; k_rule is the order index the family
@@ -341,7 +273,8 @@ def _os_multiplier(spec: DetectorSpec) -> float | None:
 # prod j/(j+x) and, at k = 1 where that curve is n/(n+x), the closed form
 _ORDER_STATISTIC = dict(
     statistic=lambda m, window, spec: m * kth_order_statistic(window, _order(spec)),
-    statistic_rows=_os_statistic_rows,
+    statistic_rows=lambda m, samples, layout, spec: m * _window_kth_smallest(
+        samples, layout.leading, layout.trailing, _order(spec)),
     draw=lambda clutter, spec, rng, rows: kth_smallest_draws(
         clutter, spec.n, _order(spec), rng, rows),
     pfa=lambda x, spec: _os_product(x, spec.n, _order(spec)),
@@ -560,7 +493,10 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     if bad.any():
         first = float(values[np.argmax(bad)])
         raise ValueError(f"profile values must be finite and nonnegative, got {first}")
-    lead, trail = window_layout.leading, window_layout.trailing
+    # the statistics take Python ints; a layout of numpy integers is rebuilt
+    lead, trail = operator.index(window_layout.leading), operator.index(window_layout.trailing)
+    if lead is not window_layout.leading or trail is not window_layout.trailing:
+        window_layout = WindowLayout(lead, trail)
     if lead + trail != spec.n:
         raise ConfigurationError(
             f"window layout supplies {lead + trail} cells but the detector expects {spec.n}"

@@ -158,8 +158,8 @@ def _os_product(x, n: int, k: int):
     # A float takes a loop; an ndarray forms its k factors as one array and
     # multiplies them with one reduce over axis 0, which numpy does row after
     # row, in the loop's order, so both give the same bits. A scan's x is one
-    # block of detectors.scan_profile, whose factors stay under 2**20 floats: by
-    # its block cap past _NETWORK_MAX_RUN cells a run, and at most 24 * 4 096 below
+    # block of detectors.scan_profile, which at k > 1 holds at most 2**20 // n
+    # cells, so that its (k, cells) factors stay within 2**20 floats
     if isinstance(x, (int, float)):
         value = 1.0
         for j in range(n - k + 1, n + 1):

@@ -696,13 +696,26 @@ class TestRowsPass:
         assert exact <= taken
 
     def test_chunks_take_the_bits_of_single_rows(self):
-        # 70 rows are chunks of 32, 32 and 6; each row alone is a chunk of
-        # one, whose sums over intervals numpy would otherwise add pairwise
+        # 105 rows are chunks of 32, 32, 32 and 9; each row alone is a chunk
+        # of one, whose sums over intervals numpy would otherwise add
+        # pairwise. QAGP declines the first pass of all 70 Gamma rows, and
+        # accepts that of most lognormal rows about mu = 0, one row in three,
+        # so every chunk has rows the certificate vouches for and rows it
+        # leaves to QAGP
         rule = FirstPassRule([10.0**e for e in range(-3, 4)])
-        laws = [row_law("gamma", a, b) for a in np.linspace(0, 1, 7) for b in np.linspace(0, 1, 10)]
+        gamma = [row_law("gamma", a, b) for a in np.linspace(0, 1, 7) for b in np.linspace(0, 1, 10)]
+        lognormal = [row_law("lognormal", a, b)
+                     for a in np.linspace(0.4, 0.6, 5) for b in np.linspace(0.3, 0.5, 7)]
+        laws = [f for row in zip(gamma[::2], gamma[1::2], lognormal) for f in row]
         values = np.array([[f(x) for x in rule.nodes.tolist()] for f in laws])
-        together = rule.integrate_rows(values, lambda i: elementwise(laws[i]),
-                                       QuadratureSettings())
+        asked = set()
+
+        def integrand(i):
+            asked.add(i)
+            return elementwise(laws[i])
+
+        together = rule.integrate_rows(values, integrand, QuadratureSettings())
+        assert 0 < len(asked) < len(laws)
         alone = [rule.integrate_rows(row[None], lambda i, f=f: elementwise(f),
                                      QuadratureSettings()).item()
                  for f, row in zip(laws, values)]

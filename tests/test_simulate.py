@@ -24,14 +24,17 @@ from hypothesis import strategies as st
 from scipy import integrate, optimize, stats
 from scipy.special import betainc, gammainc
 
-from bayescfar import clutter_models, detectors, simulate
+from bayescfar import clutter_models, simulate
 from bayescfar.clutter_models import (
+    _NETWORK_MAX_RUN,
     CrpWindow,
     ExponentialClutter,
     ParetoClutter,
+    _merge_join,
+    _merge_network,
     _scaled_window_sum,
     _scaled_window_sums,
-    _window_minima,
+    _window_runs,
     _window_sums,
 )
 from bayescfar.detectors import (
@@ -779,8 +782,13 @@ class TestScanProfile:
         layout = WindowLayout(np.int64(2), np.int32(2))
         assert type(layout.leading) is np.int64
         profile = [1.0, 3.0, 2.0, 40.0, 1.0, 0.5, 2.0, 1.0]
-        assert (scan_profile(profile, self.SPEC, layout)
-                == scan_profile(profile, self.SPEC, self.LAYOUT))
+        # every family and the networks at k > 1 scan alike: numpy integers
+        # have no int.bit_length, which the window sums' bound takes of n
+        for spec in (self.SPEC, DetectorSpec(Family.CA_CFAR, 4, 0.1),
+                     DetectorSpec(Family.BAYES_OS, 4, 0.1, k=1),
+                     DetectorSpec(Family.BAYES_OS, 4, 0.1, k=3)):
+            assert (scan_profile(profile, spec, layout)
+                    == scan_profile(profile, spec, self.LAYOUT)), spec
 
     def test_sequences_and_arrays_scan_alike(self):
         values = [1.0, 3.0, 2.0, 40.0, 1.0, 0.5, 2.0, 1.0]
@@ -1155,7 +1163,8 @@ class TestSlidingStatistics:
     def test_certified_sums_are_fsum_and_minima_are_min(self, case):
         samples, lead, trail = case
         sums, certified = _window_sums(samples, lead, trail)
-        minima = _window_minima(samples, lead, trail)
+        minima = FAMILIES[Family.MIN_CFAR].statistic_rows(
+            1.0, samples, WindowLayout(lead, trail), DetectorSpec(Family.MIN_CFAR, lead + trail, 1e-3))
         limits = _scaled_window_sums(0.75, samples, lead, trail)
         values = samples.tolist()
         assert len(sums) == len(minima) == len(limits) == len(values) - lead - trail
@@ -1270,20 +1279,22 @@ def _comparators(length):
     if length < 2:
         return 0
     half = 1 << (length - 1).bit_length() - 1
-    return _comparators(half) + _comparators(length - half) + len(detectors._merge_network(length))
+    return _comparators(half) + _comparators(length - half) + len(_merge_network(length))
 
 
 class TestSortingNetwork:
     # the networks a bayes_os scan sorts its short runs with
-    @pytest.mark.parametrize("length", range(1, detectors._NETWORK_MAX_RUN + 1))
+    @pytest.mark.parametrize("length", range(1, _NETWORK_MAX_RUN + 1))
     def test_sorts_every_zero_one_row(self, length):
         # by the 0-1 principle (Knuth, TAOCP vol. 3, 5.3.4) a comparator
         # network that sorts every row of zeros and ones sorts any input. The
-        # 2**length rows are laid end to end, so the runs starting at
-        # multiples of length are the rows, and every run is a column of the
-        # wires
+        # 2**length rows are laid end to end, and one cell after them stands
+        # for the cell under test, so the leading runs starting at multiples
+        # of length are the rows, and every run is a column of the wires
         rows = (np.arange(2 ** length)[:, None] >> np.arange(length)) & 1
-        wires = detectors._sorted_runs(rows.ravel().astype(float), length, {})
+        cells = np.append(rows.ravel(), 0).astype(float)
+        wires, trailing = _window_runs([cells], length, 0, _merge_join)
+        assert trailing is None
         assert len(wires) == length
         assert (np.diff(wires, axis=0) >= 0).all()
         assert np.array_equal(np.sum(wires, axis=0)[::length], rows.sum(axis=1))
@@ -1292,12 +1303,12 @@ class TestSortingNetwork:
         # 12 is one short of the padded 16-wire network's 42: its parts are
         # sorted as 8 and 4 wires, and the 4 need no fifth-wire comparator
         assert [_comparators(n) for n in (8, 12, 16)] == [19, 41, 63]
-        for n in range(2, detectors._NETWORK_MAX_RUN + 1):
-            for i, j in detectors._merge_network(n):
+        for n in range(2, _NETWORK_MAX_RUN + 1):
+            for i, j in _merge_network(n):
                 assert 0 <= i < j < n
 
     def test_each_length_is_built_once_and_merged_once_a_block(self):
-        detectors._merge_network.cache_clear()
+        _merge_network.cache_clear()
         profile = np.random.default_rng(3).exponential(size=200).tolist()
         for _ in range(2):
             for lead, trail in ((8, 8), (5, 7)):
@@ -1305,8 +1316,14 @@ class TestSortingNetwork:
                 scan_profile(profile, spec, WindowLayout(lead, trail))
         # a (8, 8) scan merges lengths 8, 4 and 2; a (5, 7) scan 5, 4, 2, 7
         # and 3, each once, though both sides hold runs of 4
-        info = detectors._merge_network.cache_info()
+        info = _merge_network.cache_info()
         assert (info.misses, info.hits) == (6, 10)
+        # the two runs of a (6, 6) scan are one: it merges 6, 4 and 2, each once
+        _merge_network.cache_clear()
+        for _ in range(2):
+            scan_profile(profile, DetectorSpec(Family.BAYES_OS, 12, 1e-3, k=8), WindowLayout(6, 6))
+        info = _merge_network.cache_info()
+        assert (info.misses, info.hits) == (3, 3)
 
 
 @st.composite
@@ -1314,7 +1331,7 @@ def _short_run_cases(draw):
     # bayes_os at k >= 2 on both sides of the sorting-network crossover, with
     # any layout, over integer-valued profiles (ties), zeros and -0.0; one
     # profile in a few spans more than one scan block
-    n = draw(st.integers(2, 2 * detectors._NETWORK_MAX_RUN + 2))
+    n = draw(st.integers(2, 2 * _NETWORK_MAX_RUN + 2))
     k = draw(st.integers(2, n))
     lead = draw(st.one_of(st.just(0), st.just(n), st.just(n // 2), st.integers(0, n)))
     cells = draw(st.one_of(st.integers(1, 300), st.just(SCAN_BLOCK_ROWS + 37)))
