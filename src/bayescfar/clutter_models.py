@@ -258,52 +258,71 @@ def _scaled_window_sum(multiplier: float, samples: Sequence[float]) -> float:
             return math.inf
 
 
+@lru_cache(maxsize=4096)
+def _fold_steps(lead: int, trail: int) -> tuple[bool, tuple[tuple[int, int], ...]]:
+    # _window_runs' fold for one layout, planned once: whether equal sides
+    # are one shared run, and the steps (run, shift) in order. Run -1 joins
+    # the dyadic block with itself shift cells on, doubling its width; run r
+    # joins onto its state the block's runs from cell shift, its next
+    # uncovered cell. A run of length L takes the blocks named by L's binary
+    # digits, low first, and the block doubles only while a run needs more
+    shared = bool(lead == trail and lead & (lead - 1))
+    runs = [[0, lead]] if shared else [[0, lead], [lead + 1, trail]]
+    steps, width = [], 1
+    while True:
+        for r, run in enumerate(runs):
+            if run[1] & width:
+                steps.append((r, run[0]))
+                run[0] += width
+        if 2 * width > max(lead, trail):
+            return shared, tuple(steps)
+        steps.append((-1, width))
+        width *= 2
+
+
 def _window_runs(cells: list, lead: int, trail: int,
-                 join: Callable[[list, list], list]) -> tuple:
+                 join: Callable[[list, list, int, int], list]) -> tuple:
     # The states of every window's leading run, cells i .. i + lead - 1, and
     # trailing run, i + lead + 1 .. i + lead + trail, for each i up to
     # len(segment) - lead - trail, from the states of a segment's cells; an
     # empty side's is None. A state is a list of equal-length arrays, and
-    # join(x, y) is the state of run x followed by run y. Dyadic blocks
+    # join(x, y, shift, rows) is the state of run x[i] followed by run
+    # y[i + shift], for i < rows, from slices it takes itself. Dyadic blocks
     # B_0 = cells, B_{j+1}[i] = join(B_j[i], B_j[i + 2**j]) hold the runs of
     # 2**j cells, and a run of length L joins the blocks named by L's binary
-    # digits, low first: O(log n) whole-array steps, not O(n). Equal sides
-    # are one run, read lead + 1 apart, where they take joins: a power of two
-    # is a slice of one block, with no join to share
+    # digits: O(log n) whole-array steps, not O(n), in the order _fold_steps
+    # plans. Equal sides are one run, read lead + 1 apart, where they take
+    # joins: a power of two is a slice of one block, with no join to share
     rows = len(cells[0]) - lead - trail
-    shared = lead == trail and lead & (lead - 1)
-    # each run: [its next uncovered cell, its length, its state so far]
-    if shared:
-        runs, span = [[0, lead, None]], rows + lead + 1
-    else:
-        runs, span = [[0, lead, None], [lead + 1, trail, None]], rows
-    block, width, longest = cells, 1, max(lead, trail)
-    while True:
-        for run in runs:
-            if run[1] & width:
-                first, state = run[0], run[2]
-                part = [a[first:first + span] for a in block]
-                run[0], run[2] = first + width, part if state is None else join(state, part)
-        if 2 * width > longest:
-            break
-        block = join([a[:-width] for a in block], [a[width:] for a in block])
-        width *= 2
+    shared, steps = _fold_steps(lead, trail)
+    span = rows + lead + 1 if shared else rows
+    states, block = [None, None], cells
+    for run, shift in steps:
+        if run < 0:
+            block = join(block, block, shift, len(block[0]) - shift)
+        elif states[run] is None:
+            states[run] = [a[shift:shift + span] for a in block]
+        else:
+            states[run] = join(states[run], block, shift, span)
     if not shared:
-        return runs[0][2], runs[1][2]
-    run = runs[0][2]
+        return states[0], states[1]
+    run = states[0]
     return [a[:rows] for a in run], [a[lead + 1:] for a in run]
 
 
-def _two_sum_join(x: list, y: list) -> list:
-    # run x followed by run y, each a (sum, error sum) state: the sums by
-    # TwoSum (Knuth), whose error e is exact, and e added to the error sums.
-    # A single cell's state is [sample], its error sum an implicit zero
-    s1, s2 = x[0], y[0]
+def _two_sum_join(x: list, y: list, shift: int, rows: int) -> list:
+    # run x[i] followed by run y[i + shift], each a (sum, error sum) state:
+    # the sums by TwoSum (Knuth), whose error e is exact, and e added to the
+    # error sums. A single cell's state is [sample], its error sum an
+    # implicit zero
+    s1, s2 = x[0][:rows], y[0][shift:shift + rows]
     s = s1 + s2
     z = s - s1
     e = (s1 - (s - z)) + (s2 - z)
-    for c in x[1:] + y[1:]:
-        e += c
+    if len(x) > 1:
+        e += x[1][:rows]
+    if len(y) > 1:
+        e += y[1][shift:shift + rows]
     return [s, e]
 
 
@@ -352,8 +371,9 @@ def _window_sums(samples: np.ndarray, lead: int, trail: int) -> tuple[np.ndarray
     exact = min(q * 2.0 ** (106 - (n - 2).bit_length()), 2.0 ** 1023)
     with np.errstate(over="ignore", invalid="ignore"):
         leading, trailing = _window_runs([samples], lead, trail, _two_sum_join)
-        s, *c = _two_sum_join(leading, trailing) if lead and trail else leading or trailing
-        c = c[0] if c else 0.0
+        state = (_two_sum_join(leading, trailing, 0, len(leading[0])) if lead and trail
+                 else leading or trailing)
+        s, c = state if len(state) == 2 else (state[0], 0.0)
         r = s + c
         certified = s < exact
         # the bound on c's rounding, for windows whose c may have rounded
@@ -375,13 +395,16 @@ def _scaled_window_sums(multiplier: float, samples: np.ndarray, lead: int,
     import numpy as np
 
     sums, certified = _window_sums(samples, lead, trail)
-    # a multiplier that rounds to 0 times an overflowed sum is nan; that
-    # window is not certified and is redone below
-    with np.errstate(invalid="ignore"):
-        limit = multiplier * sums
-    for i in np.flatnonzero(~certified).tolist():
-        window = samples[i:i + lead].tolist() + samples[i + lead + 1:i + lead + 1 + trail].tolist()
-        limit[i] = _scaled_window_sum(multiplier, window)
+    # the sums are this call's own array, and the products take their place:
+    # one past the float range is inf, and a multiplier that rounds to 0
+    # times an overflowed sum is nan, a window that is not certified
+    with np.errstate(over="ignore", invalid="ignore"):
+        limit = np.multiply(multiplier, sums, out=sums)
+    if not certified.all():
+        for i in np.flatnonzero(~certified).tolist():
+            window = (samples[i:i + lead].tolist()
+                      + samples[i + lead + 1:i + lead + 1 + trail].tolist())
+            limit[i] = _scaled_window_sum(multiplier, window)
     return limit
 
 
@@ -405,14 +428,14 @@ def _merge_network(length: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _merge_join(x: list, y: list) -> list:
-    # sorted runs x and y as one sorted run: wire i holds its (i+1)-th
-    # smallest. In every join of _window_runs, y is a dyadic block of the
-    # largest power of two below the total length, Batcher's sorted first
+def _merge_join(x: list, y: list, shift: int, rows: int) -> list:
+    # sorted runs x[i] and y[i + shift] as one sorted run: wire i holds its
+    # (i+1)-th smallest. In every join of _window_runs, y is a dyadic block of
+    # the largest power of two below the total length, Batcher's sorted first
     # `half`, so it takes the first wires; order does not change a sorted run
     import numpy as np
 
-    wires = y + x
+    wires = [a[shift:shift + rows] for a in y] + [a[:rows] for a in x]
     for i, j in _merge_network(len(wires)):
         wires[i], wires[j] = np.minimum(wires[i], wires[j]), np.maximum(wires[i], wires[j])
     return wires
@@ -435,7 +458,8 @@ def _window_kth_smallest(samples: np.ndarray, lead: int, trail: int, k: int) -> 
     # each side's run sorted by networks, or at k = 1 its least alone, on one
     # wire. The k-th smallest of sorted runs A and B together is the least
     # max(A_i, B_{k-i}) over the splits i, with A_0 = B_0 = -inf
-    join = _merge_join if k > 1 else lambda x, y: [np.minimum(x[0], y[0])]
+    join = (_merge_join if k > 1
+            else lambda x, y, shift, rows: [np.minimum(x[0][:rows], y[0][shift:shift + rows])])
     leading, trailing = _window_runs([samples], lead, trail, join)
     least = None
     for i in range(max(0, k - trail), min(lead, k) + 1):

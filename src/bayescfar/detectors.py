@@ -215,7 +215,8 @@ class FamilyRow(NamedTuple):
     gives each window's sum, minimum or sorted runs in O(log n) array steps
     and no window matrix; only the k-th smallest for k > 1 over long runs
     selects from a matrix of the segment's windows, which scan_profile's
-    blocks bound.
+    blocks bound. A product past the float range is inf, and it raises no
+    floating-point warning: each statistic sets its own np.errstate.
     draw(clutter, spec, rng, rows) gives rows draws of g over spec.n clutter
     samples straight from its law; pfa(x, spec) is the predictive Pfa at
     x = tau/g, for a float or an array; k_rule is the order index the family
@@ -269,12 +270,25 @@ def _os_multiplier(spec: DetectorSpec) -> float | None:
                                      math.log1p(pfa - 1.0))
 
 
+def _kth_smallest_rows(m: float, samples: np.ndarray, layout: WindowLayout,
+                       spec: DetectorSpec) -> np.ndarray:
+    # m * the k-th smallest of every window, inf where the product
+    # overflows. At m = 1, the Pfa path's g, the product would have g's bits
+    # and is not formed, so g may be a view of samples
+    import numpy as np
+
+    g = _window_kth_smallest(samples, layout.leading, layout.trailing, _order(spec))
+    if m == 1.0:
+        return g
+    with np.errstate(over="ignore"):
+        return m * g
+
+
 # bayes_os and min_cfar share the k-th order statistic, its draws, the curve
 # prod j/(j+x) and, at k = 1 where that curve is n/(n+x), the closed form
 _ORDER_STATISTIC = dict(
     statistic=lambda m, window, spec: m * kth_order_statistic(window, _order(spec)),
-    statistic_rows=lambda m, samples, layout, spec: m * _window_kth_smallest(
-        samples, layout.leading, layout.trailing, _order(spec)),
+    statistic_rows=_kth_smallest_rows,
     draw=lambda clutter, spec, rng, rows: kth_smallest_draws(
         clutter, spec.n, _order(spec), rng, rows),
     pfa=lambda x, spec: _os_product(x, spec.n, _order(spec)),
@@ -419,7 +433,7 @@ class ScanResult(Sequence):
 
     def __post_init__(self) -> None:
         for column in (self.h1, self.statistic_z0, self.comparison_value):
-            column.flags.writeable = False
+            column.setflags(write=False)
 
     def _decisions(self, cells: slice) -> Iterator[Decision]:
         import numpy as np
@@ -458,6 +472,20 @@ class ScanResult(Sequence):
         return ScanResult, (self.h1, self.statistic_z0, self.comparison_value, self.path)
 
 
+def _profile_values(profile: Sequence[float] | np.ndarray) -> np.ndarray:
+    # the profile as a new float array. A list is read in one pass; one
+    # fromiter cannot read (nested, ragged, or holding a string that is no
+    # number) is left to np.array, whose values and errors scan_profile keeps
+    import numpy as np
+
+    if type(profile) is list:
+        try:
+            return np.fromiter(profile, float, count=len(profile))
+        except (TypeError, ValueError):
+            pass
+    return np.array(profile, dtype=float)
+
+
 def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
                  window_layout: WindowLayout) -> ScanResult:
     """Slide the detector across a range profile; one Decision per eligible cell.
@@ -468,7 +496,11 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     cells yields an empty result. A shorter profile, or a layout that does
     not supply spec.n cells, is a ConfigurationError. The profile is a
     sequence of floats or a 1-D array; a value that is negative or not
-    finite is a ValueError naming the first such value.
+    finite is a ValueError naming the first such value. A list is read in
+    one pass by np.fromiter, and one it cannot read (nested, ragged, or
+    holding a string that is no number) by np.array, so every profile gives
+    the values and the errors of np.array(profile, dtype=float): a nested
+    list is a ValueError naming its shape, None is nan, and "2.5" is 2.5.
 
     Statistics are formed a block of cells at a time (see SCAN_BLOCK_ROWS)
     from the segment its windows span, with -0.0 turned into 0.0 as in
@@ -486,11 +518,13 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     import numpy as np
 
     # our own copy: the result's statistic_z0 column is a view of it
-    values = np.array(profile, dtype=float)
+    values = _profile_values(profile)
     if values.ndim != 1:
         raise ValueError(f"the profile must be one-dimensional, got shape {values.shape}")
-    bad = ~(np.isfinite(values) & (values >= 0))
-    if bad.any():
+    # two reductions vouch for every value (NaN fails the first); the first
+    # bad one is looked for only when they do not
+    if values.size and not (values.min() >= 0.0 and values.max() < math.inf):
+        bad = ~(np.isfinite(values) & (values >= 0))
         first = float(values[np.argmax(bad)])
         raise ValueError(f"profile values must be finite and nonnegative, got {first}")
     # the statistics take Python ints; a layout of numpy integers is rebuilt
@@ -511,16 +545,17 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     comparison = np.empty(cells)
     rows = (SCAN_BLOCK_ROWS if spec.k in (None, 1)
             else max(1, min(SCAN_BLOCK_ROWS, _SCAN_BLOCK_FLOATS // spec.n)))
-    # an overflowing threshold is inf (H0); z0 / g at g = 0 is replaced by the limit
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for start in range(0, cells, rows):
-            block = slice(start, min(start + rows, cells))
-            segment = values[start:block.stop + spec.n] + 0.0
-            if row.path is DecisionPath.THRESHOLD:
-                comparison[block] = row.statistic_rows(
-                    threshold_multiplier(spec), segment, window_layout, spec)
-            else:
-                g = row.statistic_rows(1.0, segment, window_layout, spec)
+    for start in range(0, cells, rows):
+        block = slice(start, min(start + rows, cells))
+        segment = values[start:block.stop + spec.n] + 0.0
+        if row.path is DecisionPath.THRESHOLD:
+            # an overflowing threshold is inf (H0), under the statistic's own errstate
+            comparison[block] = row.statistic_rows(
+                threshold_multiplier(spec), segment, window_layout, spec)
+        else:
+            g = row.statistic_rows(1.0, segment, window_layout, spec)
+            # z0 / g at g = 0 is replaced by the limit
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 comparison[block] = row.pfa(np.where(z0[block] > 0.0, z0[block] / g, 0.0), spec)
     if row.path is DecisionPath.THRESHOLD:
         h1 = z0 > comparison

@@ -771,6 +771,20 @@ class TestScanProfile:
             scan_profile(np.ones((6, 4)), self.SPEC, self.LAYOUT)
         with pytest.raises(ValueError, match="one-dimensional"):
             scan_profile([[1.0] * 6] * 4, self.SPEC, self.LAYOUT)
+        # a list np.fromiter cannot read goes to np.array, and its errors stand
+        with pytest.raises(ValueError, match=r"one-dimensional, got shape \(2, 2\)$"):
+            scan_profile([[1.0, 2.0], [3.0, 4.0]], self.SPEC, self.LAYOUT)
+        with pytest.raises(ValueError, match="inhomogeneous shape"):
+            scan_profile([1.0, [2.0, 3.0], 4.0, 5.0, 6.0], self.SPEC, self.LAYOUT)
+        with pytest.raises(ValueError, match="could not convert string to float: 'x'"):
+            scan_profile(["x", 1.0, 2.0, 3.0, 4.0], self.SPEC, self.LAYOUT)
+        with pytest.raises(TypeError):
+            scan_profile([1.0, 2.0 + 0j, 2.0, 3.0, 4.0], self.SPEC, self.LAYOUT)
+        # None reads as nan, which the check names
+        with pytest.raises(ValueError, match=r"got nan$"):
+            scan_profile([1.0, None, 2.0, 3.0, 4.0], self.SPEC, self.LAYOUT)
+        with pytest.raises(ConfigurationError, match="profile of 0 cells"):
+            scan_profile([], self.SPEC, self.LAYOUT)
 
     @pytest.mark.parametrize("leading, trailing, field", [
         (1.5, 2.5, "leading"), (2, 2.0, "trailing"), ("2", 2, "leading"),
@@ -794,8 +808,20 @@ class TestScanProfile:
         values = [1.0, 3.0, 2.0, 40.0, 1.0, 0.5, 2.0, 1.0]
         want = scan_profile(values, self.SPEC, self.LAYOUT)
         assert len(want) == 4 and want[1].verdict is Verdict.H1
-        for profile in (tuple(values), np.array(values), np.array(values, dtype=np.float32)):
+        for profile in (tuple(values), np.array(values), np.array(values, dtype=np.float32),
+                        ["1", 3, 2.0, "4e1", 1, 0.5, np.float32(2.0), np.int64(1)],
+                        [np.float64(v) for v in values], [np.float32(v) for v in values]):
             assert scan_profile(profile, self.SPEC, self.LAYOUT) == want
+        # each entry is read as its float: strings, ints, bools and numpy
+        # scalars give the columns of the floats they stand for
+        floats = [2.5, 1.0, 0.0, 1.0, 3.0, 1.0, 1.0, 0.0]
+        for profile in (["2.5", True, False, 1, 3, np.int32(1), np.bool_(True), 0],
+                        tuple(floats), [np.float16(v) for v in floats]):
+            for spec in (self.SPEC, DetectorSpec(Family.CA_CFAR, 4, 0.1),
+                         DetectorSpec(Family.BAYES_OS, 4, 0.1, k=3)):
+                got, expected = (scan_profile(p, spec, self.LAYOUT) for p in (profile, floats))
+                for column in ("h1", "statistic_z0", "comparison_value"):
+                    assert getattr(got, column).tobytes() == getattr(expected, column).tobytes()
         assert all(type(d.statistic_z0) is float and type(d.comparison_value) is float
                    for d in want)
 
@@ -1261,6 +1287,15 @@ class TestWindowSumFallbacks:
     @pytest.mark.parametrize("lead, trail", [(2000, 2000), (4000, 0), (1, 3999)])
     def test_none_on_long_windows(self, fallbacks, name, lead, trail):
         assert fallbacks(_fallback_profiles()[name], lead, trail) == 0
+
+    def test_all_certified_exit(self, fallbacks):
+        # every window of an exponential profile is certified, so no window
+        # reaches the fallback; near ties still do, and keep decide's bits
+        assert fallbacks(np.random.default_rng(9).standard_exponential(1024), 8, 8) == 0
+        pattern = _near_tie_patterns(np.random.default_rng(8))["near-tie-above-power-of-two"]
+        profile = (pattern * 100)[:300]
+        assert fallbacks(profile, 3, 0) > 0
+        _assert_matches_per_cell(profile, DetectorSpec(Family.CA_CFAR, 3, 1e-3), WindowLayout(3, 0))
 
     def test_few_on_exponential_profiles(self, fallbacks):
         # at n = 16 about 0.4% of these windows are exact ties, |c| = half
