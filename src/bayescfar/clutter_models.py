@@ -327,8 +327,20 @@ def _two_sum_join(x: list, y: list, shift: int, rows: int) -> list:
 
 
 def _window_sums(samples: np.ndarray, lead: int, trail: int) -> tuple[np.ndarray, np.ndarray]:
-    # The sum of every window of a segment (see _window_runs), and which
-    # windows it is certified exactly rounded for. Samples must be >= 0,
+    # _certified_sums' sums and certificate, under the np.errstate it asks of
+    # its caller
+    import numpy as np
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _certified_sums(samples, lead, trail)[:2]
+
+
+def _certified_sums(samples: np.ndarray, lead: int,
+                    trail: int) -> tuple[np.ndarray, np.ndarray, bool]:
+    # The sum of every window of a segment (see _window_runs), which
+    # windows it is certified exactly rounded for, and whether that is
+    # every window. The caller sets np.errstate(over="ignore",
+    # invalid="ignore"): sums may overflow. Samples must be >= 0,
     # which scan_profile guarantees. Each window's (s, c) comes from exactly
     # n - 1 TwoSums (Ogita, Rump & Oishi, "Accurate sum and dot product",
     # SIAM J. Sci. Comput. 26(6), 2005), one per join of two disjoint runs,
@@ -369,22 +381,23 @@ def _window_sums(samples: np.ndarray, lead: int, trail: int) -> tuple[np.ndarray
         least = np.min(samples, where=samples > 0.0, initial=math.inf)
     q = math.ulp(least)
     exact = min(q * 2.0 ** (106 - (n - 2).bit_length()), 2.0 ** 1023)
-    with np.errstate(over="ignore", invalid="ignore"):
-        leading, trailing = _window_runs([samples], lead, trail, _two_sum_join)
-        state = (_two_sum_join(leading, trailing, 0, len(leading[0])) if lead and trail
-                 else leading or trailing)
-        s, c = state if len(state) == 2 else (state[0], 0.0)
-        r = s + c
-        certified = s < exact
-        # the bound on c's rounding, for windows whose c may have rounded
-        if not certified.all():
-            d = c - (r - s)
-            # the float below a positive r has r's bits less 1; at r = 0
-            # this is NaN, and such windows rest on the test of s
-            below = (r.view(np.int64) - 1).view(np.float64)
-            half_spacing = 0.5 * (r - below)
-            certified |= np.abs(d) + kappa * s < half_spacing
-    return r, certified
+    leading, trailing = _window_runs([samples], lead, trail, _two_sum_join)
+    state = (_two_sum_join(leading, trailing, 0, len(leading[0])) if lead and trail
+             else leading or trailing)
+    s, c = state if len(state) == 2 else (state[0], 0.0)
+    r = s + c
+    certified = s < exact
+    every = bool(certified.all())
+    # the bound on c's rounding, for windows whose c may have rounded
+    if not every:
+        d = c - (r - s)
+        # the float below a positive r has r's bits less 1; at r = 0
+        # this is NaN, and such windows rest on the test of s
+        below = (r.view(np.int64) - 1).view(np.float64)
+        half_spacing = 0.5 * (r - below)
+        certified |= np.abs(d) + kappa * s < half_spacing
+        every = bool(certified.all())
+    return r, certified, every
 
 
 def _scaled_window_sums(multiplier: float, samples: np.ndarray, lead: int,
@@ -394,13 +407,13 @@ def _scaled_window_sums(multiplier: float, samples: np.ndarray, lead: int,
     # rest (near ties, overflow) go through _scaled_window_sum
     import numpy as np
 
-    sums, certified = _window_sums(samples, lead, trail)
     # the sums are this call's own array, and the products take their place:
     # one past the float range is inf, and a multiplier that rounds to 0
     # times an overflowed sum is nan, a window that is not certified
     with np.errstate(over="ignore", invalid="ignore"):
+        sums, certified, every = _certified_sums(samples, lead, trail)
         limit = np.multiply(multiplier, sums, out=sums)
-    if not certified.all():
+    if not every:
         for i in np.flatnonzero(~certified).tolist():
             window = (samples[i:i + lead].tolist()
                       + samples[i + lead + 1:i + lead + 1 + trail].tolist())

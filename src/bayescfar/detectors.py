@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import operator
+import struct
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -473,15 +474,18 @@ class ScanResult(Sequence):
 
 
 def _profile_values(profile: Sequence[float] | np.ndarray) -> np.ndarray:
-    # the profile as a new float array. A list is read in one pass; one
-    # fromiter cannot read (nested, ragged, or holding a string that is no
-    # number) is left to np.array, whose values and errors scan_profile keeps
+    # the profile as a new float array. A list or tuple is packed as C doubles
+    # by struct, one loop of PyFloat_AsDouble, and read back in place, so the
+    # array is read-only; one struct cannot pack (an entry that is None, a
+    # string or bytes, a sequence, or a number whose float conversion raises
+    # or overflows) is left to np.array, whose values and errors scan_profile
+    # keeps
     import numpy as np
 
-    if type(profile) is list:
+    if type(profile) in (list, tuple):
         try:
-            return np.fromiter(profile, float, count=len(profile))
-        except (TypeError, ValueError):
+            return np.frombuffer(struct.pack(f"{len(profile)}d", *profile), float)
+        except struct.error:
             pass
     return np.array(profile, dtype=float)
 
@@ -496,11 +500,17 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     cells yields an empty result. A shorter profile, or a layout that does
     not supply spec.n cells, is a ConfigurationError. The profile is a
     sequence of floats or a 1-D array; a value that is negative or not
-    finite is a ValueError naming the first such value. A list is read in
-    one pass by np.fromiter, and one it cannot read (nested, ragged, or
-    holding a string that is no number) by np.array, so every profile gives
-    the values and the errors of np.array(profile, dtype=float): a nested
-    list is a ValueError naming its shape, None is nan, and "2.5" is 2.5.
+    finite is a ValueError naming the first such value. A list or tuple is
+    packed as C doubles by struct.pack, which reads a float as it is and
+    another number by its __float__ or __index__; one it cannot pack
+    (holding None, a string or bytes, a sequence, or a number whose
+    conversion raises) is read by np.array. So a profile gives the values
+    and the errors of np.array(profile, dtype=float): a nested list is a
+    ValueError naming its shape, None is nan, "2.5" and b"2.5" are 2.5, and
+    10**400 is numpy's OverflowError. Two entries read otherwise: a float
+    subclass that overrides __float__ is the float it holds, and an array
+    of one element is that element where float() still reads one (a
+    conversion older numpy allows and later numpy refuses).
 
     Statistics are formed a block of cells at a time (see SCAN_BLOCK_ROWS)
     from the segment its windows span, with -0.0 turned into 0.0 as in
@@ -542,21 +552,28 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     row = FAMILIES[spec.family]
     cells = len(values) - spec.n
     z0 = values[lead:lead + cells]
-    comparison = np.empty(cells)
     rows = (SCAN_BLOCK_ROWS if spec.k in (None, 1)
             else max(1, min(SCAN_BLOCK_ROWS, _SCAN_BLOCK_FLOATS // spec.n)))
-    for start in range(0, cells, rows):
+    blocks = range(0, cells, rows)
+    # one block's statistic, an array of its own and never a view of the
+    # profile, is the column itself; several are stored into one column
+    # (none, at an exact fit, is empty)
+    comparison = None if len(blocks) == 1 else np.empty(cells)
+    for start in blocks:
         block = slice(start, min(start + rows, cells))
         segment = values[start:block.stop + spec.n] + 0.0
         if row.path is DecisionPath.THRESHOLD:
             # an overflowing threshold is inf (H0), under the statistic's own errstate
-            comparison[block] = row.statistic_rows(
-                threshold_multiplier(spec), segment, window_layout, spec)
+            column = row.statistic_rows(threshold_multiplier(spec), segment, window_layout, spec)
         else:
             g = row.statistic_rows(1.0, segment, window_layout, spec)
             # z0 / g at g = 0 is replaced by the limit
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                comparison[block] = row.pfa(np.where(z0[block] > 0.0, z0[block] / g, 0.0), spec)
+                column = row.pfa(np.where(z0[block] > 0.0, z0[block] / g, 0.0), spec)
+        if comparison is None:
+            comparison = column
+        else:
+            comparison[block] = column
     if row.path is DecisionPath.THRESHOLD:
         h1 = z0 > comparison
     else:
