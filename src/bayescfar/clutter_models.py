@@ -259,58 +259,62 @@ def _scaled_window_sum(multiplier: float, samples: Sequence[float]) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _fold_steps(lead: int, trail: int) -> tuple[bool, tuple[tuple[int, int], ...]]:
+def _fold_steps(lead: int, trail: int) -> tuple[bool, tuple[tuple[int, int, None], ...]]:
     # _window_runs' fold for one layout, planned once: whether equal sides
-    # are one shared run, and the steps (run, shift) in order. Run -1 joins
-    # the dyadic block with itself shift cells on, doubling its width; run r
-    # joins onto its state the block's runs from cell shift, its next
+    # are one shared run, and the steps (run, shift, net) in order. Run -1
+    # joins the dyadic block with itself shift cells on, doubling its width;
+    # run r joins onto its state the block's runs from cell shift, its next
     # uncovered cell. A run of length L takes the blocks named by L's binary
-    # digits, low first, and the block doubles only while a run needs more
+    # digits, low first, and the block doubles only while a run needs more.
+    # net, which _window_runs hands to a join, is None here; _merge_plan
+    # fills it in
     shared = bool(lead == trail and lead & (lead - 1))
     runs = [[0, lead]] if shared else [[0, lead], [lead + 1, trail]]
     steps, width = [], 1
     while True:
         for r, run in enumerate(runs):
             if run[1] & width:
-                steps.append((r, run[0]))
+                steps.append((r, run[0], None))
                 run[0] += width
         if 2 * width > max(lead, trail):
             return shared, tuple(steps)
-        steps.append((-1, width))
+        steps.append((-1, width, None))
         width *= 2
 
 
 def _window_runs(cells: list, lead: int, trail: int,
-                 join: Callable[[list, list, int, int], list]) -> tuple:
+                 join: Callable[..., list], plan: tuple | None = None) -> tuple:
     # The states of every window's leading run, cells i .. i + lead - 1, and
     # trailing run, i + lead + 1 .. i + lead + trail, for each i up to
     # len(segment) - lead - trail, from the states of a segment's cells; an
     # empty side's is None. A state is a list of equal-length arrays, and
-    # join(x, y, shift, rows) is the state of run x[i] followed by run
+    # join(x, y, shift, rows, net) is the state of run x[i] followed by run
     # y[i + shift], for i < rows, from slices it takes itself. Dyadic blocks
     # B_0 = cells, B_{j+1}[i] = join(B_j[i], B_j[i + 2**j]) hold the runs of
     # 2**j cells, and a run of length L joins the blocks named by L's binary
     # digits: O(log n) whole-array steps, not O(n), in the order _fold_steps
-    # plans. Equal sides are one run, read lead + 1 apart, where they take
-    # joins: a power of two is a slice of one block, with no join to share
+    # plans, or plan, the same steps with each join's net filled in (see
+    # _merge_plan). Equal sides are one run, read lead + 1 apart, where they
+    # take joins: a power of two is a slice of one block, with no join to
+    # share
     rows = len(cells[0]) - lead - trail
-    shared, steps = _fold_steps(lead, trail)
+    shared, steps = plan or _fold_steps(lead, trail)
     span = rows + lead + 1 if shared else rows
     states, block = [None, None], cells
-    for run, shift in steps:
+    for run, shift, net in steps:
         if run < 0:
-            block = join(block, block, shift, len(block[0]) - shift)
+            block = join(block, block, shift, len(block[0]) - shift, net)
         elif states[run] is None:
             states[run] = [a[shift:shift + span] for a in block]
         else:
-            states[run] = join(states[run], block, shift, span)
+            states[run] = join(states[run], block, shift, span, net)
     if not shared:
         return states[0], states[1]
     run = states[0]
     return [a[:rows] for a in run], [a[lead + 1:] for a in run]
 
 
-def _two_sum_join(x: list, y: list, shift: int, rows: int) -> list:
+def _two_sum_join(x: list, y: list, shift: int, rows: int, net: None = None) -> list:
     # run x[i] followed by run y[i + shift], each a (sum, error sum) state:
     # the sums by TwoSum (Knuth), whose error e is exact, and e added to the
     # error sums. A single cell's state is [sample], its error sum an
@@ -441,16 +445,69 @@ def _merge_network(length: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-def _merge_join(x: list, y: list, shift: int, rows: int) -> list:
-    # sorted runs x[i] and y[i + shift] as one sorted run: wire i holds its
-    # (i+1)-th smallest. In every join of _window_runs, y is a dyadic block of
-    # the largest power of two below the total length, Batcher's sorted first
-    # `half`, so it takes the first wires; order does not change a sorted run
+@lru_cache(maxsize=4096)
+def _merge_plan(lead: int, trail: int,
+                k: int) -> tuple[bool, tuple[tuple[int, int, tuple | None], ...]]:
+    # _fold_steps for _window_kth_smallest at k > 1, made once per (lead,
+    # trail, k), with each join's net: its merge network's comparators as
+    # (i, j, low, high), low np.minimum where the comparator's min is formed
+    # and high np.maximum where its max is, else None. Liveness runs backward
+    # from the wires the splits read, leading wires k - trail - 1 .. k - 1
+    # and trailing wires k - lead - 1 .. k - 1 within each run: a comparator
+    # half whose wire nothing later reads is not formed
     import numpy as np
 
+    shared, steps = _fold_steps(lead, trail)
+    sizes, width, length = [], 1, [0, 0]
+    for run, _, _ in steps:
+        if run < 0:
+            sizes.append((width, width))
+            width *= 2
+        else:
+            sizes.append((width, length[run]))
+            length[run] += width
+    live = [set(range(max(0, k - trail - 1), min(lead, k))),
+            set(range(max(0, k - lead - 1), min(trail, k)))]
+    if shared:
+        live[0] |= live[1]
+    block, nets = set(), []
+    for (run, _, _), (ny, nx) in zip(reversed(steps), reversed(sizes)):
+        out = set(block if run < 0 else live[run])
+        if not nx:
+            # a run's first slice: it reads what the run's later steps do
+            nets.append(None)
+            block |= out
+            continue
+        comparators = []
+        for i, j in reversed(_merge_network(ny + nx)):
+            if i in out or j in out:
+                comparators.append((i, j, np.minimum if i in out else None,
+                                    np.maximum if j in out else None))
+                out |= {i, j}
+        nets.append(tuple(reversed(comparators)))
+        ys, xs = {w for w in out if w < ny}, {w - ny for w in out if w >= ny}
+        if run < 0:
+            block = ys | xs
+        else:
+            block |= ys
+            live[run] = xs
+    return shared, tuple((run, shift, net) for (run, shift, _), net in zip(steps, reversed(nets)))
+
+
+def _merge_join(x: list, y: list, shift: int, rows: int, net: tuple) -> list:
+    # sorted runs x[i] and y[i + shift] as one sorted run, as far as the
+    # comparators of net form it (see _merge_plan): wire i holds its (i+1)-th
+    # smallest wherever a later step reads it, and a value nothing reads
+    # elsewhere. In every join of _window_runs, y is a dyadic block of the
+    # largest power of two below the total length, Batcher's sorted first
+    # `half`, so it takes the first wires; order does not change a sorted run
     wires = [a[shift:shift + rows] for a in y] + [a[:rows] for a in x]
-    for i, j in _merge_network(len(wires)):
-        wires[i], wires[j] = np.minimum(wires[i], wires[j]), np.maximum(wires[i], wires[j])
+    for i, j, low, high in net:
+        a, b = wires[i], wires[j]
+        if low:
+            wires[i] = low(a, b)
+        if high:
+            wires[j] = high(a, b)
     return wires
 
 
@@ -468,15 +525,33 @@ def _window_kth_smallest(samples: np.ndarray, lead: int, trail: int, k: int) -> 
         block = sliding_window_view(samples, lead + trail + 1)
         windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
         return np.partition(windows, k - 1, axis=1)[:, k - 1]
-    # each side's run sorted by networks, or at k = 1 its least alone, on one
-    # wire. The k-th smallest of sorted runs A and B together is the least
-    # max(A_i, B_{k-i}) over the splits i, with A_0 = B_0 = -inf
-    join = (_merge_join if k > 1
-            else lambda x, y, shift, rows: [np.minimum(x[0][:rows], y[0][shift:shift + rows])])
-    leading, trailing = _window_runs([samples], lead, trail, join)
-    least = None
-    for i in range(max(0, k - trail), min(lead, k) + 1):
-        split = (trailing[k - 1] if i == 0 else leading[k - 1] if i == k
-                 else np.maximum(leading[i - 1], trailing[k - i - 1]))
-        least = split if least is None else np.minimum(least, split)
+    # at k = 1 each side's run is its least alone, on one wire; at k > 1 it
+    # is sorted by networks pruned to the wires the splits read. The k-th
+    # smallest of sorted runs A and B together is the least max(A_i, B_{k-i})
+    # over the splits i, with A_0 = B_0 = -inf
+    if k == 1:
+        leading, trailing = _window_runs([samples], lead, trail, lambda x, y, shift, rows, net: [
+            np.minimum(x[0][:rows], y[0][shift:shift + rows])])
+    else:
+        leading, trailing = _window_runs([samples], lead, trail, _merge_join,
+                                         _merge_plan(lead, trail, k))
+    if not (lead and trail):
+        return (leading or trailing)[k - 1]
+    if k == 1:
+        return np.minimum(trailing[0], leading[0])
+    # the splits 0 < i < k, of which there is at least one, are reduced into
+    # the first one's array, which is this call's own; the splits i = 0 and
+    # i = k are wires, views of dyadic blocks both runs share, and are only
+    # read
+    inner = range(max(1, k - trail), min(lead, k - 1) + 1)
+    least = np.maximum(leading[inner[0] - 1], trailing[k - inner[0] - 1])
+    if len(inner) > 1:
+        split = np.empty_like(least)
+        for i in inner[1:]:
+            np.minimum(least, np.maximum(leading[i - 1], trailing[k - i - 1], out=split),
+                       out=least)
+    if k <= trail:
+        np.minimum(least, trailing[k - 1], out=least)
+    if k <= lead:
+        np.minimum(least, leading[k - 1], out=least)
     return least

@@ -213,7 +213,8 @@ class FamilyRow(NamedTuple):
     samples, layout, spec) is the same, with the same bits, for every window
     of a 1-D segment of a profile, one block of scan_profile. It points at
     clutter_models, where one fold over dyadic runs of the segment's cells
-    gives each window's sum, minimum or sorted runs in O(log n) array steps
+    gives each window's sum, minimum or sorted runs (as far as its k-th
+    smallest reads them) in O(log n) array steps
     and no window matrix; only the k-th smallest for k > 1 over long runs
     selects from a matrix of the segment's windows, which scan_profile's
     blocks bound. A product past the float range is inf, and it raises no
@@ -567,9 +568,12 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
             column = row.statistic_rows(threshold_multiplier(spec), segment, window_layout, spec)
         else:
             g = row.statistic_rows(1.0, segment, window_layout, spec)
-            # z0 / g at g = 0 is replaced by the limit
+            # z0 / g at g = 0 takes the limit: 0 / 0 is NaN, which fmax
+            # makes 0.0, Pfa 1, and z0 > 0 gives inf, Pfa 0. A -0.0 cell
+            # gives -0.0 or 0.0, Pfa 1 either way
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                column = row.pfa(np.where(z0[block] > 0.0, z0[block] / g, 0.0), spec)
+                x = np.divide(z0[block], g)
+                column = row.pfa(np.fmax(x, 0.0, out=x), spec)
         if comparison is None:
             comparison = column
         else:

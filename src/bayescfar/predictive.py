@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import chain, product, repeat, starmap
 from typing import TYPE_CHECKING, Callable
 
@@ -153,13 +154,25 @@ def os_predictive_density(z0: float, os: OsPredictive) -> float:
     return os_pfa(z0, os) * rate / os.t
 
 
+@lru_cache(maxsize=64)
+def _os_column(n: int, k: int, ndim: int) -> np.ndarray:
+    # _os_product's j = n - k + 1 .. n down axis 0, ready to broadcast
+    # against an x of ndim axes; read-only, as every caller shares it
+    import numpy as np
+
+    j = np.arange(n - k + 1, n + 1, dtype=float).reshape((k,) + (1,) * ndim)
+    j.setflags(write=False)
+    return j
+
+
 def _os_product(x, n: int, k: int):
     # prod_{j=n-k+1}^{n} j/(j+x) in plain * and /, multiplied left to right.
-    # A float takes a loop; an ndarray forms its k factors as one array and
-    # multiplies them with one reduce over axis 0, which numpy does row after
-    # row, in the loop's order, so both give the same bits. A scan's x is one
-    # block of detectors.scan_profile, which at k > 1 holds at most 2**20 // n
-    # cells, so that its (k, cells) factors stay within 2**20 floats
+    # A float takes a loop; an ndarray forms its k factors as one array, from
+    # a j column made once per (n, k), and multiplies them with one reduce
+    # over axis 0, which numpy does row after row, in the loop's order, so
+    # both give the same bits. A scan's x is one block of
+    # detectors.scan_profile, which at k > 1 holds at most 2**20 // n cells,
+    # so that its (k, cells) factors stay within 2**20 floats
     if isinstance(x, (int, float)):
         value = 1.0
         for j in range(n - k + 1, n + 1):
@@ -167,7 +180,7 @@ def _os_product(x, n: int, k: int):
         return value
     import numpy as np
 
-    j = np.arange(n - k + 1, n + 1, dtype=float).reshape((k,) + (1,) * np.ndim(x))
+    j = _os_column(n, k, np.ndim(x))
     factors = j + x
     np.divide(j, factors, out=factors)
     return np.multiply.reduce(factors, axis=0)

@@ -380,13 +380,25 @@ class TestOsPfaQuadrature:
 
 
 class TestPredictiveModel:
-    def test_rejects_unnormalized_posterior(self):
-        with pytest.raises(ValueError, match="normalized"):
-            PredictiveModel(
+    # the normalization check's tolerance is 1e-6 at the default settings:
+    # posteriors off by 1e-4 on either side are refused, and ones off by
+    # 1e-8 and 5e-7 are taken
+    @pytest.mark.parametrize("scale, accepted", [
+        (2.0, False), (1.0 + 1e-4, False), (1.0 - 1e-4, False),
+        (1.0 + 1e-8, True), (1.0 + 5e-7, True)])
+    def test_rejects_unnormalized_posterior(self, scale, accepted):
+        def build():
+            return PredictiveModel(
                 likelihood=lambda z0, lam: lam * math.exp(-lam * z0),
-                posterior=lambda lam: 2.0 * math.exp(-lam),
+                posterior=lambda lam: scale * math.exp(-lam),
                 parameter_dimension=1,
             )
+
+        if accepted:
+            build()
+        else:
+            with pytest.raises(ValueError, match="normalized"):
+                build()
 
     def test_rejects_negative_arguments(self):
         model = PredictiveModel(

@@ -34,8 +34,10 @@ from bayescfar.clutter_models import (
     ParetoClutter,
     _merge_join,
     _merge_network,
+    _merge_plan,
     _scaled_window_sum,
     _scaled_window_sums,
+    _window_kth_smallest,
     _window_runs,
     _window_sums,
 )
@@ -871,21 +873,29 @@ class TestScanProfile:
 
     def test_zero_order_statistic_takes_the_limit(self):
         # k = 2 of 4: wherever the window holds two zeros the statistic is 0;
-        # z0 > 0 there gives Pfa 0 and H1, z0 = 0 gives Pfa 1 and H0
+        # z0 > 0 there gives Pfa 0 and H1, z0 = 0 gives Pfa 1 and H0. In the
+        # second profile cells 2 and 4 are -0.0 at g = 0 and cell 7 is -0.0
+        # at g = 3, and each reads as z0 = 0. Comparison values are compared
+        # by their bits
         spec = DetectorSpec(Family.BAYES_OS, 4, 0.1, k=2)
-        profile = [1.0, 2.0, 0.0, 0.0, 0.0, 7.0, 0.0, 0.0, 3.0, 4.0, 5.0]
-        decisions = scan_profile(profile, spec, self.LAYOUT)
         limit = {2: (Verdict.H0, 1.0), 3: (Verdict.H0, 1.0), 4: (Verdict.H0, 1.0),
                  5: (Verdict.H1, 0.0), 6: (Verdict.H0, 1.0), 8: (Verdict.H1, 0.0)}
-        for j, d in enumerate(decisions):
-            cell = j + 2
-            if cell in limit:
-                verdict, pfa = limit[cell]
-                assert d == Decision(verdict, profile[cell], pfa, DecisionPath.PFA_COMPARISON)
-            else:
-                window = CrpWindow(profile[cell - 2:cell] + profile[cell + 1:cell + 3])
-                assert d == bayes_os_decide(profile[cell], window, spec)
-        assert len(decisions) == 7
+        for profile in ([1.0, 2.0, 0.0, 0.0, 0.0, 7.0, 0.0, 0.0, 3.0, 4.0, 5.0],
+                        [1.0, 2.0, -0.0, 0.0, -0.0, 7.0, 0.0, -0.0, 3.0, 4.0, 5.0]):
+            decisions = scan_profile(profile, spec, self.LAYOUT)
+            for j, d in enumerate(decisions):
+                cell = j + 2
+                if cell in limit:
+                    verdict, pfa = limit[cell]
+                    want = Decision(verdict, profile[cell], pfa, DecisionPath.PFA_COMPARISON)
+                else:
+                    window = CrpWindow(profile[cell - 2:cell] + profile[cell + 1:cell + 3])
+                    want = bayes_os_decide(profile[cell], window, spec)
+                assert d == want
+                assert d.comparison_value.hex() == want.comparison_value.hex()
+                assert d.statistic_z0.hex() == profile[cell].hex()
+            assert len(decisions) == 7
+        assert decisions[5].comparison_value.hex() == 1.0.hex()
 
     def test_negative_zero_sample_counts_as_zero(self):
         # numpy's min keeps the later of two signed zeros and Python's the
@@ -1411,17 +1421,23 @@ class TestSortingNetwork:
     @pytest.mark.parametrize("length", range(1, _NETWORK_MAX_RUN + 1))
     def test_sorts_every_zero_one_row(self, length):
         # by the 0-1 principle (Knuth, TAOCP vol. 3, 5.3.4) a comparator
-        # network that sorts every row of zeros and ones sorts any input. The
-        # 2**length rows are laid end to end, and one cell after them stands
-        # for the cell under test, so the leading runs starting at multiples
-        # of length are the rows, and every run is a column of the wires
+        # network whose wire gives the k-th smallest of every row of zeros and
+        # ones gives it of any input, so this checks each k's network, pruned
+        # to that wire: a row with s ones has 1 as its k-th smallest iff
+        # k > length - s. The 2**length rows are laid end to end, and one
+        # cell after them stands for the cell under test, so the leading runs
+        # starting at multiples of length are the rows
         rows = (np.arange(2 ** length)[:, None] >> np.arange(length)) & 1
         cells = np.append(rows.ravel(), 0).astype(float)
-        wires, trailing = _window_runs([cells], length, 0, _merge_join)
-        assert trailing is None
-        assert len(wires) == length
-        assert (np.diff(wires, axis=0) >= 0).all()
-        assert np.array_equal(np.sum(wires, axis=0)[::length], rows.sum(axis=1))
+        ones = rows.sum(axis=1)
+        for k in range(1, length + 1):
+            kth = _window_kth_smallest(cells, length, 0, k)[::length]
+            assert np.array_equal(kth, (ones > length - k).astype(float)), k
+        for k in range(2, length + 1):
+            wires, trailing = _window_runs([cells], length, 0, _merge_join,
+                                           _merge_plan(length, 0, k))
+            assert trailing is None
+            assert len(wires) == length
 
     def test_batcher_sizes(self):
         # 12 is one short of the padded 16-wire network's 42: its parts are
@@ -1431,23 +1447,71 @@ class TestSortingNetwork:
             for i, j in _merge_network(n):
                 assert 0 <= i < j < n
 
-    def test_each_length_is_built_once_and_merged_once_a_block(self):
+    @pytest.mark.parametrize("lead, trail, k, halves", [
+        (8, 8, 12, 2 + 6 + 13), (8, 8, 8, 2 + 6 + 18), (8, 0, 8, 1 + 1 + 1)])
+    def test_plan_forms_only_the_halves_the_splits_read(self, lead, trail, k, halves):
+        # at (8, 8, 12) the splits read wires 3..7 of each run, so the 4+4
+        # merge drops five of its 18 halves; at (8, 8, 8) they read every
+        # wire. One run of 8 read at k = 8 is its largest: each merge of two
+        # sorted runs takes the max of their largest wires alone
+        formed = [(low is not None) + (high is not None)
+                  for _, _, net in _merge_plan(lead, trail, k)[1] if net
+                  for _, _, low, high in net]
+        assert sum(formed) == halves
+
+    def test_kth_smallest_of_every_short_layout(self):
+        # every layout with sides up to _NETWORK_MAX_RUN and n >= 2, at every
+        # k >= 2, against sorted(window)[k - 1], bit for bit, on one profile
+        # with ties, zeros, -0.0 and values over 600 decades. The samples
+        # are the profile + 0.0, as scan_profile forms its segments, and
+        # they are left as they were: the dyadic blocks both runs share are
+        # views of them
+        rng = np.random.default_rng(31)
+        pool = [0.0, -0.0, 1.0, 2.0, 2.0, 3.0, 1e-300, 1e300]
+        profile = np.where(rng.random(3 * _NETWORK_MAX_RUN) < 0.6,
+                           rng.choice(pool, 3 * _NETWORK_MAX_RUN),
+                           rng.exponential(size=3 * _NETWORK_MAX_RUN))
+        assert (np.signbit(profile) & (profile == 0.0)).any()
+        samples = profile + 0.0
+        before = samples.tobytes()
+        sides = range(_NETWORK_MAX_RUN + 1)
+        for lead, trail in ((a, b) for a in sides for b in sides if a + b >= 2):
+            windows = [profile[i:i + lead].tolist() + profile[i + lead + 1:i + lead + 1 + trail].tolist()
+                       for i in range(profile.size - lead - trail)]
+            for k in range(2, lead + trail + 1):
+                got = _window_kth_smallest(samples, lead, trail, k).tolist()
+                want = [sorted(window)[k - 1] + 0.0 for window in windows]
+                assert [v.hex() for v in got] == [v.hex() for v in want], (lead, trail, k)
+        assert samples.tobytes() == before
+
+    def test_each_length_is_built_once_and_merged_once_a_block(self, monkeypatch):
+        # a plan builds each network it needs, once per (lead, trail, k), and
+        # every scan block merges each length its fold joins once
         _merge_network.cache_clear()
+        _merge_plan.cache_clear()
+        merged = []
+        join = clutter_models._merge_join
+        monkeypatch.setattr(clutter_models, "_merge_join", lambda x, y, *rest: (
+            merged.append(len(x) + len(y)) or join(x, y, *rest)))
         profile = np.random.default_rng(3).exponential(size=200).tolist()
         for _ in range(2):
-            for lead, trail in ((8, 8), (5, 7)):
+            for lead, trail, lengths in ((8, 8, [2, 4, 8]), (5, 7, [2, 3, 4, 5, 7])):
                 spec = DetectorSpec(Family.BAYES_OS, lead + trail, 1e-3, k=lead + 2)
+                merged.clear()
                 scan_profile(profile, spec, WindowLayout(lead, trail))
+                assert merged == lengths
         # a (8, 8) scan merges lengths 8, 4 and 2; a (5, 7) scan 5, 4, 2, 7
         # and 3, each once, though both sides hold runs of 4
         info = _merge_network.cache_info()
-        assert (info.misses, info.hits) == (6, 10)
+        assert (info.misses, info.hits) == (6, 2)
         # the two runs of a (6, 6) scan are one: it merges 6, 4 and 2, each once
         _merge_network.cache_clear()
         for _ in range(2):
+            merged.clear()
             scan_profile(profile, DetectorSpec(Family.BAYES_OS, 12, 1e-3, k=8), WindowLayout(6, 6))
+            assert merged == [2, 4, 6]
         info = _merge_network.cache_info()
-        assert (info.misses, info.hits) == (3, 3)
+        assert (info.misses, info.hits) == (3, 0)
 
 
 @st.composite
