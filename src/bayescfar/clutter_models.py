@@ -259,31 +259,69 @@ def _scaled_window_sum(multiplier: float, samples: Sequence[float]) -> float:
 
 
 @lru_cache(maxsize=4096)
-def _fold_steps(lead: int, trail: int) -> tuple[bool, tuple[tuple[int, int, None], ...]]:
-    # _window_runs' fold for one layout, planned once: whether equal sides
-    # are one shared run, and the steps (run, shift, net) in order. Run -1
-    # joins the dyadic block with itself shift cells on, doubling its width;
-    # run r joins onto its state the block's runs from cell shift, its next
-    # uncovered cell. A run of length L takes the blocks named by L's binary
-    # digits, low first, and the block doubles only while a run needs more.
-    # net, which _window_runs hands to a join, is None here; _merge_plan
-    # fills it in
+def _fold_plan(lead: int, trail: int,
+               k: int) -> tuple[bool, tuple[tuple[int, int, tuple | None], ...]]:
+    # _window_runs' fold for one layout, planned once per (lead, trail, k):
+    # whether equal sides are one shared run, and the steps (run, shift,
+    # net) in order. Run -1 joins the dyadic block with itself shift cells
+    # on, doubling its width; run r joins onto its state the block's runs
+    # from cell shift, its next uncovered cell. A run of length L takes the
+    # blocks named by L's binary digits, low first, and the block doubles
+    # only while a run needs more. net is None at k = 1, for the sums and
+    # the minima. At k > 1 it is the join's merge network as comparators
+    # (i, j, low, high), low np.minimum where the comparator's min is formed
+    # and high np.maximum where its max is, else None. Liveness runs
+    # backward from the wires the splits read, leading wires k - trail - 1
+    # .. k - 1 and trailing wires k - lead - 1 .. k - 1 within each run: a
+    # comparator half whose wire nothing later reads is not formed
     shared = bool(lead == trail and lead & (lead - 1))
-    runs = [[0, lead]] if shared else [[0, lead], [lead + 1, trail]]
+    runs = ((0, lead),) if shared else ((0, lead), (lead + 1, trail))
+    # each step with the lengths of the two runs it joins: the block's and
+    # the run's so far, the blocks of the run length's lower digits
     steps, width = [], 1
     while True:
-        for r, run in enumerate(runs):
-            if run[1] & width:
-                steps.append((r, run[0], None))
-                run[0] += width
+        for r, (start, length) in enumerate(runs):
+            if length & width:
+                done = length & (width - 1)
+                steps.append((r, start + done, width, done))
         if 2 * width > max(lead, trail):
-            return shared, tuple(steps)
-        steps.append((-1, width, None))
+            break
+        steps.append((-1, width, width, width))
         width *= 2
+    if k == 1:
+        return shared, tuple((run, shift, None) for run, shift, _, _ in steps)
+    import numpy as np
+
+    live = [set(range(max(0, k - trail - 1), min(lead, k))),
+            set(range(max(0, k - lead - 1), min(trail, k)))]
+    if shared:
+        live[0] |= live[1]
+    block, plan = set(), []
+    for run, shift, ny, nx in reversed(steps):
+        out = set(block if run < 0 else live[run])
+        if not nx:
+            # a run's first slice: it reads what the run's later steps do
+            plan.append((run, shift, None))
+            block |= out
+            continue
+        comparators = []
+        for i, j in reversed(_merge_network(ny + nx)):
+            if i in out or j in out:
+                comparators.append((i, j, np.minimum if i in out else None,
+                                    np.maximum if j in out else None))
+                out |= {i, j}
+        plan.append((run, shift, tuple(reversed(comparators))))
+        ys, xs = {w for w in out if w < ny}, {w - ny for w in out if w >= ny}
+        if run < 0:
+            block = ys | xs
+        else:
+            block |= ys
+            live[run] = xs
+    return shared, tuple(reversed(plan))
 
 
 def _window_runs(cells: list, lead: int, trail: int,
-                 join: Callable[..., list], plan: tuple | None = None) -> tuple:
+                 join: Callable[..., list], plan: tuple) -> tuple:
     # The states of every window's leading run, cells i .. i + lead - 1, and
     # trailing run, i + lead + 1 .. i + lead + trail, for each i up to
     # len(segment) - lead - trail, from the states of a segment's cells; an
@@ -292,13 +330,12 @@ def _window_runs(cells: list, lead: int, trail: int,
     # y[i + shift], for i < rows, from slices it takes itself. Dyadic blocks
     # B_0 = cells, B_{j+1}[i] = join(B_j[i], B_j[i + 2**j]) hold the runs of
     # 2**j cells, and a run of length L joins the blocks named by L's binary
-    # digits: O(log n) whole-array steps, not O(n), in the order _fold_steps
-    # plans, or plan, the same steps with each join's net filled in (see
-    # _merge_plan). Equal sides are one run, read lead + 1 apart, where they
-    # take joins: a power of two is a slice of one block, with no join to
-    # share
+    # digits: O(log n) whole-array steps, not O(n), in the order plan, the
+    # layout's _fold_plan, gives, each join handed its step's net. Equal
+    # sides are one run, read lead + 1 apart, where they take joins: a power
+    # of two is a slice of one block, with no join to share
     rows = len(cells[0]) - lead - trail
-    shared, steps = plan or _fold_steps(lead, trail)
+    shared, steps = plan
     span = rows + lead + 1 if shared else rows
     states, block = [None, None], cells
     for run, shift, net in steps:
@@ -328,15 +365,6 @@ def _two_sum_join(x: list, y: list, shift: int, rows: int, net: None = None) -> 
     if len(y) > 1:
         e += y[1][shift:shift + rows]
     return [s, e]
-
-
-def _window_sums(samples: np.ndarray, lead: int, trail: int) -> tuple[np.ndarray, np.ndarray]:
-    # _certified_sums' sums and certificate, under the np.errstate it asks of
-    # its caller
-    import numpy as np
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        return _certified_sums(samples, lead, trail)[:2]
 
 
 def _certified_sums(samples: np.ndarray, lead: int,
@@ -385,7 +413,8 @@ def _certified_sums(samples: np.ndarray, lead: int,
         least = np.min(samples, where=samples > 0.0, initial=math.inf)
     q = math.ulp(least)
     exact = min(q * 2.0 ** (106 - (n - 2).bit_length()), 2.0 ** 1023)
-    leading, trailing = _window_runs([samples], lead, trail, _two_sum_join)
+    leading, trailing = _window_runs([samples], lead, trail, _two_sum_join,
+                                     _fold_plan(lead, trail, 1))
     state = (_two_sum_join(leading, trailing, 0, len(leading[0])) if lead and trail
              else leading or trailing)
     s, c = state if len(state) == 2 else (state[0], 0.0)
@@ -445,58 +474,9 @@ def _merge_network(length: int) -> tuple[tuple[int, int], ...]:
     return tuple(pairs)
 
 
-@lru_cache(maxsize=4096)
-def _merge_plan(lead: int, trail: int,
-                k: int) -> tuple[bool, tuple[tuple[int, int, tuple | None], ...]]:
-    # _fold_steps for _window_kth_smallest at k > 1, made once per (lead,
-    # trail, k), with each join's net: its merge network's comparators as
-    # (i, j, low, high), low np.minimum where the comparator's min is formed
-    # and high np.maximum where its max is, else None. Liveness runs backward
-    # from the wires the splits read, leading wires k - trail - 1 .. k - 1
-    # and trailing wires k - lead - 1 .. k - 1 within each run: a comparator
-    # half whose wire nothing later reads is not formed
-    import numpy as np
-
-    shared, steps = _fold_steps(lead, trail)
-    sizes, width, length = [], 1, [0, 0]
-    for run, _, _ in steps:
-        if run < 0:
-            sizes.append((width, width))
-            width *= 2
-        else:
-            sizes.append((width, length[run]))
-            length[run] += width
-    live = [set(range(max(0, k - trail - 1), min(lead, k))),
-            set(range(max(0, k - lead - 1), min(trail, k)))]
-    if shared:
-        live[0] |= live[1]
-    block, nets = set(), []
-    for (run, _, _), (ny, nx) in zip(reversed(steps), reversed(sizes)):
-        out = set(block if run < 0 else live[run])
-        if not nx:
-            # a run's first slice: it reads what the run's later steps do
-            nets.append(None)
-            block |= out
-            continue
-        comparators = []
-        for i, j in reversed(_merge_network(ny + nx)):
-            if i in out or j in out:
-                comparators.append((i, j, np.minimum if i in out else None,
-                                    np.maximum if j in out else None))
-                out |= {i, j}
-        nets.append(tuple(reversed(comparators)))
-        ys, xs = {w for w in out if w < ny}, {w - ny for w in out if w >= ny}
-        if run < 0:
-            block = ys | xs
-        else:
-            block |= ys
-            live[run] = xs
-    return shared, tuple((run, shift, net) for (run, shift, _), net in zip(steps, reversed(nets)))
-
-
 def _merge_join(x: list, y: list, shift: int, rows: int, net: tuple) -> list:
     # sorted runs x[i] and y[i + shift] as one sorted run, as far as the
-    # comparators of net form it (see _merge_plan): wire i holds its (i+1)-th
+    # comparators of net form it (see _fold_plan): wire i holds its (i+1)-th
     # smallest wherever a later step reads it, and a value nothing reads
     # elsewhere. In every join of _window_runs, y is a dyadic block of the
     # largest power of two below the total length, Batcher's sorted first
@@ -513,32 +493,31 @@ def _merge_join(x: list, y: list, shift: int, rows: int, net: tuple) -> list:
 
 def _window_kth_smallest(samples: np.ndarray, lead: int, trail: int, k: int) -> np.ndarray:
     # The k-th smallest of every window of a segment (see _window_runs), with
-    # sorted(window)[k - 1]'s bits: np.minimum, np.maximum and np.partition
+    # sorted(window)[k - 1]'s bits: np.minimum, np.maximum and partition
     # each return one of their inputs, so any grouping gives its value
     import numpy as np
 
     if k > 1 and max(lead, trail) > _NETWORK_MAX_RUN:
         # the segment's windows as the rows of a matrix, which scan_profile's
-        # blocks keep to at most 2**20 samples
+        # blocks keep to at most 2**20 samples, partitioned in place
         from numpy.lib.stride_tricks import sliding_window_view
 
         block = sliding_window_view(samples, lead + trail + 1)
         windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
-        return np.partition(windows, k - 1, axis=1)[:, k - 1]
-    # at k = 1 each side's run is its least alone, on one wire; at k > 1 it
-    # is sorted by networks pruned to the wires the splits read. The k-th
-    # smallest of sorted runs A and B together is the least max(A_i, B_{k-i})
-    # over the splits i, with A_0 = B_0 = -inf
+        windows.partition(k - 1, axis=1)
+        return windows[:, k - 1]
+    # at k = 1 each side's run is its least alone, on one wire
     if k == 1:
         leading, trailing = _window_runs([samples], lead, trail, lambda x, y, shift, rows, net: [
-            np.minimum(x[0][:rows], y[0][shift:shift + rows])])
-    else:
-        leading, trailing = _window_runs([samples], lead, trail, _merge_join,
-                                         _merge_plan(lead, trail, k))
+            np.minimum(x[0][:rows], y[0][shift:shift + rows])], _fold_plan(lead, trail, 1))
+        return np.minimum(trailing[0], leading[0]) if lead and trail else (leading or trailing)[0]
+    # at k > 1 each is sorted by networks pruned to the wires the splits
+    # read. The k-th smallest of sorted runs A and B together is the least
+    # max(A_i, B_{k-i}) over the splits i, with A_0 = B_0 = -inf
+    leading, trailing = _window_runs([samples], lead, trail, _merge_join,
+                                     _fold_plan(lead, trail, k))
     if not (lead and trail):
         return (leading or trailing)[k - 1]
-    if k == 1:
-        return np.minimum(trailing[0], leading[0])
     # the splits 0 < i < k, of which there is at least one, are reduced into
     # the first one's array, which is this call's own; the splits i = 0 and
     # i = k are wires, views of dyadic blocks both runs share, and are only

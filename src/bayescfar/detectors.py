@@ -212,13 +212,14 @@ class FamilyRow(NamedTuple):
     per-cell reference (g itself is the m = 1 call); statistic_rows(m,
     samples, layout, spec) is the same, with the same bits, for every window
     of a 1-D segment of a profile, one block of scan_profile. It points at
-    clutter_models, where one fold over dyadic runs of the segment's cells
-    gives each window's sum, minimum or sorted runs (as far as its k-th
-    smallest reads them) in O(log n) array steps
-    and no window matrix; only the k-th smallest for k > 1 over long runs
-    selects from a matrix of the segment's windows, which scan_profile's
-    blocks bound. A product past the float range is inf, and it raises no
-    floating-point warning: each statistic sets its own np.errstate.
+    clutter_models, where one fold over dyadic runs of the segment's cells,
+    planned once per layout and k, gives each window's sum, minimum or
+    sorted runs (as far as its k-th smallest reads them) in O(log n) array
+    steps and no window matrix; only the k-th smallest for k > 1 over long
+    runs partitions a matrix of the segment's windows in place, which
+    scan_profile's blocks bound. A product past the float range is inf, and
+    it raises no floating-point warning: each statistic sets its own
+    np.errstate.
     draw(clutter, spec, rng, rows) gives rows draws of g over spec.n clutter
     samples straight from its law; pfa(x, spec) is the predictive Pfa at
     x = tau/g, for a float or an array; k_rule is the order index the family
