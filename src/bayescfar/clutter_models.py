@@ -498,14 +498,18 @@ def _window_kth_smallest(samples: np.ndarray, lead: int, trail: int, k: int) -> 
     import numpy as np
 
     if k > 1 and max(lead, trail) > _NETWORK_MAX_RUN:
-        # the segment's windows as the rows of a matrix, which scan_profile's
-        # blocks keep to at most 2**20 samples, partitioned in place
+        # the windows as rows of a matrix, at most 2**20 samples a chunk,
+        # each chunk partitioned in place and its column k - 1 copied out
         from numpy.lib.stride_tricks import sliding_window_view
 
         block = sliding_window_view(samples, lead + trail + 1)
-        windows = np.concatenate((block[:, :lead], block[:, lead + 1:]), axis=1)
-        windows.partition(k - 1, axis=1)
-        return windows[:, k - 1]
+        kth, rows = np.empty(len(block)), max(1, 2**20 // (lead + trail))
+        for start in range(0, len(block), rows):
+            windows = np.delete(block[start:start + rows], lead, axis=1)
+            windows.partition(k - 1, axis=1)
+            kth[start:start + rows] = windows[:, k - 1]
+            del windows  # freed before the next chunk is built
+        return kth
     # at k = 1 each side's run is its least alone, on one wire
     if k == 1:
         leading, trailing = _window_runs([samples], lead, trail, lambda x, y, shift, rows, net: [

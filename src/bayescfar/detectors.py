@@ -197,12 +197,8 @@ def _order(spec: DetectorSpec) -> int:
     return spec.k or 1
 
 
-# cells per block of scan_profile: its statistics take arrays of about
-# cells + n samples, but the k-th smallest for k > 1 (over long runs, from a
-# (cells, n) window matrix) keeps its blocks (and their (k, cells) Pfa
-# factors) to at most _SCAN_BLOCK_FLOATS samples and at least one cell
+# cells per block of scan_profile, whose statistics take about cells + n samples
 SCAN_BLOCK_ROWS = 4096
-_SCAN_BLOCK_FLOATS = 2**20
 
 
 class FamilyRow(NamedTuple):
@@ -216,16 +212,15 @@ class FamilyRow(NamedTuple):
     planned once per layout and k, gives each window's sum, minimum or
     sorted runs (as far as its k-th smallest reads them) in O(log n) array
     steps and no window matrix; only the k-th smallest for k > 1 over long
-    runs partitions a matrix of the segment's windows in place, which
-    scan_profile's blocks bound. A product past the float range is inf, and
-    it raises no floating-point warning: each statistic sets its own
-    np.errstate.
+    runs builds a matrix of the segment's windows, a chunk at a time. A
+    product past the float range is inf, and it raises no floating-point
+    warning: each statistic sets its own np.errstate.
     draw(clutter, spec, rng, rows) gives rows draws of g over spec.n clutter
     samples straight from its law; pfa(x, spec) is the predictive Pfa at
-    x = tau/g, for a float or an array; k_rule is the order index the family
-    takes; multiplier(spec) is the m with pfa(m) = design_pfa where the
-    family forms it itself, or None to solve the curve for it. path says
-    how decide compares: z0 against the threshold m * g, or pfa(z0/g)
+    x = tau/g, for a float or a 1-D array; k_rule is the order index the
+    family takes; multiplier(spec) is the m with pfa(m) = design_pfa where
+    the family forms it itself, or None to solve the curve for it. path
+    says how decide compares: z0 against the threshold m * g, or pfa(z0/g)
     against the design value, the one path that divides by g and so needs
     it positive.
     """
@@ -554,15 +549,13 @@ def scan_profile(profile: Sequence[float] | np.ndarray, spec: DetectorSpec,
     row = FAMILIES[spec.family]
     cells = len(values) - spec.n
     z0 = values[lead:lead + cells]
-    rows = (SCAN_BLOCK_ROWS if spec.k in (None, 1)
-            else max(1, min(SCAN_BLOCK_ROWS, _SCAN_BLOCK_FLOATS // spec.n)))
-    blocks = range(0, cells, rows)
+    blocks = range(0, cells, SCAN_BLOCK_ROWS)
     # one block's statistic, an array of its own and never a view of the
     # profile, is the column itself; several are stored into one column
     # (none, at an exact fit, is empty)
     comparison = None if len(blocks) == 1 else np.empty(cells)
     for start in blocks:
-        block = slice(start, min(start + rows, cells))
+        block = slice(start, min(start + SCAN_BLOCK_ROWS, cells))
         segment = values[start:block.stop + spec.n] + 0.0
         if row.path is DecisionPath.THRESHOLD:
             # an overflowing threshold is inf (H0), under the statistic's own errstate

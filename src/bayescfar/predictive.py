@@ -155,24 +155,20 @@ def os_predictive_density(z0: float, os: OsPredictive) -> float:
 
 
 @lru_cache(maxsize=64)
-def _os_column(n: int, k: int, ndim: int) -> np.ndarray:
-    # _os_product's j = n - k + 1 .. n down axis 0, ready to broadcast
-    # against an x of ndim axes; read-only, as every caller shares it
+def _os_column(n: int, k: int) -> np.ndarray:
+    # _os_product's j = n - k + 1 .. n as a (k, 1) column, read-only: shared
     import numpy as np
 
-    j = np.arange(n - k + 1, n + 1, dtype=float).reshape((k,) + (1,) * ndim)
+    j = np.arange(n - k + 1, n + 1, dtype=float).reshape(k, 1)
     j.setflags(write=False)
     return j
 
 
 def _os_product(x, n: int, k: int):
-    # prod_{j=n-k+1}^{n} j/(j+x) in plain * and /, multiplied left to right.
-    # A float takes a loop; an ndarray forms its k factors as one array, from
-    # a j column made once per (n, k), and multiplies them with one reduce
-    # over axis 0, which numpy does row after row, in the loop's order, so
-    # both give the same bits. A scan's x is one block of
-    # detectors.scan_profile, which at k > 1 holds at most 2**20 // n cells,
-    # so that its (k, cells) factors stay within 2**20 floats
+    # prod_{j=n-k+1}^{n} j/(j+x) in plain * and /, multiplied left to right:
+    # by a loop for a float; for a 1-D array, 2**20 // k cells at a time, as
+    # (k, cells) factors reduced over axis 0, which numpy does row after row,
+    # in the loop's order, so both give the same bits
     if isinstance(x, (int, float)):
         value = 1.0
         for j in range(n - k + 1, n + 1):
@@ -180,10 +176,16 @@ def _os_product(x, n: int, k: int):
         return value
     import numpy as np
 
-    j = _os_column(n, k, np.ndim(x))
-    factors = j + x
-    np.divide(j, factors, out=factors)
-    return np.multiply.reduce(factors, axis=0)
+    if x.ndim == 0:  # a numpy scalar that is no float, such as np.float32
+        return _os_product(float(x), n, k)
+    j = _os_column(n, k)
+    product, cells = np.empty(len(x)), max(1, 2**20 // k)
+    for start in range(0, len(x), cells):
+        factors = j + x[start:start + cells]
+        np.divide(j, factors, out=factors)
+        np.multiply.reduce(factors, axis=0, out=product[start:start + cells])
+        del factors  # freed before the next chunk's are formed
+    return product
 
 
 def os_pfa(tau: float, os: OsPredictive) -> float:

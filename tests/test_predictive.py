@@ -308,18 +308,21 @@ class TestOsProductEdges:
 
     @pytest.mark.parametrize("n, k", [(16, 12), (16, 1), (5, 5), (300, 200), (4000, 3000)])
     def test_array_product_equals_the_float_loop(self, n, k):
-        # the scan evaluates the curve on arrays in one reduce; every element
-        # must keep the bits of the float loop that decide runs
+        # the scan evaluates the curve on arrays, one reduce per chunk of
+        # 2**20 // k cells; every element must keep the bits of the float
+        # loop that decide runs. 1 048 cells are four chunks at k = 3000
+        # (349, 349, 349 and 1)
         rng = np.random.default_rng(n + k)
-        x = np.concatenate(([0.0, 1.0, 1e300, math.inf, 5e-324],
-                            10.0 ** rng.uniform(-6, 6, 40) * rng.random(40)))
-        got = _os_product(x, n, k)
-        want = [_os_product(v, n, k) for v in x.tolist()]
-        assert got.shape == x.shape
-        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
-        square = _os_product(x[:36].reshape(6, 6), n, k)
-        assert [v.hex() for v in square.ravel().tolist()] == [v.hex() for v in want[:36]]
+        short = np.concatenate(([0.0, 1.0, 1e300, math.inf, 5e-324],
+                                10.0 ** rng.uniform(-6, 6, 40) * rng.random(40)))
+        long = 10.0 ** rng.uniform(-6, 6, 3 * (2**20 // 3000) + 1)
+        for x in (short, long):
+            got = _os_product(x, n, k)
+            want = [_os_product(v, n, k) for v in x.tolist()]
+            assert got.shape == x.shape
+            assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
         assert _os_product(np.float64(2.5), n, k) == _os_product(2.5, n, k)
+        assert _os_product(np.float32(2.5), n, k) == _os_product(2.5, n, k)
 
 
 def _pairwise(op, terms):
