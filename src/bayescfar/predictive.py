@@ -11,7 +11,9 @@ u = e^{-lambda t} in the false-alarm integral leaves the Beta-function ratio
 k C(n,k) B(k, x+n-k+1), which multiplies out to the product of k positive
 factors prod_{j=n-k+1}^{n} j/(j+x). Nothing cancels, so the product is
 evaluated directly in floating point; os_pfa_quadrature integrates the same
-probability numerically as an independent check.
+probability numerically as an independent check. posterior_lambda_os and the
+oracle's integrand share one log posterior, which skips expm1 and log where
+the posterior is sure to underflow to 0.0 (see OsPredictive).
 
 The closed forms are plain float arithmetic. numpy is imported by the
 generic machinery's support scans and θ integrals, and by the first
@@ -23,14 +25,21 @@ posterior only at the points QAGP adds. Every θ integral, in one or two
 dimensions, is one nested pass of FirstPassRule.integrate_rows over as many
 integrands as fill one 2-D grid: every z0 node of one pass of generic_pfa's
 outer integral in 1-D, one z0 in 2-D.
+
+With the module's logger at DEBUG, each PredictiveModel build logs one
+record: the dimension, the support found per axis, the posterior calls of
+the scan and the samples, and the seconds taken. Off, it costs one
+isEnabledFor check.
 """
 
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import chain, product, repeat, starmap
+from time import perf_counter
 from typing import TYPE_CHECKING, Callable
 
 from .numerics import FirstPassRule, QuadratureSettings, integrate_semi_infinite
@@ -48,6 +57,8 @@ __all__ = [
 
 if TYPE_CHECKING:
     import numpy as np
+
+logger = logging.getLogger(__name__)
 
 # Pure-relative control for the quadrature oracle: false-alarm probabilities
 # spanning many decades need the error budget tied to the value, not to an
@@ -78,6 +89,11 @@ def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+# the log of the smallest posterior value the library keeps: at or below
+# it, posterior_lambda_os and os_pfa_quadrature's integrand are 0.0
+_LOG_UNDERFLOW = -745.0
+
+
 @dataclass(frozen=True)
 class OsPredictive:
     """Conditioning data for the order-statistic chain.
@@ -86,6 +102,14 @@ class OsPredictive:
     order statistic. t = 0 is rejected: the posterior it would induce is not
     normalizable, and a zero order statistic has probability zero under any
     continuous clutter model.
+
+    Construction forms the log posterior's constant and its two exponents,
+    n - k + 1 and k - 1, once. The log posterior stops at the constant plus
+    the decay term -lambda t (n - k + 1) when that is at or below -745,
+    before expm1 and log. The exit is exact: the growth term
+    (k - 1) log(1 - e^{-lambda t}) is never positive and rounding is
+    monotone, so the whole sum is at or below -745 too, where the posterior
+    is 0.0 either way. Every value keeps its bits.
     """
 
     n: int
@@ -93,6 +117,10 @@ class OsPredictive:
     t: float
     # log k + log t + log C(n, k), the posterior's constant term
     _log_constant: float = field(init=False, repr=False, compare=False)
+    # n - k + 1 and k - 1 as floats, the exponents of e^{-lambda t} and of
+    # 1 - e^{-lambda t}
+    _decay_power: float = field(init=False, repr=False, compare=False)
+    _growth_power: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -105,19 +133,27 @@ class OsPredictive:
         # log k + log t, not log(k t): k t overflows for t near the float maximum
         constant = math.log(self.k) + math.log(self.t) + _log_comb(self.n, self.k)
         object.__setattr__(self, "_log_constant", constant)
+        object.__setattr__(self, "_decay_power", float(self.n - self.k + 1))
+        object.__setattr__(self, "_growth_power", float(self.k - 1))
 
 
 def _log_posterior_os(rate_lambda: float, os: OsPredictive) -> float:
-    # log of posterior_lambda_os, also the oracle's integrand; -inf for k > 1
-    # where lambda t is too small for 1 - e^{-lambda t} to be nonzero
+    # log of posterior_lambda_os, also the oracle's integrand: the constant
+    # plus (-lambda t (n-k+1) + (k-1) log(1 - e^{-lambda t})), the constant
+    # added last. -inf where the constant plus the decay term is already at
+    # or below _LOG_UNDERFLOW, which is exact (see OsPredictive), and for
+    # k > 1 where lambda t is too small for 1 - e^{-lambda t} to be nonzero
     lt = rate_lambda * os.t
-    grow = -math.expm1(-lt)
-    if os.k > 1 and grow == 0.0:
+    decay = -lt * os._decay_power
+    head = os._log_constant + decay
+    if head <= _LOG_UNDERFLOW:
         return -math.inf
-    log_body = -lt * (os.n - os.k + 1)
-    if os.k > 1:
-        log_body += (os.k - 1) * math.log(grow)
-    return os._log_constant + log_body
+    if not os._growth_power:  # k = 1
+        return head
+    grow = -math.expm1(-lt)
+    if grow == 0.0:
+        return -math.inf
+    return os._log_constant + (decay + os._growth_power * math.log(grow))
 
 
 def posterior_lambda_os(rate_lambda: float, os: OsPredictive) -> float:
@@ -134,7 +170,7 @@ def posterior_lambda_os(rate_lambda: float, os: OsPredictive) -> float:
     if not (rate_lambda > 0):
         raise ValueError(f"rate_lambda must be positive, got {rate_lambda}")
     log_val = _log_posterior_os(rate_lambda, os)
-    return math.exp(log_val) if log_val > -745.0 else 0.0
+    return math.exp(log_val) if log_val > _LOG_UNDERFLOW else 0.0
 
 
 def os_predictive_density(z0: float, os: OsPredictive) -> float:
@@ -234,7 +270,7 @@ def os_pfa_quadrature(tau: float, os: OsPredictive) -> float:
 
     def f(s: float) -> float:
         log_val = _log_posterior_os(s, unit) - s * x
-        return math.exp(log_val) if log_val > -745.0 else 0.0
+        return math.exp(log_val) if log_val > _LOG_UNDERFLOW else 0.0
 
     ladder = [10.0**e for e in range(-6, 7)]
     value = integrate_semi_infinite(f, _OS_QUAD, breakpoints=ladder).value
@@ -266,15 +302,16 @@ def _at_nodes(f: Callable, axes: list[list[float]]) -> np.ndarray:
     return np.fromiter(map(f, nodes), dtype=float, count=math.prod(map(len, axes)))
 
 
-def _locate_support(density: Callable, dimension: int) -> list[list[float]]:
+def _locate_support(density: Callable, dimension: int) -> tuple[list[list[float]], int]:
     # scan a geometric grid over (1e-12, 1e12) per axis, then narrow each axis
     # to where the density's maximum over the other axes is above 1e-280 of
-    # its peak; repeat while some axis shrinks by half, up to the round limit
+    # its peak; repeat while some axis shrinks by half, up to the round limit.
+    # Returns each axis's breakpoints and the rounds scanned
     import numpy as np
 
     points, rounds, breakpoints = _SUPPORT_SCAN[dimension]
     lo, hi = [1e-12] * dimension, [1e12] * dimension
-    for _ in range(rounds):
+    for scanned in range(1, rounds + 1):
         grids = [np.geomspace(a, b, points) for a, b in zip(lo, hi)]
         vals = _at_nodes(density, [grid.tolist() for grid in grids]).reshape((points,) * dimension)
         if not np.all(np.isfinite(vals)):
@@ -291,7 +328,7 @@ def _locate_support(density: Callable, dimension: int) -> list[list[float]]:
         lo, hi = [a for a, _ in spans], [b for _, b in spans]
         if not shrunk:
             break
-    return [list(np.geomspace(a, b, breakpoints)) for a, b in zip(lo, hi)]
+    return [list(np.geomspace(a, b, breakpoints)) for a, b in zip(lo, hi)], scanned
 
 
 def _theta_integrals(model: PredictiveModel, values: np.ndarray,
@@ -398,7 +435,10 @@ class PredictiveModel:
         self.posterior = posterior
         self.parameter_dimension = parameter_dimension
         self.integration = integration
-        self._rules = tuple(map(FirstPassRule, _locate_support(posterior, parameter_dimension)))
+        timed = logger.isEnabledFor(logging.DEBUG)
+        start = perf_counter() if timed else 0.0
+        support, scanned = _locate_support(posterior, parameter_dimension)
+        self._rules = tuple(map(FirstPassRule, support))
         self._axes = [rule.nodes.tolist() for rule in self._rules]
         # shaped (*node axes), b varying fastest in 2-D
         self._posterior_at_nodes = _at_nodes(posterior, self._axes).reshape(
@@ -409,6 +449,19 @@ class PredictiveModel:
             raise ValueError(
                 f"posterior integrates to {norm!r}, not 1 (tolerance {tol:g}); "
                 "pass a normalized posterior"
+            )
+        if timed:
+            seconds = perf_counter() - start
+            spans = [(float(axis[0]), float(axis[-1])) for axis in support]
+            points = _SUPPORT_SCAN[parameter_dimension][0] ** parameter_dimension
+            nodes = self._posterior_at_nodes.size
+            # the posterior calls of the scan and the samples; a declined
+            # normalization pass adds calls at QAGP's new points
+            logger.debug(
+                "%d-D posterior support %s: %d posterior calls (%d scan points per "
+                "round, %d rounds; %d nodes), %.3f s",
+                parameter_dimension, spans, scanned * points + nodes, points, scanned,
+                nodes, seconds,
             )
 
 

@@ -461,6 +461,31 @@ class TestFirstPassRule:
             assert len(rule.nodes) == nodes, top
             assert np.all(np.isfinite(rule.nodes)), top
 
+    def test_certificate_holds_where_numpy_power_rounds_below_c_pow(self):
+        # integrate_rows bounds qk21's ratio**1.5 by numpy's power times
+        # _POW_SLACK. At these c, numpy 2.4.6's power of x e^{-c x}'s ratio
+        # on (0, 1) rounds an ulp below C's pow, so its bound without the
+        # slack is an ulp below QAGP's abserr for the pass. Set the
+        # tolerance an ulp below that abserr: QAGP refines the pass, and a
+        # bound without the slack would certify it
+        rule = FirstPassRule([1.0])
+        loose = QuadratureSettings(relative_tolerance=1e-2)
+        for i in (46, 51, 89, 107, 120):
+            c = 1.0 + i / 997.0
+
+            def f(x, c=c):
+                return x * math.exp(-c * x)
+
+            first = integrate_semi_infinite(f, loose, [1.0])
+            tight = QuadratureSettings(relative_tolerance=1e-300, absolute_tolerance=math.nextafter(
+                first.error_estimate, 0.0))
+            want = integrate_semi_infinite(f, tight, [1.0])
+            assert want.value != first.value, c
+            values = np.array([f(x) for x in rule.nodes.tolist()])
+            (got,) = rule.integrate_rows(values[None], lambda _, f=f: lambda x: np.array(
+                [f(v) for v in x.tolist()]), tight).tolist()
+            assert got.hex() == want.value.hex(), c
+
     def test_needs_a_breakpoint(self):
         for bad in ([], [0.0], [-1.0, math.inf, math.nan]):
             with pytest.raises(ValueError, match="breakpoint"):

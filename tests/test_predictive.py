@@ -8,9 +8,12 @@ and the quadrature route os_pfa_quadrature.
 """
 
 import functools
+import logging
 import math
 import operator
 import random
+import re
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -146,6 +149,186 @@ class TestPosterior:
             with pytest.raises(ValueError, match="above 1000000, the largest order index"):
                 OsPredictive(n, k, 1.0)
         assert OsPredictive(2**64, 3, 1.0).k == 3
+
+
+def written_out_constant(n: int, k: int, t: float) -> float:
+    # log k + log t + log C(n, k): the exact integer's log up to n = 62
+    if n <= 62:
+        log_comb = math.log(math.comb(n, k))
+    else:
+        log_comb = math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+    return math.log(k) + math.log(t) + log_comb
+
+
+def written_out_log_posterior(lam: float, n: int, k: int, t: float) -> float:
+    # the OS log posterior as it was formed before the underflow exit:
+    # expm1 and log at every lambda, the constant added last
+    constant = written_out_constant(n, k, t)
+    lt = lam * t
+    grow = -math.expm1(-lt)
+    if k > 1 and grow == 0.0:
+        return -math.inf
+    body = -lt * (n - k + 1)
+    if k > 1:
+        body += (k - 1) * math.log(grow)
+    return constant + body
+
+
+def written_out_posterior(lam: float, n: int, k: int, t: float) -> float:
+    log_val = written_out_log_posterior(lam, n, k, t)
+    return math.exp(log_val) if log_val > -745.0 else 0.0
+
+
+def written_out_density_of_s(s: float, n: int, k: int, x: float) -> float:
+    # os_pfa_quadrature's integrand: the posterior at t = 1 times e^{-s x}
+    log_val = written_out_log_posterior(s, n, k, 1.0) - s * x
+    return math.exp(log_val) if log_val > -745.0 else 0.0
+
+
+class _CountingMath:
+    """math, counting the calls of expm1 and log."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def expm1(self, x):
+        self.calls += 1
+        return math.expm1(x)
+
+    def log(self, x):
+        self.calls += 1
+        return math.log(x)
+
+
+# (n, k): k = 1, k = n, and n on both sides of _log_comb's exact-integer limit
+EXIT_SHAPES = [(1, 1), (4, 2), (16, 12), (24, 18), (62, 1), (62, 31), (62, 62),
+               (63, 1), (63, 40), (63, 63), (300, 200)]
+EXIT_SCALES = [1e-300, 1e-150, 1e-10, 1.37, 1e10, 1e150, 1e300]
+
+
+def lambdas_across_the_underflow_line(n: int, k: int, t: float) -> list[float]:
+    # 5e-324 to the float maximum and inf, eight a decade; then a few ulp
+    # either side of each point where the constant plus the decay term, or
+    # the whole log posterior, crosses -745 (the latter bisected between the
+    # sweep points it falls between)
+    sweep = [5e-324, 1e-320, *(10.0 ** (e / 8) for e in range(-8 * 323, 8 * 308)),
+             1.7976931348623157e308, math.inf]
+
+    def kept(lam):
+        return written_out_log_posterior(lam, n, k, t) > -745.0
+
+    crossings = [(written_out_constant(n, k, t) + 745.0) / (t * (n - k + 1))]
+    for lo, hi in zip(sweep, sweep[1:]):
+        if kept(lo) != kept(hi):
+            side = kept(lo)
+            mid = 0.5 * (lo + hi)
+            while lo < mid < hi:
+                lo, hi = (mid, hi) if kept(mid) == side else (lo, mid)
+                mid = 0.5 * (lo + hi)
+            crossings.append(hi)
+    near = []
+    for c in crossings:
+        if 0.0 < c < math.inf:
+            near += [c * scale for scale in (0.5, 0.99, 0.999999, 1.0, 1.000001, 1.01, 2.0)]
+            below = above = c
+            for _ in range(4):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                near += [below, above]
+    return [lam for lam in sweep + near if lam > 0.0]
+
+
+class TestLogPosteriorUnderflowExit:
+    """The log posterior returns -inf once its constant plus the decay term
+    is at or below -745, before expm1 and log. Every value the callers
+    return keeps the bits of the written-out formula."""
+
+    @pytest.mark.parametrize("n, k", EXIT_SHAPES)
+    def test_posterior_keeps_its_bits(self, n, k):
+        zeros = positives = 0
+        for t in EXIT_SCALES:
+            osd = OsPredictive(n, k, t)
+            for lam in lambdas_across_the_underflow_line(n, k, t):
+                want = written_out_posterior(lam, n, k, t)
+                assert posterior_lambda_os(lam, osd).hex() == want.hex(), (n, k, t, lam)
+                zeros += want == 0.0
+                positives += want > 0.0
+        # both sides of the line are reached
+        assert zeros > 100 and positives > 100
+
+    @pytest.mark.parametrize("n, k", EXIT_SHAPES)
+    def test_quadrature_integrand_keeps_its_bits(self, n, k, monkeypatch):
+        from bayescfar import predictive
+
+        integrands = []
+
+        def recording(f, *args, **kwargs):
+            integrands.append(f)
+            return integrate_semi_infinite(f, *args, **kwargs)
+
+        monkeypatch.setattr(predictive, "integrate_semi_infinite", recording)
+        for ratio in (0.0, 0.5, 6.0, 1e3):
+            tau = ratio * 1.37
+            os_pfa_quadrature(tau, OsPredictive(n, k, 1.37))
+            f, x = integrands.pop(), tau / 1.37
+            for s in lambdas_across_the_underflow_line(n, k, 1.0):
+                want = written_out_density_of_s(s, n, k, x)
+                assert f(s).hex() == want.hex(), (n, k, x, s)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (4, 2), (24, 18), (62, 62), (63, 40)])
+    def test_quadrature_keeps_its_bits(self, n, k):
+        settings = QuadratureSettings(
+            relative_tolerance=1e-10, absolute_tolerance=1e-300, max_subdivisions=200)
+        ladder = [10.0**e for e in range(-6, 7)]
+        for t in (1e-300, 1.37, 1e300):
+            for ratio in (0.0, 0.5, 6.0, 1e3):
+                tau = ratio * t
+                value = integrate_semi_infinite(
+                    lambda s: written_out_density_of_s(s, n, k, tau / t), settings,
+                    breakpoints=ladder).value
+                want = min(max(value, 0.0), 1.0)
+                got = os_pfa_quadrature(tau, OsPredictive(n, k, t))
+                assert got.hex() == want.hex(), (n, k, t, ratio)
+
+    def test_underflowing_lambda_t(self):
+        # lambda t rounds to 0: the constant alone decides for k = 1, and
+        # 1 - e^{-lambda t} = 0 gives 0.0 for k > 1
+        for n, k in ((4, 1), (4, 2), (63, 63)):
+            for t in (1e-300, 1e-30):
+                want = written_out_posterior(5e-324, n, k, t)
+                assert posterior_lambda_os(5e-324, OsPredictive(n, k, t)).hex() == want.hex()
+        assert posterior_lambda_os(5e-324, OsPredictive(4, 2, 1e-300)) == 0.0
+        assert posterior_lambda_os(5e-324, OsPredictive(4, 1, 1e30)) > 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, -0.0, -5e-324, -1.0, -math.inf, math.nan])
+    def test_rejects_nonpositive_and_nan_rates(self, lam):
+        for osd in (OsPredictive(4, 2, 1.0), OsPredictive(1, 1, 1e300)):
+            with pytest.raises(ValueError, match="rate_lambda must be positive"):
+                posterior_lambda_os(lam, osd)
+
+    @pytest.mark.parametrize("n, k, decade", [(4, 2, -2), (8, 6, 0), (16, 12, 2), (24, 18, 4)])
+    def test_exit_fires_where_the_support_scan_read_zero(self, n, k, decade, monkeypatch):
+        # crosscheck's shapes on the 1-D support scan's grid: expm1 and log
+        # are skipped at exactly the points where the written-out formula
+        # gives 0.0, and that is a third or more of them
+        from bayescfar import predictive
+
+        t = 1.37 * 10.0**decade
+        osd = OsPredictive(n, k, t)
+        grid = np.geomspace(1e-12, 1e12, 131_073).tolist()
+        counting = _CountingMath()
+        monkeypatch.setattr(predictive, "math", counting)
+        skipped = []
+        for lam in grid:
+            before = counting.calls
+            posterior_lambda_os(lam, osd)
+            skipped.append(counting.calls == before)
+        monkeypatch.undo()
+        zero = [written_out_posterior(lam, n, k, t) == 0.0 for lam in grid]
+        assert skipped == zero
+        assert sum(skipped) > 0.3 * len(grid)
 
 
 class TestOsPredictiveDensity:
@@ -741,6 +924,84 @@ class TestGenericPfaPinned:
         got = built_normalization(lambda z0, lam: lam * math.exp(-lam * z0),
                                   lambda lam: posterior_lambda_os(lam, osd), 1)
         assert got.hex() == NORMALIZATION_PINS[n, k, decade]
+
+
+class TestBuildRecord:
+    """One DEBUG record per PredictiveModel build: the dimension, the
+    support per axis, the posterior calls and the seconds taken."""
+
+    @staticmethod
+    def build(dimension):
+        calls = [0]
+        if dimension == 1:
+            osd = OsPredictive(8, 6, 1.37)
+
+            def posterior(lam):
+                calls[0] += 1
+                return posterior_lambda_os(lam, osd)
+
+            def likelihood(z0, lam):
+                return lam * math.exp(-lam * z0)
+        else:
+            def posterior(theta):
+                calls[0] += 1
+                return TestTwoParameterModel.posterior(theta)
+
+            likelihood = TestTwoParameterModel.likelihood
+        return PredictiveModel(likelihood, posterior, parameter_dimension=dimension), calls[0]
+
+    @pytest.mark.parametrize("dimension", [1, 2])
+    def test_one_record_with_its_fields(self, dimension, caplog):
+        caplog.set_level(logging.DEBUG, logger="bayescfar.predictive")
+        model, calls = self.build(dimension)
+        [record] = caplog.records
+        assert (record.name, record.levelno) == ("bayescfar.predictive", logging.DEBUG)
+        got_dimension, spans, posterior_calls, points, rounds, nodes, seconds = record.args
+        assert got_dimension == dimension
+        assert spans == [(rule.breakpoints[0], rule.breakpoints[-1]) for rule in model._rules]
+        assert all(type(v) is float and 1e-12 <= v < w <= 1e12 for v, w in spans)
+        # counted without wrapping the posterior, and equal to the calls it took
+        assert posterior_calls == calls == rounds * points + nodes
+        assert (points, nodes) == ((131_073, 1_050) if dimension == 1 else (129**2, 714**2))
+        assert 1 <= rounds <= (1 if dimension == 1 else 4)
+        assert 0.0 < seconds < 60.0
+        assert re.fullmatch(rf"{dimension}-D posterior support \[.+\]: {calls} posterior calls "
+                            rf"\({points} scan points per round, {rounds} rounds; {nodes} nodes\), "
+                            r"\d+\.\d{3} s", record.getMessage()), record.getMessage()
+
+    def test_stdout_is_byte_identical_at_debug(self, capsys):
+        def report():
+            model, _ = self.build(1)
+            print(generic_predictive_density(0.4, model).hex())
+            print(generic_pfa(2.0, model).hex())
+
+        report()
+        quiet = capsys.readouterr()
+        handler = logging.StreamHandler(sys.stderr)
+        log = logging.getLogger("bayescfar.predictive")
+        level = log.level
+        log.addHandler(handler)
+        log.setLevel(logging.DEBUG)
+        try:
+            report()
+        finally:
+            log.removeHandler(handler)
+            log.setLevel(level)
+        loud = capsys.readouterr()
+        assert loud.out == quiet.out and quiet.out.count("\n") == 2
+        assert quiet.err == ""
+        assert loud.err.startswith("1-D posterior support [(")
+
+    def test_off_the_build_reads_no_clock(self, monkeypatch, caplog):
+        from bayescfar import predictive
+
+        def unused():
+            raise AssertionError("timed with DEBUG disabled")
+
+        monkeypatch.setattr(predictive, "perf_counter", unused)
+        caplog.set_level(logging.INFO, logger="bayescfar.predictive")
+        self.build(1)
+        assert caplog.records == []
 
 
 class TestTwoParameterModel:
