@@ -138,6 +138,7 @@ class DetectorSpec:
             raise ValueError(f"window size n must be at least 1, got {self.n}")
         if not (0.0 < self.design_pfa < 1.0):
             raise ValueError(f"design_pfa must lie in (0, 1), got {self.design_pfa}")
+        object.__setattr__(self, "design_pfa", float(self.design_pfa))
         name, rule = self.family.value, FAMILIES[self.family].k_rule
         if rule is KRule.REQUIRED and self.k is None:
             raise ValueError(f"{name} requires an order index k")
@@ -218,11 +219,11 @@ class FamilyRow(NamedTuple):
     draw(clutter, spec, rng, rows) gives rows draws of g over spec.n clutter
     samples straight from its law; pfa(x, spec) is the predictive Pfa at
     x = tau/g, for a float or a 1-D array; k_rule is the order index the
-    family takes; multiplier(spec) is the m with pfa(m) = design_pfa where
-    the family forms it itself, or None to solve the curve for it. path
-    says how decide compares: z0 against the threshold m * g, or pfa(z0/g)
-    against the design value, the one path that divides by g and so needs
-    it positive.
+    family takes; multiplier(spec) is the m with pfa(m) = design_pfa,
+    always a float (inf past the float range), from a closed form or the
+    family's own bisection of its curve. path says how decide compares: z0
+    against the threshold m * g, or pfa(z0/g) against the design value, the
+    one path that divides by g and so needs it positive.
     """
 
     statistic: Callable[[float, CrpWindow, DetectorSpec], float]
@@ -231,7 +232,7 @@ class FamilyRow(NamedTuple):
     pfa: Callable[[Any, DetectorSpec], Any]
     k_rule: KRule
     path: DecisionPath
-    multiplier: Callable[[DetectorSpec], float | None]
+    multiplier: Callable[[DetectorSpec], float]
 
 
 # Near design Pfa 1 the closed forms subtract nearly equal numbers: pfa**(-1/n)
@@ -242,8 +243,11 @@ _CANCELLATION = 2.0**-10
 
 
 def _ca_multiplier(spec: DetectorSpec) -> float:
-    # (1 + m)^-n = pfa
-    m = spec.design_pfa ** (-1.0 / spec.n) - 1.0
+    # (1 + m)^-n = pfa; inf where pfa ** (-1/n) overflows
+    try:
+        m = spec.design_pfa ** (-1.0 / spec.n) - 1.0
+    except OverflowError:
+        return math.inf
     return m if m >= _CANCELLATION else math.expm1(-math.log(spec.design_pfa) / spec.n)
 
 
@@ -254,15 +258,15 @@ def _odds(pfa: float) -> float:
     return odds if odds >= _CANCELLATION else (1.0 - pfa) / pfa
 
 
-def _os_multiplier(spec: DetectorSpec) -> float | None:
-    # n (1/pfa - 1) at k = 1, else None to solve the curve prod j/(j+x); but
-    # where 1/pfa - 1 < _CANCELLATION, whose steps of 2**-53 put the solve off
-    # by 0.57 at n = 5, k = 3, pfa = 1 - 2**-53, its log against log1p(pfa - 1)
+def _os_multiplier(spec: DetectorSpec) -> float:
+    # n (1/pfa - 1) at k = 1, else the curve prod j/(j+x) bisected; but where
+    # 1/pfa - 1 < _CANCELLATION, whose steps of 2**-53 put that solve off by
+    # 0.57 at n = 5, k = 3, pfa = 1 - 2**-53, its log against log1p(pfa - 1)
     k, pfa = _order(spec), spec.design_pfa
     if k == 1:
         return spec.n * _odds(pfa)
     if 1.0 / pfa - 1.0 >= _CANCELLATION:
-        return None
+        return solve_monotone_decreasing(lambda x: _os_product(x, spec.n, k), pfa)
     j = range(spec.n - k + 1, spec.n + 1)
     return solve_monotone_decreasing(lambda x: -sum(math.log1p(x / i) for i in j),
                                      math.log1p(pfa - 1.0))
@@ -315,20 +319,14 @@ FAMILIES: dict[Family, FamilyRow] = {
 def threshold_multiplier(spec: DetectorSpec) -> float:
     """The m with Pfa(m) = design_pfa, so that the threshold is m * g.
 
-    The family's closed form where it has one, else the Pfa curve (near
-    design Pfa 1 its log) inverted by bisection; cached per spec. A closed
-    form that overflows or is not finite raises NumericsError, as bisection
-    does when it cannot reach the design value: 0 < pfa < 1 is valid input,
-    and a multiplier beyond the float range is a numeric failure, not a
-    usage error.
+    The family row's multiplier, a closed form or its own bisection of the
+    Pfa curve (near design Pfa 1 its log); cached per spec. A multiplier
+    that is not finite raises NumericsError, as bisection does when it
+    cannot reach the design value: 0 < pfa < 1 is valid input, and a
+    multiplier beyond the float range is a numeric failure, not a usage
+    error.
     """
-    row = FAMILIES[spec.family]
-    try:
-        m = row.multiplier(spec)
-    except OverflowError:  # ca_cfar's pfa ** (-1/n)
-        m = math.inf
-    if m is None:
-        return solve_monotone_decreasing(lambda x: row.pfa(x, spec), spec.design_pfa)
+    m = FAMILIES[spec.family].multiplier(spec)
     if not math.isfinite(m):
         raise NumericsError(
             f"the {spec.family.value} multiplier at design_pfa={spec.design_pfa!r} "
@@ -343,7 +341,7 @@ def threshold(spec: DetectorSpec, t: float) -> float:
     NumericsError where threshold_multiplier raises it; a finite m * t may still be inf.
     """
     _require_statistic(t)
-    m = threshold_multiplier(spec)
+    t, m = float(t), threshold_multiplier(spec)
     # the one override: bayes_os at k = 1 has always formed t * n * (1/pfa - 1),
     # which rounds differently from m * t on about 31% of inputs, and keeps it
     # so that its printed thresholds do not move
@@ -361,7 +359,7 @@ def predictive_pfa(spec: DetectorSpec, tau: float, t: float) -> float:
     if not (tau >= 0):
         raise ValueError(f"tau must be nonnegative, got {tau}")
     _require_statistic(t)
-    return FAMILIES[spec.family].pfa(tau / t, spec)
+    return FAMILIES[spec.family].pfa(float(tau) / float(t), spec)
 
 
 def _decide(family: Family, doc: str) -> Callable[[float, CrpWindow, DetectorSpec], Decision]:
@@ -371,6 +369,7 @@ def _decide(family: Family, doc: str) -> Callable[[float, CrpWindow, DetectorSpe
                 f"{family.value}_decide needs a {family.value} spec, got {spec.family.value}"
             )
         _require_z0(z0)
+        z0 = float(z0)
         if window.n != spec.n:
             raise ValueError(f"window has {window.n} samples but the detector expects {spec.n}")
         row = FAMILIES[family]
@@ -585,6 +584,7 @@ def custom_g_decide(z0: float, window: CrpWindow, tau: float,
     _require_z0(z0)
     if not (tau >= 0) or not math.isfinite(tau):
         raise ValueError(f"tau must be finite and nonnegative, got {tau}")
+    z0, tau = float(z0), float(tau)
     limit = tau * g(window)
     verdict = Verdict.H1 if z0 > limit else Verdict.H0
     return Decision(verdict, z0, limit, DecisionPath.THRESHOLD)

@@ -703,11 +703,6 @@ class FirstPassRule:
         self.nodes = self._qk21.nodes
         self._edges = edges.tolist()
 
-    def _qagp_from_pass(self, values: np.ndarray, f: Callable[[np.ndarray], np.ndarray],
-                        settings: QuadratureSettings) -> QuadratureResult:
-        # QAGP on f, an array integrand, from the first pass of its values at nodes
-        return _qagp(f, self._edges, self._qk21.columns(values), settings)
-
     def integrate_rows(self, values: np.ndarray,
                        integrand: Callable[[int], Callable[[np.ndarray], np.ndarray]],
                        settings: QuadratureSettings) -> np.ndarray:
@@ -733,8 +728,8 @@ class FirstPassRule:
             chunk = values[start:start + _ROW_CHUNK]
             out[start:start + len(chunk)], certified = self._qk21.certified(chunk, settings)
             for i in np.flatnonzero(~certified).tolist():
-                out[start + i] = self._qagp_from_pass(chunk[i], integrand(start + i),
-                                                      settings).value
+                out[start + i] = _qagp(integrand(start + i), self._edges,
+                                       self._qk21.columns(chunk[i]), settings).value
         return out
 
 
@@ -762,7 +757,7 @@ def integrate_semi_infinite(
         return np.fromiter(map(f, x.tolist()), dtype=float, count=len(x))
 
     rule = FirstPassRule(breakpoints)
-    return rule._qagp_from_pass(at_points(rule.nodes), at_points, settings)
+    return _qagp(at_points, rule._edges, rule._qk21.columns(at_points(rule.nodes)), settings)
 
 
 def solve_monotone_decreasing(f: Callable[[float], float], target: float) -> float:

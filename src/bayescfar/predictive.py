@@ -37,7 +37,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain, product, repeat, starmap
 from time import perf_counter
 from typing import TYPE_CHECKING, Callable
@@ -130,6 +129,7 @@ class OsPredictive:
         _require_order_bound(self.k)
         if not (self.t > 0) or not math.isfinite(self.t):
             raise ValueError(f"observed order statistic must be positive, got {self.t}")
+        object.__setattr__(self, "t", float(self.t))
         # log k + log t, not log(k t): k t overflows for t near the float maximum
         constant = math.log(self.k) + math.log(self.t) + _log_comb(self.n, self.k)
         object.__setattr__(self, "_log_constant", constant)
@@ -169,7 +169,7 @@ def posterior_lambda_os(rate_lambda: float, os: OsPredictive) -> float:
     """
     if not (rate_lambda > 0):
         raise ValueError(f"rate_lambda must be positive, got {rate_lambda}")
-    log_val = _log_posterior_os(rate_lambda, os)
+    log_val = _log_posterior_os(float(rate_lambda), os)
     return math.exp(log_val) if log_val > _LOG_UNDERFLOW else 0.0
 
 
@@ -185,19 +185,9 @@ def os_predictive_density(z0: float, os: OsPredictive) -> float:
     """
     if not (z0 >= 0):
         raise ValueError(f"z0 must be nonnegative, got {z0}")
-    x = z0 / os.t
+    x = float(z0) / os.t
     rate = sum(1.0 / (j + x) for j in range(os.n - os.k + 1, os.n + 1))
     return os_pfa(z0, os) * rate / os.t
-
-
-@lru_cache(maxsize=64)
-def _os_column(n: int, k: int) -> np.ndarray:
-    # _os_product's j = n - k + 1 .. n as a (k, 1) column, read-only: shared
-    import numpy as np
-
-    j = np.arange(n - k + 1, n + 1, dtype=float).reshape(k, 1)
-    j.setflags(write=False)
-    return j
 
 
 def _os_product(x, n: int, k: int):
@@ -214,7 +204,7 @@ def _os_product(x, n: int, k: int):
 
     if x.ndim == 0:  # a numpy scalar that is no float, such as np.float32
         return _os_product(float(x), n, k)
-    j = _os_column(n, k)
+    j = np.arange(n - k + 1, n + 1, dtype=float).reshape(k, 1)
     product, cells = np.empty(len(x)), max(1, 2**20 // k)
     for start in range(0, len(x), cells):
         factors = j + x[start:start + cells]
@@ -245,7 +235,7 @@ def os_pfa(tau: float, os: OsPredictive) -> float:
     if not (tau >= 0):
         raise ValueError(f"tau must be nonnegative, got {tau}")
     # every factor lies in [0, 1] in floating point too, and x = 0 gives 1.0
-    return _os_product(tau / os.t, os.n, os.k)
+    return _os_product(float(tau) / os.t, os.n, os.k)
 
 
 def os_pfa_quadrature(tau: float, os: OsPredictive) -> float:
@@ -264,7 +254,7 @@ def os_pfa_quadrature(tau: float, os: OsPredictive) -> float:
     """
     if not (tau >= 0):
         raise ValueError(f"tau must be nonnegative, got {tau}")
-    x = tau / os.t
+    x = float(tau) / os.t
     # the posterior at t = 1 is the density of s
     unit = OsPredictive(os.n, os.k, 1.0)
 
@@ -477,7 +467,7 @@ def generic_predictive_density(z0: float, model: PredictiveModel) -> float:
     """
     if not (z0 >= 0):
         raise ValueError(f"z0 must be nonnegative, got {z0}")
-    return _densities([z0], model).item()
+    return _densities([float(z0)], model).item()
 
 
 # z0-axis subdivision hints for the tail integral; spans any desk-scale unit.
@@ -513,7 +503,7 @@ def generic_pfa(tau: float, model: PredictiveModel) -> float:
         max_subdivisions=inner.max_subdivisions,
     )
     def densities(x: np.ndarray) -> np.ndarray:
-        return _densities((tau + x).tolist(), model)
+        return _densities((float(tau) + x).tolist(), model)
 
     rule = FirstPassRule(_Z0_LADDER)
     value = rule.integrate_rows(densities(rule.nodes)[None], lambda _: densities, outer).item()

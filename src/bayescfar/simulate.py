@@ -323,13 +323,15 @@ def _run_blocks(points: Sequence[Scenario], workers: int | None) -> list[tuple[i
 
 
 def _report(scenario: Scenario, hits: int, redraws: int) -> SimReport:
-    low, high = wilson_interval(hits, scenario.trials)
+    # Python ints, which JSON takes, for a scenario's numpy integers
+    trials = int(scenario.trials)
+    low, high = wilson_interval(hits, trials)
     return SimReport(
-        estimate=hits / scenario.trials,
-        trials=scenario.trials,
+        estimate=hits / trials,
+        trials=trials,
         wilson_low=low,
         wilson_high=high,
-        seed=scenario.seed,
+        seed=int(scenario.seed),
         scenario_digest=_scenario_digest(scenario),
         degenerate_redraws=redraws,
     )

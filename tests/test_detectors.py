@@ -1,6 +1,7 @@
 """Detector decision rule tests."""
 
 import contextlib
+import functools
 import io
 import math
 import random
@@ -32,7 +33,16 @@ from bayescfar.detectors import (
     threshold_multiplier,
 )
 from bayescfar.numerics import NumericsError, solve_monotone_decreasing
-from bayescfar.predictive import OsPredictive, os_pfa
+from bayescfar.predictive import (
+    OsPredictive,
+    PredictiveModel,
+    generic_pfa,
+    generic_predictive_density,
+    os_pfa,
+    os_pfa_quadrature,
+    os_predictive_density,
+    posterior_lambda_os,
+)
 
 
 class TestDetectorSpec:
@@ -525,17 +535,39 @@ class TestFamilyTable:
         assert set(FAMILIES) == set(Family)
 
     def test_multiplier_inverts_the_pfa_curve(self):
-        # closed (min_cfar, ca_cfar, bayes_os at k = 1) or solved, the
-        # multiplier m puts the row's curve at the design value
+        # closed (min_cfar, ca_cfar, bayes_os at k = 1) or solved (bayes_os
+        # at k > 1), the multiplier m puts the row's curve at the design value
         rng = random.Random(41)
         solved = 0
         for family, row in FAMILIES.items():
             for _ in range(60):
                 spec = self.random_spec(rng, family)
-                solved += row.multiplier(spec) is None
+                solved += family is Family.BAYES_OS and spec.k > 1
                 got = row.pfa(threshold_multiplier(spec), spec)
                 assert math.isclose(got, spec.design_pfa, rel_tol=1e-9), spec
         assert solved > 0
+
+    def test_every_row_forms_its_own_multiplier(self):
+        # each row's multiplier is a float, the one threshold_multiplier
+        # returns, bit for bit, wherever it is finite; near design Pfa 1 too
+        rng = random.Random(42)
+        for family, row in FAMILIES.items():
+            specs = [self.random_spec(rng, family) for _ in range(40)]
+            specs += [DetectorSpec(family, n, 1.0 - 2.0**-53,
+                                   k=k if family is Family.BAYES_OS else None)
+                      for n, k in ((1, 1), (5, 3), (16, 12))]
+            for spec in specs:
+                m = row.multiplier(spec)
+                assert type(m) is float and math.isfinite(m), spec
+                assert m.hex() == threshold_multiplier(spec).hex(), spec
+
+    def test_an_overflowing_closed_form_is_inf_not_an_error(self):
+        # the ca_cfar row returns inf where pfa ** (-1/n) overflows, and
+        # threshold_multiplier turns that into the numeric failure
+        spec = DetectorSpec(Family.CA_CFAR, 1, 1e-320)
+        assert FAMILIES[Family.CA_CFAR].multiplier(spec) == math.inf
+        with pytest.raises(NumericsError, match="beyond the float range"):
+            threshold_multiplier(spec)
 
     def test_order_statistic_families_differ_only_in_path_and_k_rule(self):
         bayes, plain = FAMILIES[Family.BAYES_OS], FAMILIES[Family.MIN_CFAR]
@@ -567,3 +599,75 @@ class TestFamilyTable:
                 predictive_pfa(spec, 1.0, t)
             with pytest.raises(ValueError):
                 threshold(spec, t)
+
+
+@functools.cache
+def _exponential_model() -> PredictiveModel:
+    # the 1-D exponential-clutter model whose posterior is the order statistic's
+    given = OsPredictive(8, 6, 1.3)
+    return PredictiveModel(lambda z0, lam: lam * math.exp(-lam * z0),
+                           lambda lam: posterior_lambda_os(lam, given), 1)
+
+
+_OS = OsPredictive(16, 12, 1.3)
+_WINDOW = CrpWindow([1.0, 2.0, 3.0, 4.0])
+_CA = DetectorSpec(Family.CA_CFAR, 16, 1e-3)
+
+# every public entry of predictive and detectors that takes tau, z0, t or
+# lambda, as a function of how a Python float argument is passed
+_FLOAT_ENTRIES = {
+    "os_pfa": lambda v: os_pfa(v(1.7), _OS),
+    "OsPredictive.t": lambda v: os_pfa(1.7, OsPredictive(16, 12, v(1.3))),
+    "os_predictive_density": lambda v: os_predictive_density(v(1.7), _OS),
+    "os_pfa_quadrature.tau": lambda v: os_pfa_quadrature(v(1.7), _OS),
+    "os_pfa_quadrature.t": lambda v: os_pfa_quadrature(1.7, OsPredictive(16, 12, v(1.3))),
+    "posterior_lambda_os": lambda v: posterior_lambda_os(v(0.9), _OS),
+    "generic_predictive_density": lambda v: generic_predictive_density(
+        v(1.7), _exponential_model()),
+    "generic_pfa": lambda v: generic_pfa(v(1.7), _exponential_model()),
+    "threshold": lambda v: threshold(_CA, v(1.3)),
+    "predictive_pfa.ca_cfar": lambda v: predictive_pfa(_CA, v(1.7), v(1.3)),
+    "predictive_pfa.bayes_os": lambda v: predictive_pfa(
+        DetectorSpec(Family.BAYES_OS, 16, 1e-3, k=12), v(1.7), v(1.3)),
+    "bayes_os_decide": lambda v: bayes_os_decide(
+        v(1.7), _WINDOW, DetectorSpec(Family.BAYES_OS, 4, 0.1, k=3)).comparison_value,
+    "ca_cfar_decide": lambda v: ca_cfar_decide(
+        v(1.7), _WINDOW, DetectorSpec(Family.CA_CFAR, 4, 0.1)).statistic_z0,
+    "custom_g_decide": lambda v: custom_g_decide(
+        v(1.7), _WINDOW, v(1.3), lambda window: 1.1).comparison_value,
+    "DetectorSpec.design_pfa": lambda v: threshold_multiplier(
+        DetectorSpec(Family.CA_CFAR, 16, v(1.3e-3))),
+}
+
+
+class TestNumpyFloatScalars:
+    """A numpy float scalar is read by its value, as a Python float.
+
+    numpy 2 keeps np.float32 arithmetic in float32, and numpy 1 promoted it
+    to float64, so a scalar carried into the arithmetic would make the
+    answer depend on the numpy version.
+    """
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.float64])
+    @pytest.mark.parametrize("entry", list(_FLOAT_ENTRIES))
+    def test_same_bits_as_the_python_float(self, entry, dtype):
+        got = _FLOAT_ENTRIES[entry](dtype)
+        want = _FLOAT_ENTRIES[entry](lambda x: float(dtype(x)))
+        assert type(got) is float and got.hex() == want.hex()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float16, np.float64])
+    def test_stored_as_python_floats(self, dtype):
+        assert type(DetectorSpec(Family.CA_CFAR, 4, dtype(0.1)).design_pfa) is float
+        assert type(OsPredictive(4, 2, dtype(1.5)).t) is float
+
+    def test_a_numpy_design_value_leaves_no_cache_entry_of_its_own(self):
+        # np.float32(pfa) equals and hashes as the Python float pfa it holds,
+        # so a spec that stored it would hand its float32 multiplier to the
+        # Python-float spec through threshold_multiplier's cache
+        spec = DetectorSpec(Family.CA_CFAR, 16, float(np.float32(0.54)))
+        threshold_multiplier.cache_clear()
+        want = threshold_multiplier(spec)
+        threshold_multiplier.cache_clear()
+        threshold_multiplier(DetectorSpec(Family.CA_CFAR, 16, np.float32(0.54)))
+        got = threshold_multiplier(spec)
+        assert type(got) is float and got.hex() == want.hex()

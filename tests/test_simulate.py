@@ -8,6 +8,7 @@ two competing exponentials directly.
 
 import copy
 import gc
+import json
 import logging
 import math
 import pickle
@@ -127,6 +128,22 @@ class TestScenarioValidation:
         sc = scenario(trials=np.int64(1000), seed=np.uint64(7))
         assert type(sc.trials) is np.int64
         assert estimate_pfa(sc) == estimate_pfa(scenario(trials=1000, seed=7))
+
+    @pytest.mark.parametrize("run, target", [
+        (estimate_pfa, None),
+        (estimate_pd, TargetModel(snr_linear=2.0)),
+        (lambda sc: cfar_sweep(sc, [0.5, 2.0]), None),
+    ], ids=["estimate_pfa", "estimate_pd", "cfar_sweep"])
+    def test_reports_of_numpy_counts_dump_to_json(self, run, target):
+        # a report holds Python ints for a scenario's numpy trials and seed,
+        # so it dumps to the JSON of the Python-int run
+        def dumped(trials, seed):
+            reports = run(scenario(trials=trials, seed=seed, target=target))
+            reports = reports if isinstance(reports, list) else [reports]
+            assert all(type(r.trials) is int and type(r.seed) is int for r in reports)
+            return json.dumps([r.to_dict() for r in reports])
+
+        assert dumped(np.int64(1000), np.uint64(7)) == dumped(1000, 7)
 
     def test_target_kind(self):
         with pytest.raises(ValueError):
